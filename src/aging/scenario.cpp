@@ -11,7 +11,7 @@ AgingScenario::AgingScenario(const Netlist& netlist, const TechLibrary& tech,
     : netlist_(&netlist),
       tech_(&tech),
       model_(model),
-      stress_(estimate_stress(netlist, tech, seed, stress_patterns)) {}
+      stress_(estimate_stress(netlist, seed, stress_patterns)) {}
 
 AgingScenario::AgingScenario(const Netlist& netlist, const TechLibrary& tech,
                              BtiModel model, StressProfile profile)

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/netlist/netlist.hpp"
-#include "src/netlist/techlib.hpp"
 
 namespace agingsim {
 
@@ -22,9 +21,12 @@ struct StressProfile {
 };
 
 /// Estimates signal probabilities by driving the netlist with `num_patterns`
-/// uniform random input vectors (seeded, reproducible). Tri-state keeper
-/// states are handled naturally by the timing simulator.
-StressProfile estimate_stress(const Netlist& netlist, const TechLibrary& tech,
-                              std::uint64_t seed, std::size_t num_patterns);
+/// uniform random input vectors (seeded, reproducible), applied one after
+/// another from the all-X power-up state. Only logic values matter, so the
+/// patterns are evaluated 64 at a time, one bit lane each; the counts of
+/// ones are exactly those of a pattern-by-pattern TimingSim run, Tbuf
+/// keeper states included.
+StressProfile estimate_stress(const Netlist& netlist, std::uint64_t seed,
+                              std::size_t num_patterns);
 
 }  // namespace agingsim

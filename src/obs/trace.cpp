@@ -36,12 +36,13 @@ struct TraceEvent {
   std::uint64_t begin_ns = 0;
   std::uint64_t dur_ns = 0;
   std::uint64_t arg = kNoArg;
+  int tid = 0;  // of the recording thread; a reused ring holds several
 };
 
 struct Ring {
-  std::vector<TraceEvent> events;  // sized to capacity at (re)adoption
+  std::vector<TraceEvent> events;  // sized to capacity at (re)allocation
   std::uint64_t total = 0;         // spans ever pushed (wraps the index)
-  int tid = 0;
+  int tid = 0;                     // of the thread recording now
 };
 
 struct TraceRegistry {
@@ -52,6 +53,15 @@ struct TraceRegistry {
   /// compare it against their ring's size without taking the lock.
   std::atomic<std::size_t> capacity{0};
   int next_tid = 1;  // tid 0 is reserved for "unknown"
+  /// Spans a ring held when a capacity change cleared it.
+  std::uint64_t discarded = 0;
+
+  /// Sizes `ring` to `cap` spans, dropping (and counting) what it held.
+  void resize(Ring& ring, std::size_t cap) {
+    discarded += ring.total;
+    ring.events.assign(cap, TraceEvent{});
+    ring.total = 0;
+  }
 
   std::size_t resolve_capacity() {
     std::size_t cap = capacity.load(std::memory_order_relaxed);
@@ -96,10 +106,9 @@ Ring& local_ring() {
       tls_ring.index = reg.rings.size() - 1;
     }
     Ring& ring = *reg.rings[tls_ring.index];
-    // Adopted rings restart empty under a fresh tid so one tid never
-    // mixes spans from two threads.
-    ring.events.assign(cap, TraceEvent{});
-    ring.total = 0;
+    // An adopted ring keeps the exited thread's spans (each stamped with
+    // its own tid) and records after them under a fresh tid.
+    if (ring.events.size() != cap) reg.resize(ring, cap);
     ring.tid = reg.next_tid++;
     tls_ring.ring = &ring;
   }
@@ -108,9 +117,7 @@ Ring& local_ring() {
   const std::size_t cap = reg.capacity.load(std::memory_order_relaxed);
   if (cap != 0 && ring.events.size() != cap) {
     std::lock_guard lk(reg.mutex);
-    ring.events.assign(reg.capacity.load(std::memory_order_relaxed),
-                       TraceEvent{});
-    ring.total = 0;
+    reg.resize(ring, reg.capacity.load(std::memory_order_relaxed));
   }
   return ring;
 }
@@ -128,6 +135,7 @@ void record_span(const char* name, std::uint64_t begin_ns,
   slot.begin_ns = begin_ns;
   slot.dur_ns = end_ns >= begin_ns ? end_ns - begin_ns : 0;
   slot.arg = arg;
+  slot.tid = ring.tid;
   ++ring.total;
 }
 
@@ -140,7 +148,7 @@ void set_trace_enabled(bool on) noexcept {
 std::uint64_t trace_dropped_spans() {
   TraceRegistry& reg = registry();
   std::lock_guard lk(reg.mutex);
-  std::uint64_t dropped = 0;
+  std::uint64_t dropped = reg.discarded;
   for (const auto& ring : reg.rings) {
     if (ring->total > ring->events.size()) {
       dropped += ring->total - ring->events.size();
@@ -150,15 +158,12 @@ std::uint64_t trace_dropped_spans() {
 }
 
 std::string trace_json() {
-  struct Exported {
-    TraceEvent event;
-    int tid;
-  };
-  std::vector<Exported> events;
+  std::vector<TraceEvent> events;
   std::uint64_t dropped = 0;
   {
     TraceRegistry& reg = registry();
     std::lock_guard lk(reg.mutex);
+    dropped = reg.discarded;
     for (const auto& ring : reg.rings) {
       const std::size_t cap = ring->events.size();
       if (cap == 0) continue;
@@ -166,14 +171,14 @@ std::string trace_json() {
       dropped += ring->total - kept;
       // Oldest-first within the ring: indices [total-kept, total).
       for (std::uint64_t i = ring->total - kept; i < ring->total; ++i) {
-        events.push_back({ring->events[i % cap], ring->tid});
+        events.push_back(ring->events[i % cap]);
       }
     }
   }
   std::stable_sort(events.begin(), events.end(),
-                   [](const Exported& a, const Exported& b) {
-                     if (a.event.begin_ns != b.event.begin_ns) {
-                       return a.event.begin_ns < b.event.begin_ns;
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     if (a.begin_ns != b.begin_ns) {
+                       return a.begin_ns < b.begin_ns;
                      }
                      return a.tid < b.tid;
                    });
@@ -186,19 +191,19 @@ std::string trace_json() {
   json.key("dropped_events").value(dropped);
   json.end_object();
   json.key("traceEvents").begin_array();
-  for (const Exported& e : events) {
+  for (const TraceEvent& e : events) {
     json.begin_object();
-    json.key("name").value(e.event.name);
+    json.key("name").value(e.name);
     json.key("cat").value("agingsim");
     json.key("ph").value("X");
     json.key("pid").value(1);
     json.key("tid").value(e.tid);
     // Chrome trace timestamps are microseconds; fractional is allowed.
-    json.key("ts").value(static_cast<double>(e.event.begin_ns) / 1000.0);
-    json.key("dur").value(static_cast<double>(e.event.dur_ns) / 1000.0);
-    if (e.event.arg != kNoArg) {
+    json.key("ts").value(static_cast<double>(e.begin_ns) / 1000.0);
+    json.key("dur").value(static_cast<double>(e.dur_ns) / 1000.0);
+    if (e.arg != kNoArg) {
       json.key("args").begin_object();
-      json.key("v").value(e.event.arg);
+      json.key("v").value(e.arg);
       json.end_object();
     }
     json.end_object();
@@ -231,6 +236,7 @@ void reset_trace() noexcept {
   for (const auto& ring : reg.rings) {
     ring->total = 0;
   }
+  reg.discarded = 0;
 }
 
 void set_trace_ring_capacity(std::size_t spans) {

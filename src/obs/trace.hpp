@@ -11,8 +11,10 @@
 // Ring semantics: each thread's buffer holds the newest
 // `AGINGSIM_TRACE_CAPACITY` (default 16384) spans; older spans are
 // overwritten and counted as dropped in the export's otherData. Rings are
-// retired when their thread exits and adopted (with a fresh tid) by the
-// next new thread, bounding memory by the peak thread count.
+// retired when their thread exits and adopted by the next new thread,
+// bounding memory by the peak thread count. The adopter records under a
+// fresh tid after the spans the exited thread left, which keep theirs and
+// are exported (or, once overwritten, counted as dropped) like any other.
 //
 // Export (`trace_json` / `write_trace_json`) walks the rings under the
 // registry lock; call it from the coordinating thread after parallel
@@ -76,11 +78,12 @@ std::string trace_json();
 /// safe from atexit handlers.
 bool write_trace_json(const std::string& path);
 
-/// Spans overwritten across all rings (newest-wins wraparound).
+/// Spans recorded but no longer exportable: overwritten by newest-wins
+/// wraparound, or cleared by a capacity change.
 std::uint64_t trace_dropped_spans();
 
-/// Clears every ring. Test-only: callers must guarantee no thread is
-/// concurrently recording.
+/// Clears every ring and the dropped count. Test-only: callers must
+/// guarantee no thread is concurrently recording.
 void reset_trace() noexcept;
 
 /// Overrides the per-thread ring capacity (default 16384, or

@@ -18,6 +18,7 @@
 
 #include "src/sim/batch_sweep.hpp"
 #include "src/sim/density_model.hpp"
+#include "src/sim/word_eval.hpp"
 
 namespace agingsim {
 namespace detail {

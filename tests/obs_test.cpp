@@ -1,7 +1,8 @@
 // The observability layer's contracts (docs/OBSERVABILITY.md): disabled
 // sites record nothing, shards merge across threads, trace rings keep the
-// newest spans on wraparound, and the Chrome trace export is well-formed
-// JSON whose complete events nest consistently.
+// newest spans on wraparound and an exited thread's spans on reuse, and
+// the Chrome trace export is well-formed JSON whose complete events nest
+// consistently.
 
 #include <gtest/gtest.h>
 
@@ -115,7 +116,7 @@ bool is_valid_json(std::string_view s) {
   return end != kBad && skip_ws(s, end) == s.size();
 }
 
-/// ts (or dur) of the event containing the span name, parsed as double.
+/// A numeric field (ts, dur, tid) of the event holding the span name.
 double event_field(const std::string& json, std::string_view name,
                    std::string_view field) {
   const std::size_t at = json.find('"' + std::string(name) + '"');
@@ -246,6 +247,56 @@ TEST(ObsTraceTest, RingWraparoundKeepsNewestSpans) {
   }
   EXPECT_NE(json.find("\"dropped_events\": 12"), std::string::npos) << json;
   EXPECT_EQ(obs::trace_dropped_spans(), 12u);
+}
+
+TEST(ObsTraceTest, ReusedRingKeepsTheExitedThreadsSpans) {
+  ObsQuiesce quiesce;
+  obs::set_trace_enabled(true);
+  obs::reset_trace();
+  constexpr std::uint64_t kExitedSpans = 5;
+  std::thread([] {
+    for (std::uint64_t i = 0; i < kExitedSpans; ++i) {
+      obs::TraceSpan span("obs_test.exited", i);
+    }
+  }).join();
+  // The next new thread adopts the exited thread's ring.
+  std::thread([] { obs::TraceSpan span("obs_test.adopter"); }).join();
+  obs::set_trace_enabled(false);
+
+  const std::string json = obs::trace_json();
+  ASSERT_TRUE(is_valid_json(json)) << json;
+  // Every span of the exited thread survives under its own tid, and the
+  // adopter's span is exported under another.
+  const double exited_tid = event_field(json, "obs_test.exited", "tid");
+  const double adopter_tid = event_field(json, "obs_test.adopter", "tid");
+  EXPECT_NE(exited_tid, adopter_tid);
+  for (std::uint64_t i = 0; i < kExitedSpans; ++i) {
+    EXPECT_NE(json.find("\"v\": " + std::to_string(i)), std::string::npos)
+        << "exited thread's span " << i << " was lost";
+  }
+  EXPECT_NE(json.find("\"dropped_events\": 0"), std::string::npos) << json;
+  EXPECT_EQ(obs::trace_dropped_spans(), 0u);
+}
+
+TEST(ObsTraceTest, CapacityChangeCountsClearedSpansAsDropped) {
+  ObsQuiesce quiesce;
+  obs::set_trace_enabled(true);
+  obs::reset_trace();
+  for (int i = 0; i < 3; ++i) {
+    obs::TraceSpan span("obs_test.cleared");
+  }
+  // The next span resizes this thread's ring, clearing the three above.
+  obs::set_trace_ring_capacity(64);
+  { obs::TraceSpan span("obs_test.after_resize"); }
+  obs::set_trace_enabled(false);
+
+  const std::string json = obs::trace_json();
+  EXPECT_EQ(json.find("obs_test.cleared"), std::string::npos) << json;
+  EXPECT_NE(json.find("obs_test.after_resize"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"dropped_events\": 3"), std::string::npos) << json;
+  EXPECT_EQ(obs::trace_dropped_spans(), 3u);
+  obs::reset_trace();
+  EXPECT_EQ(obs::trace_dropped_spans(), 0u);
 }
 
 TEST(ObsTraceTest, ExportIsChromeTraceJsonWithNestedCompleteEvents) {

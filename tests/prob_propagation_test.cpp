@@ -39,7 +39,7 @@ TEST(ProbPropagationTest, TrackMonteCarloOnRealNetlist) {
   // aggregate stress picture must track the Monte-Carlo extraction.
   const MultiplierNetlist m = build_column_bypass_multiplier(8);
   const auto analytic = analytic_stress(m.netlist);
-  const auto mc = estimate_stress(m.netlist, default_tech_library(), 5, 4000);
+  const auto mc = estimate_stress(m.netlist, 5, 4000);
   double mean_abs_err = 0.0, max_err = 0.0;
   for (GateId g = 0; g < m.netlist.num_gates(); ++g) {
     const double e = std::abs(analytic.pmos_stress[g] - mc.pmos_stress[g]);

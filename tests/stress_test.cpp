@@ -12,8 +12,7 @@ TEST(StressTest, ProbabilitiesAreWellFormed) {
   const NetId a = nb.input("a");
   const NetId b = nb.input("b");
   nb.netlist().mark_output(nb.and2(a, b), "y");
-  const StressProfile p =
-      estimate_stress(nb.netlist(), default_tech_library(), 1, 2000);
+  const StressProfile p = estimate_stress(nb.netlist(), 1, 2000);
   ASSERT_EQ(p.net_p_one.size(), nb.netlist().num_nets());
   ASSERT_EQ(p.pmos_stress.size(), nb.netlist().num_gates());
   for (double v : p.net_p_one) {
@@ -37,8 +36,7 @@ TEST(StressTest, GateProbabilitiesMatchTheory) {
   nb.netlist().mark_output(y_or, "or");
   nb.netlist().mark_output(y_xor, "xor");
   nb.netlist().mark_output(y_inv, "inv");
-  const StressProfile p =
-      estimate_stress(nb.netlist(), default_tech_library(), 2, 8000);
+  const StressProfile p = estimate_stress(nb.netlist(), 2, 8000);
   EXPECT_NEAR(p.net_p_one[y_and], 0.25, 0.02);
   EXPECT_NEAR(p.net_p_one[y_or], 0.75, 0.02);
   EXPECT_NEAR(p.net_p_one[y_xor], 0.50, 0.02);
@@ -52,8 +50,7 @@ TEST(StressTest, TieNetsAreDeterministic) {
   nb.input("a");
   nb.netlist().mark_output(z, "z");
   nb.netlist().mark_output(o, "o");
-  const StressProfile p =
-      estimate_stress(nb.netlist(), default_tech_library(), 3, 100);
+  const StressProfile p = estimate_stress(nb.netlist(), 3, 100);
   EXPECT_DOUBLE_EQ(p.net_p_one[z], 0.0);
   EXPECT_DOUBLE_EQ(p.net_p_one[o], 1.0);
 }
@@ -61,7 +58,7 @@ TEST(StressTest, TieNetsAreDeterministic) {
 TEST(StressTest, RejectsZeroPatterns) {
   NetlistBuilder nb;
   nb.input("a");
-  EXPECT_THROW(estimate_stress(nb.netlist(), default_tech_library(), 1, 0),
+  EXPECT_THROW(estimate_stress(nb.netlist(), 1, 0),
                std::invalid_argument);
 }
 
