@@ -1,6 +1,8 @@
 #include "src/mc/mc_campaign.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -11,6 +13,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/serial.hpp"
+#include "src/sim/corner_sim.hpp"
 #include "src/workload/rng.hpp"
 
 namespace agingsim::mc {
@@ -37,6 +40,15 @@ std::uint64_t trial_seed(std::uint64_t campaign_seed, std::size_t arch_index,
       .mix(static_cast<std::uint64_t>(arch_index))
       .mix(trial);
   return d.value();
+}
+
+/// One (trial, year) cell's metrics from its worst settle and its count of
+/// ops past the evaluation period.
+McTrialRecord make_record(double max_delay_ps, std::uint64_t violations,
+                          std::size_t ops) {
+  return McTrialRecord{.max_delay_ps = max_delay_ps,
+                       .errors_per_10k = static_cast<double>(violations) *
+                                         10000.0 / static_cast<double>(ops)};
 }
 
 }  // namespace
@@ -91,6 +103,11 @@ McCampaign::McCampaign(const TechLibrary& tech, McCampaignConfig config)
   if (config_.years.empty()) {
     throw std::invalid_argument("McCampaign: at least one evaluation year");
   }
+  for (const double year : config_.years) {
+    if (!std::isfinite(year)) {
+      throw std::invalid_argument("McCampaign: evaluation years must be finite");
+    }
+  }
   if (!(config_.period_frac > 0.0)) {
     throw std::invalid_argument("McCampaign: period_frac must be > 0");
   }
@@ -112,7 +129,7 @@ double McCampaign::fresh_critical_path_ps(std::size_t i) const {
   return arch_contexts_.at(i).fresh_crit_ps;
 }
 
-std::vector<McTrialRecord> McCampaign::compute_trial(
+std::vector<std::vector<double>> McCampaign::sample_die(
     std::size_t arch_index, std::uint64_t trial) const {
   const ArchContext& arch = arch_contexts_[arch_index];
   Rng rng(trial_seed(config_.seed, arch_index, trial));
@@ -133,29 +150,109 @@ std::vector<McTrialRecord> McCampaign::compute_trial(
   const std::vector<double> variation = correlated_variation_scales(
       arch.mult.netlist, config_.variation, variation_seed, die_z);
 
-  std::vector<McTrialRecord> out;
-  out.reserve(config_.years.size());
+  std::vector<std::vector<double>> scales;
+  scales.reserve(config_.years.size());
   for (std::size_t y = 0; y < config_.years.size(); ++y) {
     // One aging_seed across years: the jitter is the die's device-level
     // trait, so a die that ages fast at year 1 ages fast at year 7 too.
-    std::vector<double> scales = stochastic_aging_scales(
-        arch.year_scales[y], config_.sigma_aging, aging_seed);
-    accumulate_scales(scales, variation);
-    const auto trace =
-        compute_op_trace(arch.mult, *tech_, patterns_,
-                         TraceOptions{.gate_delay_scale = scales,
-                                      .kernel = config_.kernel});
-    McTrialRecord rec;
-    std::uint64_t violations = 0;
-    for (const OpTrace& op : trace) {
-      rec.max_delay_ps = std::max(rec.max_delay_ps, op.delay_ps);
-      if (op.delay_ps > arch.period_ps) ++violations;
-    }
-    rec.errors_per_10k = static_cast<double>(violations) * 10000.0 /
-                         static_cast<double>(trace.size());
-    out.push_back(rec);
+    scales.push_back(stochastic_aging_scales(arch.year_scales[y],
+                                             config_.sigma_aging, aging_seed));
+    accumulate_scales(scales.back(), variation);
   }
-  return out;
+  return scales;
+}
+
+std::vector<McTrialRecord> McCampaign::score_traces(std::size_t arch_index,
+                                                    std::uint64_t first,
+                                                    std::uint64_t last,
+                                                    SimKernel kernel) const {
+  const ArchContext& arch = arch_contexts_[arch_index];
+  std::vector<McTrialRecord> records;
+  records.reserve(static_cast<std::size_t>(last - first) *
+                  config_.years.size());
+  for (std::uint64_t t = first; t < last; ++t) {
+    for (const std::vector<double>& scales : sample_die(arch_index, t)) {
+      const auto trace = compute_op_trace(
+          arch.mult, *tech_, patterns_,
+          TraceOptions{.gate_delay_scale = scales, .kernel = kernel});
+      double max_delay = 0.0;
+      std::uint64_t violations = 0;
+      for (const OpTrace& op : trace) {
+        max_delay = std::max(max_delay, op.delay_ps);
+        if (op.delay_ps > arch.period_ps) ++violations;
+      }
+      records.push_back(make_record(max_delay, violations, trace.size()));
+    }
+  }
+  return records;
+}
+
+std::vector<McTrialRecord> McCampaign::score_corners(
+    std::size_t arch_index, std::uint64_t first, std::uint64_t last) const {
+  const ArchContext& arch = arch_contexts_[arch_index];
+  const MultiplierNetlist& mult = arch.mult;
+  const std::size_t years = config_.years.size();
+  const std::size_t cells = static_cast<std::size_t>(last - first) * years;
+  std::vector<McTrialRecord> records(cells);
+  CornerTimingSim sim(mult.netlist, *tech_);
+  std::vector<Logic> inputs(mult.netlist.num_inputs(), Logic::kZero);
+  const auto load = [&](std::uint64_t value, int first_input) {
+    for (int i = 0; i < mult.width; ++i) {
+      inputs[static_cast<std::size_t>(first_input + i)] =
+          logic_from_bool(((value >> i) & 1u) != 0);
+    }
+  };
+
+  // Cell c = (trial - first) * years + y rides in lane c % kCornerLanes of
+  // pass c / kCornerLanes — records order. A die whose years straddle two
+  // passes is drawn once; its remaining years wait in `die`.
+  std::vector<std::vector<double>> die;
+  std::size_t next_year = years;
+  std::uint64_t next_trial = first;
+  for (std::size_t cell = 0; cell < cells; cell += kCornerLanes) {
+    const int lanes =
+        static_cast<int>(std::min<std::size_t>(kCornerLanes, cells - cell));
+    const std::uint64_t pass = cell / kCornerLanes;
+    {
+      obs::TraceSpan span("mc.sample", pass);
+      for (int lane = 0; lane < lanes; ++lane) {
+        if (next_year == years) {
+          die = sample_die(arch_index, next_trial++);
+          next_year = 0;
+        }
+        sim.set_lane_scales(lane, die[next_year++]);
+      }
+    }
+
+    obs::TraceSpan span("mc.score", pass);
+    sim.power_up(lanes);
+    std::array<double, kCornerLanes> max_delay{};
+    std::array<std::uint64_t, kCornerLanes> violations{};
+    for (std::size_t i = 0; i < patterns_.size(); ++i) {
+      const OperandPattern& pat = patterns_[i];
+      load(pat.a, mult.a_first_input);
+      load(pat.b, mult.b_first_input);
+      const std::span<const double> settle = sim.step(inputs);
+      const std::uint64_t golden = reference_multiply(pat.a, pat.b, mult.width);
+      const std::uint64_t product = sim.output_bits();
+      if (product != golden) {
+        throw std::logic_error(
+            "McCampaign: netlist product mismatch at pattern index " +
+            std::to_string(i) + ": " + std::to_string(pat.a) + " * " +
+            std::to_string(pat.b) + ": expected " + std::to_string(golden) +
+            ", netlist says " + std::to_string(product));
+      }
+      for (int l = 0; l < kCornerLanes; ++l) {
+        max_delay[l] = std::max(max_delay[l], settle[l]);
+        violations[l] += settle[l] > arch.period_ps ? 1u : 0u;
+      }
+    }
+    for (int l = 0; l < lanes; ++l) {
+      records[cell + static_cast<std::size_t>(l)] =
+          make_record(max_delay[l], violations[l], patterns_.size());
+    }
+  }
+  return records;
 }
 
 std::vector<McTrialRecord> McCampaign::compute_block(std::size_t arch_index,
@@ -168,14 +265,12 @@ std::vector<McTrialRecord> McCampaign::compute_block(std::size_t arch_index,
   const std::uint64_t last =
       std::min(first + static_cast<std::uint64_t>(config_.block),
                static_cast<std::uint64_t>(config_.trials));
-  std::vector<McTrialRecord> records;
-  records.reserve(static_cast<std::size_t>(last - first) *
-                  config_.years.size());
-  for (std::uint64_t t = first; t < last; ++t) {
-    const auto trial_records = compute_trial(arch_index, t);
-    records.insert(records.end(), trial_records.begin(), trial_records.end());
-    mc_metrics().trials.add();
-  }
+  const SimKernel kernel = resolve_kernel(config_.kernel);
+  std::vector<McTrialRecord> records =
+      kernel == SimKernel::kBatch
+          ? score_corners(arch_index, first, last)
+          : score_traces(arch_index, first, last, kernel);
+  mc_metrics().trials.add(last - first);
   mc_metrics().blocks.add();
   return records;
 }

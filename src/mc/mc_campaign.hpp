@@ -10,7 +10,8 @@
 //                  x stochastic_aging_scales(BTI scales at year Y)
 //
 // and scores it by replaying the canonical workload through the gate-level
-// simulator (batch word kernel by default), yielding per-trial metrics —
+// simulator (a block's dies ride in the lanes of one corner-parallel sweep
+// by default, src/sim/corner_sim.hpp), yielding per-trial metrics —
 // the settled worst-case delay and the rate of ops violating the
 // evaluation period — per evaluation year. Aggregation turns the trial
 // population into p50/p99/p99.99 quantile bands and a "failure probability
@@ -66,10 +67,13 @@ struct McCampaignConfig {
   /// delay distribution actually straddles it, so the error-rate bands
   /// separate fast-aging dies from the median instead of reading all-zero.
   double period_frac = 0.58;
-  /// Step kernel for the trial traces. All kernels are bit-identical, so
-  /// this is excluded from the config digest (a campaign checkpointed
-  /// under one kernel resumes byte-identically under another); kBatch is
-  /// the intended fast path.
+  /// How trials are scored. kBatch (the default) packs a block's (trial,
+  /// year) cells into the lanes of a CornerTimingSim: one value sweep per
+  /// operation times 32 delay tables. kDense/kSparse replay every cell
+  /// through its own compute_op_trace, the reference the corner path is
+  /// tested against; kAuto resolves through AGINGSIM_KERNEL. All are
+  /// bit-identical, so this is excluded from the config digest (a campaign
+  /// checkpointed under one kernel resumes byte-identically under another).
   SimKernel kernel = SimKernel::kBatch;
 };
 
@@ -151,8 +155,24 @@ class McCampaign {
  private:
   struct ArchContext;
 
-  std::vector<McTrialRecord> compute_trial(std::size_t arch_index,
-                                           std::uint64_t trial) const;
+  /// Trial `trial`'s die: its per-gate delay scales at every evaluation
+  /// year, in year order. The one statement of the per-trial draw
+  /// sequence (seed -> die normal -> variation -> per-year scales).
+  std::vector<std::vector<double>> sample_die(std::size_t arch_index,
+                                              std::uint64_t trial) const;
+
+  /// Records of trials [first, last): each (trial, year) replayed through
+  /// its own compute_op_trace — the per-trial reference path.
+  std::vector<McTrialRecord> score_traces(std::size_t arch_index,
+                                          std::uint64_t first,
+                                          std::uint64_t last,
+                                          SimKernel kernel) const;
+
+  /// Same records, the (trial, year) cells packed kCornerLanes at a time
+  /// into the lanes of one CornerTimingSim sweep per operation.
+  std::vector<McTrialRecord> score_corners(std::size_t arch_index,
+                                           std::uint64_t first,
+                                           std::uint64_t last) const;
 
   const TechLibrary* tech_;
   McCampaignConfig config_;

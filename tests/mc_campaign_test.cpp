@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "src/mc/mc_report.hpp"
@@ -218,13 +221,39 @@ TEST(McCampaignTest, DigestTracksSamplingConfigButNotKernel) {
 }
 
 TEST(McCampaignTest, KernelsAgreeBitExactly) {
-  McCampaignConfig batch = small_config();
-  batch.kernel = SimKernel::kBatch;
-  McCampaignConfig sparse = small_config();
-  sparse.kernel = SimKernel::kSparse;
-  const McCampaign a(bench::tech(), batch);
-  const McCampaign b(bench::tech(), sparse);
-  EXPECT_EQ(a.compute_block(0, 0), b.compute_block(0, 0));
+  // The corner path (kBatch) against the per-trial sparse traces, every
+  // block of AM/CB/RB16. No shape fills whole 32-lane passes: blocks of 5
+  // trials x 3 years are 15 cells (the last 6), blocks of 50 x 2 years are
+  // 100 cells, four passes of 32/32/32/4 (the last 20), and 11 x 3 years
+  // are 33 cells, so trial 10's last year waits for the second pass.
+  struct Shape {
+    int trials, block;
+    std::vector<double> years;
+  };
+  for (const Shape& shape : {Shape{12, 5, {0.0, 3.5, 7.0}},
+                             Shape{60, 50, {0.0, 7.0}},
+                             Shape{11, 11, {0.0, 3.5, 7.0}}}) {
+    McCampaignConfig batch;
+    batch.width = 16;
+    batch.trials = shape.trials;
+    batch.block = shape.block;
+    batch.years = shape.years;
+    batch.ops = 24;
+    batch.strata = 4;
+    batch.kernel = SimKernel::kBatch;
+    McCampaignConfig sparse = batch;
+    sparse.kernel = SimKernel::kSparse;
+    const McCampaign a(bench::tech(), batch);
+    const McCampaign b(bench::tech(), sparse);
+    ASSERT_EQ(a.config().arches.size(), 3u);
+    for (std::size_t arch = 0; arch < a.config().arches.size(); ++arch) {
+      for (std::size_t block = 0; block < a.blocks_per_arch(); ++block) {
+        EXPECT_EQ(a.compute_block(arch, block), b.compute_block(arch, block))
+            << "block " << block << " of " << shape.block << " x "
+            << shape.years.size() << " years, arch " << arch;
+      }
+    }
+  }
 }
 
 TEST(McCampaignTest, RejectsDegenerateConfigs) {
@@ -240,6 +269,20 @@ TEST(McCampaignTest, RejectsDegenerateConfigs) {
   reject([](McCampaignConfig& c) { c.arches.clear(); });
   reject([](McCampaignConfig& c) { c.years.clear(); });
   reject([](McCampaignConfig& c) { c.period_frac = 0.0; });
+  reject([](McCampaignConfig& c) { c.years = {0.0, std::nan("")}; });
+  reject([](McCampaignConfig& c) {
+    c.years = {0.0, std::numeric_limits<double>::infinity()};
+  });
+  // Refused up front, not by the aging model deep inside construction.
+  McCampaignConfig nan_year = small_config();
+  nan_year.years = {std::nan("")};
+  try {
+    const McCampaign campaign(bench::tech(), nan_year);
+    ADD_FAILURE() << "a NaN evaluation year was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("finite"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

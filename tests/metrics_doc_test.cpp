@@ -100,7 +100,12 @@ std::set<std::string> documented_metrics(const std::string& doc) {
 
 /// Registers every subsystem's metrics by running each one briefly.
 void touch_every_subsystem(const fs::path& dir) {
-  // sim, sim.batch, pool, mc, runner, checkpoint.
+  // sim.batch: the campaigns below never step the batch kernel.
+  const MultiplierNetlist small = build_array_multiplier(4);
+  compute_op_trace(small, bench::tech(), bench::workload(4, 8),
+                   TraceOptions{.kernel = SimKernel::kBatch});
+
+  // sim.corner, pool, mc, runner, checkpoint.
   mc::McCampaignConfig mc_cfg;
   mc_cfg.width = 4;
   mc_cfg.arches = {MultiplierArch::kColumnBypass};
@@ -200,9 +205,9 @@ TEST(MetricsDocTest, EveryRegisteredMetricIsInObservabilityTable) {
   }
   // Every subsystem was reached, or the check below proves little.
   for (const char* prefix :
-       {"sim.", "sim.batch.", "pool.", "mc.", "runner.", "checkpoint.",
-        "campaign.", "serve.queries", "serve.cache_", "serve.chaos.",
-        "serve.client.", "serve.connections"}) {
+       {"sim.", "sim.batch.", "sim.corner.", "pool.", "mc.", "runner.",
+        "checkpoint.", "campaign.", "serve.queries", "serve.cache_",
+        "serve.chaos.", "serve.client.", "serve.connections"}) {
     bool seen = false;
     for (const std::string& name : registered) {
       seen = seen || name.rfind(prefix, 0) == 0;

@@ -26,6 +26,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -209,14 +210,15 @@ std::optional<std::vector<MultiplierArch>> parse_arches(
   return std::nullopt;
 }
 
-/// "0,3.5,7" -> {0.0, 3.5, 7.0}; nullopt on malformed or empty input.
+/// "0,3.5,7" -> {0.0, 3.5, 7.0}; nullopt on malformed, empty, negative or
+/// non-finite input (strtod accepts "nan" and "inf").
 std::optional<std::vector<double>> parse_years(const std::string& spec) {
   std::vector<double> years;
   const char* p = spec.c_str();
   while (*p != '\0') {
     char* end = nullptr;
     const double v = std::strtod(p, &end);
-    if (end == p || v < 0.0) return std::nullopt;
+    if (end == p || !std::isfinite(v) || v < 0.0) return std::nullopt;
     years.push_back(v);
     p = end;
     if (*p == ',') {
@@ -337,7 +339,7 @@ std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
       const auto v = need_value("--years");
       if (!v || !parse_years(*v).has_value()) {
         std::cerr << "agingrun: --years wants a comma-separated list of\n"
-                     "non-negative numbers, e.g. 0,3.5,7\n";
+                     "finite non-negative numbers, e.g. 0,3.5,7\n";
         exit_code = 2;
         return std::nullopt;
       }
@@ -550,9 +552,10 @@ int run_tool(const Options& opt) {
     mcfg.sigma_aging = opt.sigma_aging;
     mcfg.strata = opt.strata;
     mcfg.period_frac = opt.period_frac;
-    // The batch word kernel is the intended fast path, but an explicit
-    // --kernel (exported as AGINGSIM_KERNEL above) or a pre-set environment
-    // wins — kernels are bit-identical, so the artifact doesn't change.
+    // The default scores each seed block's dies in corner lanes; an
+    // explicit --kernel dense|sparse (exported as AGINGSIM_KERNEL above) or
+    // a pre-set environment replays every die through its own scalar
+    // trace instead — bit-identical, so the artifact doesn't change.
     if (std::getenv("AGINGSIM_KERNEL") != nullptr) {
       mcfg.kernel = SimKernel::kAuto;
     }
