@@ -47,7 +47,6 @@ struct KernelNumbers {
   double steps_per_sec = 0.0;
   double evaluated_fraction = 1.0;  // mean gates_evaluated / gates_total
   std::uint64_t checksum = 0;       // xor of products: cross-kernel check
-  double replay_fraction = 0.0;     // batch kernel only: audited lanes
 };
 
 KernelNumbers run_kernel(const MultiplierNetlist& m, TimingSim::Mode mode,
@@ -109,7 +108,6 @@ KernelNumbers run_batch(const MultiplierNetlist& m,
                             static_cast<double>(dense_equiv)
                       : 1.0;
   out.checksum = checksum;
-  out.replay_fraction = stats.replay_fraction();
   return out;
 }
 
@@ -190,7 +188,6 @@ static int bench_body() {
           .value(sparse.evaluated_fraction);
       json.key("batch_evaluated_word_fraction")
           .value(batch.evaluated_fraction);
-      json.key("batch_replay_fraction").value(batch.replay_fraction);
       json.key("products_identical")
           .value(dense.checksum == sparse.checksum &&
                  sparse.checksum == batch.checksum);

@@ -57,12 +57,12 @@ std::optional<std::string> str_var(const char* name);
 /// Returns the matched index; unset/empty is silently nullopt, and a value
 /// matching no choice warns once (listing the accepted spellings) and
 /// returns nullopt so the caller's default wins — AGINGSIM_KERNEL=Batch
-/// must degrade loudly to the sparse kernel, never abort a campaign.
+/// must degrade loudly to the default kernel, never abort a campaign.
 std::optional<std::size_t> choice_var(const char* name,
                                       std::span<const char* const> choices);
 
 /// Reads `name` as a strict finite double >= min_value, with the same
-/// warn-once-and-fall-back contract as long_or (AGINGSIM_BATCH_GUARD_PS).
+/// warn-once-and-fall-back contract as long_or.
 double double_or(const char* name, double fallback, double min_value);
 
 }  // namespace agingsim::env

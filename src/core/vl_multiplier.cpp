@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/core/env.hpp"
 #include "src/sim/sta.hpp"
 #include "src/workload/rng.hpp"
 
@@ -66,11 +65,6 @@ std::vector<OpTrace> compute_op_trace_batch(
     std::span<const OperandPattern> patterns, const TraceOptions& options) {
   BatchTimingSim sim(mult.netlist, tech, options.gate_delay_scale);
   if (options.faults != nullptr) sim.set_fault_overlay(options.faults);
-  const double guard =
-      options.batch_guard_ps >= 0.0
-          ? options.batch_guard_ps
-          : env::double_or("AGINGSIM_BATCH_GUARD_PS", 0.0, 0.0);
-  sim.set_timing_audit(options.timing_audit_thresholds_ps, guard);
 
   std::vector<OpTrace> trace;
   trace.reserve(patterns.size());

@@ -44,21 +44,13 @@ struct TraceOptions {
   /// (`OpTrace::correct`) instead of thrown — wrong products are the very
   /// thing a fault campaign measures.
   const FaultOverlay* faults = nullptr;
-  /// Step kernel. kAuto resolves through AGINGSIM_KERNEL (default: sparse).
+  /// Step kernel. kAuto resolves through AGINGSIM_KERNEL (default: batch).
   /// Every kernel produces a bit-identical trace; kBatch packs 64 patterns
-  /// per sweep (see src/sim/batch_sim.hpp) and is 1-2 orders of magnitude
-  /// faster on long pattern streams.
+  /// per sweep (see src/sim/batch_sim.hpp) and is several times faster than
+  /// the scalar reference kernels on high-activity streams.
   SimKernel kernel = SimKernel::kAuto;
-  /// Batch-kernel self-audit (ignored by the scalar kernels): lanes whose
-  /// settled delay lands within the guard margin of any of these decision
-  /// thresholds (cycle period, 2x period, ...) are replayed through the
-  /// scalar kernel and cross-checked.
-  std::span<const double> timing_audit_thresholds_ps = {};
-  /// Guard margin in ps; negative means "read AGINGSIM_BATCH_GUARD_PS"
-  /// (default 0 = audit off).
-  double batch_guard_ps = -1.0;
   /// If non-null, receives the batch kernel's counters (words, lanes,
-  /// replayed lanes, ...) after a kBatch trace. Untouched by scalar runs.
+  /// gates evaluated) after a kBatch trace. Untouched by scalar runs.
   BatchStats* batch_stats = nullptr;
 };
 

@@ -93,7 +93,7 @@ struct CampaignRunOptions {
   std::span<const double> gate_delay_scale = {};
   double mean_dvth_v = 0.0;
   /// Step kernel for the gate-level traces (kAuto: AGINGSIM_KERNEL, default
-  /// sparse). Deliberately NOT part of config_digest: kernels are
+  /// batch). Deliberately NOT part of config_digest: kernels are
   /// bit-identical, so a campaign checkpointed under one kernel resumes
   /// byte-identically under another.
   SimKernel kernel = SimKernel::kAuto;

@@ -1,8 +1,12 @@
 #include "src/sim/batch_sim.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <utility>
 
@@ -19,6 +23,24 @@ namespace detail {
 #include "src/sim/batch_sweep.inl"
 #undef AGINGSIM_SWEEP_FN
 
+MappedPages::MappedPages(std::size_t bytes) : bytes_(bytes) {
+  if (bytes == 0) return;
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  data_ = static_cast<std::byte*>(p);
+}
+
+MappedPages& MappedPages::operator=(MappedPages&& other) noexcept {
+  std::swap(data_, other.data_);
+  std::swap(bytes_, other.bytes_);
+  return *this;
+}
+
+MappedPages::~MappedPages() {
+  if (data_ != nullptr) ::munmap(data_, bytes_);
+}
+
 }  // namespace detail
 
 namespace {
@@ -29,14 +51,20 @@ struct BatchMetrics {
   const obs::Counter& words = obs::counter("sim.batch.words");
   const obs::Counter& lanes = obs::counter("sim.batch.lanes");
   const obs::Counter& gates = obs::counter("sim.batch.gates_evaluated");
-  const obs::Counter& replays = obs::counter("sim.batch.replayed_lanes");
-  const obs::Counter& mismatches =
-      obs::counter("sim.batch.audit_mismatches");
 };
 
 const BatchMetrics& batch_metrics() {
   static const BatchMetrics m;
   return m;
+}
+
+/// A free slot, or a new one.
+std::int32_t take_slot(std::int32_t& slots,
+                       std::vector<std::int32_t>& free_slots) {
+  if (free_slots.empty()) return slots++;
+  const std::int32_t s = free_slots.back();
+  free_slots.pop_back();
+  return s;
 }
 
 bool use_avx2_sweep() {
@@ -55,27 +83,98 @@ bool use_avx2_sweep() {
 
 BatchTimingSim::BatchTimingSim(const Netlist& netlist, const TechLibrary& tech,
                                std::span<const double> gate_delay_scale)
-    : netlist_(&netlist),
-      tech_(&tech),
-      replay_sim_(netlist, tech, gate_delay_scale) {
-  base_delay_ps_.resize(netlist.num_gates());
-  cell_cap_ff_.resize(netlist.num_gates());
-  set_aging(gate_delay_scale);
-  for (GateId g = 0; g < netlist.num_gates(); ++g) {
-    cell_cap_ff_[g] = tech.cap(netlist.gate(g).kind);
-  }
+    : netlist_(&netlist), tech_(&tech) {
+  const std::size_t gates = netlist.num_gates();
   const std::size_t nets = netlist.num_nets();
-  plane0_.assign(nets, 0);
-  plane1_.assign(nets, 0);
-  changed_.assign(nets, 0);
-  active_.assign(nets, 0);
-  word_epoch_.assign(nets, 0);
-  last_value_.assign(nets, Logic::kX);  // power-up: nothing driven yet
-  word_start_value_.assign(nets, Logic::kX);
-  density_.assign(nets * kBatchLanes, 0.0f);
-  arrival_.assign(nets * kBatchLanes, 0.0);
-  replay_state_.assign(nets, Logic::kX);
-  replay_inputs_.assign(netlist.num_inputs(), Logic::kX);
+  // The per-net and per-gate arrays share one mapping, widest elements
+  // first so each stays aligned; the lane slots and input lanes share a
+  // second once planned. A simulator is typically built for one trace on a
+  // pool thread: mapped, its state goes back to the system with it instead
+  // of leaving holes in the thread's heap.
+  static_assert(sizeof(detail::LaneSlot) % alignof(detail::InputLanes) == 0);
+  state_pages_ = detail::MappedPages(nets * sizeof(detail::NetLanes) +
+                                     nets * sizeof(std::int32_t) + gates +
+                                     2 * nets);
+  std::byte* next = state_pages_.data();
+  const auto carve = [&next]<typename T>(std::size_t n, const T& fill) {
+    T* first = reinterpret_cast<T*>(next);
+    std::uninitialized_fill_n(first, n, fill);
+    next += n * sizeof(T);
+    return std::span<T>(first, n);
+  };
+  planes_ = carve(nets, detail::NetLanes{});
+  slot_ = carve(nets, std::int32_t{-1});
+  gate_flags_ = carve(gates, std::uint8_t{0});
+  moved_ = carve(nets, std::uint8_t{0});
+  carried_ = carve(nets, Logic::kX);  // power-up: nothing driven yet
+  set_aging(gate_delay_scale);
+
+  // Live ranges in the ascending-id sweep. A gate-driven net holds a slot
+  // from its driver to its last reader; a primary output holds it to the
+  // end of the word, where the output settle reads it. A net fed only by
+  // primary inputs that is not an output is stored by nobody at its driver:
+  // its first reader recomputes it into a slot that lives from there to its
+  // last reader. A gate takes its slots before its dying inputs release
+  // theirs, so it never writes a slot it reads.
+  //
+  // A reverse pass finds each net's last reader (the first one it meets)
+  // and the outputs nobody stores, with slot_ marking what it has seen, so
+  // the plan needs no per-net scratch.
+  constexpr std::int32_t kUnseen = -1;
+  constexpr std::int32_t kOutput = -2;
+  constexpr std::int32_t kRead = -3;
+  for (const NetId out : netlist.output_nets()) slot_[out] = kOutput;
+  for (GateId g = static_cast<GateId>(gates); g-- > 0;) {
+    const auto ins = netlist.gate_inputs(g);
+    bool pi_fed = true;
+    for (const NetId in : ins) pi_fed = pi_fed && netlist.driver_of(in) < 0;
+    const std::int32_t out = slot_[netlist.gate(g).out];
+    if (out == kUnseen || (out == kRead && pi_fed)) {
+      gate_flags_[g] |= detail::kOutputUnstored;
+    }
+    for (std::size_t k = 0; k < ins.size(); ++k) {
+      if (slot_[ins[k]] != kUnseen) continue;
+      slot_[ins[k]] = kRead;
+      gate_flags_[g] |= static_cast<std::uint8_t>(detail::kReleasesPin << k);
+    }
+  }
+
+  std::fill(slot_.begin(), slot_.end(), -1);
+  std::int32_t slots = 0;
+  std::vector<std::int32_t> free_slots;
+  for (GateId g = 0; g < gates; ++g) {
+    const auto ins = netlist.gate_inputs(g);
+    for (std::size_t k = 0; k < ins.size(); ++k) {
+      const std::int32_t driver = netlist.driver_of(ins[k]);
+      if (driver < 0 || slot_[ins[k]] >= 0 ||
+          (gate_flags_[driver] & detail::kOutputUnstored) == 0) {
+        continue;
+      }
+      slot_[ins[k]] = take_slot(slots, free_slots);  // its first reader
+      gate_flags_[g] |= static_cast<std::uint8_t>(1u << k);
+    }
+    if ((gate_flags_[g] & detail::kOutputUnstored) == 0) {
+      slot_[netlist.gate(g).out] = take_slot(slots, free_slots);
+    }
+    for (std::size_t k = 0; k < ins.size(); ++k) {
+      const bool last_reader =
+          (gate_flags_[g] & (detail::kReleasesPin << k)) != 0;
+      if (last_reader && slot_[ins[k]] >= 0) {
+        free_slots.push_back(slot_[ins[k]]);
+      }
+    }
+  }
+  const auto with_sink = static_cast<std::size_t>(slots) + 1;
+  slot_pages_ =
+      detail::MappedPages(with_sink * sizeof(detail::LaneSlot) +
+                          netlist.num_inputs() * sizeof(detail::InputLanes));
+  next = slot_pages_.data();
+  slots_ = carve(with_sink, detail::LaneSlot{});
+  inputs_ = carve(netlist.num_inputs(), detail::InputLanes{});
+  const auto input_nets = netlist.input_nets();
+  for (std::size_t i = 0; i < input_nets.size(); ++i) {
+    slot_[input_nets[i]] = detail::slot_of_input(i);
+  }
 }
 
 void BatchTimingSim::set_aging(std::span<const double> gate_delay_scale) {
@@ -84,10 +183,8 @@ void BatchTimingSim::set_aging(std::span<const double> gate_delay_scale) {
     throw std::invalid_argument(
         "BatchTimingSim::set_aging: need one multiplier per gate");
   }
-  aging_scale_.assign(gate_delay_scale.begin(), gate_delay_scale.end());
-  rebuild_delays();
+  aging_scale_ = gate_delay_scale;
   force_all_ = true;
-  replay_sim_.set_aging(gate_delay_scale);
 }
 
 void BatchTimingSim::set_fault_overlay(const FaultOverlay* overlay) {
@@ -97,26 +194,9 @@ void BatchTimingSim::set_fault_overlay(const FaultOverlay* overlay) {
         "netlist");
   }
   overlay_ = overlay;
-  rebuild_delays();
   // Installing or removing stuck-ats changes gate outputs without any fanin
   // edge; the next word sweeps every gate (the scalar force-dense analogue).
   force_all_ = true;
-  replay_sim_.set_fault_overlay(overlay);
-}
-
-void BatchTimingSim::rebuild_delays() {
-  for (GateId g = 0; g < netlist_->num_gates(); ++g) {
-    double d = tech_->delay(netlist_->gate(g).kind);
-    if (!aging_scale_.empty()) d *= aging_scale_[g];
-    if (overlay_ != nullptr) d *= overlay_->delay_factor(g);
-    base_delay_ps_[g] = d;
-  }
-}
-
-void BatchTimingSim::set_timing_audit(std::span<const double> thresholds_ps,
-                                      double guard_ps) {
-  audit_thresholds_ps_.assign(thresholds_ps.begin(), thresholds_ps.end());
-  guard_ps_ = guard_ps;
 }
 
 std::span<const StepResult> BatchTimingSim::step_word(
@@ -129,8 +209,14 @@ std::span<const StepResult> BatchTimingSim::step_word(
     throw std::invalid_argument(
         "BatchTimingSim::step_word: lanes must be in [1, 64]");
   }
-  ++epoch_;
-  word_start_value_ = last_value_;
+  // Bring the nets the last word moved forward to its final lane; from
+  // here on a moved net is one this word moves.
+  for (std::size_t n = 0; n < moved_.size(); ++n) {
+    if (moved_[n] == 0) continue;
+    carried_[n] =
+        detail::lane_logic(planes_[n].p0, planes_[n].p1, last_lanes_ - 1);
+    moved_[n] = 0;
+  }
   for (int l = 0; l < lanes; ++l) {
     results_[l] = StepResult{};
     results_[l].gates_total = nl.num_gates();
@@ -168,18 +254,17 @@ std::span<const StepResult> BatchTimingSim::step_word(
 
   detail::SweepContext ctx;
   ctx.netlist = netlist_;
+  ctx.tech = tech_;
   ctx.overlay = overlay_;
-  ctx.base_delay_ps = base_delay_ps_.data();
-  ctx.cell_cap_ff = cell_cap_ff_.data();
-  ctx.epoch = epoch_;
-  ctx.plane0 = plane0_.data();
-  ctx.plane1 = plane1_.data();
-  ctx.changed = changed_.data();
-  ctx.active = active_.data();
-  ctx.word_epoch = word_epoch_.data();
-  ctx.last_value = last_value_.data();
-  ctx.density = density_.data();
-  ctx.arrival = arrival_.data();
+  ctx.aging_scale = aging_scale_.empty() ? nullptr : aging_scale_.data();
+  ctx.gate_flags = gate_flags_.data();
+  ctx.slot = slot_.data();
+  ctx.planes = planes_.data();
+  ctx.moved = moved_.data();
+  ctx.carried = carried_.data();
+  ctx.slots = slots_.data();
+  ctx.inputs = inputs_.data();
+  ctx.sink = static_cast<std::int32_t>(slots_.size() - 1);
   ctx.results = results_.data();
   ctx.input_bits = input_bits.data();
   ctx.lanes = lanes;
@@ -198,12 +283,14 @@ std::span<const StepResult> BatchTimingSim::step_word(
   force_all_ = false;
   last_lanes_ = lanes;
 
-  // Output settle: max changed-output arrival per lane.
+  // Output settle: max changed-output arrival per lane. An output that is
+  // a primary input arrives at t = 0.
   for (NetId out : nl.output_nets()) {
-    if (word_epoch_[out] != epoch_) continue;
-    const std::uint64_t ch = changed_[out];
-    if (ch == 0) continue;
-    const double* arr = arrival_.data() + std::size_t(out) * kBatchLanes;
+    if (moved_[out] == 0 || slot_[out] < 0) continue;
+    const detail::NetLanes& w = planes_[out];
+    const std::uint64_t ch =
+        detail::lane_edges(w.p0, w.p1, carried_[out], ctx.lane_mask).changed;
+    const double* arr = slots_[static_cast<std::size_t>(slot_[out])].arrival;
     for (int l = 0; l < lanes; ++l) {
       if (((ch >> l) & 1u) != 0 && arr[l] > results_[l].output_settle_ps) {
         results_[l].output_settle_ps = arr[l];
@@ -214,9 +301,6 @@ std::span<const StepResult> BatchTimingSim::step_word(
   stats_.words += 1;
   stats_.lanes += static_cast<std::uint64_t>(lanes);
   stats_.gates_evaluated += ctx.gates_processed;
-
-  replay_audit(input_bits, lanes);
-
   step_base_ += lanes;
   if (obs::metrics_enabled()) {
     const BatchMetrics& m = batch_metrics();
@@ -227,29 +311,12 @@ std::span<const StepResult> BatchTimingSim::step_word(
   return {results_.data(), static_cast<std::size_t>(lanes)};
 }
 
-void BatchTimingSim::state_at_lane(int lane, std::span<Logic> out) const {
-  if (lane < 0) {
-    std::copy(word_start_value_.begin(), word_start_value_.end(), out.begin());
-    return;
-  }
-  const std::size_t nets = netlist_->num_nets();
-  for (std::size_t n = 0; n < nets; ++n) {
-    if (word_epoch_[n] == epoch_) {
-      out[n] = static_cast<Logic>(((plane0_[n] >> lane) & 1u) |
-                                  (((plane1_[n] >> lane) & 1u) << 1));
-    } else {
-      out[n] = last_value_[n];  // never moved this word
-    }
-  }
-}
-
 Logic BatchTimingSim::lane_value(NetId net, int lane) const {
   if (lane < 0 || lane >= last_lanes_) {
     throw std::out_of_range("BatchTimingSim::lane_value: lane out of range");
   }
-  if (word_epoch_[net] != epoch_) return last_value_[net];
-  return static_cast<Logic>(((plane0_[net] >> lane) & 1u) |
-                            (((plane1_[net] >> lane) & 1u) << 1));
+  if (moved_[net] == 0) return carried_[net];
+  return detail::lane_logic(planes_[net].p0, planes_[net].p1, lane);
 }
 
 std::uint64_t BatchTimingSim::output_bits(int lane) const {
@@ -273,8 +340,12 @@ std::uint64_t BatchTimingSim::output_bits(int lane) const {
 void BatchTimingSim::load_bus_lane(std::span<std::uint64_t> input_bits,
                                    std::uint64_t value, int width,
                                    int first_input, int lane) const {
-  if (first_input + width > static_cast<int>(netlist_->num_inputs()) ||
-      static_cast<std::size_t>(first_input + width) > input_bits.size()) {
+  if (lane < 0 || lane >= kBatchLanes) {
+    throw std::invalid_argument(
+        "BatchTimingSim::load_bus_lane: lane out of range");
+  }
+  if (!bus_fits(first_input, width,
+                std::min(netlist_->num_inputs(), input_bits.size()))) {
     throw std::invalid_argument(
         "BatchTimingSim::load_bus_lane: bus out of range");
   }
@@ -285,59 +356,6 @@ void BatchTimingSim::load_bus_lane(std::span<std::uint64_t> input_bits,
     } else {
       input_bits[static_cast<std::size_t>(first_input + i)] &= ~lane_bit;
     }
-  }
-}
-
-void BatchTimingSim::replay_audit(std::span<const std::uint64_t> input_bits,
-                                  int lanes) {
-  if (guard_ps_ <= 0.0 || audit_thresholds_ps_.empty()) return;
-  const auto input_nets = netlist_->input_nets();
-  for (int l = 0; l < lanes; ++l) {
-    const double settle = results_[l].output_settle_ps;
-    bool flagged = false;
-    for (const double thr : audit_thresholds_ps_) {
-      const double dist = settle > thr ? settle - thr : thr - settle;
-      if (dist <= guard_ps_) {
-        flagged = true;
-        break;
-      }
-    }
-    if (!flagged) continue;
-
-    // Rebuild the scalar state as of lane l-1, re-run lane l through the
-    // real scalar kernel, and adopt (after checking) its result.
-    state_at_lane(l - 1, replay_state_);
-    replay_sim_.install_state(replay_state_, step_base_ + l);
-    for (std::size_t i = 0; i < input_nets.size(); ++i) {
-      replay_inputs_[i] =
-          logic_from_bool(((input_bits[i] >> l) & 1u) != 0);
-    }
-    const StepResult r = replay_sim_.step(replay_inputs_);
-    ++stats_.replayed_lanes;
-    if (obs::metrics_enabled()) batch_metrics().replays.add();
-
-    bool mismatch = r.output_settle_ps != results_[l].output_settle_ps ||
-                    r.settle_ps != results_[l].settle_ps ||
-                    r.toggles != results_[l].toggles ||
-                    r.switched_cap_ff != results_[l].switched_cap_ff;
-    if (!mismatch) {
-      for (NetId n = 0; n < netlist_->num_nets(); ++n) {
-        if (replay_sim_.value(n) != lane_value(n, l)) {
-          mismatch = true;
-          break;
-        }
-      }
-    }
-    if (mismatch) {
-      ++stats_.audit_mismatches;
-      if (obs::metrics_enabled()) batch_metrics().mismatches.add();
-    }
-    // The audited lane reports the scalar numbers — identical by contract,
-    // and literally scalar-produced for anyone auditing the audit.
-    results_[l].output_settle_ps = r.output_settle_ps;
-    results_[l].settle_ps = r.settle_ps;
-    results_[l].toggles = r.toggles;
-    results_[l].switched_cap_ff = r.switched_cap_ff;
   }
 }
 

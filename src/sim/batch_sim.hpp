@@ -1,7 +1,7 @@
 #pragma once
 
-// 64-lane SWAR batch timing kernel (ROADMAP item 1, docs/PERF.md "Batch
-// kernel").
+// 64-lane SWAR batch timing kernel, the default step kernel (docs/PERF.md
+// "Batch kernel").
 //
 // One BatchTimingSim consumes patterns 64 at a time ("one word"): lane l of
 // every per-net machine word holds the value that net settles to on the
@@ -16,34 +16,35 @@
 // Timing and energy are NOT approximated. The scalar kernel's sensitized-
 // arrival and transition-density recurrences use only selects, min/max, and
 // one multiply-add chain per gate — so the batch kernel carries an exact
-// float[64] density lane array and double[64] arrival lane array per net
-// and replays the *same per-lane operation order* the scalar kernel uses.
-// min/max/select are rounding-free and the mul/add chains are evaluated in
-// the identical order (the build compiles with -ffp-contract=off so no
-// kernel gains a fused multiply-add the other lacks), hence every
-// StepResult field, net value, arrival and density is exactly `==` the
-// scalar sparse/dense kernels' — the same guarantee PR 2 proved for
-// sparse-vs-dense, extended lane-wise. tests/batch_kernel_test.cpp is the
-// differential suite.
+// float[64] density lane array and double[64] arrival lane array per live
+// net and replays the *same per-lane operation order* the scalar kernel
+// uses. min/max/select are rounding-free and the mul/add chains are
+// evaluated in the identical order (the build compiles with
+// -ffp-contract=off so no kernel gains a fused multiply-add the other
+// lacks), hence every StepResult field, net value, arrival and density is
+// exactly `==` the scalar sparse/dense kernels' — the same guarantee PR 2
+// proved for sparse-vs-dense, extended lane-wise.
+// tests/batch_kernel_test.cpp is the differential suite.
 //
-// The guard-margin replay (AGINGSIM_BATCH_GUARD_PS) is therefore not a
-// correctness crutch but a *runtime self-audit*: lanes whose settled output
-// delay lands within the guard of a caller-supplied decision threshold
-// (cycle period, 2x period, ...) — exactly the lanes where a wrong bit
-// would flip an AHL/Razor decision — are re-run through a real scalar
-// TimingSim reconstructed at lane k-1 via TimingSim::install_state, and
-// the scalar result replaces (and is checked against) the lane result.
-// The replay fraction is reported in sim.batch.* metrics and the bench
-// JSON; a mismatch increments sim.batch.audit_mismatches (a tripwire that
-// stays 0).
+// Lane state follows the live nets, not the netlist. Each net keeps its
+// two value planes and a moved flag; density and arrival lanes live in
+// live-range slots, as CornerTimingSim's arrivals do. A gate-driven net
+// holds a slot from its driver to its last reader (a primary output: to
+// the end of the word). A gate fed only by primary inputs stores nothing
+// at its driver: its first reader recomputes its lanes from the
+// primary-input lanes into a slot that lives until its last reader, so
+// the width² partial-product ANDs the multiplier generators build up front
+// are never live all at once. Primary inputs need no slot: each one's
+// lanes are computed once per word for all of its readers.
 //
 // Fault overlays keep scalar semantics: stuck-ats force both planes
 // unconditionally, transients invert exactly the lane whose global step
-// index matches the armed cycle (X stays X), and delay outliers fold into
-// the per-gate delay table. Overlay/aging swaps force the next word to
-// evaluate every gate, mirroring the scalar force-dense sweep.
+// index matches the armed cycle (X stays X), and delay outliers scale the
+// gate's delay. Overlay/aging swaps force the next word to evaluate every
+// gate, mirroring the scalar force-dense sweep.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -64,28 +65,70 @@ inline constexpr int kBatchLanes = 64;
 /// Cumulative counters for one BatchTimingSim (mirrored into the process
 /// sim.batch.* metrics when obs is enabled).
 struct BatchStats {
-  std::uint64_t words = 0;             ///< words swept
-  std::uint64_t lanes = 0;             ///< patterns simulated
-  std::uint64_t gates_evaluated = 0;   ///< word-granular union-cone evals
-  std::uint64_t replayed_lanes = 0;    ///< lanes re-run through the scalar sim
-  std::uint64_t audit_mismatches = 0;  ///< replay disagreed (tripwire: 0)
-
-  double replay_fraction() const noexcept {
-    return lanes == 0 ? 0.0
-                      : static_cast<double>(replayed_lanes) /
-                            static_cast<double>(lanes);
-  }
+  std::uint64_t words = 0;            ///< words swept
+  std::uint64_t lanes = 0;            ///< patterns simulated
+  std::uint64_t gates_evaluated = 0;  ///< word-granular union-cone evals
 };
+
+namespace detail {
+
+/// One net's value planes in the word that last moved it. Its change mask
+/// is not stored: the planes and the value carried into the word give it
+/// (lane_edges in word_eval.hpp).
+struct NetLanes {
+  std::uint64_t p0 = 0;  ///< value bit per lane
+  std::uint64_t p1 = 0;  ///< unknown bit per lane
+};
+
+/// Per-lane transition densities and arrivals of one live net.
+struct alignas(64) LaneSlot {
+  float density[kBatchLanes];
+  double arrival[kBatchLanes];
+};
+
+/// One primary input's lanes in the current word, computed once for every
+/// gate that reads it (its arrival is 0 in every lane).
+struct alignas(64) InputLanes {
+  float density[kBatchLanes];
+  /// Pass weight toward a gate whose controlling value is Zero ([0]) or
+  /// One ([1]).
+  float pass[2][kBatchLanes];
+};
+
+/// Zero-filled pages mapped for one owner and unmapped when it goes, so
+/// memory that short-lived owners use on long-lived threads goes back to
+/// the system instead of fragmenting those threads' heaps.
+class MappedPages {
+ public:
+  MappedPages() = default;
+  /// Throws std::bad_alloc when the mapping fails.
+  explicit MappedPages(std::size_t bytes);
+  MappedPages(const MappedPages&) = delete;
+  MappedPages& operator=(const MappedPages&) = delete;
+  /// Swaps, so the pages this owner held go with `other`.
+  MappedPages& operator=(MappedPages&& other) noexcept;
+  ~MappedPages();
+
+  std::byte* data() const noexcept { return data_; }
+
+ private:
+  std::byte* data_ = nullptr;
+  std::size_t bytes_ = 0;
+};
+
+}  // namespace detail
 
 class BatchTimingSim {
  public:
-  /// Same construction contract as TimingSim: `gate_delay_scale`, if
-  /// non-empty, is the per-gate aging multiplier table (copied).
+  /// `gate_delay_scale`, if non-empty, is the per-gate aging multiplier
+  /// table, as for TimingSim — but borrowed, not copied: like a fault
+  /// overlay it must outlive its use here.
   BatchTimingSim(const Netlist& netlist, const TechLibrary& tech,
                  std::span<const double> gate_delay_scale = {});
 
-  /// Replaces the aging multipliers; the next word re-evaluates every gate
-  /// (the analogue of the scalar forced dense sweep).
+  /// Replaces the aging multipliers (borrowed, as above); the next word
+  /// re-evaluates every gate (the analogue of the scalar forced dense
+  /// sweep).
   void set_aging(std::span<const double> gate_delay_scale);
 
   /// Installs (nullptr: removes) a fault overlay; scalar semantics, see
@@ -98,19 +141,13 @@ class BatchTimingSim {
   /// steps() + l).
   std::int64_t steps() const noexcept { return step_base_; }
 
-  /// Arms the scalar-replay audit: a lane whose output_settle_ps lands
-  /// within `guard_ps` of any threshold is replayed through the scalar
-  /// kernel. Empty thresholds or guard_ps <= 0 disables replay. The
-  /// thresholds are copied.
-  void set_timing_audit(std::span<const double> thresholds_ps,
-                        double guard_ps);
-
   /// Evaluates lanes [0, lanes) in one sweep. `input_bits` holds one word
   /// per primary input (in input order): bit l is the value that input
   /// takes on lane l. All input lanes are known 0/1 — operands come from
   /// registers, exactly like TimingSim::load_bus patterns. Returns one
   /// StepResult per lane, each exactly what the corresponding scalar
   /// step() would have returned; the span is valid until the next call.
+  /// A word always costs a full 64-lane sweep, however few lanes it uses.
   std::span<const StepResult> step_word(
       std::span<const std::uint64_t> input_bits, int lanes = kBatchLanes);
 
@@ -122,12 +159,18 @@ class BatchTimingSim {
   std::uint64_t output_bits(int lane) const;
 
   /// Packs an unsigned value's bit `i` into `input_bits[first_input + i]`
-  /// at lane `lane` (the word analogue of TimingSim::load_bus).
+  /// at lane `lane` (the word analogue of TimingSim::load_bus). Throws
+  /// std::invalid_argument on a lane outside [0, 64) or a bus outside the
+  /// primary inputs.
   void load_bus_lane(std::span<std::uint64_t> input_bits, std::uint64_t value,
                      int width, int first_input, int lane) const;
 
   const BatchStats& stats() const noexcept { return stats_; }
   const Netlist& netlist() const noexcept { return *netlist_; }
+
+  /// Density/arrival slots the live-range layout needs: the peak number of
+  /// simultaneously live nets that carry lanes.
+  std::size_t num_slots() const noexcept { return slots_.size() - 1; }
 
   /// Name of the lane-loop backend selected at runtime ("avx2" when the CPU
   /// supports it and the build carries the AVX2 translation unit, else
@@ -136,44 +179,32 @@ class BatchTimingSim {
   static const char* lane_backend() noexcept;
 
  private:
-  void rebuild_delays();
-  /// Net values as of lane `lane` of the current word; lane -1 means the
-  /// state the word started from.
-  void state_at_lane(int lane, std::span<Logic> out) const;
-  void replay_audit(std::span<const std::uint64_t> input_bits, int lanes);
-
   const Netlist* netlist_;
   const TechLibrary* tech_;
   const FaultOverlay* overlay_ = nullptr;
+  std::span<const double> aging_scale_;  // per gate, borrowed; may be empty
   std::int64_t step_base_ = 0;  ///< global step index of lane 0 of next word
   bool force_all_ = true;       ///< next word evaluates every gate
   int last_lanes_ = 0;          ///< lanes of the most recent word
 
-  std::vector<double> aging_scale_;    // per gate (possibly empty)
-  std::vector<double> base_delay_ps_;  // per gate, aging + faults folded in
-  std::vector<double> cell_cap_ff_;    // per gate
-
-  // Per-net lane state. A net not stamped with the current epoch did not
-  // change and carried zero density in every lane of the current word; its
-  // value in every lane is last_value_[net].
-  std::uint64_t epoch_ = 0;
-  std::vector<std::uint64_t> plane0_, plane1_;  // per net, lane-packed value
-  std::vector<std::uint64_t> changed_, active_;  // per net, lane masks
-  std::vector<std::uint64_t> word_epoch_;        // per net
-  std::vector<Logic> last_value_;       // per net: value after last lane
-  std::vector<Logic> word_start_value_; // per net: value before this word
-  std::vector<float> density_;          // per net x kBatchLanes
-  std::vector<double> arrival_;         // per net x kBatchLanes
+  /// Pages of the per-gate and per-net arrays below, and of the lane slots
+  /// and input lanes (see the constructor).
+  detail::MappedPages state_pages_;
+  detail::MappedPages slot_pages_;
+  std::span<detail::NetLanes> planes_;  // per net, valid while moved
+  std::span<std::int32_t> slot_;  // per net, codes in batch_sweep.hpp
+  std::span<std::uint8_t> gate_flags_;  // per gate, see batch_sweep.hpp
+  /// Per net: 1 when the last word moved the net (changed it, or left
+  /// nonzero density, in some lane). A net that did not move holds its
+  /// carried value in every lane and has zero density.
+  std::span<std::uint8_t> moved_;
+  /// Per net: the value the last word started from. A moved net is brought
+  /// forward to its final lane when the next word starts.
+  std::span<Logic> carried_;
+  std::span<detail::InputLanes> inputs_;  // per primary input
+  std::span<detail::LaneSlot> slots_;     // live-range slots, then a sink
 
   std::array<StepResult, kBatchLanes> results_{};
-
-  // Scalar-replay audit.
-  std::vector<double> audit_thresholds_ps_;
-  double guard_ps_ = 0.0;
-  TimingSim replay_sim_;
-  std::vector<Logic> replay_state_;   // scratch: one value per net
-  std::vector<Logic> replay_inputs_;  // scratch: one value per input
-
   BatchStats stats_;
 };
 

@@ -15,27 +15,44 @@
 
 #include "src/fault/fault.hpp"
 #include "src/netlist/netlist.hpp"
+#include "src/netlist/techlib.hpp"
 #include "src/sim/batch_sim.hpp"
 
 namespace agingsim::detail {
 
-/// Borrowed views of one BatchTimingSim's per-word state. All per-net
-/// arrays are indexed by NetId; density/arrival are kBatchLanes-strided.
+/// BatchTimingSim::gate_flags_ layout. Bits 0-2: input pin k recomputes
+/// its net's lanes (it is the first reader of a net fed only by primary
+/// inputs). Bit 3: the gate's output has no slot at its driver (nobody
+/// reads it, or its readers recompute it). Bits 4-6: input pin k is its
+/// net's last reader; only slot planning reads them.
+inline constexpr std::uint8_t kOutputUnstored = 1u << 3;
+inline constexpr unsigned kReleasesPin = 1u << 4;
+
+/// BatchTimingSim::slot_ codes: a slot index, -1 for a net nobody reads,
+/// and -2 - i for primary input i (whose lanes are InputLanes i).
+inline constexpr std::int32_t slot_of_input(std::size_t i) {
+  return -2 - static_cast<std::int32_t>(i);
+}
+inline constexpr std::size_t input_of_slot(std::int32_t slot) {
+  return static_cast<std::size_t>(-2 - slot);
+}
+
+/// Borrowed views of one BatchTimingSim's per-word state. Per-net arrays
+/// are indexed by NetId, per-gate arrays by GateId.
 struct SweepContext {
   const Netlist* netlist = nullptr;
+  const TechLibrary* tech = nullptr;
   const FaultOverlay* overlay = nullptr;  // may be null
-  const double* base_delay_ps = nullptr;  // per gate
-  const double* cell_cap_ff = nullptr;    // per gate
-  std::uint64_t epoch = 0;
-  std::uint64_t* plane0 = nullptr;   // per net: lane-packed value bit 0
-  std::uint64_t* plane1 = nullptr;   // per net: lane-packed value bit 1
-  std::uint64_t* changed = nullptr;  // per net: lanes whose value changed
-  std::uint64_t* active = nullptr;   // per net: changed or nonzero density
-  std::uint64_t* word_epoch = nullptr;  // per net
-  Logic* last_value = nullptr;          // per net: value after the last lane
-  float* density = nullptr;             // per net x kBatchLanes
-  double* arrival = nullptr;            // per net x kBatchLanes
-  StepResult* results = nullptr;        // kBatchLanes entries
+  const double* aging_scale = nullptr;    // per gate; null = fresh
+  const std::uint8_t* gate_flags = nullptr;  // per gate
+  const std::int32_t* slot = nullptr;        // per net: -1 = none
+  NetLanes* planes = nullptr;                // per net, valid while moved
+  std::uint8_t* moved = nullptr;             // per net: moved this word
+  const Logic* carried = nullptr;            // per net: value before the word
+  LaneSlot* slots = nullptr;
+  InputLanes* inputs = nullptr;  // one per primary input
+  std::int32_t sink = 0;  // write-only slot for outputs that have none
+  StepResult* results = nullptr;              // kBatchLanes entries
   const std::uint64_t* input_bits = nullptr;  // one word per primary input
   int lanes = 0;
   std::uint64_t lane_mask = 0;

@@ -48,7 +48,14 @@ SimKernel resolve_kernel(SimKernel requested) {
                                            SimKernel::kSparse,
                                            SimKernel::kBatch};
   const auto idx = env::choice_var("AGINGSIM_KERNEL", kChoices);
-  return idx.has_value() ? kKernels[*idx] : SimKernel::kSparse;
+  return idx.has_value() ? kKernels[*idx] : SimKernel::kBatch;
+}
+
+bool bus_fits(int first_input, int width, std::size_t inputs) noexcept {
+  return first_input >= 0 && width >= 0 && width <= 64 &&
+         static_cast<std::size_t>(first_input) +
+                 static_cast<std::size_t>(width) <=
+             inputs;
 }
 
 const char* kernel_name(SimKernel kernel) noexcept {
@@ -115,8 +122,8 @@ void TimingSim::rebuild_delays() {
 
 void TimingSim::load_bus(std::span<Logic> pattern_buffer, std::uint64_t value,
                          int width, int first_input) const {
-  if (first_input + width > static_cast<int>(netlist_->num_inputs()) ||
-      static_cast<std::size_t>(first_input + width) > pattern_buffer.size()) {
+  if (!bus_fits(first_input, width,
+                std::min(netlist_->num_inputs(), pattern_buffer.size()))) {
     throw std::invalid_argument("TimingSim::load_bus: bus out of range");
   }
   for (int i = 0; i < width; ++i) {
@@ -417,21 +424,6 @@ StepResult TimingSim::step(std::span<const Logic> input_values) {
     }
   }
   return result;
-}
-
-void TimingSim::install_state(std::span<const Logic> net_values,
-                              std::int64_t next_step_index) {
-  if (net_values.size() != netlist_->num_nets()) {
-    throw std::invalid_argument(
-        "TimingSim::install_state: need one value per net");
-  }
-  value_.assign(net_values.begin(), net_values.end());
-  step_index_ = next_step_index;
-  // One dense sweep next: the installed state may be the all-X power-up
-  // snapshot, whose fanin-free Tie cells only a dense sweep evaluates. For
-  // settled mid-stream snapshots the dense and sparse kernels are
-  // bit-identical anyway, so this costs one sweep and changes no result.
-  force_dense_ = true;
 }
 
 std::uint64_t TimingSim::output_bits() const {

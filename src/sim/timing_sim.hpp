@@ -12,18 +12,23 @@
 namespace agingsim {
 
 /// Step-kernel families the trace/campaign/serving layers can drive. The
-/// scalar kernels live in TimingSim (Mode::kDense / Mode::kSparse); kBatch
-/// selects the 64-lane SWAR kernel in src/sim/batch_sim.hpp. All three are
-/// bit-identical on every guaranteed StepResult/OpTrace field; they differ
-/// only in throughput and in the gates_evaluated diagnostic.
+/// scalar kernels live in TimingSim (Mode::kDense / Mode::kSparse) and are
+/// the reference kernels; kBatch selects the 64-lane SWAR kernel in
+/// src/sim/batch_sim.hpp, the default. All three are bit-identical on every
+/// guaranteed StepResult/OpTrace field; they differ only in throughput and
+/// in the gates_evaluated diagnostic.
 enum class SimKernel : std::uint8_t { kAuto = 0, kDense, kSparse, kBatch };
 
-/// Resolves kAuto against AGINGSIM_KERNEL (dense|sparse|batch; an
-/// unrecognized value warns once and falls back to sparse, the scalar
-/// default). Non-auto values pass through untouched.
+/// Resolves kAuto against AGINGSIM_KERNEL (dense|sparse|batch; unset means
+/// batch, and an unrecognized value warns once and falls back to batch).
+/// Non-auto values pass through untouched.
 SimKernel resolve_kernel(SimKernel requested);
 
 const char* kernel_name(SimKernel kernel) noexcept;
+
+/// Whether a `width`-bit bus starting at primary input `first_input` fits
+/// in `inputs` inputs and in one 64-bit value (load_bus' range check).
+bool bus_fits(int first_input, int width, std::size_t inputs) noexcept;
 
 /// Outcome of applying one input pattern.
 struct StepResult {
@@ -79,7 +84,7 @@ class TimingSim {
   /// (StepResult timing/energy fields, net values, arrivals, densities);
   /// they differ only in cost and in the gates_evaluated diagnostic.
   ///
-  ///  - kSparse (default): event-driven. A step seeds a worklist with the
+  ///  - kSparse (this class's default): event-driven. A step seeds a worklist with the
   ///    consumers of changed primary inputs and propagates only through the
   ///    cone whose values or transition densities actually move, processing
   ///    gates in ascending gate-id order (a topological order that also
@@ -123,21 +128,9 @@ class TimingSim {
   /// nets transition from X); its timing numbers are still well defined.
   StepResult step(std::span<const Logic> input_values);
 
-  /// Overwrites every net value and the step counter in one call, as if the
-  /// simulator had just settled `next_step_index` patterns and left the
-  /// netlist holding `net_values`. The batch kernel's guard-margin replay
-  /// uses this to reconstruct the scalar state "as of lane k-1" and re-run
-  /// lane k through this exact kernel: a step() from an installed state is
-  /// bit-identical to the same step in an uninterrupted scalar stream,
-  /// because a step depends only on the net values, the delays, and the
-  /// step index (per-step density/arrival scratch is epoch-gated, so no
-  /// stale data survives the install). Throws std::invalid_argument on a
-  /// value count mismatch.
-  void install_state(std::span<const Logic> net_values,
-                     std::int64_t next_step_index);
-
   /// Applies an unsigned pattern to an input bus laid out LSB-first starting
-  /// at primary-input index `first_input`.
+  /// at primary-input index `first_input`. Throws std::invalid_argument when
+  /// the bus does not fit (bus_fits).
   void load_bus(std::span<Logic> pattern_buffer, std::uint64_t value,
                 int width, int first_input) const;
 

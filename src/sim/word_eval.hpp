@@ -34,14 +34,34 @@ inline Logic lane_logic(std::uint64_t p0, std::uint64_t p1, int lane) {
   return static_cast<Logic>(((p0 >> lane) & 1u) | (((p1 >> lane) & 1u) << 1));
 }
 
+/// Lane masks of a value's edges within a word.
+struct LaneEdges {
+  std::uint64_t changed = 0;  ///< lanes whose value differs from the lane before
+  std::uint64_t toggled = 0;  ///< the changed lanes that went known -> known
+};
+
+/// Edges of the plane pair `p0`/`p1` over lanes [0, lanes) (`lane_mask`);
+/// lane 0 compares against `carried`, the value before the word.
+inline LaneEdges lane_edges(std::uint64_t p0, std::uint64_t p1, Logic carried,
+                            std::uint64_t lane_mask) {
+  const auto c = static_cast<std::uint64_t>(carried);
+  const std::uint64_t prev0 = (p0 << 1) | (c & 1u);
+  const std::uint64_t prev1 = (p1 << 1) | ((c >> 1) & 1u);
+  const std::uint64_t changed = ((p0 ^ prev0) | (p1 ^ prev1)) & lane_mask;
+  return {changed, changed & ~p1 & ~prev1};
+}
+
 /// eval_cell over every lane of a word. `ip0`/`ip1` hold one plane word per
 /// gate input. `kept` is the gate's output value after the previous word's
 /// last lane: the bus-keeper state a disabled Tbuf holds, chained lane by
-/// lane through lanes [0, lanes). Lanes at or above `lanes` are unspecified
-/// — callers mask them with `lane_mask`.
+/// lane through lanes [0, lanes). A Tbuf inverts the lanes in `tbuf_flip`
+/// (logic_not, a transient strike) inside that chain, so a later disabled
+/// lane keeps the inverted value; other kinds ignore it. Lanes at or above
+/// `lanes` are unspecified — callers mask them with `lane_mask`.
 inline WordPlanes eval_word(CellKind kind, const std::uint64_t* ip0,
                             const std::uint64_t* ip1, Logic kept, int lanes,
-                            std::uint64_t lane_mask) {
+                            std::uint64_t lane_mask,
+                            std::uint64_t tbuf_flip = 0) {
   std::uint64_t o0 = 0, o1 = 0;
   switch (kind) {
     case CellKind::kBuf:  // known passes; X/Z -> X
@@ -138,6 +158,7 @@ inline WordPlanes eval_word(CellKind kind, const std::uint64_t* ip0,
         } else {
           v = Logic::kX;
         }
+        if (((tbuf_flip >> l) & 1u) != 0) v = logic_not(v);
         o0 |= (static_cast<std::uint64_t>(v) & 1u) << l;
         o1 |= ((static_cast<std::uint64_t>(v) >> 1) & 1u) << l;
         cur = v;

@@ -100,10 +100,13 @@ std::set<std::string> documented_metrics(const std::string& doc) {
 
 /// Registers every subsystem's metrics by running each one briefly.
 void touch_every_subsystem(const fs::path& dir) {
-  // sim.batch: the campaigns below never step the batch kernel.
+  // sim and sim.batch: each step kernel once. The campaigns below run the
+  // default kernel (batch) or the corner kernel, never the scalar ones.
   const MultiplierNetlist small = build_array_multiplier(4);
-  compute_op_trace(small, bench::tech(), bench::workload(4, 8),
-                   TraceOptions{.kernel = SimKernel::kBatch});
+  for (const SimKernel kernel : {SimKernel::kBatch, SimKernel::kSparse}) {
+    compute_op_trace(small, bench::tech(), bench::workload(4, 8),
+                     TraceOptions{.kernel = kernel});
+  }
 
   // sim.corner, pool, mc, runner, checkpoint.
   mc::McCampaignConfig mc_cfg;

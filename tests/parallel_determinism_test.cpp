@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -236,25 +237,31 @@ TEST(ParallelDeterminismTest, MetricsSnapshotIsIdenticalAcrossThreadCounts) {
   const auto patterns = workload(16, 150);
 
   obs::set_metrics_enabled(true);
-  const auto snapshot_with_env = [&](const char* env) {
+  const auto snapshot_with_env = [&](const char* env, SimKernel kernel) {
     ScopedThreadsEnv scoped(env);
     obs::reset_metrics();
-    (void)campaign.run(patterns);
+    (void)campaign.run(patterns, CampaignRunOptions{.kernel = kernel});
     // Deterministic-only: wall-time metrics (pool.worker_busy_us,
     // pool.queue_depth, ...) are scheduling-dependent by design and
     // excluded from the contract.
     return obs::metrics_json(/*deterministic_only=*/true);
   };
-  const std::string one = snapshot_with_env("1");
-  const std::string eight = snapshot_with_env("8");
+  // The default batch kernel, then the sparse reference kernel; each
+  // snapshot must show that kernel's counters, not an empty registry.
+  const std::pair<SimKernel, const char*> kernels[] = {
+      {SimKernel::kBatch, "\"sim.batch.words\""},
+      {SimKernel::kSparse, "\"sim.steps_dense\""}};
+  for (const auto& [kernel, sim_counter] : kernels) {
+    SCOPED_TRACE(kernel_name(kernel));
+    const std::string one = snapshot_with_env("1", kernel);
+    const std::string eight = snapshot_with_env("8", kernel);
+    EXPECT_EQ(one, eight);
+    EXPECT_NE(one.find(sim_counter), std::string::npos) << one;
+    EXPECT_NE(one.find("\"campaign.trials_completed\""), std::string::npos);
+    EXPECT_NE(one.find("\"pool.jobs\""), std::string::npos);
+    EXPECT_EQ(one.find("\"pool.worker_busy_us\""), std::string::npos) << one;
+  }
   obs::set_metrics_enabled(false);
-
-  EXPECT_EQ(one, eight);
-  // The snapshot actually observed the campaign, not an empty registry.
-  EXPECT_NE(one.find("\"sim.steps_dense\""), std::string::npos) << one;
-  EXPECT_NE(one.find("\"campaign.trials_completed\""), std::string::npos);
-  EXPECT_NE(one.find("\"pool.jobs\""), std::string::npos);
-  EXPECT_EQ(one.find("\"pool.worker_busy_us\""), std::string::npos) << one;
 }
 
 }  // namespace

@@ -142,6 +142,18 @@ TEST(TimingSimTest, RejectsWrongInputCount) {
   EXPECT_THROW(sim.step(bits({1, 0})), std::invalid_argument);
 }
 
+TEST(TimingSimTest, LoadBusRejectsNegativeFirstInput) {
+  // first_input + width stays within the inputs, so only the sign of
+  // first_input shows the bus starts before input 0.
+  const MultiplierNetlist m = build_array_multiplier(4);
+  const TimingSim sim(m.netlist, default_tech_library());
+  std::vector<Logic> buffer(m.netlist.num_inputs(), Logic::kZero);
+  EXPECT_THROW(sim.load_bus(buffer, 3, 2, -1), std::invalid_argument);
+  EXPECT_THROW(sim.load_bus(buffer, 3, m.width, -m.width),
+               std::invalid_argument);
+  EXPECT_EQ(buffer, std::vector<Logic>(buffer.size(), Logic::kZero));
+}
+
 TEST(TimingSimTest, RejectsBadAgingOverlay) {
   NetlistBuilder nb;
   const NetId a = nb.input("a");

@@ -85,9 +85,7 @@ void print_usage(std::ostream& os) {
         " [$AGINGSIM_SERVE_CHECKPOINT_DIR or none]\n"
         "  --kernel NAME        step kernel for query/campaign traces:\n"
         "                       dense|sparse|batch [$AGINGSIM_KERNEL or"
-        " sparse]\n"
-        "  --batch-guard-ps F   batch-kernel scalar-replay guard margin in\n"
-        "                       ps [$AGINGSIM_BATCH_GUARD_PS or 0 = off]\n"
+        " batch]\n"
         "  --trace PATH         write a Chrome trace-event file on exit\n"
         "  --metrics PATH       write a metrics JSON snapshot on exit\n"
         "  --quiet              suppress startup/drain notes on stderr\n"
@@ -212,15 +210,6 @@ std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
       // Exported rather than stored: every trace path (query lane, batch
       // campaign lane) resolves kAuto through AGINGSIM_KERNEL.
       ::setenv("AGINGSIM_KERNEL", v->c_str(), 1);
-    } else if (arg == "--batch-guard-ps") {
-      const auto v = need_value("--batch-guard-ps");
-      if (!v || !env::parse_double(*v).has_value() ||
-          *env::parse_double(*v) < 0.0) {
-        std::cerr << "agingd: --batch-guard-ps wants a number >= 0\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      ::setenv("AGINGSIM_BATCH_GUARD_PS", v->c_str(), 1);
     } else if (arg == "--trace") {
       const auto v = need_value("--trace");
       if (!v) { exit_code = 2; return std::nullopt; }

@@ -178,9 +178,7 @@ void print_usage(std::ostream& os) {
         "  --chaos SPEC       seed:rate[:actions], actions in [tpsc]\n"
         "                     (overrides AGINGSIM_CHAOS)\n"
         "  --kernel NAME      step kernel: dense|sparse|batch (overrides\n"
-        "                     AGINGSIM_KERNEL) [sparse]\n"
-        "  --batch-guard-ps F batch-kernel scalar-replay guard margin in ps\n"
-        "                     (overrides AGINGSIM_BATCH_GUARD_PS) [0 = off]\n"
+        "                     AGINGSIM_KERNEL) [batch]\n"
         "  --json PATH        write campaign JSON to PATH ('-' = stdout)\n"
         "  --trace PATH       record spans, write a Chrome trace-event\n"
         "                     file to PATH (chrome://tracing, Perfetto)\n"
@@ -391,15 +389,6 @@ std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
       // Exported rather than stored: every layer resolves the kernel through
       // AGINGSIM_KERNEL, so one setenv reaches them all.
       ::setenv("AGINGSIM_KERNEL", v->c_str(), 1);
-    } else if (arg == "--batch-guard-ps") {
-      const auto v = need_value("--batch-guard-ps");
-      if (!v || !env::parse_double(*v).has_value() ||
-          *env::parse_double(*v) < 0.0) {
-        std::cerr << "agingrun: --batch-guard-ps wants a number >= 0\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      ::setenv("AGINGSIM_BATCH_GUARD_PS", v->c_str(), 1);
     } else if (arg == "--json") {
       const auto v = need_value("--json");
       if (!v) { exit_code = 2; return std::nullopt; }
