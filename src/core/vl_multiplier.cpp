@@ -6,7 +6,6 @@
 #include <string>
 
 #include "src/sim/sta.hpp"
-#include "src/workload/rng.hpp"
 
 namespace agingsim {
 namespace {
@@ -172,103 +171,112 @@ VariableLatencySystem::VariableLatencySystem(const MultiplierNetlist& mult,
   }
 }
 
-RunStats VariableLatencySystem::run(std::span<const OpTrace> trace,
-                                    double mean_dvth_v) {
-  AdaptiveHoldLogic ahl(config_.ahl);
-  RazorBank razor(config_.razor);
-  const double period = config_.period_ps;
-  const bool judge_on_a = judges_on_multiplicand(mult_->arch);
-  const int width = mult_->width;
-  const int ff_bits = 2 * width;  // per bank: two operands in, 2m product out
+VariableLatencySystem::Replay::Replay(const VariableLatencySystem& system)
+    : system_(&system),
+      ahl_(system.config_.ahl),
+      razor_(system.config_.razor),
+      escape_rng_(system.config_.razor_seed) {
+  stats_.period_ps = system.config_.period_ps;
+}
 
-  Rng escape_rng(config_.razor_seed);
-  RunStats s;
-  s.period_ps = period;
-  for (const OpTrace& op : trace) {
-    const std::uint64_t judging = judge_on_a ? op.a : op.b;
-    if (ahl.storm_active()) ++s.storm_ops;
-    const int decided = ahl.decide_cycles(judging);
-    bool error = false;
-    // Whether the word the architecture finally commits equals a*b. Razor
-    // re-execution recovers *timing* faults (the settled product), never
-    // functional ones — a stuck-at that corrupts the settled value escapes
-    // to SDC even when a violation happened to be flagged on the same op.
-    bool committed_correct;
-    std::uint64_t cycles;
-    if (decided == 1) {
-      ++s.one_cycle_ops;
-      if (RazorBank::violation(op.delay_ps, period)) {
-        const double p_detect = razor.detection_probability(op.delay_ps,
-                                                            period);
-        const bool detected =
-            p_detect > 0.0 && escape_rng.next_double() < p_detect;
-        if (detected) {
-          error = true;
-          ++s.errors;
-          cycles = 1 + static_cast<std::uint64_t>(razor.reexec_penalty_cycles());
-          committed_correct = op.correct;  // re-exec commits the settled word
-        } else if (razor.detectable(op.delay_ps, period)) {
-          // In-window violation the comparator missed (metastability): the
-          // main flip-flop's marginal capture is committed unchallenged.
-          ++s.razor_escapes;
-          cycles = 1;
-          committed_correct = false;
-        } else {
-          // Outside the shadow window: silently wrong result. The fault-free
-          // variable-latency contract (T >= crit/2) makes this impossible;
-          // tracked so tests and benches can assert it stays zero — and so
-          // fault campaigns can measure when injected delay outliers break
-          // the contract.
-          ++s.undetected;
-          cycles = 1;
-          committed_correct = false;
-        }
-      } else {
+void VariableLatencySystem::Replay::step(const OpTrace& op) {
+  const VariableLatencySystem& sys = *system_;
+  const double period = sys.config_.period_ps;
+  const int width = sys.mult_->width;
+  const int ff_bits = 2 * width;  // per bank: two operands in, 2m product out
+  RunStats& s = stats_;
+
+  const std::uint64_t judging =
+      judges_on_multiplicand(sys.mult_->arch) ? op.a : op.b;
+  if (ahl_.storm_active()) ++s.storm_ops;
+  const int decided = ahl_.decide_cycles(judging);
+  bool error = false;
+  // Whether the word the architecture finally commits equals a*b. Razor
+  // re-execution recovers *timing* faults (the settled product), never
+  // functional ones — a stuck-at that corrupts the settled value escapes
+  // to SDC even when a violation happened to be flagged on the same op.
+  bool committed_correct;
+  std::uint64_t cycles;
+  if (decided == 1) {
+    ++s.one_cycle_ops;
+    if (RazorBank::violation(op.delay_ps, period)) {
+      const double p_detect = razor_.detection_probability(op.delay_ps,
+                                                           period);
+      const bool detected =
+          p_detect > 0.0 && escape_rng_.next_double() < p_detect;
+      if (detected) {
+        error = true;
+        ++s.errors;
+        cycles = 1 + static_cast<std::uint64_t>(razor_.reexec_penalty_cycles());
+        committed_correct = op.correct;  // re-exec commits the settled word
+      } else if (razor_.detectable(op.delay_ps, period)) {
+        // In-window violation the comparator missed (metastability): the
+        // main flip-flop's marginal capture is committed unchallenged.
+        ++s.razor_escapes;
         cycles = 1;
-        committed_correct = op.correct;
-      }
-    } else {
-      ++s.two_cycle_ops;
-      cycles = 2;
-      committed_correct = op.correct;
-      if (op.delay_ps > 2.0 * period) {
+        committed_correct = false;
+      } else {
+        // Outside the shadow window: silently wrong result. The fault-free
+        // variable-latency contract (T >= crit/2) makes this impossible;
+        // tracked so tests and benches can assert it stays zero — and so
+        // fault campaigns can measure when injected delay outliers break
+        // the contract.
         ++s.undetected;
+        cycles = 1;
         committed_correct = false;
       }
+    } else {
+      cycles = 1;
+      committed_correct = op.correct;
     }
-    if (!committed_correct) {
-      ++s.sdc_ops;
-    } else if (op.fault_active && !error) {
-      ++s.masked_faults;
+  } else {
+    ++s.two_cycle_ops;
+    cycles = 2;
+    committed_correct = op.correct;
+    if (op.delay_ps > 2.0 * period) {
+      ++s.undetected;
+      committed_correct = false;
     }
-    ahl.record_outcome(error);
-
-    s.total_cycles += cycles;
-    ++s.ops;
-
-    // Energy. Combinational switching is policy-independent; registers and
-    // AHL depend on the cycle structure:
-    //  - input flip-flops latch new operands once per op; hold cycles are
-    //    clock-gated (the paper's !(gating) signal), so they contribute no
-    //    further clock energy;
-    //  - Razor flip-flops sample every cycle (they cannot be gated — they
-    //    are the error detector).
-    s.comb_energy_fj += power_.dynamic_energy_fj(op.switched_cap_ff);
-    s.register_energy_fj += power_.dff_bank_energy_fj(ff_bits, op.in_toggles);
-    s.register_energy_fj +=
-        static_cast<double>(cycles) *
-        power_.razor_bank_energy_fj(ff_bits, 0) +
-        power_.razor_bank_energy_fj(0, op.out_toggles);
-    s.ahl_energy_fj += kAhlEnergyPerBitFj * static_cast<double>(width);
   }
-  s.switched_to_second_block = ahl.using_second_block();
-  s.storm_engagements = ahl.storm_engagements();
-  s.storm_recoveries = ahl.storm_recoveries();
+  if (!committed_correct) {
+    ++s.sdc_ops;
+  } else if (op.fault_active && !error) {
+    ++s.masked_faults;
+  }
+  ahl_.record_outcome(error);
+
+  s.total_cycles += cycles;
+  ++s.ops;
+
+  // Energy. Combinational switching is policy-independent; registers and
+  // AHL depend on the cycle structure:
+  //  - input flip-flops latch new operands once per op; hold cycles are
+  //    clock-gated (the paper's !(gating) signal), so they contribute no
+  //    further clock energy;
+  //  - Razor flip-flops sample every cycle (they cannot be gated — they
+  //    are the error detector).
+  const PowerModel& power = sys.power_;
+  s.comb_energy_fj += power.dynamic_energy_fj(op.switched_cap_ff);
+  s.register_energy_fj += power.dff_bank_energy_fj(ff_bits, op.in_toggles);
+  s.register_energy_fj +=
+      static_cast<double>(cycles) *
+      power.razor_bank_energy_fj(ff_bits, 0) +
+      power.razor_bank_energy_fj(0, op.out_toggles);
+  s.ahl_energy_fj += kAhlEnergyPerBitFj * static_cast<double>(width);
+}
+
+RunStats VariableLatencySystem::Replay::finish(double mean_dvth_v) const {
+  const VariableLatencySystem& sys = *system_;
+  const double period = sys.config_.period_ps;
+  RunStats s = stats_;
+  s.switched_to_second_block = ahl_.using_second_block();
+  s.storm_engagements = ahl_.storm_engagements();
+  s.storm_recoveries = ahl_.storm_recoveries();
 
   const double total_time_ps =
       static_cast<double>(s.total_cycles) * period;
   const double leak_nw =
-      power_.leakage_power_nw(mult_->netlist, mean_dvth_v);
+      sys.power_.leakage_power_nw(sys.mult_->netlist, mean_dvth_v);
   // nW * ps = 1e-9 W * 1e-12 s = 1e-21 J = 1e-6 fJ.
   s.leakage_energy_fj = leak_nw * total_time_ps * 1e-6;
   s.total_energy_fj = s.comb_energy_fj + s.register_energy_fj +
@@ -290,6 +298,13 @@ RunStats VariableLatencySystem::run(std::span<const OpTrace> trace,
                                         s.avg_latency_ps * 1e-3);
   }
   return s;
+}
+
+RunStats VariableLatencySystem::run(std::span<const OpTrace> trace,
+                                    double mean_dvth_v) {
+  Replay replay(*this);
+  for (const OpTrace& op : trace) replay.step(op);
+  return replay.finish(mean_dvth_v);
 }
 
 FixedLatencySystem::FixedLatencySystem(const MultiplierNetlist& mult,

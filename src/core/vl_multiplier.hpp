@@ -11,6 +11,7 @@
 #include "src/power/power.hpp"
 #include "src/sim/batch_sim.hpp"
 #include "src/workload/patterns.hpp"
+#include "src/workload/rng.hpp"
 
 namespace agingsim {
 
@@ -142,9 +143,30 @@ class VariableLatencySystem {
   VariableLatencySystem(const MultiplierNetlist& mult, const TechLibrary& tech,
                         VlSystemConfig config);
 
-  /// Replays a circuit trace through the architectural policy. `mean_dvth_v`
-  /// is the average device Vth drift at the trace's aging point (drives
-  /// leakage). The AHL state is reset at the start of each run.
+  /// One replay fed an operation at a time, for callers that produce the
+  /// ops as they go instead of holding a whole trace. Starts from a reset
+  /// AHL and the Razor seed; step() the ops in order, then finish().
+  class Replay {
+   public:
+    explicit Replay(const VariableLatencySystem& system);
+
+    void step(const OpTrace& op);
+
+    /// The statistics of the ops stepped so far. `mean_dvth_v` is the
+    /// average device Vth drift at the trace's aging point (drives
+    /// leakage).
+    RunStats finish(double mean_dvth_v = 0.0) const;
+
+   private:
+    const VariableLatencySystem* system_;
+    AdaptiveHoldLogic ahl_;
+    RazorBank razor_;
+    Rng escape_rng_;
+    RunStats stats_;
+  };
+
+  /// Replays a circuit trace through the architectural policy: one Replay
+  /// stepped over every op. The AHL state is reset at the start of each run.
   RunStats run(std::span<const OpTrace> trace, double mean_dvth_v = 0.0);
 
   const VlSystemConfig& config() const noexcept { return config_; }

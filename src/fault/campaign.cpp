@@ -1,6 +1,8 @@
 #include "src/fault/campaign.hpp"
 
 #include <algorithm>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -10,6 +12,8 @@
 #include "src/obs/trace.hpp"
 #include "src/runtime/serial.hpp"
 #include "src/runtime/stats_codec.hpp"
+#include "src/sim/corner_sim.hpp"
+#include "src/sim/timing_sim.hpp"
 
 namespace agingsim {
 namespace {
@@ -81,6 +85,15 @@ struct TrialAccumulator {
   }
 };
 
+/// The dense overlay of one trial's sites. Built only while that trial is
+/// simulated: a campaign keeps its trials as site lists.
+FaultOverlay build_overlay(std::size_t num_gates,
+                           std::span<const FaultSite> sites) {
+  FaultOverlay overlay(num_gates);
+  for (const FaultSite& site : sites) overlay.add(site);
+  return overlay;
+}
+
 }  // namespace
 
 FaultOverlay output_cone_delay_overlay(const Netlist& netlist, double factor,
@@ -139,8 +152,15 @@ FaultCampaign::FaultCampaign(const MultiplierNetlist& mult,
 
 FaultOverlay FaultCampaign::sample_overlay(Rng& rng,
                                            std::size_t num_ops) const {
+  return build_overlay(mult_->netlist.num_gates(),
+                       sample_sites(rng, num_ops));
+}
+
+std::vector<FaultSite> FaultCampaign::sample_sites(Rng& rng,
+                                                   std::size_t num_ops) const {
   const std::size_t num_gates = mult_->netlist.num_gates();
-  FaultOverlay overlay(num_gates);
+  std::vector<FaultSite> sites;
+  sites.reserve(static_cast<std::size_t>(config_.sites_per_trial));
   for (int i = 0; i < config_.sites_per_trial; ++i) {
     FaultSite site;
     site.kind = config_.kind;
@@ -155,9 +175,51 @@ FaultOverlay FaultCampaign::sample_overlay(Rng& rng,
     } else if (config_.kind == FaultKind::kDelayOutlier) {
       site.delay_factor = config_.delay_factor;
     }
-    overlay.add(site);
+    sites.push_back(site);
   }
-  return overlay;
+  return sites;
+}
+
+std::vector<RunStats> FaultCampaign::score_lanes(
+    std::span<const OperandPattern> patterns, std::span<const OpTrace> clean,
+    const CampaignRunOptions& options,
+    std::span<const std::vector<FaultSite>> sites, std::size_t group,
+    std::size_t groups) const {
+  obs::TraceSpan span("campaign.group", group);
+  const MultiplierNetlist& mult = *mult_;
+  CornerTimingSim sim(mult.netlist, *tech_);
+  int lanes = 0;
+  for (std::size_t t = group; t < sites.size(); t += groups) {
+    const FaultOverlay overlay =
+        build_overlay(mult.netlist.num_gates(), sites[t]);
+    sim.set_lane_scales(lanes++, options.gate_delay_scale, &overlay);
+  }
+  sim.power_up(lanes);
+
+  const VariableLatencySystem system(mult, *tech_, system_);
+  std::vector<VariableLatencySystem::Replay> replays(
+      static_cast<std::size_t>(lanes), VariableLatencySystem::Replay(system));
+  std::vector<Logic> inputs(mult.netlist.num_inputs(), Logic::kZero);
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    load_bus(inputs, patterns[i].a, mult.width, mult.a_first_input);
+    load_bus(inputs, patterns[i].b, mult.width, mult.b_first_input);
+    const std::span<const double> settle = sim.step(inputs);
+    // A delay outlier moves no value, so each lane's op is the fault-free
+    // op with the lane's delay; a persistent fault is active on every op
+    // (FaultOverlay::active_at).
+    OpTrace op = clean[i];
+    op.fault_active = true;
+    for (int l = 0; l < lanes; ++l) {
+      op.delay_ps = settle[static_cast<std::size_t>(l)];
+      replays[static_cast<std::size_t>(l)].step(op);
+    }
+  }
+  std::vector<RunStats> stats;
+  stats.reserve(replays.size());
+  for (const VariableLatencySystem::Replay& replay : replays) {
+    stats.push_back(replay.finish(options.mean_dvth_v));
+  }
+  return stats;
 }
 
 FaultCampaignStats FaultCampaign::run(
@@ -214,40 +276,82 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
                           static_cast<std::uint64_t>(config_.trials));
   campaign_metrics().runs.add();
 
-  // Overlay sampling draws from one shared Rng, so it stays serial (and
+  // Site sampling draws from one shared Rng, so it stays serial (and
   // bit-identical to the historical single-threaded campaign); the trials
-  // themselves are independent — each gets its own simulator + system over
-  // the shared, never-mutated netlist — and fan out across the pool.
+  // themselves are independent and fan out across the pool over the
+  // shared, never-mutated netlist. Only the sites are kept per trial: a
+  // dense overlay exists only while its trial is simulated.
   Rng rng(config_.seed);
-  std::vector<FaultOverlay> overlays;
-  overlays.reserve(static_cast<std::size_t>(config_.trials));
+  std::vector<std::vector<FaultSite>> sites;
+  sites.reserve(static_cast<std::size_t>(config_.trials));
   for (int trial = 0; trial < config_.trials; ++trial) {
-    overlays.push_back(sample_overlay(rng, patterns.size()));
+    sites.push_back(sample_sites(rng, patterns.size()));
   }
-  campaign_metrics().overlays.add(overlays.size());
+  campaign_metrics().overlays.add(sites.size());
+  const std::size_t trials = sites.size();
+
+  // The fault-free trace: the baseline replays it, and trial lanes take
+  // every OpTrace field but the delay from it. The first unit that needs
+  // it computes it; restored units never do.
+  std::mutex clean_mutex;
+  std::optional<std::vector<OpTrace>> clean;
+  const auto clean_trace = [&]() -> std::span<const OpTrace> {
+    std::lock_guard lock(clean_mutex);
+    if (!clean) {
+      clean = compute_op_trace(
+          *mult_, *tech_, patterns,
+          TraceOptions{.gate_delay_scale = gate_delay_scale,
+                       .kernel = options.kernel});
+    }
+    return *clean;
+  };
 
   // Fault-free reference run: the throughput and error-rate baseline the
   // faulty runs are measured against.
   const auto run_baseline = [&] {
     obs::TraceSpan span("campaign.baseline");
-    const auto baseline_trace =
-        compute_op_trace(*mult_, *tech_, patterns,
-                         TraceOptions{.gate_delay_scale = gate_delay_scale,
-                                      .kernel = options.kernel});
     VariableLatencySystem system(*mult_, *tech_, system_);
-    auto stats = system.run(baseline_trace, mean_dvth_v);
+    auto stats = system.run(clean_trace(), mean_dvth_v);
     campaign_metrics().baselines.add();
     return stats;
   };
+
+  // Trial lanes: trial t rides lane t / groups of group t % groups, so the
+  // pool, claiming units in index order, starts every group before it
+  // revisits one. A group is scored under its own mutex by the first of
+  // its trials to run; a score that throws leaves it unscored for a retry.
+  const bool lanes = config_.kind == FaultKind::kDelayOutlier &&
+                     resolve_kernel(options.kernel) == SimKernel::kBatch;
+  const std::size_t groups =
+      lanes ? (trials + kCornerLanes - 1) / kCornerLanes : 0;
+  struct LaneGroup {
+    std::mutex mutex;
+    std::vector<RunStats> stats;  // one per lane once scored
+  };
+  std::vector<LaneGroup> lane_groups(groups);
+
   const auto run_trial = [&](std::size_t t) {
     obs::TraceSpan span("campaign.trial", t);
-    const auto faulty_trace = compute_op_trace(
-        *mult_, *tech_, patterns,
-        TraceOptions{.gate_delay_scale = gate_delay_scale,
-                     .faults = &overlays[t],
-                     .kernel = options.kernel});
-    VariableLatencySystem trial_system(*mult_, *tech_, system_);
-    auto stats = trial_system.run(faulty_trace, mean_dvth_v);
+    RunStats stats;
+    if (lanes) {
+      LaneGroup& group = lane_groups[t % groups];
+      std::lock_guard lock(group.mutex);
+      if (group.stats.empty()) {
+        group.stats = score_lanes(patterns, clean_trace(), options, sites,
+                                  t % groups, groups);
+      }
+      stats = group.stats[t / groups];
+    } else {
+      const FaultOverlay overlay =
+          build_overlay(mult_->netlist.num_gates(), sites[t]);
+      const auto faulty_trace = compute_op_trace(
+          *mult_, *tech_, patterns,
+          TraceOptions{.gate_delay_scale = gate_delay_scale,
+                       .faults = &overlay,
+                       .kernel = options.kernel});
+      VariableLatencySystem trial_system(*mult_, *tech_, system_);
+      stats = trial_system.run(faulty_trace, mean_dvth_v);
+    }
     campaign_metrics().trials.add();
     return stats;
   };
@@ -258,7 +362,7 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
   std::uint64_t quarantined = 0;
   if (options.runner == nullptr) {
     baseline = run_baseline();
-    trial_stats = exec::parallel_for_indexed(overlays.size(), run_trial);
+    trial_stats = exec::parallel_for_indexed(trials, run_trial);
     trial_ok.assign(trial_stats.size(), 1);
   } else {
     // Crash-safe path: unit 0 = baseline, units 1..trials = trials. Each
@@ -267,7 +371,7 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
     runtime::RunReport local_report;
     runtime::RunReport& report =
         options.report != nullptr ? *options.report : local_report;
-    const std::size_t units = overlays.size() + 1;
+    const std::size_t units = trials + 1;
     // Streaming: decode each unit as it joins the completion frontier and
     // hand the caller a running aggregate. The runner serializes progress
     // calls and delivers units in strict unit order, so `acc` needs no
@@ -285,7 +389,7 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
           stream_baseline = s;
           stream_has_baseline = true;
         } else {
-          stream_acc.add_trial(s, overlays[unit - 1].num_faults());
+          stream_acc.add_trial(s, sites[unit - 1].size());
         }
         options.progress(
             unit + 1, units,
@@ -316,9 +420,9 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
               report.units[0].error + "); campaign cannot be normalized");
     }
     baseline = runtime::decode_run_stats(payloads[0]);
-    trial_stats.resize(overlays.size());
-    trial_ok.assign(overlays.size(), 0);
-    for (std::size_t t = 0; t < overlays.size(); ++t) {
+    trial_stats.resize(trials);
+    trial_ok.assign(trials, 0);
+    for (std::size_t t = 0; t < trials; ++t) {
       if (report.units[t + 1].state == runtime::UnitState::kQuarantined) {
         ++quarantined;
         continue;
@@ -333,7 +437,7 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
   TrialAccumulator acc(config_.kind);
   for (std::size_t t = 0; t < trial_stats.size(); ++t) {
     if (trial_ok[t] == 0) continue;  // quarantined: contributes nothing
-    acc.add_trial(trial_stats[t], overlays[t].num_faults());
+    acc.add_trial(trial_stats[t], sites[t].size());
   }
   FaultCampaignStats agg = acc.finalize(&baseline);
   agg.trials_quarantined = quarantined;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "src/core/vl_multiplier.hpp"
 #include "src/fault/fault.hpp"
@@ -78,7 +79,7 @@ FaultOverlay output_cone_delay_overlay(const Netlist& netlist, double factor,
 
 /// q-th percentile (q in [0, 1]) of the per-op path delays; 0 for an empty
 /// trace. Used to pick demonstration periods with a known violation rate.
-///// Nearest-rank convention (src/core/quantile.hpp): the smallest delay d
+/// Nearest-rank convention (src/core/quantile.hpp): the smallest delay d
 /// such that at least q*N of the ops are <= d — the historic floor(q*N)
 /// index sat one rank high of this.
 double delay_percentile_ps(std::span<const OpTrace> trace, double q);
@@ -92,8 +93,11 @@ double max_delay_ps(std::span<const OpTrace> trace);
 struct CampaignRunOptions {
   std::span<const double> gate_delay_scale = {};
   double mean_dvth_v = 0.0;
-  /// Step kernel for the gate-level traces (kAuto: AGINGSIM_KERNEL, default
-  /// batch). Deliberately NOT part of config_digest: kernels are
+  /// Step kernel (kAuto: AGINGSIM_KERNEL, default batch). Under batch,
+  /// delay-outlier trials ride the lanes of corner sweeps (FaultCampaign);
+  /// every other kind runs one trace per trial on the batch kernel.
+  /// kDense/kSparse run one trace per trial on that scalar kernel, the
+  /// reference. Deliberately NOT part of config_digest: every path is
   /// bit-identical, so a campaign checkpointed under one kernel resumes
   /// byte-identically under another.
   SimKernel kernel = SimKernel::kAuto;
@@ -124,13 +128,25 @@ struct CampaignRunOptions {
 /// bit-reproducible), computes a faulty gate-level trace via a FaultOverlay
 /// (the shared netlist is never mutated) and replays it through a
 /// VariableLatencySystem.
+///
+/// Delay-outlier trials on the batch kernel (the default) skip the
+/// per-trial trace: a delay outlier changes no logic value, so trials share
+/// one fault-free trace and differ only in delays. They are scored
+/// kCornerLanes at a time in the lanes of one CornerTimingSim sweep, each
+/// lane's delay table carrying the aging scales times its trial's fault
+/// factors, and each lane's settles replayed op by op
+/// (VariableLatencySystem::Replay). Trial t rides lane t / G of group t % G,
+/// G = ceil(trials / kCornerLanes); the first unit of a group to run scores
+/// the whole group. Results, payloads and checkpoints are bit-identical to
+/// the per-trial path (docs/PERF.md "Fault-campaign trial lanes").
 class FaultCampaign {
  public:
   FaultCampaign(const MultiplierNetlist& mult, const TechLibrary& tech,
                 VlSystemConfig system, FaultCampaignConfig config);
 
   /// Samples the overlay for one trial (exposed for tests and custom
-  /// harnesses). `num_ops` bounds the transient cycles.
+  /// harnesses). `num_ops` bounds the transient cycles. Draws exactly what
+  /// run() draws per trial.
   FaultOverlay sample_overlay(Rng& rng, std::size_t num_ops) const;
 
   /// Runs the whole campaign over `patterns` with an optional aging overlay.
@@ -156,6 +172,18 @@ class FaultCampaign {
   const FaultCampaignConfig& config() const noexcept { return config_; }
 
  private:
+  /// One trial's fault sites, the RNG draws of sample_overlay.
+  std::vector<FaultSite> sample_sites(Rng& rng, std::size_t num_ops) const;
+
+  /// Scores the delay-outlier trials group, group + groups, ... of `sites`
+  /// in the lanes of one corner sweep; `clean` is the fault-free trace of
+  /// `patterns`. Returns one RunStats per lane.
+  std::vector<RunStats> score_lanes(
+      std::span<const OperandPattern> patterns, std::span<const OpTrace> clean,
+      const CampaignRunOptions& options,
+      std::span<const std::vector<FaultSite>> sites, std::size_t group,
+      std::size_t groups) const;
+
   const MultiplierNetlist* mult_;
   const TechLibrary* tech_;
   VlSystemConfig system_;

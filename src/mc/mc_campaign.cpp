@@ -14,6 +14,7 @@
 #include "src/obs/trace.hpp"
 #include "src/runtime/serial.hpp"
 #include "src/sim/corner_sim.hpp"
+#include "src/sim/timing_sim.hpp"
 #include "src/workload/rng.hpp"
 
 namespace agingsim::mc {
@@ -196,12 +197,6 @@ std::vector<McTrialRecord> McCampaign::score_corners(
   std::vector<McTrialRecord> records(cells);
   CornerTimingSim sim(mult.netlist, *tech_);
   std::vector<Logic> inputs(mult.netlist.num_inputs(), Logic::kZero);
-  const auto load = [&](std::uint64_t value, int first_input) {
-    for (int i = 0; i < mult.width; ++i) {
-      inputs[static_cast<std::size_t>(first_input + i)] =
-          logic_from_bool(((value >> i) & 1u) != 0);
-    }
-  };
 
   // Cell c = (trial - first) * years + y rides in lane c % kCornerLanes of
   // pass c / kCornerLanes — records order. A die whose years straddle two
@@ -230,8 +225,8 @@ std::vector<McTrialRecord> McCampaign::score_corners(
     std::array<std::uint64_t, kCornerLanes> violations{};
     for (std::size_t i = 0; i < patterns_.size(); ++i) {
       const OperandPattern& pat = patterns_[i];
-      load(pat.a, mult.a_first_input);
-      load(pat.b, mult.b_first_input);
+      load_bus(inputs, pat.a, mult.width, mult.a_first_input);
+      load_bus(inputs, pat.b, mult.width, mult.b_first_input);
       const std::span<const double> settle = sim.step(inputs);
       const std::uint64_t golden = reference_multiply(pat.a, pat.b, mult.width);
       const std::uint64_t product = sim.output_bits();

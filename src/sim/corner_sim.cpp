@@ -188,17 +188,35 @@ CornerTimingSim::CornerTimingSim(const Netlist& netlist,
   changed_gates_.resize(gates);
 }
 
-void CornerTimingSim::set_lane_scales(int lane, std::span<const double> scale) {
+void CornerTimingSim::set_lane_scales(int lane, std::span<const double> scale,
+                                      const FaultOverlay* faults) {
   if (lane < 0 || lane >= kLanes) {
     throw std::invalid_argument("CornerTimingSim::set_lane_scales: bad lane");
   }
-  if (scale.size() != netlist_->num_gates()) {
+  const std::size_t gates = netlist_->num_gates();
+  if (!scale.empty() && scale.size() != gates) {
     throw std::invalid_argument(
         "CornerTimingSim::set_lane_scales: need one multiplier per gate");
   }
-  for (std::size_t g = 0; g < scale.size(); ++g) {
+  if (faults != nullptr) {
+    if (faults->num_gates() != gates) {
+      throw std::invalid_argument(
+          "CornerTimingSim::set_lane_scales: overlay sized for a different "
+          "netlist");
+    }
+    for (const FaultSite& site : faults->faults()) {
+      if (site.kind != FaultKind::kDelayOutlier) {
+        throw std::invalid_argument(
+            "CornerTimingSim::set_lane_scales: only delay outliers leave "
+            "the shared values intact");
+      }
+    }
+  }
+  for (std::size_t g = 0; g < gates; ++g) {
+    // TimingSim::rebuild_delays' expression, factor by factor.
     double d = cell_delay_ps_[g];
-    d *= scale[g];  // TimingSim::rebuild_delays' expression
+    if (!scale.empty()) d *= scale[g];
+    if (faults != nullptr) d *= faults->delay_factor(static_cast<GateId>(g));
     delay_ps_[g * kLanes + static_cast<std::size_t>(lane)] = d;
   }
 }

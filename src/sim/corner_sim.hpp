@@ -1,11 +1,11 @@
 #pragma once
 
 // Corner-parallel timing kernel (docs/PERF.md "MC corner-parallel
-// scoring").
+// scoring" and "Fault-campaign trial lanes").
 //
 // The batch kernel packs *patterns* into lanes; this one packs *delay
-// tables*. Process variation and aging change only gate delays, so every
-// corner sees the same values, the same switching and the same products;
+// tables*. Process variation, aging and delay-outlier faults change only
+// gate delays, so every corner sees the same values, the same switching and the same products;
 // only arrivals differ. One CornerTimingSim therefore settles one operand
 // pattern per step with a single scalar value sweep (eval_cell in ascending
 // gate id, from the all-X power-up state, exactly the dense kernel's
@@ -16,9 +16,10 @@
 // statement for statement — first-wins minimum over controlling inputs,
 // maximum from 0.0 over changed inputs otherwise, the mux select override,
 // the tbuf maximum, then `+ delay` with delay = tech.delay(kind) * scale[g]
-// (TimingSim::rebuild_delays). Every step is a select, min/max or one add,
-// so each lane's output settle is exactly `==` a scalar TimingSim built
-// with that lane's scales (tests/corner_sim_test.cpp).
+// * delay_factor[g] (TimingSim::rebuild_delays). Every step is a select,
+// min/max or one add, so each lane's output settle is exactly `==` a scalar
+// TimingSim built with that lane's scales and overlay
+// (tests/corner_sim_test.cpp).
 //
 // Arrivals live in live-range slots, not per net: ascending gate id is the
 // evaluation order, so a net's arrival is needed only from its driver to
@@ -29,6 +30,7 @@
 #include <span>
 #include <vector>
 
+#include "src/fault/fault.hpp"
 #include "src/netlist/cell.hpp"
 #include "src/netlist/logic.hpp"
 #include "src/netlist/netlist.hpp"
@@ -46,9 +48,15 @@ class CornerTimingSim {
   /// every net at power-up X.
   CornerTimingSim(const Netlist& netlist, const TechLibrary& tech);
 
-  /// Installs lane `lane`'s per-gate delay multipliers (one per gate).
-  /// Throws std::invalid_argument on a bad lane or table size.
-  void set_lane_scales(int lane, std::span<const double> scale);
+  /// Installs lane `lane`'s delay table: tech.delay(kind) times `scale`
+  /// (one multiplier per gate; empty = a fresh circuit) times `faults`'
+  /// delay_factor when given, multiplied in TimingSim::rebuild_delays'
+  /// order. Delay outliers change no logic value, so they are the only
+  /// faults a lane can carry. Throws std::invalid_argument on a bad lane,
+  /// a table or overlay sized for another netlist, or an overlay holding a
+  /// stuck-at or transient site.
+  void set_lane_scales(int lane, std::span<const double> scale,
+                       const FaultOverlay* faults = nullptr);
 
   /// Returns every net to the all-X power-up state; the following steps
   /// settle lanes [0, lanes).

@@ -120,16 +120,23 @@ void TimingSim::rebuild_delays() {
   }
 }
 
-void TimingSim::load_bus(std::span<Logic> pattern_buffer, std::uint64_t value,
-                         int width, int first_input) const {
-  if (!bus_fits(first_input, width,
-                std::min(netlist_->num_inputs(), pattern_buffer.size()))) {
-    throw std::invalid_argument("TimingSim::load_bus: bus out of range");
+void load_bus(std::span<Logic> pattern_buffer, std::uint64_t value, int width,
+              int first_input) {
+  if (!bus_fits(first_input, width, pattern_buffer.size())) {
+    throw std::invalid_argument("load_bus: bus out of range");
   }
   for (int i = 0; i < width; ++i) {
     pattern_buffer[static_cast<std::size_t>(first_input + i)] =
         logic_from_bool(((value >> i) & 1u) != 0);
   }
+}
+
+void TimingSim::load_bus(std::span<Logic> pattern_buffer, std::uint64_t value,
+                         int width, int first_input) const {
+  agingsim::load_bus(
+      pattern_buffer.first(
+          std::min(netlist_->num_inputs(), pattern_buffer.size())),
+      value, width, first_input);
 }
 
 template <bool kOverlay, bool kTransient>

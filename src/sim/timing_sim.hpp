@@ -30,6 +30,12 @@ const char* kernel_name(SimKernel kernel) noexcept;
 /// in `inputs` inputs and in one 64-bit value (load_bus' range check).
 bool bus_fits(int first_input, int width, std::size_t inputs) noexcept;
 
+/// Writes an unsigned value onto an input bus laid out LSB-first from
+/// index `first_input` of `pattern_buffer`. Throws std::invalid_argument
+/// when the bus does not fit the buffer (bus_fits).
+void load_bus(std::span<Logic> pattern_buffer, std::uint64_t value, int width,
+              int first_input);
+
 /// Outcome of applying one input pattern.
 struct StepResult {
   /// Time (ps) at which the last *primary output* settles, i.e. the path

@@ -3,7 +3,8 @@
 // built with that lane's delay scales. Every lane's output settle and
 // product must be exactly `==` the scalar kernel's, on streams that start
 // from the all-X power-up, for 1, 31 and 32 lanes in use, and for an
-// every-cell-kind netlist whose Tbuf keeper powers up X.
+// every-cell-kind netlist whose Tbuf keeper powers up X, and for lanes
+// carrying a delay-outlier overlay on top of their aging table.
 
 #include "src/sim/corner_sim.hpp"
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "src/aging/variation.hpp"
+#include "src/fault/fault.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/netlist/builder.hpp"
 #include "src/sim/timing_sim.hpp"
@@ -193,6 +195,96 @@ TEST(CornerSimTest, EveryCellKindThroughKeeperXMatchesScalar) {
     }
   }
   expect_matches_scalar(nl, stream, "cell kinds");
+}
+
+TEST(CornerSimTest, DelayOutlierLanesMatchScalarWithTheSameOverlay) {
+  // Fault-campaign trial lanes: each lane is an aging table times one
+  // trial's delay-outlier factors, and must settle exactly like a scalar
+  // TimingSim carrying that aging table and that overlay. Lane 0 has one
+  // gate hit by two sites (factors multiply); odd lanes are fresh (an
+  // empty scale span); lane 2 has an overlay with nothing on the aging.
+  const MultiplierNetlist m = build_column_bypass_multiplier(8);
+  const Netlist& nl = m.netlist;
+  const std::vector<double> aging = process_variation_scales(nl, 0.1, 0xA6E);
+  Rng rng(0xFA17);
+  std::vector<FaultOverlay> overlays;
+  for (int l = 0; l < kCornerLanes; ++l) {
+    FaultOverlay overlay(nl.num_gates());
+    const auto gate = [&] {
+      return static_cast<GateId>(rng.next_below(nl.num_gates()));
+    };
+    const GateId twice = gate();
+    for (const double factor : {3.0, 5.0}) {
+      overlay.add({.kind = FaultKind::kDelayOutlier,
+                   .gate = l == 0 ? twice : gate(),
+                   .delay_factor = factor * (1.0 + 0.25 * l)});
+    }
+    overlays.push_back(std::move(overlay));
+  }
+  const auto lane_aging = [&](int l) {
+    return l % 2 == 1 ? std::span<const double>() : std::span(aging);
+  };
+  std::vector<std::vector<Logic>> stream;
+  for (const OperandPattern& p : uniform_patterns(rng, 8, 60)) {
+    std::vector<Logic> inputs(nl.num_inputs(), Logic::kZero);
+    for (int i = 0; i < 8; ++i) {
+      inputs[static_cast<std::size_t>(m.a_first_input + i)] =
+          logic_from_bool(((p.a >> i) & 1u) != 0);
+      inputs[static_cast<std::size_t>(m.b_first_input + i)] =
+          logic_from_bool(((p.b >> i) & 1u) != 0);
+    }
+    stream.push_back(std::move(inputs));
+  }
+
+  std::vector<std::vector<double>> want(kCornerLanes);
+  for (int l = 0; l < kCornerLanes; ++l) {
+    TimingSim scalar(nl, default_tech_library(), lane_aging(l));
+    if (l != 3) scalar.set_fault_overlay(&overlays[l]);
+    for (const auto& inputs : stream) {
+      want[l].push_back(scalar.step(inputs).output_settle_ps);
+    }
+  }
+  ASSERT_GT(overlays[0].delay_factor(overlays[0].faults()[0].gate), 15.0 - 1e-9)
+      << "premise: lane 0's two sites share a gate";
+
+  CornerTimingSim sim(nl, default_tech_library());
+  for (int l = 0; l < kCornerLanes; ++l) {
+    sim.set_lane_scales(l, lane_aging(l), l == 3 ? nullptr : &overlays[l]);
+  }
+  sim.power_up(kCornerLanes);
+  std::size_t slower = 0;
+  for (std::size_t op = 0; op < stream.size(); ++op) {
+    const std::span<const double> settle = sim.step(stream[op]);
+    for (int l = 0; l < kCornerLanes; ++l) {
+      ASSERT_EQ(settle[l], want[l][op]) << "lane " << l << " op " << op;
+    }
+    // Lanes 1 and 3 are both fresh; only lane 1 carries outliers.
+    slower += settle[1] > settle[3] ? 1u : 0u;
+  }
+  EXPECT_GT(slower, 0u) << "premise: the outliers sit on exercised paths";
+}
+
+TEST(CornerSimTest, LanesRejectValueChangingFaults) {
+  const MultiplierNetlist m = build_array_multiplier(4);
+  CornerTimingSim sim(m.netlist, default_tech_library());
+  const std::vector<double> table(m.netlist.num_gates(), 1.0);
+  for (const FaultSite site :
+       {FaultSite{.kind = FaultKind::kStuckAt0, .gate = 1},
+        FaultSite{.kind = FaultKind::kStuckAt1, .gate = 2},
+        FaultSite{.kind = FaultKind::kTransient, .gate = 3, .cycle = 4}}) {
+    FaultOverlay overlay(m.netlist.num_gates());
+    overlay.add({.kind = FaultKind::kDelayOutlier, .gate = 0,
+                 .delay_factor = 2.0});
+    overlay.add(site);
+    EXPECT_THROW(sim.set_lane_scales(0, table, &overlay),
+                 std::invalid_argument)
+        << fault_kind_name(site.kind);
+  }
+  const FaultOverlay other_netlist(m.netlist.num_gates() + 1);
+  EXPECT_THROW(sim.set_lane_scales(0, table, &other_netlist),
+               std::invalid_argument);
+  const FaultOverlay empty(m.netlist.num_gates());
+  EXPECT_NO_THROW(sim.set_lane_scales(0, {}, &empty));
 }
 
 TEST(CornerSimTest, LiveRangeSlotsAreFarFewerThanNets) {

@@ -3,10 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/aging/scenario.hpp"
 #include "src/core/vl_multiplier.hpp"
+#include "src/exec/thread_pool.hpp"
+#include "src/runtime/checkpoint.hpp"
+#include "src/runtime/robust_runner.hpp"
+#include "src/runtime/stats_codec.hpp"
+#include "src/sim/corner_sim.hpp"
 #include "src/workload/patterns.hpp"
 
 namespace agingsim {
@@ -232,6 +241,203 @@ TEST_F(FaultCampaignTest, CampaignsAreDeterministic) {
   EXPECT_EQ(s1.sdc_ops, s2.sdc_ops);
   EXPECT_EQ(s1.masked_faults, s2.masked_faults);
   EXPECT_DOUBLE_EQ(s1.avg_cycles_faulty, s2.avg_cycles_faulty);
+}
+
+// Trial lanes (docs/PERF.md "Fault-campaign trial lanes"): under the batch
+// kernel, delay-outlier trials are scored kCornerLanes per corner sweep
+// over one shared fault-free trace. They must reproduce the per-trial
+// reference kernels exactly: the statistics and every unit's payload.
+namespace fs = std::filesystem;
+
+struct StoredRun {
+  FaultCampaignStats stats;
+  std::vector<std::string> payloads;  ///< per unit, read back from the store
+  runtime::RunReport report;
+};
+
+/// Runs `campaign` under a RobustRunner persisting to `dir`; units already
+/// in `dir` are restored.
+StoredRun run_stored(const FaultCampaign& campaign,
+                     std::span<const OperandPattern> patterns,
+                     CampaignRunOptions options, const fs::path& dir,
+                     runtime::RunnerConfig rc = {}) {
+  runtime::CheckpointStore store(
+      dir, campaign.config_digest(patterns, options.gate_delay_scale,
+                                  options.mean_dvth_v));
+  store.load();
+  rc.checkpoints = &store;
+  runtime::RobustRunner runner(rc);
+  StoredRun out;
+  options.runner = &runner;
+  options.report = &out.report;
+  out.stats = campaign.run(patterns, options);
+  for (int u = 0; u <= campaign.config().trials; ++u) {
+    out.payloads.push_back(
+        store.restore(static_cast<std::uint64_t>(u)).value_or(""));
+  }
+  return out;
+}
+
+struct LaneCase {
+  bool aged;
+  int sites;
+  double factor;  ///< 8 stays inside the shadow window, 40 leaves it
+  bool storm;
+};
+
+/// Parameter: the trial count — one lane, a group short of full, exactly
+/// full, one past full (two groups), and four groups.
+class TrialLaneTest : public FaultCampaignTest,
+                      public ::testing::WithParamInterface<int> {};
+
+TEST_P(TrialLaneTest, LanesMatchTheReferenceKernelsExactly) {
+  const int trials = GetParam();
+  const AgingScenario scenario(mult_->netlist, *tech_,
+                               BtiModel::calibrated(*tech_), 0x7EA2, 1000);
+  const std::vector<double> aged = scenario.delay_scales_at(7.0);
+  const double dvth = scenario.mean_dvth_at(7.0);
+  // Four 40-op indicator windows, so a storm can engage and recover.
+  const std::span<const OperandPattern> ops(patterns_->data(), 160);
+  const fs::path dir = fs::temp_directory_path() /
+                       ("agingsim_trial_lanes_" + std::to_string(trials));
+
+  std::uint64_t uncovered = 0, escaped = 0, storms = 0;
+  for (const LaneCase c : {LaneCase{false, 1, 8.0, false},
+                           LaneCase{true, 3, 8.0, true},
+                           LaneCase{false, 3, 40.0, false},
+                           LaneCase{true, 1, 40.0, true}}) {
+    SCOPED_TRACE(testing::Message()
+                 << (c.aged ? "aged" : "fresh")
+                 << ", sites " << c.sites << ", factor " << c.factor
+                 << (c.storm ? ", storm fallback" : ""));
+    VlSystemConfig cfg = system_config();  // 5 ps metastability window
+    cfg.ahl.indicator.window_ops = 40;
+    cfg.ahl.storm_fallback = c.storm;
+    cfg.ahl.storm_error_threshold = 0.05;
+    FaultCampaignConfig cc =
+        campaign_config(FaultKind::kDelayOutlier, c.sites, c.factor);
+    cc.trials = trials;
+    const FaultCampaign campaign(*mult_, *tech_, cfg, cc);
+    CampaignRunOptions options;
+    if (c.aged) {
+      options.gate_delay_scale = aged;
+      options.mean_dvth_v = dvth;
+    }
+
+    std::vector<StoredRun> runs;
+    for (const SimKernel kernel :
+         {SimKernel::kBatch, SimKernel::kSparse, SimKernel::kDense}) {
+      fs::remove_all(dir);
+      options.kernel = kernel;
+      runs.push_back(run_stored(campaign, ops, options, dir));
+    }
+    for (std::size_t k = 1; k < runs.size(); ++k) {
+      EXPECT_TRUE(runs[0].stats == runs[k].stats) << "kernel " << k;
+      EXPECT_TRUE(runs[0].payloads == runs[k].payloads) << "kernel " << k;
+    }
+    EXPECT_EQ(runs[0].report.computed,
+              static_cast<std::size_t>(trials) + 1);
+    // Unit 0, the baseline, replays the shared fault-free trace.
+    VariableLatencySystem system(*mult_, *tech_, cfg);
+    EXPECT_EQ(runs[0].payloads[0],
+              runtime::encode_run_stats(system.run(
+                  compute_op_trace(*mult_, *tech_, ops,
+                                   options.gate_delay_scale),
+                  options.mean_dvth_v)));
+    // The plain parallel path scores the same lanes.
+    options.kernel = SimKernel::kBatch;
+    EXPECT_TRUE(campaign.run(ops, options) == runs[1].stats);
+
+    uncovered += runs[0].stats.uncovered_violations;
+    escaped += runs[0].stats.escaped_violations;
+    storms += runs[0].stats.storm_engagements;
+  }
+  fs::remove_all(dir);
+  // A few sites may all miss the long paths; a full group's must not.
+  if (trials >= kCornerLanes) {
+    EXPECT_GT(uncovered, 0u) << "premise: factor 40 settles past the window";
+    EXPECT_GT(escaped, 0u) << "premise: metastability escapes happen";
+    EXPECT_GT(storms, 0u) << "premise: the storm fallback engages";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Trials, TrialLaneTest,
+                         ::testing::Values(1, 31, 32, 33, 100));
+
+/// Stored runs of a 33-trial campaign: two lane groups, trials 0, 2, ...,
+/// 32 in group 0 and 1, 3, ..., 31 in group 1.
+class TrialLaneResumeTest : public FaultCampaignTest {
+ protected:
+  static FaultCampaign campaign() {
+    FaultCampaignConfig cc =
+        campaign_config(FaultKind::kDelayOutlier, 3, 8.0);
+    cc.trials = 33;
+    return FaultCampaign(*mult_, *tech_, system_config(), cc);
+  }
+  static std::span<const OperandPattern> ops() {
+    return {patterns_->data(), 200};
+  }
+  // One directory per test: ctest runs the tests concurrently.
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           (std::string("agingsim_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    fs::remove_all(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  fs::path dir_;
+};
+
+TEST_F(TrialLaneResumeTest, LanesResumeAGroupSplitBySparseCheckpoints) {
+  // Units 0..9 (baseline, trials 0..8) come from a sparse run; the lane
+  // run restores them, so both groups are part restored, part scored.
+  const FaultCampaign c = campaign();
+  const StoredRun sparse = run_stored(
+      c, ops(), CampaignRunOptions{.kernel = SimKernel::kSparse}, dir_);
+  for (int u = 10; u <= 33; ++u) {
+    char name[32];
+    std::snprintf(name, sizeof name, "unit-%06d.ckpt", u);
+    ASSERT_TRUE(fs::remove(dir_ / name)) << name;
+  }
+  const StoredRun lanes = run_stored(
+      c, ops(), CampaignRunOptions{.kernel = SimKernel::kBatch}, dir_);
+  EXPECT_EQ(lanes.report.restored, 10u);
+  EXPECT_EQ(lanes.report.computed, 24u);
+  EXPECT_TRUE(lanes.stats == sparse.stats);
+  EXPECT_TRUE(lanes.payloads == sparse.payloads);
+}
+
+TEST_F(TrialLaneResumeTest, TransientOnAGroupsFirstUnitRetriesTheScore) {
+  // One pool thread runs units in index order, so unit 2 (trial 1) is the
+  // first unit of group 1. Find a chaos seed that throws on its first
+  // attempt and on no attempt of units 0 and 1: the retry must score the
+  // group as if nothing had happened.
+  runtime::RunnerConfig rc;
+  rc.max_retries = 8;
+  rc.backoff_base = std::chrono::milliseconds(1);
+  rc.chaos.rate = 0.3;
+  const auto throws = [&](std::uint64_t unit, int attempt) {
+    return rc.chaos.decide(unit, attempt) ==
+           runtime::ChaosAction::kThrowTransient;
+  };
+  for (rc.chaos.seed = 1;; ++rc.chaos.seed) {
+    if (throws(2, 0) && !throws(0, 0) && !throws(1, 0)) break;
+  }
+  exec::ThreadPool one(1);
+  rc.pool = &one;
+  const FaultCampaign c = campaign();
+  const StoredRun lanes = run_stored(
+      c, ops(), CampaignRunOptions{.kernel = SimKernel::kBatch}, dir_, rc);
+  EXPECT_GE(lanes.report.units[2].attempts, 2);
+  EXPECT_GT(lanes.report.retries, 0u);
+  EXPECT_EQ(lanes.report.quarantined, 0u);
+
+  fs::remove_all(dir_);
+  const StoredRun sparse = run_stored(
+      c, ops(), CampaignRunOptions{.kernel = SimKernel::kSparse}, dir_);
+  EXPECT_TRUE(lanes.stats == sparse.stats);
+  EXPECT_TRUE(lanes.payloads == sparse.payloads);
 }
 
 TEST_F(FaultCampaignTest, TraceHelpers) {

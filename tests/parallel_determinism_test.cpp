@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -234,27 +233,39 @@ TEST(ParallelDeterminismTest, MetricsSnapshotIsIdenticalAcrossThreadCounts) {
   config.trials = 4;
   config.sites_per_trial = 2;
   const FaultCampaign campaign(m, tech(), system, config);
+  // 40 delay-outlier trials: two lane groups, the second part full.
+  config.kind = FaultKind::kDelayOutlier;
+  config.trials = 40;
+  const FaultCampaign delay_campaign(m, tech(), system, config);
   const auto patterns = workload(16, 150);
 
   obs::set_metrics_enabled(true);
-  const auto snapshot_with_env = [&](const char* env, SimKernel kernel) {
+  const auto snapshot_with_env = [&](const char* env, const FaultCampaign& c,
+                                     SimKernel kernel) {
     ScopedThreadsEnv scoped(env);
     obs::reset_metrics();
-    (void)campaign.run(patterns, CampaignRunOptions{.kernel = kernel});
+    (void)c.run(patterns, CampaignRunOptions{.kernel = kernel});
     // Deterministic-only: wall-time metrics (pool.worker_busy_us,
     // pool.queue_depth, ...) are scheduling-dependent by design and
     // excluded from the contract.
     return obs::metrics_json(/*deterministic_only=*/true);
   };
-  // The default batch kernel, then the sparse reference kernel; each
-  // snapshot must show that kernel's counters, not an empty registry.
-  const std::pair<SimKernel, const char*> kernels[] = {
-      {SimKernel::kBatch, "\"sim.batch.words\""},
-      {SimKernel::kSparse, "\"sim.steps_dense\""}};
-  for (const auto& [kernel, sim_counter] : kernels) {
-    SCOPED_TRACE(kernel_name(kernel));
-    const std::string one = snapshot_with_env("1", kernel);
-    const std::string eight = snapshot_with_env("8", kernel);
+  // The default batch kernel, then the sparse reference kernel, then
+  // delay-outlier trials in corner lanes; each snapshot must show that
+  // path's counters, not an empty registry.
+  struct Case {
+    const FaultCampaign* campaign;
+    SimKernel kernel;
+    const char* sim_counter;
+  };
+  const Case cases[] = {
+      {&campaign, SimKernel::kBatch, "\"sim.batch.words\""},
+      {&campaign, SimKernel::kSparse, "\"sim.steps_dense\""},
+      {&delay_campaign, SimKernel::kBatch, "\"sim.corner.steps\""}};
+  for (const auto& [c, kernel, sim_counter] : cases) {
+    SCOPED_TRACE(sim_counter);
+    const std::string one = snapshot_with_env("1", *c, kernel);
+    const std::string eight = snapshot_with_env("8", *c, kernel);
     EXPECT_EQ(one, eight);
     EXPECT_NE(one.find(sim_counter), std::string::npos) << one;
     EXPECT_NE(one.find("\"campaign.trials_completed\""), std::string::npos);
