@@ -118,7 +118,10 @@ static int bench_body() {
       cc.delay_factor = point.delay_factor;
       cc.seed = 0xFA17 + static_cast<std::uint64_t>(year);
       FaultCampaign campaign(cb16, lib, cfg, cc);
-      emit_campaign(json, point, year, campaign.run(pats, scales, dvth));
+      emit_campaign(
+          json, point, year,
+          campaign.run(pats,
+                       {.gate_delay_scale = scales, .mean_dvth_v = dvth}));
     }
   }
   json.end_array();

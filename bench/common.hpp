@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <optional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "src/obs/artifacts.hpp"
 #include "src/obs/trace.hpp"
 #include "src/report/table.hpp"
+#include "src/runtime/fold.hpp"
 #include "src/runtime/robust_runner.hpp"
 #include "src/runtime/stats_codec.hpp"
 #include "src/workload/patterns.hpp"
@@ -66,51 +68,42 @@ inline std::vector<double> linspace(double lo, double hi, int points) {
 }
 
 /// Runs a variable-latency system over `trace` at each period — one
-/// independent simulator per sweep point, fanned out across `pool` (or a
-/// one-shot pool honoring AGINGSIM_THREADS when none is given). Results
-/// come back in period order and are byte-identical for any thread count.
-/// With a `runner`, each sweep point becomes a crash-safe work unit
-/// (retry/backoff, watchdog, checkpoint/resume — docs/ROBUSTNESS.md);
-/// quarantined points come back as default RunStats (inspect the runner's
-/// RunReport to tell them apart).
+/// independent simulator per sweep point, one unit of the shared fold
+/// (src/runtime/fold.hpp) on `pool` (or a one-shot pool honoring
+/// AGINGSIM_THREADS when none is given). Results come back in period
+/// order and are byte-identical for any thread count. With a `runner`,
+/// each sweep point becomes a crash-safe work unit (retry/backoff,
+/// watchdog, checkpoint/resume — docs/ROBUSTNESS.md); quarantined points
+/// come back as default RunStats (inspect the runner's RunReport to tell
+/// them apart).
 inline std::vector<RunStats> sweep_periods(
     const MultiplierNetlist& mult, std::span<const OpTrace> trace,
     std::span<const double> periods_ps, int skip, bool adaptive,
     double mean_dvth_v = 0.0, exec::ThreadPool* pool = nullptr,
     runtime::RobustRunner* runner = nullptr,
     runtime::RunReport* report = nullptr) {
-  const auto run_point = [&](std::size_t i) {
-    VlSystemConfig cfg;
-    cfg.period_ps = periods_ps[i];
-    cfg.ahl.width = mult.width;
-    cfg.ahl.skip = skip;
-    cfg.ahl.adaptive = adaptive;
-    VariableLatencySystem sys(mult, tech(), cfg);
-    return sys.run(trace, mean_dvth_v);
-  };
-  if (runner != nullptr) {
-    runtime::RunReport local_report;
-    runtime::RunReport& rep = report != nullptr ? *report : local_report;
-    const auto payloads = runner->run(
-        periods_ps.size(),
-        [&](std::uint64_t unit, const runtime::CancelToken&) {
-          return runtime::encode_run_stats(
-              run_point(static_cast<std::size_t>(unit)));
-        },
-        &rep);
-    std::vector<RunStats> out(periods_ps.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (rep.units[i].state == runtime::UnitState::kComputed ||
-          rep.units[i].state == runtime::UnitState::kRestored) {
-        out[i] = runtime::decode_run_stats(payloads[i]);
-      }
-    }
-    return out;
+  const auto points = runtime::run_units<RunStats>(
+      periods_ps.size(),
+      {.compute = [&](std::uint64_t i) {
+         VlSystemConfig cfg;
+         cfg.period_ps = periods_ps[i];
+         cfg.ahl.width = mult.width;
+         cfg.ahl.skip = skip;
+         cfg.ahl.adaptive = adaptive;
+         VariableLatencySystem sys(mult, tech(), cfg);
+         return sys.run(trace, mean_dvth_v);
+       },
+       .encode = runtime::encode_run_stats,
+       .decode = runtime::decode_run_stats,
+       .runner = runner,
+       .report = report,
+       .pool = pool});
+  std::vector<RunStats> out;
+  out.reserve(points.size());
+  for (const std::optional<RunStats>& point : points) {
+    out.push_back(point.value_or(RunStats{}));
   }
-  if (pool != nullptr) {
-    return exec::parallel_for_indexed(*pool, periods_ps.size(), run_point);
-  }
-  return exec::parallel_for_indexed(periods_ps.size(), run_point);
+  return out;
 }
 
 /// The three architectures at one width, with critical paths and gate-level

@@ -13,6 +13,7 @@
 
 #include "bench/common.hpp"
 #include "src/runtime/checkpoint.hpp"
+#include "src/runtime/fold.hpp"
 #include "src/runtime/serial.hpp"
 
 namespace agingsim::bench {
@@ -38,9 +39,9 @@ inline void run_seven_year_figure(const char* fig, int width,
   const char* names[kDesigns] = {"AM", "FLCB", "FLRB", "A-VLCB", "A-VLRB"};
   std::array<std::array<RunStats, kDesigns>, 8> stats;
 
-  // One independent simulator per (year, design): the year points fan out
-  // across the RobustRunner (which parallelizes via the same pool layer),
-  // each replaying the shared pattern set through its own aged trace.
+  // One independent simulator per (year, design): the year rows are units
+  // of the shared fold (src/runtime/fold.hpp) on a RobustRunner, each
+  // replaying the shared pattern set through its own aged trace.
   // Results land in year order, so output is byte-identical to the serial
   // sweep for any AGINGSIM_THREADS setting — and, because each year row is
   // persisted as one checkpoint unit the moment it completes, a run killed
@@ -65,9 +66,8 @@ inline void run_seven_year_figure(const char* fig, int width,
       VariableLatencySystem sys(a.mult, t, cfg);
       return sys.run(trace, a.scenario.mean_dvth_at(year));
     };
-    return std::array<RunStats, kDesigns>{run_fixed(am), run_fixed(cb),
-                                          run_fixed(rb), run_vl(cb),
-                                          run_vl(rb)};
+    return std::vector<RunStats>{run_fixed(am), run_fixed(cb), run_fixed(rb),
+                                 run_vl(cb), run_vl(rb)};
   };
 
   runtime::RunnerConfig runner_config = runtime::RunnerConfig::from_env();
@@ -90,29 +90,26 @@ inline void run_seven_year_figure(const char* fig, int width,
   }
   runtime::RobustRunner runner(runner_config);
   runtime::RunReport report;
-  const auto payloads = runner.run(
+  const auto rows = runtime::run_units<std::vector<RunStats>>(
       std::size_t{8},
-      [&](std::uint64_t y, const runtime::CancelToken&) {
-        const auto row = compute_year_row(static_cast<std::size_t>(y));
-        return runtime::encode_run_stats_row(row);
-      },
-      &report);
-  if (!report.all_ok()) {
-    // A figure with holes is worthless: surface the first failure.
-    for (const runtime::UnitOutcome& u : report.units) {
-      if (u.state == runtime::UnitState::kQuarantined) {
-        throw runtime::RunError(u.category,
-                                std::string(fig) + ": year row quarantined: " +
-                                    u.error);
-      }
-    }
-  }
+      {.compute = compute_year_row,
+       .encode = runtime::encode_run_stats_row,
+       .decode = runtime::decode_run_stats_row,
+       .runner = &runner,
+       .report = &report});
   for (int year = 0; year <= 7; ++year) {
-    const auto row = runtime::decode_run_stats_row(
-        payloads[static_cast<std::size_t>(year)]);
+    const auto& row = rows[static_cast<std::size_t>(year)];
+    if (!row) {
+      // A figure with holes is worthless: surface the first failure.
+      const runtime::UnitOutcome& u =
+          report.units[static_cast<std::size_t>(year)];
+      throw runtime::RunError(u.category, std::string(fig) +
+                                              ": year row quarantined: " +
+                                              u.error);
+    }
     for (int d = 0; d < kDesigns; ++d) {
       stats[year][static_cast<std::size_t>(d)] =
-          row.at(static_cast<std::size_t>(d));
+          row->at(static_cast<std::size_t>(d));
     }
   }
 

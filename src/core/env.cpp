@@ -1,5 +1,6 @@
 #include "src/core/env.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -40,8 +41,12 @@ std::optional<long> parse_long(std::string_view text, int base) {
 std::optional<unsigned long long> parse_u64(std::string_view text, int base) {
   if (text.empty()) return std::nullopt;
   const std::string buf(text);
-  // strtoull silently negates "-1" instead of failing; reject signs here.
-  if (buf[0] == '-' || buf[0] == '+') return std::nullopt;
+  // strtoull silently negates "-1" (or " -1") instead of failing; reject
+  // signs and the leading blanks it would skip to reach one.
+  if (buf[0] == '-' || buf[0] == '+' ||
+      std::isspace(static_cast<unsigned char>(buf[0])) != 0) {
+    return std::nullopt;
+  }
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(buf.c_str(), &end, base);

@@ -7,9 +7,9 @@
 #include <vector>
 
 #include "src/core/quantile.hpp"
-#include "src/exec/thread_pool.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/runtime/fold.hpp"
 #include "src/runtime/serial.hpp"
 #include "src/runtime/stats_codec.hpp"
 #include "src/sim/corner_sim.hpp"
@@ -55,15 +55,11 @@ struct TrialAccumulator {
     total_cycles += s.total_cycles;
   }
 
-  /// Aggregate with the derived fields filled in. `baseline` may be null
-  /// early in a streamed campaign (progress frames before unit 0 cannot
-  /// happen — unit 0 is first — but the guard keeps this total).
-  FaultCampaignStats finalize(const RunStats* baseline) const {
+  /// Aggregate with the derived fields filled in.
+  FaultCampaignStats finalize(const RunStats& baseline) const {
     FaultCampaignStats out = agg;
-    if (baseline != nullptr) {
-      out.avg_cycles_baseline = baseline->avg_cycles;
-      out.baseline_errors_per_10k_ops = baseline->errors_per_10k_ops;
-    }
+    out.avg_cycles_baseline = baseline.avg_cycles;
+    out.baseline_errors_per_10k_ops = baseline.errors_per_10k_ops;
     const std::uint64_t violations = out.detected_violations +
                                      out.escaped_violations +
                                      out.uncovered_violations;
@@ -222,15 +218,6 @@ std::vector<RunStats> FaultCampaign::score_lanes(
   return stats;
 }
 
-FaultCampaignStats FaultCampaign::run(
-    std::span<const OperandPattern> patterns,
-    std::span<const double> gate_delay_scale, double mean_dvth_v) const {
-  CampaignRunOptions options;
-  options.gate_delay_scale = gate_delay_scale;
-  options.mean_dvth_v = mean_dvth_v;
-  return run(patterns, options);
-}
-
 std::uint64_t FaultCampaign::config_digest(
     std::span<const OperandPattern> patterns,
     std::span<const double> gate_delay_scale, double mean_dvth_v) const {
@@ -356,90 +343,57 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
     return stats;
   };
 
-  RunStats baseline;
-  std::vector<RunStats> trial_stats;
-  std::vector<char> trial_ok;
-  std::uint64_t quarantined = 0;
-  if (options.runner == nullptr) {
-    baseline = run_baseline();
-    trial_stats = exec::parallel_for_indexed(trials, run_trial);
-    trial_ok.assign(trial_stats.size(), 1);
-  } else {
-    // Crash-safe path: unit 0 = baseline, units 1..trials = trials. Each
-    // unit's payload is its bit-exact encoded RunStats, so units restored
-    // from a checkpoint aggregate identically to freshly computed ones.
-    runtime::RunReport local_report;
-    runtime::RunReport& report =
-        options.report != nullptr ? *options.report : local_report;
-    const std::size_t units = trials + 1;
-    // Streaming: decode each unit as it joins the completion frontier and
-    // hand the caller a running aggregate. The runner serializes progress
-    // calls and delivers units in strict unit order, so `acc` needs no
-    // locking and the partial at units_done = k covers exactly units
-    // [0, k) — unit 0 being the baseline.
-    runtime::RobustRunner::Progress runner_progress;
-    TrialAccumulator stream_acc(config_.kind);
-    RunStats stream_baseline;
-    bool stream_has_baseline = false;
-    if (options.progress) {
-      runner_progress = [&](std::uint64_t unit, const std::string& payload,
-                            runtime::UnitState) {
-        const RunStats s = runtime::decode_run_stats(payload);
-        if (unit == 0) {
-          stream_baseline = s;
-          stream_has_baseline = true;
-        } else {
-          stream_acc.add_trial(s, sites[unit - 1].size());
-        }
-        options.progress(
-            unit + 1, units,
-            stream_acc.finalize(stream_has_baseline ? &stream_baseline
-                                                    : nullptr));
-      };
-    }
-    const auto payloads = options.runner->run(
-        units,
-        [&](std::uint64_t unit, const runtime::CancelToken&) {
-          return runtime::encode_run_stats(unit == 0 ? run_baseline()
-                                                     : run_trial(unit - 1));
-        },
-        &report, runner_progress);
-    if (report.interrupted()) {
-      // A stop token cut the run short; completed units are checkpointed,
-      // so the right move is resume, not aggregation over holes.
-      throw runtime::RunError(
-          runtime::ErrorCategory::kTransient,
-          "FaultCampaign: interrupted before completion (" +
-              std::to_string(report.skipped) +
-              " units skipped); resume to continue");
-    }
-    if (report.units[0].state == runtime::UnitState::kQuarantined) {
-      throw runtime::RunError(
-          runtime::ErrorCategory::kPermanent,
-          "FaultCampaign: baseline unit quarantined (" +
-              report.units[0].error + "); campaign cannot be normalized");
-    }
-    baseline = runtime::decode_run_stats(payloads[0]);
-    trial_stats.resize(trials);
-    trial_ok.assign(trials, 0);
-    for (std::size_t t = 0; t < trials; ++t) {
-      if (report.units[t + 1].state == runtime::UnitState::kQuarantined) {
-        ++quarantined;
-        continue;
+  // Unit 0 is the baseline, units 1..trials the trials. On the crash-safe
+  // path each unit's payload is its bit-exact encoded RunStats, so units
+  // restored from a checkpoint aggregate identically to computed ones.
+  const std::size_t units = trials + 1;
+  runtime::RunReport local_report;
+  runtime::UnitFold<RunStats> fold{
+      .compute = [&](std::uint64_t unit) {
+        return unit == 0 ? run_baseline() : run_trial(unit - 1);
+      },
+      .encode = runtime::encode_run_stats,
+      .decode = runtime::decode_run_stats,
+      .runner = options.runner,
+      .report = options.report != nullptr ? options.report : &local_report};
+  // Streaming: the fold delivers units in strict unit order, serialized,
+  // so `stream_acc` needs no locking and the partial at units_done = k
+  // covers exactly units [0, k) — unit 0, the baseline, always first.
+  TrialAccumulator stream_acc(config_.kind);
+  RunStats stream_baseline;
+  if (options.progress) {
+    fold.progress = [&](std::uint64_t unit, const RunStats& s) {
+      if (unit == 0) {
+        stream_baseline = s;
+      } else {
+        stream_acc.add_trial(s, sites[unit - 1].size());
       }
-      trial_stats[t] = runtime::decode_run_stats(payloads[t + 1]);
-      trial_ok[t] = 1;
-    }
+      options.progress(unit + 1, units, stream_acc.finalize(stream_baseline));
+    };
+  }
+  const std::vector<std::optional<RunStats>> stats =
+      runtime::run_units(units, fold);
+  runtime::throw_if_interrupted(*fold.report, "FaultCampaign");
+  if (!stats[0]) {
+    throw runtime::RunError(
+        runtime::ErrorCategory::kPermanent,
+        "FaultCampaign: baseline unit quarantined (" +
+            fold.report->units[0].error + "); campaign cannot be normalized");
   }
 
   // Aggregation runs in trial-index order; every accumulator is an
   // integer, so the totals are independent of scheduling anyway.
+  // Quarantined trials contribute nothing but their count.
   TrialAccumulator acc(config_.kind);
-  for (std::size_t t = 0; t < trial_stats.size(); ++t) {
-    if (trial_ok[t] == 0) continue;  // quarantined: contributes nothing
-    acc.add_trial(trial_stats[t], sites[t].size());
+  std::uint64_t quarantined = 0;
+  for (std::size_t t = 0; t < trials; ++t) {
+    if (!stats[t + 1]) {
+      ++quarantined;
+      continue;
+    }
+    acc.add_trial(*stats[t + 1], sites[t].size());
   }
-  FaultCampaignStats agg = acc.finalize(&baseline);
+  FaultCampaignStats agg = acc.finalize(*stats[0]);
   agg.trials_quarantined = quarantined;
   return agg;
 }

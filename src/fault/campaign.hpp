@@ -149,17 +149,12 @@ class FaultCampaign {
   /// run() draws per trial.
   FaultOverlay sample_overlay(Rng& rng, std::size_t num_ops) const;
 
-  /// Runs the whole campaign over `patterns` with an optional aging overlay.
+  /// Runs the whole campaign over `patterns` with the options' aging
+  /// overlay, executed under the options' RobustRunner when one is given.
+  /// Throws runtime::RunError(kPermanent) if the baseline unit itself is
+  /// quarantined — no faulty trial can be normalized without it.
   FaultCampaignStats run(std::span<const OperandPattern> patterns,
-                         std::span<const double> gate_delay_scale = {},
-                         double mean_dvth_v = 0.0) const;
-
-  /// Crash-safe variant: same statistics, executed under the options'
-  /// RobustRunner when one is given. Throws runtime::RunError(kPermanent)
-  /// if the baseline unit itself is quarantined — no faulty trial can be
-  /// normalized without it.
-  FaultCampaignStats run(std::span<const OperandPattern> patterns,
-                         const CampaignRunOptions& options) const;
+                         const CampaignRunOptions& options = {}) const;
 
   /// Fingerprint of everything that determines this campaign's work-unit
   /// payloads (multiplier, system config, campaign config, workload,

@@ -15,6 +15,14 @@ const char* fault_kind_name(FaultKind kind) noexcept {
   return "?";
 }
 
+std::optional<FaultKind> parse_fault_kind(std::string_view name) {
+  if (name == "stuck0") return FaultKind::kStuckAt0;
+  if (name == "stuck1") return FaultKind::kStuckAt1;
+  if (name == "transient") return FaultKind::kTransient;
+  if (name == "delay") return FaultKind::kDelayOutlier;
+  return std::nullopt;
+}
+
 FaultOverlay::FaultOverlay(std::size_t num_gates)
     : stuck_(num_gates, 0), delay_factor_(num_gates, 1.0) {}
 

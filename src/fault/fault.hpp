@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "src/netlist/logic.hpp"
@@ -33,6 +35,10 @@ enum class FaultKind : std::uint8_t {
 };
 
 const char* fault_kind_name(FaultKind kind) noexcept;
+
+/// The kind a CLI flag or a request names: stuck0, stuck1, transient or
+/// delay; nullopt for anything else.
+std::optional<FaultKind> parse_fault_kind(std::string_view name);
 
 /// One injected fault, anchored to the output of a gate.
 struct FaultSite {

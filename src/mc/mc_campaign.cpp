@@ -9,9 +9,9 @@
 #include "src/aging/bti.hpp"
 #include "src/aging/scenario.hpp"
 #include "src/core/quantile.hpp"
-#include "src/exec/thread_pool.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/runtime/fold.hpp"
 #include "src/runtime/serial.hpp"
 #include "src/sim/corner_sim.hpp"
 #include "src/sim/timing_sim.hpp"
@@ -312,43 +312,27 @@ McResult McCampaign::run(const McRunOptions& options) const {
     arch_result.period_ps = arch_contexts_[a].period_ps;
   }
 
-  const auto unit_records =
-      [&](std::uint64_t unit) -> std::vector<McTrialRecord> {
-    return compute_block(static_cast<std::size_t>(unit) / blocks,
-                         static_cast<std::size_t>(unit) % blocks);
-  };
-
-  if (options.runner == nullptr) {
-    const auto per_unit = exec::parallel_for_indexed(units, unit_records);
-    for (std::size_t u = 0; u < units; ++u) {
-      McArchResult& arch_result = result.arches[u / blocks];
-      arch_result.records.insert(arch_result.records.end(),
-                                 per_unit[u].begin(), per_unit[u].end());
-    }
-    return result;
-  }
-
+  // Unit u is seed block u % blocks of arch u / blocks; its payload is the
+  // block's records through the bit-exact block codec.
   runtime::RunReport local_report;
   runtime::RunReport& report =
       options.report != nullptr ? *options.report : local_report;
-  const auto payloads = options.runner->run(
+  const auto block_records = runtime::run_units<std::vector<McTrialRecord>>(
       units,
-      [&](std::uint64_t unit, const runtime::CancelToken&) {
-        return encode_mc_block(unit_records(unit));
-      },
-      &report);
-  if (report.interrupted()) {
-    throw runtime::RunError(
-        runtime::ErrorCategory::kTransient,
-        "McCampaign: interrupted before completion (" +
-            std::to_string(report.skipped) +
-            " units skipped); resume to continue");
-  }
+      {.compute = [&](std::uint64_t unit) {
+         return compute_block(static_cast<std::size_t>(unit) / blocks,
+                              static_cast<std::size_t>(unit) % blocks);
+       },
+       .encode = encode_mc_block,
+       .decode = decode_mc_block,
+       .runner = options.runner,
+       .report = &report});
+  runtime::throw_if_interrupted(report, "McCampaign");
   // Aggregate in unit order — the only order that exists in the result —
   // so restored, retried and freshly computed blocks land identically.
   for (std::size_t u = 0; u < units; ++u) {
     McArchResult& arch_result = result.arches[u / blocks];
-    if (report.units[u].state == runtime::UnitState::kQuarantined) {
+    if (!block_records[u]) {
       const std::size_t first = (u % blocks) * static_cast<std::size_t>(
                                                   config_.block);
       const std::size_t last =
@@ -357,9 +341,9 @@ McResult McCampaign::run(const McRunOptions& options) const {
       arch_result.trials_quarantined += last - first;
       continue;
     }
-    const auto records = decode_mc_block(payloads[u]);
-    arch_result.records.insert(arch_result.records.end(), records.begin(),
-                               records.end());
+    arch_result.records.insert(arch_result.records.end(),
+                               block_records[u]->begin(),
+                               block_records[u]->end());
   }
   return result;
 }

@@ -67,14 +67,16 @@ struct McCampaignConfig {
   /// delay distribution actually straddles it, so the error-rate bands
   /// separate fast-aging dies from the median instead of reading all-zero.
   double period_frac = 0.58;
-  /// How trials are scored. kBatch (the default) packs a block's (trial,
+  /// How trials are scored. kAuto (the default, like TraceOptions and
+  /// CampaignRunOptions) resolves through AGINGSIM_KERNEL to batch unless
+  /// the variable names a scalar kernel. kBatch packs a block's (trial,
   /// year) cells into the lanes of a CornerTimingSim: one value sweep per
   /// operation times 32 delay tables. kDense/kSparse replay every cell
   /// through its own compute_op_trace, the reference the corner path is
-  /// tested against; kAuto resolves through AGINGSIM_KERNEL. All are
-  /// bit-identical, so this is excluded from the config digest (a campaign
-  /// checkpointed under one kernel resumes byte-identically under another).
-  SimKernel kernel = SimKernel::kBatch;
+  /// tested against. All are bit-identical, so this is excluded from the
+  /// config digest (a campaign checkpointed under one kernel resumes
+  /// byte-identically under another).
+  SimKernel kernel = SimKernel::kAuto;
 };
 
 /// Metrics of one (trial, year) cell. Everything downstream — bands,

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "src/netlist/netlist.hpp"
@@ -21,6 +23,11 @@ enum class MultiplierArch {
 };
 
 const char* arch_name(MultiplierArch arch) noexcept;
+
+/// The architecture a CLI flag or a request names: am, cb, rb, wt (the
+/// lower-case arch_name) or array, column, row, wallace; nullopt for
+/// anything else.
+std::optional<MultiplierArch> parse_arch(std::string_view name);
 
 /// True when the bypass select lines (and therefore the AHL judging input,
 /// Fig. 12) come from the multiplicand; false when they come from the

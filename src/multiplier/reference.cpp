@@ -14,6 +14,14 @@ const char* arch_name(MultiplierArch arch) noexcept {
   return "?";
 }
 
+std::optional<MultiplierArch> parse_arch(std::string_view name) {
+  if (name == "am" || name == "array") return MultiplierArch::kArray;
+  if (name == "cb" || name == "column") return MultiplierArch::kColumnBypass;
+  if (name == "rb" || name == "row") return MultiplierArch::kRowBypass;
+  if (name == "wt" || name == "wallace") return MultiplierArch::kWallaceTree;
+  return std::nullopt;
+}
+
 bool judges_on_multiplicand(MultiplierArch arch) noexcept {
   return arch != MultiplierArch::kRowBypass;
 }

@@ -1,6 +1,8 @@
 #include "src/obs/artifacts.hpp"
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <optional>
 #include <string>
 
@@ -45,6 +47,27 @@ void flush_env_artifacts() noexcept {
   const EnvArtifacts& a = env_artifacts();
   if (a.trace_path.has_value()) (void)write_trace_json(*a.trace_path);
   if (a.metrics_path.has_value()) (void)write_metrics_json(*a.metrics_path);
+}
+
+bool write_file_atomic(const std::string& path, std::string_view text,
+                       std::string_view who) {
+  const std::string tmp = path + ".tmp";
+  const std::string prefix(who);
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) {
+      std::fprintf(stderr, "%s: cannot write %s\n", prefix.c_str(),
+                   tmp.c_str());
+      return false;
+    }
+    out << text << "\n";
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::fprintf(stderr, "%s: cannot rename %s\n", prefix.c_str(),
+                 tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace agingsim::obs

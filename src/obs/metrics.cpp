@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <deque>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 
+#include "src/obs/artifacts.hpp"
 #include "src/report/json.hpp"
 
 namespace agingsim::obs {
@@ -339,20 +338,7 @@ std::string metrics_json(bool deterministic_only) {
 }
 
 bool write_metrics_json(const std::string& path, bool deterministic_only) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "obs: cannot write %s\n", tmp.c_str());
-      return false;
-    }
-    out << metrics_json(deterministic_only) << "\n";
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "obs: cannot rename %s\n", tmp.c_str());
-    return false;
-  }
-  return true;
+  return write_file_atomic(path, metrics_json(deterministic_only), "obs");
 }
 
 void reset_metrics() noexcept {

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "src/core/env.hpp"
+#include "src/obs/artifacts.hpp"
 #include "src/report/json.hpp"
 
 namespace agingsim::obs {
@@ -214,20 +213,7 @@ std::string trace_json() {
 }
 
 bool write_trace_json(const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "obs: cannot write %s\n", tmp.c_str());
-      return false;
-    }
-    out << trace_json() << "\n";
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "obs: cannot rename %s\n", tmp.c_str());
-    return false;
-  }
-  return true;
+  return write_file_atomic(path, trace_json(), "obs");
 }
 
 void reset_trace() noexcept {

@@ -7,23 +7,9 @@
 #include <vector>
 
 #include "src/core/env.hpp"
+#include "src/workload/rng.hpp"
 
 namespace agingsim::runtime {
-namespace {
-
-/// splitmix64 — the repo-standard bit mixer (see workload/rng.hpp).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-double to_unit_interval(std::uint64_t x) {
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 std::string_view chaos_action_name(ChaosAction action) {
   switch (action) {
@@ -35,54 +21,66 @@ std::string_view chaos_action_name(ChaosAction action) {
   return "unknown";
 }
 
+std::optional<ChaosSpec> split_chaos_spec(std::string_view spec,
+                                          std::string_view allowed,
+                                          std::string_view default_actions,
+                                          int seed_base, std::string* error) {
+  const auto fail = [&](const std::string& why) -> std::optional<ChaosSpec> {
+    if (error != nullptr) *error = why;
+    return std::nullopt;
+  };
+  std::vector<std::string_view> fields;
+  while (true) {
+    const std::size_t colon = spec.find(':');
+    fields.push_back(spec.substr(0, colon));
+    if (colon == std::string_view::npos) break;
+    spec.remove_prefix(colon + 1);
+  }
+  if (fields.size() < 2 || fields.size() > 3) {
+    return fail("need 2 or 3 colon-separated fields");
+  }
+  // Strict whole-field parses (src/core/env.hpp): trailing garbage in any
+  // field rejects the spec instead of silently truncating it.
+  const auto seed = env::parse_u64(fields[0], seed_base);
+  if (!seed.has_value()) return fail("bad seed");
+  const auto rate = env::parse_double(fields[1]);
+  if (!rate.has_value() || *rate < 0.0 || *rate > 1.0) {
+    return fail("rate must be a number in [0, 1]");
+  }
+  ChaosSpec out{.seed = *seed,
+                .rate = *rate,
+                .actions = std::string(fields.size() == 3 ? fields[2]
+                                                          : default_actions)};
+  if (out.actions.empty()) return fail("empty actions field");
+  for (const char c : out.actions) {
+    if (allowed.find(c) == std::string_view::npos) {
+      return fail(std::string("unknown action '") + c + "'");
+    }
+  }
+  return out;
+}
+
 std::optional<ChaosPolicy> ChaosPolicy::parse(std::string_view spec,
                                               std::string* error) {
-  const auto fail = [&](const std::string& why) -> std::optional<ChaosPolicy> {
+  std::string why;
+  const auto fields = split_chaos_spec(spec, "tpsc", "t", 0, &why);
+  if (!fields) {
     if (error != nullptr) {
       *error = "chaos spec '" + std::string(spec) + "': " + why +
                " (expected seed:rate[:actions], actions in [tpsc])";
     }
     return std::nullopt;
-  };
-
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t colon = spec.find(':', start);
-    fields.emplace_back(spec.substr(
-        start, colon == std::string_view::npos ? colon : colon - start));
-    if (colon == std::string_view::npos) break;
-    start = colon + 1;
   }
-  if (fields.size() < 2 || fields.size() > 3) {
-    return fail("need 2 or 3 colon-separated fields");
-  }
-
   ChaosPolicy policy;
-  // Strict whole-field parses (src/core/env.hpp): trailing garbage in any
-  // field rejects the spec instead of silently truncating it.
-  const auto seed = env::parse_u64(fields[0], 0);  // base 0: 0x ok
-  if (!seed.has_value()) return fail("bad seed");
-  policy.seed = *seed;
-  const auto rate = env::parse_double(fields[1]);
-  if (!rate.has_value() || *rate < 0.0 || *rate > 1.0) {
-    return fail("rate must be a number in [0, 1]");
-  }
-  policy.rate = *rate;
-
-  if (fields.size() == 3) {
-    policy.throw_transient = false;
-    if (fields[2].empty()) return fail("empty actions field");
-    for (char c : fields[2]) {
-      switch (c) {
-        case 't': policy.throw_transient = true; break;
-        case 'p': policy.throw_permanent = true; break;
-        case 's': policy.stall = true; break;
-        case 'c': policy.crash = true; break;
-        default: return fail(std::string("unknown action '") + c + "'");
-      }
-    }
-  }
+  policy.seed = fields->seed;
+  policy.rate = fields->rate;
+  const auto has = [&](char c) {
+    return fields->actions.find(c) != std::string::npos;
+  };
+  policy.throw_transient = has('t');
+  policy.throw_permanent = has('p');
+  policy.stall = has('s');
+  policy.crash = has('c');
   return policy;
 }
 

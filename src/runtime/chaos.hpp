@@ -33,6 +33,27 @@ enum class ChaosAction {
 
 std::string_view chaos_action_name(ChaosAction action);
 
+/// The fields of a `seed:rate[:actions]` chaos spec, the grammar shared by
+/// AGINGSIM_CHAOS (ChaosPolicy) and AGINGSIM_SERVE_CHAOS
+/// (serve::ServeChaosConfig).
+struct ChaosSpec {
+  std::uint64_t seed = 0;
+  double rate = 0.0;    ///< in [0, 1]
+  std::string actions;  ///< non-empty, every letter from the allowed set
+};
+
+/// Splits and checks a chaos spec: a whole-field integer seed in
+/// `seed_base` (0 also takes 0x/0 prefixes), a rate in [0, 1], and an
+/// optional non-empty actions field drawn from `allowed` that replaces
+/// `default_actions`. Each entry point keeps its own action set, default
+/// and seed base. Returns nullopt for a malformed spec and fills *error
+/// with the reason.
+std::optional<ChaosSpec> split_chaos_spec(std::string_view spec,
+                                          std::string_view allowed,
+                                          std::string_view default_actions,
+                                          int seed_base,
+                                          std::string* error = nullptr);
+
 struct ChaosPolicy {
   std::uint64_t seed = 0;
   double rate = 0.0;  ///< per-(unit, attempt) injection probability

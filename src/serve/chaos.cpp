@@ -9,30 +9,22 @@
 
 #include "src/core/env.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/runtime/chaos.hpp"
+#include "src/workload/rng.hpp"
 
 namespace agingsim::serve {
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 // Per-thread operation counter: each connection is driven by a single
 // thread per direction, so hashing (seed, thread-local counter) yields a
 // reproducible per-connection fault schedule without cross-thread locking.
 std::uint64_t next_draw(std::uint64_t seed) {
   thread_local std::uint64_t counter = 0;
-  return splitmix64(seed ^ splitmix64(++counter));
+  return mix64(seed ^ mix64(++counter));
 }
 
 bool coin(const ServeChaosConfig& cfg, std::uint64_t draw) {
-  // Top 53 bits → uniform double in [0, 1).
-  const double u =
-      static_cast<double>(draw >> 11) * (1.0 / 9007199254740992.0);
-  return u < cfg.rate;
+  return to_unit_interval(draw) < cfg.rate;
 }
 
 void maybe_stall(const ServeChaosConfig& cfg) {
@@ -61,46 +53,27 @@ ActiveChaos& active() {
 }  // namespace
 
 ServeChaosConfig ServeChaosConfig::from_env() {
-  ServeChaosConfig cfg;
   const auto spec = env::str_var("AGINGSIM_SERVE_CHAOS");
-  if (!spec || spec->empty()) return cfg;
-
-  const auto warn = [&](const char* why) {
+  if (!spec) return {};
+  std::string error;
+  const auto fields = runtime::split_chaos_spec(*spec, "tbsd", "tbs", 10,
+                                                &error);
+  if (!fields) {
     std::fprintf(stderr,
                  "agingsim: ignoring AGINGSIM_SERVE_CHAOS='%s' (%s); chaos"
                  " disabled\n",
-                 spec->c_str(), why);
-    return ServeChaosConfig{};
-  };
-
-  const std::size_t c1 = spec->find(':');
-  if (c1 == std::string::npos) return warn("want seed:rate[:actions]");
-  const std::size_t c2 = spec->find(':', c1 + 1);
-  const std::string seed_text = spec->substr(0, c1);
-  const std::string rate_text = c2 == std::string::npos
-                                    ? spec->substr(c1 + 1)
-                                    : spec->substr(c1 + 1, c2 - c1 - 1);
-  const std::string actions =
-      c2 == std::string::npos ? "tbs" : spec->substr(c2 + 1);
-
-  const auto seed = env::parse_u64(seed_text);
-  if (!seed) return warn("bad seed");
-  const auto rate = env::parse_double(rate_text);
-  if (!rate || *rate < 0.0 || *rate > 1.0) return warn("rate wants [0, 1]");
-
-  cfg.seed = *seed;
-  cfg.rate = *rate;
-  for (const char a : actions) {
-    switch (a) {
-      case 't': cfg.torn_writes = true; break;
-      case 'b': cfg.byte_reads = true; break;
-      case 's': cfg.stalls = true; break;
-      case 'd': cfg.disconnects = true; break;
-      default: return warn("actions want a subset of 'tbsd'");
-    }
+                 spec->c_str(), error.c_str());
+    return {};
   }
-  if (actions.empty()) return warn("empty actions");
-  return cfg;
+  const auto has = [&](char c) {
+    return fields->actions.find(c) != std::string::npos;
+  };
+  return ServeChaosConfig{.seed = fields->seed,
+                          .rate = fields->rate,
+                          .torn_writes = has('t'),
+                          .byte_reads = has('b'),
+                          .stalls = has('s'),
+                          .disconnects = has('d')};
 }
 
 const ServeChaosConfig& serve_chaos() {

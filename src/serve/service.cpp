@@ -20,6 +20,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/report/json.hpp"
+#include "src/report/stats_json.hpp"
 #include "src/runtime/checkpoint.hpp"
 #include "src/runtime/serial.hpp"
 #include "src/workload/patterns.hpp"
@@ -51,21 +52,6 @@ struct ServiceMetrics {
 const ServiceMetrics& service_metrics() {
   static const ServiceMetrics m;
   return m;
-}
-
-std::optional<MultiplierArch> parse_arch(const std::string& name) {
-  if (name == "am") return MultiplierArch::kArray;
-  if (name == "cb") return MultiplierArch::kColumnBypass;
-  if (name == "rb") return MultiplierArch::kRowBypass;
-  return std::nullopt;
-}
-
-std::optional<FaultKind> parse_fault_kind(const std::string& name) {
-  if (name == "stuck0") return FaultKind::kStuckAt0;
-  if (name == "stuck1") return FaultKind::kStuckAt1;
-  if (name == "transient") return FaultKind::kTransient;
-  if (name == "delay") return FaultKind::kDelayOutlier;
-  return std::nullopt;
 }
 
 HandlerResult ok_result(const std::string& result_json) {
@@ -114,8 +100,11 @@ std::optional<QueryParams> parse_query_params(const ServiceLimits& limits,
   };
   QueryParams q;
   q.arch_name = params.str_or("arch", "cb");
+  // The service models AM, CB and RB; no Wallace tree.
   const auto arch = parse_arch(q.arch_name);
-  if (!arch.has_value()) return reject("arch must be am|cb|rb");
+  if (!arch || *arch == MultiplierArch::kWallaceTree) {
+    return reject("arch must be am|cb|rb");
+  }
   q.arch = *arch;
   const std::int64_t width = params.i64_or("width", 16);
   if (width < 2 || width > 32) return reject("width must be in [2, 32]");
@@ -154,40 +143,6 @@ std::uint64_t query_corner_digest(const QueryParams& q) {
       .mix(kStressSeed)
       .mix(static_cast<std::uint64_t>(kStressPatterns));
   return digest.value();
-}
-
-void emit_run_stats(JsonWriter& json, const RunStats& s) {
-  json.key("period_ps").value(s.period_ps);
-  json.key("ops").value(s.ops);
-  json.key("one_cycle_ratio").value(s.one_cycle_ratio);
-  json.key("errors").value(s.errors);
-  json.key("errors_per_10k_ops").value(s.errors_per_10k_ops);
-  json.key("avg_cycles").value(s.avg_cycles);
-  json.key("avg_latency_ps").value(s.avg_latency_ps);
-  json.key("avg_power_mw").value(s.avg_power_mw);
-  json.key("edp_mw_ns2").value(s.edp_mw_ns2);
-}
-
-void emit_campaign_stats(JsonWriter& json, const FaultCampaignStats& s) {
-  json.key("trials").value(s.trials);
-  json.key("trials_quarantined").value(s.trials_quarantined);
-  json.key("ops").value(s.ops);
-  json.key("faults_injected").value(s.faults_injected);
-  json.key("detected_violations").value(s.detected_violations);
-  json.key("escaped_violations").value(s.escaped_violations);
-  json.key("uncovered_violations").value(s.uncovered_violations);
-  json.key("detection_coverage").value(s.detection_coverage);
-  json.key("sdc_ops").value(s.sdc_ops);
-  json.key("sdc_per_10k_ops").value(s.sdc_per_10k_ops);
-  json.key("masked_faults").value(s.masked_faults);
-  json.key("trials_with_sdc").value(s.trials_with_sdc);
-  json.key("storm_engagements").value(s.storm_engagements);
-  json.key("storm_recoveries").value(s.storm_recoveries);
-  json.key("avg_cycles_baseline").value(s.avg_cycles_baseline);
-  json.key("avg_cycles_faulty").value(s.avg_cycles_faulty);
-  json.key("throughput_degradation").value(s.throughput_degradation);
-  json.key("baseline_errors_per_10k_ops")
-      .value(s.baseline_errors_per_10k_ops);
 }
 
 /// Two concurrent campaigns with identical parameters map to the same
@@ -309,7 +264,7 @@ HandlerResult Service::handle_query(const JsonValue& params,
   json.key("corner_digest").value(digest_hex(key));
   json.key("cache_hit").value(cache_hit);
   json.key("stats").begin_object();
-  emit_run_stats(json, stats);
+  write_run_stats(json, stats);
   json.end_object();
   json.end_object();
   return ok_result(json.str());
@@ -324,7 +279,9 @@ HandlerResult Service::handle_campaign(const Request& request,
 
   const std::string arch_name = params.str_or("arch", "cb");
   const auto arch = parse_arch(arch_name);
-  if (!arch.has_value()) return reject("arch must be am|cb|rb");
+  if (!arch || *arch == MultiplierArch::kWallaceTree) {
+    return reject("arch must be am|cb|rb");
+  }
   const std::int64_t width = params.i64_or("width", 16);
   if (width < 2 || width > 32) return reject("width must be in [2, 32]");
   const std::int64_t trials = params.i64_or("trials", 32);
@@ -450,7 +407,7 @@ HandlerResult Service::handle_campaign(const Request& request,
       }
       JsonWriter pj;
       pj.begin_object();
-      emit_campaign_stats(pj, partial);
+      write_campaign_stats(pj, partial);
       pj.end_object();
       if (!emit(stream_frame(request.id, units_done, units_done, units_total,
                              pj.str()))) {
@@ -493,7 +450,7 @@ HandlerResult Service::handle_campaign(const Request& request,
       .value(static_cast<std::int64_t>(trials + 1));
   json.end_object();
   json.key("stats").begin_object();
-  emit_campaign_stats(json, stats);
+  write_campaign_stats(json, stats);
   json.end_object();
   json.end_object();
   return ok_result(json.str());

@@ -7,17 +7,9 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
 
-// splitmix64: seeds the xoshiro state from a single word.
-constexpr std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
+// splitmix64 seeds the xoshiro state from a single word.
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
@@ -50,7 +42,7 @@ std::uint64_t Rng::next_bits(int width) noexcept {
 }
 
 double Rng::next_double() noexcept {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  return to_unit_interval(next());
 }
 
 }  // namespace agingsim

@@ -42,6 +42,27 @@ TEST(ChaosPolicyTest, RejectsMalformedSpecsWithDiagnostic) {
   }
 }
 
+TEST(ChaosSpecTest, EachEntryPointKeepsItsActionsDefaultAndSeedBase) {
+  // The runtime's grammar: actions in [tpsc], default "t", base-0 seeds.
+  const auto runtime = split_chaos_spec("0x10:0.5", "tpsc", "t", 0);
+  ASSERT_TRUE(runtime.has_value());
+  EXPECT_EQ(runtime->seed, 0x10u);
+  EXPECT_EQ(runtime->rate, 0.5);
+  EXPECT_EQ(runtime->actions, "t");
+  // The serving layer's: actions in [tbsd], default "tbs", decimal seeds.
+  const auto serve = split_chaos_spec("7:1", "tbsd", "tbs", 10);
+  ASSERT_TRUE(serve.has_value());
+  EXPECT_EQ(serve->actions, "tbs");
+  EXPECT_FALSE(split_chaos_spec("0x10:0.5", "tbsd", "tbs", 10).has_value());
+  // An action one entry point allows can be foreign to the other.
+  EXPECT_TRUE(split_chaos_spec("1:0.5:c", "tpsc", "t", 0).has_value());
+  std::string error;
+  EXPECT_FALSE(split_chaos_spec("1:0.5:c", "tbsd", "tbs", 10, &error));
+  EXPECT_EQ(error, "unknown action 'c'");
+  EXPECT_FALSE(split_chaos_spec("1:2", "tpsc", "t", 0, &error));
+  EXPECT_EQ(error, "rate must be a number in [0, 1]");
+}
+
 TEST(ChaosPolicyTest, ZeroRateIsDisabledAndDecidesNone) {
   const auto p = ChaosPolicy::parse("9:0");
   ASSERT_TRUE(p.has_value());

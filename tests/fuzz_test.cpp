@@ -8,13 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/core/cli.hpp"
 #include "src/lint/engine.hpp"
 #include "src/lint/repair.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/netlist/surgeon.hpp"
 #include "src/netlist/techlib.hpp"
+#include "src/runtime/chaos.hpp"
 #include "src/sim/sta.hpp"
 #include "src/sim/timing_sim.hpp"
 #include "src/workload/rng.hpp"
@@ -345,6 +350,130 @@ TEST(FuzzTest, LintFlagsSeveredRazorTapOnRandomNetlists) {
                          << " undetected, trial " << trial;
   }
   EXPECT_GE(effective, 15);
+}
+
+// --- Shared parsers: the chaos-spec splitter and the flag reader ---------
+
+/// A fuzz input: a random string over the grammar's own characters, or one
+/// of `seeds` with a few characters replaced, inserted or deleted.
+std::string fuzz_text(Rng& rng, std::span<const std::string_view> seeds) {
+  static constexpr std::string_view kAlphabet =
+      "0123456789:.,-+xXeEabcdhinpst ";
+  const auto pick = [&] {
+    return kAlphabet[rng.next_below(kAlphabet.size())];
+  };
+  std::string text;
+  if (rng.next_below(3) == 0) {
+    const std::size_t len = rng.next_below(12);
+    for (std::size_t i = 0; i < len; ++i) text += pick();
+    return text;
+  }
+  text = std::string(seeds[rng.next_below(seeds.size())]);
+  const std::uint64_t edits = rng.next_below(4);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    const std::size_t at = rng.next_below(text.size() + 1);
+    switch (rng.next_below(3)) {
+      case 0: text.insert(at, 1, pick()); break;
+      case 1: if (at < text.size()) text[at] = pick(); break;
+      default: if (at < text.size()) text.erase(at, 1); break;
+    }
+  }
+  return text;
+}
+
+TEST(FuzzTest, ChaosSpecsParseInRangeOrReturnTheDocumentedError) {
+  struct EntryPoint {
+    std::string_view allowed, default_actions;
+    int seed_base;
+  };
+  // AGINGSIM_CHAOS and AGINGSIM_SERVE_CHAOS.
+  constexpr EntryPoint kEntryPoints[] = {{"tpsc", "t", 0}, {"tbsd", "tbs", 10}};
+  const std::string_view seeds[] = {"7:0.3:tbs", "0x10:1:psc", "42:0.25",
+                                    "1:0:t", "11:0.2:c", "5:0.15:ts"};
+  const std::set<std::string> errors = {
+      "need 2 or 3 colon-separated fields", "bad seed",
+      "rate must be a number in [0, 1]", "empty actions field"};
+  Rng rng(0xC4A05);
+  for (int iter = 0; iter < 4000; ++iter) {
+    const std::string spec = fuzz_text(rng, seeds);
+    for (const EntryPoint& entry : kEntryPoints) {
+      std::string error;
+      const auto parsed = runtime::split_chaos_spec(
+          spec, entry.allowed, entry.default_actions, entry.seed_base, &error);
+      if (parsed) {
+        EXPECT_GE(parsed->rate, 0.0) << spec;
+        EXPECT_LE(parsed->rate, 1.0) << spec;
+        ASSERT_FALSE(parsed->actions.empty()) << spec;
+        for (const char c : parsed->actions) {
+          EXPECT_NE(entry.allowed.find(c), std::string_view::npos) << spec;
+        }
+      } else {
+        EXPECT_TRUE(errors.count(error) == 1 ||
+                    error.rfind("unknown action '", 0) == 0)
+            << spec << " -> " << error;
+      }
+    }
+    std::string error;
+    if (!runtime::ChaosPolicy::parse(spec, &error)) {
+      EXPECT_EQ(error.rfind("chaos spec '", 0), 0u) << spec;
+    }
+  }
+}
+
+TEST(FuzzTest, FlagValuesParseInRangeOrReturnTheDocumentedError) {
+  struct Options {
+    int width = 16;
+    double factor = 8.0;
+    double fraction = 0.99;
+    std::uint64_t seed = 0;
+    std::vector<double> years = {0.0, 7.0};
+    std::string mode = "closed";
+  };
+  const std::string_view flags[] = {"--width", "--factor", "--fraction",
+                                    "--seed",  "--years",  "--mode",
+                                    "--bogus", "-h"};
+  const std::string_view seeds[] = {"16", "0x10", "8.0", "0.5", "1e-3",
+                                    "0,3.5,7", "closed", "open", "-1"};
+  Rng rng(0xF1A65);
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::vector<std::string> args = {"tool"};
+    const std::uint64_t tokens = 1 + rng.next_below(6);
+    for (std::uint64_t t = 0; t < tokens; ++t) {
+      args.emplace_back(rng.next_below(2) == 0
+                            ? std::string(flags[rng.next_below(8)])
+                            : fuzz_text(rng, seeds));
+    }
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+
+    Options opt;
+    cli::FlagReader reader("tool", [](std::ostream&) {});
+    reader.integer("--width", opt.width, 2, 32);
+    reader.positive("--factor", opt.factor);
+    reader.number("--fraction", opt.fraction, 0.0, 1.0);
+    reader.seed("--seed", opt.seed);
+    reader.years("--years", opt.years);
+    reader.choice("--mode", opt.mode, {"closed", "open"});
+    const auto outcome = reader.apply(static_cast<int>(argv.size()),
+                                      argv.data());
+    // Whatever applied before a stop is in range, and so is everything
+    // after a clean walk.
+    EXPECT_GE(opt.width, 2);
+    EXPECT_LE(opt.width, 32);
+    EXPECT_TRUE(std::isfinite(opt.factor) && opt.factor > 0.0);
+    EXPECT_TRUE(opt.fraction >= 0.0 && opt.fraction <= 1.0);
+    ASSERT_FALSE(opt.years.empty());
+    for (const double y : opt.years) EXPECT_TRUE(std::isfinite(y) && y >= 0);
+    EXPECT_TRUE(opt.mode == "closed" || opt.mode == "open");
+    if (!outcome.help && !outcome.error.empty()) {
+      const std::string& e = outcome.error;
+      EXPECT_TRUE(e.rfind("unknown option '", 0) == 0 ||
+                  e.ends_with(" needs a value") ||
+                  (e.find(" wants ") != std::string::npos &&
+                   e.ends_with("'")))
+          << e;
+    }
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include "bench/common.hpp"
 #include "src/mc/mc_report.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/report/json.hpp"
 #include "src/runtime/checkpoint.hpp"
 #include "src/runtime/robust_runner.hpp"
@@ -254,6 +255,48 @@ TEST(McCampaignTest, KernelsAgreeBitExactly) {
       }
     }
   }
+}
+
+TEST(McCampaignTest, DefaultKernelFollowsTheEnvironment) {
+  // The default (kAuto) scores blocks in corner lanes unless
+  // AGINGSIM_KERNEL names a scalar kernel; then every (trial, year) cell
+  // replays through its own dense trace, with identical records.
+  McCampaignConfig cfg = small_config();
+  ASSERT_EQ(cfg.kernel, SimKernel::kAuto);
+  const auto block0 = [&](const char* kernel, std::uint64_t* dense_steps,
+                          std::uint64_t* corner_steps) {
+    const char* old = std::getenv("AGINGSIM_KERNEL");
+    const std::optional<std::string> saved =
+        old != nullptr ? std::optional<std::string>(old) : std::nullopt;
+    if (kernel != nullptr) {
+      ::setenv("AGINGSIM_KERNEL", kernel, 1);
+    } else {
+      ::unsetenv("AGINGSIM_KERNEL");
+    }
+    const bool metrics_were_on = obs::metrics_enabled();
+    obs::set_metrics_enabled(true);
+    obs::reset_metrics();
+    const auto records = McCampaign(bench::tech(), cfg).compute_block(0, 0);
+    for (const obs::MetricValue& m : obs::metrics_snapshot()) {
+      if (m.name == "sim.steps_dense") *dense_steps = m.value;
+      if (m.name == "sim.corner.steps") *corner_steps = m.value;
+    }
+    obs::set_metrics_enabled(metrics_were_on);
+    if (saved) {
+      ::setenv("AGINGSIM_KERNEL", saved->c_str(), 1);
+    } else {
+      ::unsetenv("AGINGSIM_KERNEL");
+    }
+    return records;
+  };
+  std::uint64_t dense_steps = 0, corner_steps = 0;
+  const auto per_trial = block0("dense", &dense_steps, &corner_steps);
+  EXPECT_GT(dense_steps, 0u);
+  EXPECT_EQ(corner_steps, 0u);
+  const auto lanes = block0(nullptr, &dense_steps, &corner_steps);
+  EXPECT_EQ(dense_steps, 0u);
+  EXPECT_GT(corner_steps, 0u);
+  EXPECT_EQ(per_trial, lanes);
 }
 
 TEST(McCampaignTest, RejectsDegenerateConfigs) {

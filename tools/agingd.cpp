@@ -13,38 +13,27 @@
 // Exit codes: 0 = clean (including signal-initiated drain), 2 = usage
 // error, 3 = cannot bind the socket.
 
+#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
 
-#include <unistd.h>
-
+#include "src/core/cli.hpp"
 #include "src/core/env.hpp"
 #include "src/obs/artifacts.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/runtime/signal_watch.hpp"
 #include "src/serve/server.hpp"
 
 namespace {
 
 using namespace agingsim;
-
-// Self-pipe shared with the signal handlers: the only async-signal-safe
-// way to get from a signal to the drain sequence is write(2) on a
-// pre-opened fd; a watcher thread does the actual draining.
-int g_signal_pipe[2] = {-1, -1};
-volatile std::sig_atomic_t g_signal = 0;
-
-void on_signal(int sig) {
-  g_signal = sig;
-  const char byte = 's';
-  [[maybe_unused]] const ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
-}
 
 struct Options {
   serve::ServerConfig server;
@@ -92,7 +81,7 @@ void print_usage(std::ostream& os) {
         "  --help               this text\n";
 }
 
-std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
+Options parse_args(int argc, char** argv) {
   Options opt;
   // Env defaults first; flags override below.
   opt.server.socket_path =
@@ -120,111 +109,34 @@ std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
   opt.server.max_inflight_per_conn = static_cast<std::uint32_t>(
       env::long_or("AGINGSIM_SERVE_MAX_INFLIGHT", 32, 0, 1 << 20));
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::optional<std::string> {
-      if (i + 1 >= argc) {
-        std::cerr << "agingd: " << flag << " needs a value\n";
-        return std::nullopt;
-      }
-      return std::string(argv[++i]);
-    };
-    const auto need_long = [&](const char* flag, long min_v,
-                               long& out) -> bool {
-      const auto v = need_value(flag);
-      if (!v) return false;
-      const auto parsed = env::parse_long(*v, 0);
-      if (!parsed || *parsed < min_v) {
-        std::cerr << "agingd: " << flag << " wants an integer >= " << min_v
-                  << ", got '" << *v << "'\n";
-        return false;
-      }
-      out = *parsed;
-      return true;
-    };
-    long parsed = 0;
-    if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      exit_code = 0;
-      return std::nullopt;
-    }
-    if (arg == "--quiet") {
-      opt.quiet = true;
-    } else if (arg == "--socket") {
-      const auto v = need_value("--socket");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.server.socket_path = *v;
-    } else if (arg == "--workers") {
-      if (!need_long("--workers", 1, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.workers = static_cast<int>(parsed);
-    } else if (arg == "--queue") {
-      if (!need_long("--queue", 1, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.admission.capacity = static_cast<std::size_t>(parsed);
-    } else if (arg == "--deadline-ms") {
-      if (!need_long("--deadline-ms", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.default_deadline_ms = parsed;
-    } else if (arg == "--drain-grace-ms") {
-      if (!need_long("--drain-grace-ms", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.drain_grace_ms = parsed;
-    } else if (arg == "--cache-mb") {
-      if (!need_long("--cache-mb", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.cache_budget_bytes = static_cast<std::size_t>(parsed) << 20;
-    } else if (arg == "--quota-rate") {
-      const auto v = need_value("--quota-rate");
-      if (!v || !env::parse_double(*v).has_value() ||
-          *env::parse_double(*v) < 0.0) {
-        std::cerr << "agingd: --quota-rate wants a number >= 0\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.server.admission.fairness.quota_rate_per_s = *env::parse_double(*v);
-    } else if (arg == "--quota-burst") {
-      const auto v = need_value("--quota-burst");
-      if (!v || !env::parse_double(*v).has_value() ||
-          *env::parse_double(*v) < 1.0) {
-        std::cerr << "agingd: --quota-burst wants a number >= 1\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.server.admission.fairness.quota_burst = *env::parse_double(*v);
-    } else if (arg == "--read-deadline-ms") {
-      if (!need_long("--read-deadline-ms", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.read_deadline_ms = parsed;
-    } else if (arg == "--idle-timeout-ms") {
-      if (!need_long("--idle-timeout-ms", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.idle_timeout_ms = parsed;
-    } else if (arg == "--max-inflight") {
-      if (!need_long("--max-inflight", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.max_inflight_per_conn = static_cast<std::uint32_t>(parsed);
-    } else if (arg == "--checkpoint-dir") {
-      const auto v = need_value("--checkpoint-dir");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.server.service.checkpoint_root = *v;
-    } else if (arg == "--kernel") {
-      const auto v = need_value("--kernel");
-      if (!v || (*v != "dense" && *v != "sparse" && *v != "batch")) {
-        std::cerr << "agingd: --kernel wants dense|sparse|batch\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      // Exported rather than stored: every trace path (query lane, batch
-      // campaign lane) resolves kAuto through AGINGSIM_KERNEL.
-      ::setenv("AGINGSIM_KERNEL", v->c_str(), 1);
-    } else if (arg == "--trace") {
-      const auto v = need_value("--trace");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.trace_path = *v;
-    } else if (arg == "--metrics") {
-      const auto v = need_value("--metrics");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.metrics_path = *v;
-    } else {
-      std::cerr << "agingd: unknown option '" << arg << "'\n";
-      print_usage(std::cerr);
-      exit_code = 2;
-      return std::nullopt;
-    }
+  cli::FlagReader args("agingd", print_usage);
+  args.text("--socket", opt.server.socket_path);
+  args.integer("--workers", opt.server.workers, 1);
+  args.integer("--queue", opt.server.admission.capacity, 1);
+  args.integer("--deadline-ms", opt.server.default_deadline_ms, 0);
+  args.integer("--drain-grace-ms", opt.server.drain_grace_ms, 0);
+  std::optional<long> cache_mb;
+  args.integer("--cache-mb", cache_mb, 0);
+  args.number("--quota-rate", opt.server.admission.fairness.quota_rate_per_s,
+              0.0);
+  args.number("--quota-burst", opt.server.admission.fairness.quota_burst,
+              1.0);
+  args.integer("--read-deadline-ms", opt.server.read_deadline_ms, 0);
+  args.integer("--idle-timeout-ms", opt.server.idle_timeout_ms, 0);
+  args.integer("--max-inflight", opt.server.max_inflight_per_conn, 0);
+  args.text("--checkpoint-dir", opt.server.service.checkpoint_root);
+  std::string kernel;
+  args.choice("--kernel", kernel, {"dense", "sparse", "batch"});
+  args.text("--trace", opt.trace_path);
+  args.text("--metrics", opt.metrics_path);
+  args.on("--quiet", opt.quiet);
+  args.parse(argc, argv);
+  if (cache_mb) {
+    opt.server.cache_budget_bytes = static_cast<std::size_t>(*cache_mb) << 20;
   }
+  // Exported rather than stored: every trace path (query lane, batch
+  // campaign lane) resolves kAuto through AGINGSIM_KERNEL.
+  if (!kernel.empty()) ::setenv("AGINGSIM_KERNEL", kernel.c_str(), 1);
   return opt;
 }
 
@@ -235,22 +147,16 @@ int run_daemon(const Options& opt) {
   obs::set_metrics_enabled(true);
   if (!opt.trace_path.empty()) obs::set_trace_enabled(true);
 
-  if (pipe(g_signal_pipe) != 0) {
-    std::cerr << "agingd: pipe: " << std::strerror(errno) << "\n";
-    return 3;
-  }
-  struct sigaction sa{};
-  sa.sa_handler = on_signal;
-  // One-shot: the first signal drains gracefully, a second one gets the
-  // default disposition — a stuck drain can always be killed.
-  sa.sa_flags = SA_RESETHAND;
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
   // A client vanishing mid-reply must not kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
 
   serve::Server server(opt.server);
+  // The first SIGTERM/SIGINT drains; the watch is released on return.
+  const runtime::SignalWatch signal_watch([&server] { server.drain(); });
+  if (!signal_watch.armed()) {
+    std::cerr << "agingd: pipe: " << std::strerror(errno) << "\n";
+    return 3;
+  }
   std::string error;
   if (!server.start(&error)) {
     std::cerr << "agingd: " << error << "\n";
@@ -265,26 +171,11 @@ int run_daemon(const Options& opt) {
                  opt.server.cache_budget_bytes >> 20);
   }
 
-  // Watcher: turns a signal byte into drain(). Released at the end either
-  // by the signal itself or by the main thread (shutdown-request path).
-  std::thread watcher([&server] {
-    char byte = 0;
-    while (::read(g_signal_pipe[0], &byte, 1) < 0 && errno == EINTR) {
-    }
-    server.drain();
-  });
-
   server.wait();  // returns once drained (signal or `shutdown` request)
-  const char byte = 'q';
-  [[maybe_unused]] const ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
-  watcher.join();
-  ::close(g_signal_pipe[0]);
-  ::close(g_signal_pipe[1]);
 
   if (!opt.quiet) {
-    if (g_signal != 0) {
-      std::fprintf(stderr, "agingd: drained after signal %d\n",
-                   static_cast<int>(g_signal));
+    if (const int sig = runtime::SignalWatch::received(); sig != 0) {
+      std::fprintf(stderr, "agingd: drained after signal %d\n", sig);
     } else {
       std::fprintf(stderr, "agingd: drained\n");
     }
@@ -300,11 +191,9 @@ int run_daemon(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int exit_code = 0;
-  const auto opt = parse_args(argc, argv, exit_code);
-  if (!opt) return exit_code;
+  const Options opt = parse_args(argc, argv);
   try {
-    return run_daemon(*opt);
+    return run_daemon(opt);
   } catch (const std::exception& e) {
     std::cerr << "agingd: fatal: " << e.what() << "\n";
     return 70;

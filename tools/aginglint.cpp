@@ -18,23 +18,22 @@
 // the rule catalog and JSON schema.
 
 #include <algorithm>
-#include <cmath>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/aging/prob_propagation.hpp"
 #include "src/aging/scenario.hpp"
 #include "src/core/calibration.hpp"
+#include "src/core/cli.hpp"
 #include "src/lint/engine.hpp"
 #include "src/lint/repair.hpp"
 #include "src/multiplier/multiplier.hpp"
+#include "src/obs/artifacts.hpp"
 #include "src/report/json.hpp"
 #include "src/sim/sta.hpp"
 
@@ -46,7 +45,7 @@ struct Options {
   std::vector<MultiplierArch> archs{
       MultiplierArch::kArray, MultiplierArch::kColumnBypass,
       MultiplierArch::kRowBypass, MultiplierArch::kWallaceTree};
-  std::vector<int> widths{16, 32};
+  std::vector<long> widths{16, 32};
   double period_ps = 0.0;  // 0 = auto: aged critical path / hold cycles
   std::vector<double> years{0, 1, 2, 3, 4, 5, 6, 7};
   int hold_cycles = 2;
@@ -95,24 +94,6 @@ void print_usage(std::ostream& os) {
         "  --help           this text\n";
 }
 
-std::vector<std::string> split_commas(const std::string& s) {
-  std::vector<std::string> parts;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) parts.push_back(item);
-  }
-  return parts;
-}
-
-std::optional<MultiplierArch> parse_arch(const std::string& name) {
-  if (name == "am" || name == "array") return MultiplierArch::kArray;
-  if (name == "cb" || name == "column") return MultiplierArch::kColumnBypass;
-  if (name == "rb" || name == "row") return MultiplierArch::kRowBypass;
-  if (name == "wt" || name == "wallace") return MultiplierArch::kWallaceTree;
-  return std::nullopt;
-}
-
 int list_rules() {
   const lint::LintEngine engine;
   std::printf("%-32s %-12s %s\n", "rule", "category", "description");
@@ -124,124 +105,43 @@ int list_rules() {
   return 0;
 }
 
-std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
+Options parse_args(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::optional<std::string> {
-      if (i + 1 >= argc) {
-        std::cerr << "aginglint: " << flag << " needs a value\n";
-        return std::nullopt;
-      }
-      return std::string(argv[++i]);
-    };
-    if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      exit_code = 0;
-      return std::nullopt;
-    }
-    if (arg == "--list-rules") {
-      exit_code = list_rules();
-      return std::nullopt;
-    }
-    if (arg == "--verbose") {
-      opt.verbose = true;
-    } else if (arg == "--quiet") {
-      opt.quiet = true;
-    } else if (arg == "--hold") {
-      opt.hold = true;
-    } else if (arg == "--repair") {
-      opt.repair = true;
-      opt.hold = true;
-    } else if (arg == "--hold-margin") {
-      const auto v = need_value("--hold-margin");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.hold_margin_ps = std::atof(v->c_str());
-      if (opt.hold_margin_ps < 0.0) {
-        std::cerr << "aginglint: --hold-margin must be >= 0\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-    } else if (arg == "--shadow-window") {
-      const auto v = need_value("--shadow-window");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.shadow_window_cycles = std::atof(v->c_str());
-      if (opt.shadow_window_cycles <= 0.0) {
-        std::cerr << "aginglint: --shadow-window must be > 0\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-    } else if (arg == "--arch") {
-      const auto v = need_value("--arch");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.archs.clear();
-      for (const std::string& name : split_commas(*v)) {
-        const auto arch = parse_arch(name);
-        if (!arch) {
-          std::cerr << "aginglint: unknown arch '" << name << "'\n";
-          exit_code = 2;
-          return std::nullopt;
-        }
-        opt.archs.push_back(*arch);
-      }
-    } else if (arg == "--width") {
-      const auto v = need_value("--width");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.widths.clear();
-      for (const std::string& w : split_commas(*v)) {
-        const int width = std::atoi(w.c_str());
-        if (width < 2 || width > 32) {
-          std::cerr << "aginglint: width must be in [2,32], got '" << w
-                    << "'\n";
-          exit_code = 2;
-          return std::nullopt;
-        }
-        opt.widths.push_back(width);
-      }
-    } else if (arg == "--period") {
-      const auto v = need_value("--period");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.period_ps = std::atof(v->c_str());
-    } else if (arg == "--years") {
-      const auto v = need_value("--years");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.years.clear();
-      for (const std::string& y : split_commas(*v)) {
-        opt.years.push_back(std::atof(y.c_str()));
-      }
-    } else if (arg == "--hold-cycles") {
-      const auto v = need_value("--hold-cycles");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.hold_cycles = std::atoi(v->c_str());
-      if (opt.hold_cycles < 1) {
-        std::cerr << "aginglint: --hold-cycles must be >= 1\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-    } else if (arg == "--vectors") {
-      const auto v = need_value("--vectors");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.vectors = static_cast<std::size_t>(std::atoll(v->c_str()));
-    } else if (arg == "--seed") {
-      const auto v = need_value("--seed");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.seed = static_cast<std::uint64_t>(std::strtoull(v->c_str(), nullptr, 0));
-    } else if (arg == "--unprotect") {
-      const auto v = need_value("--unprotect");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.unprotected_outputs.push_back(
-          static_cast<std::size_t>(std::atoll(v->c_str())));
-    } else if (arg == "--json") {
-      const auto v = need_value("--json");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.json_path = *v;
-    } else {
-      std::cerr << "aginglint: unknown option '" << arg << "'\n";
-      print_usage(std::cerr);
-      exit_code = 2;
-      return std::nullopt;
-    }
-  }
+  cli::FlagReader args("aginglint", print_usage);
+  args.value("--arch", opt.archs,
+             [](std::string_view list) {
+               return cli::parse_list(list, parse_arch);
+             },
+             "a comma list of am,cb,rb,wt");
+  args.value("--width", opt.widths,
+             [](std::string_view list) {
+               return cli::parse_list(list, [](std::string_view w) {
+                 return cli::parse_int(w, 2, 32);
+               });
+             },
+             "a comma list of widths in [2, 32]");
+  args.number("--period", opt.period_ps, 0.0);
+  args.years("--years", opt.years);
+  args.integer("--hold-cycles", opt.hold_cycles, 1);
+  args.integer("--vectors", opt.vectors, 0);
+  args.seed("--seed", opt.seed);
+  args.on(
+      "--unprotect",
+      [&opt](std::string_view index) {
+        const auto i = cli::parse_int(index, 0, INT_MAX);
+        if (i) opt.unprotected_outputs.push_back(static_cast<std::size_t>(*i));
+        return i.has_value();
+      },
+      "an integer >= 0");
+  args.on("--hold", opt.hold);
+  args.number("--hold-margin", opt.hold_margin_ps, 0.0);
+  args.positive("--shadow-window", opt.shadow_window_cycles);
+  args.on("--repair", [&opt] { opt.repair = opt.hold = true; });
+  args.text("--json", opt.json_path);
+  args.on("--list-rules", [] { std::exit(list_rules()); });
+  args.on("--verbose", opt.verbose);
+  args.on("--quiet", opt.quiet);
+  args.parse(argc, argv);
   return opt;
 }
 
@@ -430,17 +330,15 @@ std::string targets_json(const Options& opt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int exit_code = 0;
-  const auto opt = parse_args(argc, argv, exit_code);
-  if (!opt) return exit_code;
+  const Options opt = parse_args(argc, argv);
 
   const TechLibrary tech = calibrated_tech_library();
   std::vector<TargetResult> targets;
   std::size_t total_errors = 0;
-  for (const int width : opt->widths) {
-    for (const MultiplierArch arch : opt->archs) {
-      targets.push_back(lint_target(*opt, tech, arch, width));
-      print_target(*opt, targets.back());
+  for (const int width : opt.widths) {
+    for (const MultiplierArch arch : opt.archs) {
+      targets.push_back(lint_target(opt, tech, arch, width));
+      print_target(opt, targets.back());
       total_errors += targets.back().report.errors();
       // A repair that left hold/setup dirty or failed its equivalence proof
       // is a failure even when the post-repair report alone looks clean.
@@ -450,17 +348,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!opt->json_path.empty()) {
-    const std::string json = targets_json(*opt, targets);
-    if (opt->json_path == "-") {
+  if (!opt.json_path.empty()) {
+    const std::string json = targets_json(opt, targets);
+    if (opt.json_path == "-") {
       std::cout << json << "\n";
-    } else {
-      std::ofstream out(opt->json_path);
-      if (!out) {
-        std::cerr << "aginglint: cannot write " << opt->json_path << "\n";
-        return 2;
-      }
-      out << json << "\n";
+    } else if (!obs::write_file_atomic(opt.json_path, json, "aginglint")) {
+      return 2;
     }
   }
 

@@ -26,24 +26,29 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <iterator>
 #include <iostream>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "src/core/cli.hpp"
 #include "src/core/quantile.hpp"
+#include "src/obs/artifacts.hpp"
 #include "src/report/json.hpp"
 #include "src/serve/json.hpp"
 #include "src/serve/protocol.hpp"
+#include "src/workload/rng.hpp"
 
 namespace {
 
@@ -82,37 +87,30 @@ struct Options {
 /// clients for the rest of the run.
 constexpr double kBackoffCapMs = 5000.0;
 
+/// Error responses are tallied per serve::ErrorCode; kQuotaExceeded is
+/// its last enumerator.
+constexpr std::size_t kErrorCodes =
+    static_cast<std::size_t>(serve::ErrorCode::kQuotaExceeded) + 1;
+
 /// Outcome tally of one worker thread, merged after the run.
 struct Tally {
   std::uint64_t sent = 0;
   std::uint64_t ok = 0;
-  std::uint64_t overloaded = 0;
-  std::uint64_t shed_refill = 0;
-  std::uint64_t shed_batch = 0;
-  std::uint64_t draining = 0;
-  std::uint64_t timeout = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t bad_request = 0;
-  std::uint64_t internal = 0;
-  std::uint64_t quota_exceeded = 0;
+  std::array<std::uint64_t, kErrorCodes> errors{};  ///< by ErrorCode
   std::uint64_t transport_errors = 0;
   std::uint64_t missed_ticks = 0;  ///< open loop: schedule slots skipped
   std::uint64_t retries = 0;       ///< backoff sleeps taken (closed loop)
   double backoff_ms_total = 0.0;   ///< wall time spent in backoff sleeps
   std::vector<double> ok_latency_us;  ///< accepted requests, post-warmup
 
+  std::uint64_t& operator[](serve::ErrorCode code) {
+    return errors[static_cast<std::size_t>(code)];
+  }
+
   void merge(const Tally& other) {
     sent += other.sent;
     ok += other.ok;
-    overloaded += other.overloaded;
-    shed_refill += other.shed_refill;
-    shed_batch += other.shed_batch;
-    draining += other.draining;
-    timeout += other.timeout;
-    cancelled += other.cancelled;
-    bad_request += other.bad_request;
-    internal += other.internal;
-    quota_exceeded += other.quota_exceeded;
+    for (std::size_t c = 0; c < kErrorCodes; ++c) errors[c] += other.errors[c];
     transport_errors += other.transport_errors;
     missed_ticks += other.missed_ticks;
     retries += other.retries;
@@ -121,6 +119,11 @@ struct Tally {
                          other.ok_latency_us.end());
   }
 };
+
+/// The admission rejections: load the daemon shed, with a retry hint.
+constexpr serve::ErrorCode kRejections[] = {
+    serve::ErrorCode::kOverloaded, serve::ErrorCode::kShedRefill,
+    serve::ErrorCode::kShedBatch, serve::ErrorCode::kQuotaExceeded};
 
 void print_usage(std::ostream& os) {
   os << "usage: agingload [options]\n"
@@ -148,121 +151,32 @@ void print_usage(std::ostream& os) {
         "  --help            this text\n";
 }
 
-std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
+Options parse_args(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::optional<std::string> {
-      if (i + 1 >= argc) {
-        std::cerr << "agingload: " << flag << " needs a value\n";
-        return std::nullopt;
-      }
-      return std::string(argv[++i]);
-    };
-    const auto need_double = [&](const char* flag, double min_v,
-                                 double& out) -> bool {
-      const auto v = need_value(flag);
-      if (!v) return false;
-      char* end = nullptr;
-      const double parsed = std::strtod(v->c_str(), &end);
-      if (end == v->c_str() || *end != '\0' || !(parsed >= min_v)) {
-        std::cerr << "agingload: " << flag << " wants a number >= " << min_v
-                  << ", got '" << *v << "'\n";
-        return false;
-      }
-      out = parsed;
-      return true;
-    };
-    const auto need_long = [&](const char* flag, long min_v,
-                               long& out) -> bool {
-      const auto v = need_value(flag);
-      if (!v) return false;
-      char* end = nullptr;
-      const long parsed = std::strtol(v->c_str(), &end, 0);
-      if (end == v->c_str() || *end != '\0' || parsed < min_v) {
-        std::cerr << "agingload: " << flag << " wants an integer >= " << min_v
-                  << ", got '" << *v << "'\n";
-        return false;
-      }
-      out = parsed;
-      return true;
-    };
-    long parsed_long = 0;
-    if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      exit_code = 0;
-      return std::nullopt;
-    }
-    if (arg == "--socket") {
-      const auto v = need_value("--socket");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.socket_path = *v;
-    } else if (arg == "--mode") {
-      const auto v = need_value("--mode");
-      if (!v || (*v != "closed" && *v != "open")) {
-        std::cerr << "agingload: --mode wants closed|open\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.mode = *v;
-    } else if (arg == "--method") {
-      const auto v = need_value("--method");
-      if (!v || (*v != "work" && *v != "query" && *v != "campaign")) {
-        std::cerr << "agingload: --method wants work|query|campaign\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.method = *v;
-    } else if (arg == "--rate") {
-      if (!need_double("--rate", 0.001, opt.rate)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--conns") {
-      if (!need_long("--conns", 1, parsed_long)) { exit_code = 2; return std::nullopt; }
-      opt.conns = static_cast<int>(parsed_long);
-    } else if (arg == "--duration-s") {
-      if (!need_double("--duration-s", 0.1, opt.duration_s)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--warmup-s") {
-      if (!need_double("--warmup-s", 0.0, opt.warmup_s)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--spin-us") {
-      if (!need_long("--spin-us", 0, opt.spin_us)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--width") {
-      if (!need_long("--width", 2, parsed_long) || parsed_long > 32) {
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.width = static_cast<int>(parsed_long);
-    } else if (arg == "--years") {
-      if (!need_double("--years", 0.0, opt.years)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--deadline-ms") {
-      if (!need_long("--deadline-ms", 0, opt.deadline_ms)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--slo-ms") {
-      if (!need_double("--slo-ms", 0.0, opt.slo_ms)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--slo-target") {
-      if (!need_double("--slo-target", 0.0, opt.slo_target)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--client-id") {
-      const auto v = need_value("--client-id");
-      if (!v || !serve::valid_client_id(*v)) {
-        std::cerr << "agingload: --client-id wants 1..64 chars of"
-                     " [A-Za-z0-9._-]\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.client_id = *v;
-    } else if (arg == "--no-backoff") {
-      opt.backoff = false;
-    } else if (arg == "--seed") {
-      if (!need_long("--seed", 0, parsed_long)) { exit_code = 2; return std::nullopt; }
-      opt.seed = static_cast<std::uint64_t>(parsed_long);
-    } else if (arg == "--json") {
-      const auto v = need_value("--json");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.json_path = *v;
-    } else {
-      std::cerr << "agingload: unknown option '" << arg << "'\n";
-      print_usage(std::cerr);
-      exit_code = 2;
-      return std::nullopt;
-    }
-  }
+  cli::FlagReader args("agingload", print_usage);
+  args.text("--socket", opt.socket_path);
+  args.choice("--mode", opt.mode, {"closed", "open"});
+  args.choice("--method", opt.method, {"work", "query", "campaign"});
+  args.number("--rate", opt.rate, 0.001);
+  args.integer("--conns", opt.conns, 1);
+  args.number("--duration-s", opt.duration_s, 0.1);
+  args.number("--warmup-s", opt.warmup_s, 0.0);
+  args.integer("--spin-us", opt.spin_us, 0);
+  args.integer("--width", opt.width, 2, 32);
+  args.number("--years", opt.years, 0.0);
+  args.integer("--deadline-ms", opt.deadline_ms, 0);
+  args.number("--slo-ms", opt.slo_ms, 0.0);
+  args.number("--slo-target", opt.slo_target, 0.0, 1.0);
+  args.value("--client-id", opt.client_id,
+             [](std::string_view id) -> std::optional<std::string_view> {
+               if (!serve::valid_client_id(id)) return std::nullopt;
+               return id;
+             },
+             "1..64 chars of [A-Za-z0-9._-]");
+  args.on("--no-backoff", [&opt] { opt.backoff = false; });
+  args.seed("--seed", opt.seed);
+  args.text("--json", opt.json_path);
+  args.parse(argc, argv);
   return opt;
 }
 
@@ -308,16 +222,6 @@ std::string build_request(const Options& opt, std::uint64_t id) {
   return json.str();
 }
 
-/// splitmix64 — the jitter PRNG. Deterministic per (seed, draw index), so
-/// a fairness drill replays its exact backoff schedule.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 /// Sends one request and classifies the response into the tally. Returns
 /// false on a transport error (caller reconnects). `rejected` /
 /// `retry_after_ms` report an admission rejection and its hint, which the
@@ -352,19 +256,17 @@ bool do_request(int fd, const Options& opt, std::uint64_t id, bool measured,
     return true;
   }
   const serve::JsonValue* error = doc->find("error");
-  const std::string code =
+  const std::string name =
       error != nullptr ? error->str_or("code", "internal") : "internal";
-  if (code == "overloaded") ++tally.overloaded;
-  else if (code == "shed_refill") ++tally.shed_refill;
-  else if (code == "shed_batch") ++tally.shed_batch;
-  else if (code == "quota_exceeded") ++tally.quota_exceeded;
-  else if (code == "draining") ++tally.draining;
-  else if (code == "timeout") ++tally.timeout;
-  else if (code == "cancelled") ++tally.cancelled;
-  else if (code == "bad_request") ++tally.bad_request;
-  else ++tally.internal;
-  if (code == "overloaded" || code == "shed_refill" ||
-      code == "shed_batch" || code == "quota_exceeded") {
+  // A code this client does not know counts as internal.
+  serve::ErrorCode code = serve::ErrorCode::kInternal;
+  for (std::size_t c = 0; c < kErrorCodes; ++c) {
+    const auto known = static_cast<serve::ErrorCode>(c);
+    if (serve::error_code_name(known) == name) code = known;
+  }
+  ++tally[code];
+  if (std::find(std::begin(kRejections), std::end(kRejections), code) !=
+      std::end(kRejections)) {
     rejected = true;
     if (error != nullptr) {
       retry_after_ms = static_cast<long>(error->i64_or("retry_after_ms", 0));
@@ -414,6 +316,9 @@ int run_load(const Options& opt) {
       const auto interval = std::chrono::duration_cast<Clock::duration>(
           std::chrono::duration<double>(1.0 / per_conn_rate));
       Clock::time_point next = Clock::now();
+      // Backoff jitter stream: splitmix64, deterministic per (seed,
+      // connection, draw index), so a fairness drill replays its exact
+      // backoff schedule.
       std::uint64_t rng =
           opt.seed ^ (static_cast<std::uint64_t>(c) * 0xD1B54A32D192ED03ull);
       int consecutive_rejections = 0;
@@ -465,9 +370,7 @@ int run_load(const Options& opt) {
             kBackoffCapMs,
             base_ms * static_cast<double>(1u << std::min(
                           consecutive_rejections - 1, 10)));
-        const double jitter =
-            0.75 + 0.5 * (static_cast<double>(splitmix64(rng) >> 11) *
-                          0x1.0p-53);
+        const double jitter = 0.75 + 0.5 * to_unit_interval(splitmix64(rng));
         double sleep_ms = std::min(kBackoffCapMs, exp_ms * jitter);
         // Never sleep past the end of the run.
         const double left_ms = std::chrono::duration<double, std::milli>(
@@ -495,9 +398,8 @@ int run_load(const Options& opt) {
   for (const double v : lat) mean_us += v;
   if (!lat.empty()) mean_us /= static_cast<double>(lat.size());
 
-  const std::uint64_t rejected = total.overloaded + total.shed_refill +
-                                 total.shed_batch + total.quota_exceeded +
-                                 total.draining;
+  std::uint64_t rejected = total[serve::ErrorCode::kDraining];
+  for (const serve::ErrorCode code : kRejections) rejected += total[code];
   double slo_compliance = 1.0;
   if (opt.slo_ms > 0.0 && !lat.empty()) {
     const auto under = std::upper_bound(lat.begin(), lat.end(),
@@ -518,17 +420,18 @@ int run_load(const Options& opt) {
   json.key("warmup_s").value(opt.warmup_s);
   json.key("sent").value(total.sent);
   json.key("ok").value(total.ok);
+  const auto count = [&](serve::ErrorCode code) {
+    json.key(serve::error_code_name(code)).value(total[code]);
+  };
   json.key("rejected").begin_object();
-  json.key("overloaded").value(total.overloaded);
-  json.key("shed_refill").value(total.shed_refill);
-  json.key("shed_batch").value(total.shed_batch);
-  json.key("quota_exceeded").value(total.quota_exceeded);
-  json.key("draining").value(total.draining);
+  for (const serve::ErrorCode code : kRejections) count(code);
+  count(serve::ErrorCode::kDraining);
   json.end_object();
-  json.key("timeout").value(total.timeout);
-  json.key("cancelled").value(total.cancelled);
-  json.key("bad_request").value(total.bad_request);
-  json.key("internal").value(total.internal);
+  for (const serve::ErrorCode code :
+       {serve::ErrorCode::kTimeout, serve::ErrorCode::kCancelled,
+        serve::ErrorCode::kBadRequest, serve::ErrorCode::kInternal}) {
+    count(code);
+  }
   json.key("transport_errors").value(total.transport_errors);
   json.key("missed_ticks").value(total.missed_ticks);
   json.key("retries").value(total.retries);
@@ -554,20 +457,9 @@ int run_load(const Options& opt) {
 
   if (opt.json_path.empty()) {
     std::cout << json.str() << "\n";
-  } else {
-    const std::string tmp = opt.json_path + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      if (!out) {
-        std::cerr << "agingload: cannot write " << tmp << "\n";
-        return 2;
-      }
-      out << json.str() << "\n";
-    }
-    if (std::rename(tmp.c_str(), opt.json_path.c_str()) != 0) {
-      std::cerr << "agingload: cannot rename " << tmp << "\n";
-      return 2;
-    }
+  } else if (!obs::write_file_atomic(opt.json_path, json.str(),
+                                     "agingload")) {
+    return 2;
   }
   std::fprintf(stderr,
                "agingload: %llu sent, %llu ok, %llu rejected, p99 %.1f ms\n",
@@ -586,11 +478,9 @@ int run_load(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int exit_code = 0;
-  const auto opt = parse_args(argc, argv, exit_code);
-  if (!opt) return exit_code;
+  const Options opt = parse_args(argc, argv);
   try {
-    return run_load(*opt);
+    return run_load(opt);
   } catch (const std::exception& e) {
     std::cerr << "agingload: fatal: " << e.what() << "\n";
     return 70;
