@@ -27,7 +27,8 @@ static int bench_body() {
   const BtiModel model = BtiModel::calibrated(t);
   AgingScenario scenario(cb.netlist, t, model, 0xAB1A, 1000);
   const auto aged_scales = scenario.delay_scales_at(7.0);
-  const auto aged_trace = compute_op_trace(cb, t, pats, aged_scales);
+  const auto aged_trace = compute_op_trace(
+      cb, t, pats, TraceOptions{.gate_delay_scale = aged_scales});
   const double aged_dvth = scenario.mean_dvth_at(7.0);
 
   // --- A: sensitized timing vs STA-everywhere ------------------------------

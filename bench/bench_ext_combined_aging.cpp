@@ -41,7 +41,8 @@ static int bench_body() {
     const double fl_em = critical_path_ps(cb, t, em_scales);
     const double fl_both = critical_path_ps(cb, t, both);
 
-    const auto trace = compute_op_trace(cb, t, pats, both);
+    const auto trace = compute_op_trace(
+        cb, t, pats, TraceOptions{.gate_delay_scale = both});
     VlSystemConfig cfg;
     cfg.period_ps = 1200.0;
     cfg.ahl.width = 16;
@@ -71,7 +72,8 @@ static int bench_body() {
   for (std::uint64_t corner = 0; corner < 20; ++corner) {
     const auto scales = process_variation_scales(cb.netlist, 0.06, corner);
     const double crit = critical_path_ps(cb, t, scales);
-    const auto trace = compute_op_trace(cb, t, pats, scales);
+    const auto trace = compute_op_trace(
+        cb, t, pats, TraceOptions{.gate_delay_scale = scales});
     VlSystemConfig cfg;
     cfg.period_ps = 1000.0;
     cfg.ahl.width = 16;

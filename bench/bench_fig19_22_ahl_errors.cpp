@@ -23,7 +23,8 @@ void run_panel(const char* fig, int width, MultiplierArch arch, int skip,
   AgingScenario scenario(m.netlist, tech(), model, 0x19F2, 1000);
   const auto scales = scenario.delay_scales_at(7.0);
   const auto pats = workload(width, default_ops());
-  const auto aged_trace = compute_op_trace(m, tech(), pats, scales);
+  const auto aged_trace = compute_op_trace(
+      m, tech(), pats, TraceOptions{.gate_delay_scale = scales});
   const double dvth = scenario.mean_dvth_at(7.0);
 
   const auto periods = linspace(period_lo_ps, period_hi_ps, 11);

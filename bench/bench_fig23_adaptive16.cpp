@@ -25,8 +25,8 @@ AgedArch make_aged(MultiplierArch arch, int width) {
   const BtiModel model = BtiModel::calibrated(tech());
   AgingScenario scenario(a.mult.netlist, tech(), model, 0x23F1, 1000);
   const auto scales = scenario.delay_scales_at(7.0);
-  a.trace =
-      compute_op_trace(a.mult, tech(), workload(width, default_ops()), scales);
+  a.trace = compute_op_trace(a.mult, tech(), workload(width, default_ops()),
+                             TraceOptions{.gate_delay_scale = scales});
   a.dvth = scenario.mean_dvth_at(7.0);
   a.fl_period_ps = critical_path_ps(a.mult, tech(), scales);
   return a;

@@ -19,8 +19,10 @@ static int bench_body() {
   const auto cb_scales = cb_sc.delay_scales_at(7.0);
   const auto rb_scales = rb_sc.delay_scales_at(7.0);
   const auto pats = workload(32, default_ops());
-  const auto cb_trace = compute_op_trace(cb, tech(), pats, cb_scales);
-  const auto rb_trace = compute_op_trace(rb, tech(), pats, rb_scales);
+  const auto cb_trace = compute_op_trace(
+      cb, tech(), pats, TraceOptions{.gate_delay_scale = cb_scales});
+  const auto rb_trace = compute_op_trace(
+      rb, tech(), pats, TraceOptions{.gate_delay_scale = rb_scales});
   const double cb_dvth = cb_sc.mean_dvth_at(7.0);
   const double rb_dvth = rb_sc.mean_dvth_at(7.0);
 

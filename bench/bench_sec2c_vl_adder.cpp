@@ -20,7 +20,7 @@ static int bench_body() {
   // Paper bit indices A4/A5 are 1-based; probing 0-based bits 3 and 4
   // splits the chain 5 + 3, exactly the figure's layout.
   const AdderNetlist vl = build_variable_latency_rca(8, 3, 2);
-  const double crit = run_sta(vl.netlist, t).critical_path_ps;
+  const double crit = StaEngine(vl.netlist, t).run_corner({}).critical_path_ps;
 
   TimingSim sim(vl.netlist, t);
   std::vector<Logic> pattern(vl.netlist.num_inputs());
@@ -30,8 +30,8 @@ static int bench_body() {
   double max_delay_hold0 = 0.0;
   for (std::size_t i = 0; i < kOps; ++i) {
     const std::uint64_t a = rng.next_bits(8), b = rng.next_bits(8);
-    sim.load_bus(pattern, a, 8, vl.a_first_input);
-    sim.load_bus(pattern, b, 8, vl.b_first_input);
+    load_bus(pattern, a, 8, vl.a_first_input);
+    load_bus(pattern, b, 8, vl.b_first_input);
     const StepResult r = sim.step(pattern);
     const bool hold = (sim.output_bits() >> 9) & 1;
     holds += hold;

@@ -39,35 +39,39 @@ inline void run_seven_year_figure(const char* fig, int width,
   const char* names[kDesigns] = {"AM", "FLCB", "FLRB", "A-VLCB", "A-VLRB"};
   std::array<std::array<RunStats, kDesigns>, 8> stats;
 
-  // One independent simulator per (year, design): the year rows are units
-  // of the shared fold (src/runtime/fold.hpp) on a RobustRunner, each
-  // replaying the shared pattern set through its own aged trace.
-  // Results land in year order, so output is byte-identical to the serial
-  // sweep for any AGINGSIM_THREADS setting — and, because each year row is
-  // persisted as one checkpoint unit the moment it completes, a run killed
-  // mid-sweep and restarted with AGINGSIM_CHECKPOINT_DIR set resumes with
-  // byte-identical figures (docs/ROBUSTNESS.md).
+  // Each year row traces every architecture once at that year's aging and
+  // replays the trace through its fixed-latency design (at the aged
+  // critical path) and, for the bypassing architectures, its adaptive
+  // variable-latency design. The year rows are units of the shared fold
+  // (src/runtime/fold.hpp) on a RobustRunner. Results land in year order,
+  // so output is byte-identical to the serial sweep for any
+  // AGINGSIM_THREADS setting — and, because each year row is persisted as
+  // one checkpoint unit the moment it completes, a run killed mid-sweep and
+  // restarted with AGINGSIM_CHECKPOINT_DIR set resumes with byte-identical
+  // figures (docs/ROBUSTNESS.md).
+  VlSystemConfig vl_cfg;
+  vl_cfg.period_ps = vl_period_ps;
+  vl_cfg.ahl.width = width;
+  vl_cfg.ahl.skip = skip;
   const auto compute_year_row = [&](std::size_t y) {
     const double year = static_cast<double>(y);
-    const auto run_fixed = [&](const Arch& a) {
-      const auto scales = a.scenario.delay_scales_at(year);
-      const auto trace = compute_op_trace(a.mult, t, pats, scales);
-      FixedLatencySystem sys(a.mult, t);
-      return sys.run(trace, critical_path_ps(a.mult, t, scales),
-                     a.scenario.mean_dvth_at(year));
-    };
-    const auto run_vl = [&](const Arch& a) {
-      const auto scales = a.scenario.delay_scales_at(year);
-      const auto trace = compute_op_trace(a.mult, t, pats, scales);
-      VlSystemConfig cfg;
-      cfg.period_ps = vl_period_ps;
-      cfg.ahl.width = width;
-      cfg.ahl.skip = skip;
-      VariableLatencySystem sys(a.mult, t, cfg);
-      return sys.run(trace, a.scenario.mean_dvth_at(year));
-    };
-    return std::vector<RunStats>{run_fixed(am), run_fixed(cb), run_fixed(rb),
-                                 run_vl(cb), run_vl(rb)};
+    std::vector<RunStats> row;  // AM FLCB FLRB, then A-VLCB A-VLRB
+    std::vector<RunStats> vl;
+    for (const Arch* a : {&am, &cb, &rb}) {
+      const auto scales = a->scenario.delay_scales_at(year);
+      const double dvth = a->scenario.mean_dvth_at(year);
+      const auto trace = compute_op_trace(
+          a->mult, t, pats, TraceOptions{.gate_delay_scale = scales});
+      row.push_back(FixedLatencySystem(a->mult, t)
+                        .run(trace, critical_path_ps(a->mult, t, scales),
+                             dvth));
+      if (a != &am) {
+        vl.push_back(
+            VariableLatencySystem(a->mult, t, vl_cfg).run(trace, dvth));
+      }
+    }
+    row.insert(row.end(), vl.begin(), vl.end());
+    return row;
   };
 
   runtime::RunnerConfig runner_config = runtime::RunnerConfig::from_env();

@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
 
   Rng rng(1);
   const auto pats = uniform_patterns(rng, opt.width, opt.ops);
-  const auto trace = compute_op_trace(mult, tech, pats, scales);
+  const auto trace = compute_op_trace(
+      mult, tech, pats, TraceOptions{.gate_delay_scale = scales});
 
   VlSystemConfig cfg;
   cfg.period_ps = opt.period_ns * 1000.0;

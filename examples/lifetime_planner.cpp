@@ -35,7 +35,8 @@ int main() {
   std::vector<std::vector<OpTrace>> traces;
   for (double y : years) {
     const auto scales = scenario.delay_scales_at(y);
-    traces.push_back(compute_op_trace(mult, tech, patterns, scales));
+    traces.push_back(compute_op_trace(
+        mult, tech, patterns, TraceOptions{.gate_delay_scale = scales}));
   }
   const double aged_crit = critical_path_ps(
       mult, tech, scenario.delay_scales_at(7.0));

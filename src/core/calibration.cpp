@@ -2,8 +2,7 @@
 
 #include <stdexcept>
 
-#include "src/multiplier/multiplier.hpp"
-#include "src/sim/sta.hpp"
+#include "src/core/vl_multiplier.hpp"
 
 namespace agingsim {
 namespace {
@@ -11,7 +10,7 @@ namespace {
 double uncalibrated_cb16_ps() {
   static const double crit = [] {
     const MultiplierNetlist cb16 = build_column_bypass_multiplier(16);
-    return run_sta(cb16.netlist, default_tech_library()).critical_path_ps;
+    return critical_path_ps(cb16, default_tech_library());
   }();
   return crit;
 }

@@ -25,20 +25,6 @@ std::string to_hex(std::uint64_t v) {
   return out;
 }
 
-// Without injected faults a mismatch is a netlist or simulator bug; carry
-// everything needed to reproduce it in the message. Shared by the scalar
-// and batch trace paths so the oracle's contract is kernel-independent.
-[[noreturn]] void throw_product_mismatch(std::size_t index, std::uint64_t a,
-                                         std::uint64_t b, std::uint64_t golden,
-                                         std::uint64_t product) {
-  throw std::logic_error(
-      "compute_op_trace: netlist product mismatch at pattern index " +
-      std::to_string(index) + ": " + std::to_string(a) + " * " +
-      std::to_string(b) + ": expected " + std::to_string(golden) + " (0x" +
-      to_hex(golden) + "), netlist says " + std::to_string(product) + " (0x" +
-      to_hex(product) + ")");
-}
-
 /// Fills one OpTrace from per-op observables and the previous op's state.
 OpTrace make_op(std::uint64_t a, std::uint64_t b, std::uint64_t product,
                 int width, double delay_ps, double switched_cap_ff,
@@ -91,9 +77,9 @@ std::vector<OpTrace> compute_op_trace_batch(
           results[static_cast<std::size_t>(l)].output_settle_ps,
           results[static_cast<std::size_t>(l)].switched_cap_ff, fault_active,
           first, prev_a, prev_b, prev_p);
-      if (!op.correct && options.faults == nullptr) {
-        throw_product_mismatch(trace.size(), pat.a, pat.b, op.golden,
-                               op.product);
+      if (options.faults == nullptr) {
+        check_golden_product(trace.size(), pat.a, pat.b, op.golden,
+                             op.product);
       }
       trace.push_back(op);
       prev_a = pat.a;
@@ -102,7 +88,6 @@ std::vector<OpTrace> compute_op_trace_batch(
       first = false;
     }
   }
-  if (options.batch_stats != nullptr) *options.batch_stats = sim.stats();
   return trace;
 }
 
@@ -132,9 +117,8 @@ std::vector<OpTrace> compute_op_trace(const MultiplierNetlist& mult,
         make_op(pat.a, pat.b, sim.product(), mult.width, step.output_settle_ps,
                 step.switched_cap_ff, fault_active, first, prev_a, prev_b,
                 prev_p);
-    if (!op.correct && options.faults == nullptr) {
-      throw_product_mismatch(trace.size(), pat.a, pat.b, op.golden,
-                             op.product);
+    if (options.faults == nullptr) {
+      check_golden_product(trace.size(), pat.a, pat.b, op.golden, op.product);
     }
     trace.push_back(op);
     prev_a = pat.a;
@@ -145,17 +129,25 @@ std::vector<OpTrace> compute_op_trace(const MultiplierNetlist& mult,
   return trace;
 }
 
-std::vector<OpTrace> compute_op_trace(
-    const MultiplierNetlist& mult, const TechLibrary& tech,
-    std::span<const OperandPattern> patterns,
-    std::span<const double> gate_delay_scale) {
-  return compute_op_trace(mult, tech, patterns,
-                          TraceOptions{.gate_delay_scale = gate_delay_scale});
+void check_golden_product(std::size_t index, std::uint64_t a, std::uint64_t b,
+                          std::uint64_t golden, std::uint64_t product) {
+  // Without injected faults a mismatch is a netlist or simulator bug; carry
+  // everything needed to reproduce it in the message.
+  if (product == golden) return;
+  throw std::logic_error(
+      "compute_op_trace: netlist product mismatch at pattern index " +
+      std::to_string(index) + ": " + std::to_string(a) + " * " +
+      std::to_string(b) + ": expected " + std::to_string(golden) + " (0x" +
+      to_hex(golden) + "), netlist says " + std::to_string(product) + " (0x" +
+      to_hex(product) + ")");
 }
 
 double critical_path_ps(const MultiplierNetlist& mult, const TechLibrary& tech,
                         std::span<const double> gate_delay_scale) {
-  return run_sta(mult.netlist, tech, gate_delay_scale).critical_path_ps;
+  StaCorner corner;
+  corner.gate_delay_scale.assign(gate_delay_scale.begin(),
+                                 gate_delay_scale.end());
+  return StaEngine(mult.netlist, tech).run_corner(corner).critical_path_ps;
 }
 
 VariableLatencySystem::VariableLatencySystem(const MultiplierNetlist& mult,

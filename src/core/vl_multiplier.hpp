@@ -50,26 +50,23 @@ struct TraceOptions {
   /// per sweep (see src/sim/batch_sim.hpp) and is several times faster than
   /// the scalar reference kernels on high-activity streams.
   SimKernel kernel = SimKernel::kAuto;
-  /// If non-null, receives the batch kernel's counters (words, lanes,
-  /// gates evaluated) after a kBatch trace. Untouched by scalar runs.
-  BatchStats* batch_stats = nullptr;
 };
 
 /// Runs the gate-level simulator over `patterns` and returns the per-op
 /// trace. Every product is checked against the golden reference multiply;
-/// without a fault overlay a mismatch throws std::logic_error carrying the
-/// pattern index, operands and expected/actual products (the trace
-/// generator doubles as an end-to-end correctness oracle).
+/// without a fault overlay a mismatch throws (check_golden_product), so the
+/// trace generator doubles as an end-to-end correctness oracle.
 std::vector<OpTrace> compute_op_trace(const MultiplierNetlist& mult,
                                       const TechLibrary& tech,
                                       std::span<const OperandPattern> patterns,
-                                      const TraceOptions& options);
+                                      const TraceOptions& options = {});
 
-/// Back-compat convenience: aging overlay only, throwing golden check.
-std::vector<OpTrace> compute_op_trace(
-    const MultiplierNetlist& mult, const TechLibrary& tech,
-    std::span<const OperandPattern> patterns,
-    std::span<const double> gate_delay_scale = {});
+/// The trace oracle's golden check: throws std::logic_error carrying the
+/// pattern index, operands and expected/actual products when `product` is
+/// not `golden`. Shared by every fault-free trace path so the contract is
+/// kernel-independent.
+void check_golden_product(std::size_t index, std::uint64_t a, std::uint64_t b,
+                          std::uint64_t golden, std::uint64_t product);
 
 /// Critical-path delay (ps) of the (optionally aged) multiplier — the cycle
 /// period a fixed-latency design must budget.

@@ -4,6 +4,7 @@
 #include <exception>
 #include <stdexcept>
 
+#include "src/obs/trace.hpp"
 #include "src/report/json.hpp"
 
 namespace agingsim::lint {
@@ -62,7 +63,9 @@ LintReport LintEngine::run(const LintContext& ctx) const {
     throw std::invalid_argument("LintEngine::run: context has no netlist");
   }
   LintReport report;
+  std::uint64_t index = 0;
   for (const auto& rule : registry_.rules()) {
+    obs::TraceSpan span("lint.rule", index++);
     try {
       rule->run(ctx, report.diagnostics);
     } catch (const std::exception& e) {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/netlist/surgeon.hpp"
+#include "src/obs/trace.hpp"
 #include "src/sim/batch_sim.hpp"
 #include "src/workload/rng.hpp"
 
@@ -160,15 +161,15 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
   bool stuck = false;
 
   std::vector<double> worst_min(n_out), worst_max(n_out);
-  const auto collect_worst = [&](const MinMaxStaResult& sta_min,
-                                 const MinMaxStaResult& sta_max) {
+  const auto collect_worst = [&](const std::vector<CornerTiming>& sta_min,
+                                 const std::vector<CornerTiming>& sta_max) {
     for (std::size_t i = 0; i < n_out; ++i) {
       const NetId o = netlist.output_nets()[i];
       double lo = kInf, hi = -kInf;
-      for (const CornerTiming& c : sta_min.corners) {
+      for (const CornerTiming& c : sta_min) {
         lo = std::min(lo, c.min_arrival_ps[o]);
       }
-      for (const CornerTiming& c : sta_max.corners) {
+      for (const CornerTiming& c : sta_max) {
         hi = std::max(hi, c.max_arrival_ps[o]);
       }
       worst_min[i] = lo;
@@ -177,11 +178,12 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
   };
 
   for (int pass = 0; pass < config.max_passes; ++pass) {
+    obs::TraceSpan span("lint.repair_pass", static_cast<std::uint64_t>(pass));
     const StaEngine engine(netlist, tech);
-    const MinMaxStaResult sta = engine.run(corners);
-    const MinMaxStaResult setup_sta =
-        dual_planes ? engine.run(setup_corners) : MinMaxStaResult{};
-    const MinMaxStaResult& sta_max = dual_planes ? setup_sta : sta;
+    const std::vector<CornerTiming> sta = engine.run(corners);
+    const std::vector<CornerTiming> setup_sta =
+        dual_planes ? engine.run(setup_corners) : std::vector<CornerTiming>{};
+    const std::vector<CornerTiming>& sta_max = dual_planes ? setup_sta : sta;
     collect_worst(sta, sta_max);
     if (!recorded_before) {
       before_min = worst_min;
@@ -284,13 +286,12 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
       // Min-critical path in the corner attaining this output's worst min.
       const NetId o = netlist.output_nets()[i];
       std::size_t worst_ci = 0;
-      for (std::size_t ci = 1; ci < sta.corners.size(); ++ci) {
-        if (sta.corners[ci].min_arrival_ps[o] <
-            sta.corners[worst_ci].min_arrival_ps[o]) {
+      for (std::size_t ci = 1; ci < sta.size(); ++ci) {
+        if (sta[ci].min_arrival_ps[o] < sta[worst_ci].min_arrival_ps[o]) {
           worst_ci = ci;
         }
       }
-      const CornerTiming& wc = sta.corners[worst_ci];
+      const CornerTiming& wc = sta[worst_ci];
       std::vector<std::pair<NetId, GateId>> edges;
       NetId n = o;
       while (true) {
@@ -316,7 +317,7 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
         const Gate& gt = netlist.gate(g);
         double cap = kInf;
         for (std::size_t ci = 0; ci < max_corners.size(); ++ci) {
-          const CornerTiming& c = sta_max.corners[ci];
+          const CornerTiming& c = sta_max[ci];
           const double dg =
               tech.delay(gt.kind) * corner_scale(max_corners[ci], g);
           for (std::size_t k = 0; k < classes.size(); ++k) {
@@ -370,10 +371,10 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
 
   // Final verdicts from a fresh full analysis of the repaired netlist.
   const StaEngine engine(netlist, tech);
-  const MinMaxStaResult sta = engine.run(corners);
-  const MinMaxStaResult setup_sta =
-      dual_planes ? engine.run(setup_corners) : MinMaxStaResult{};
-  const MinMaxStaResult& sta_max = dual_planes ? setup_sta : sta;
+  const std::vector<CornerTiming> sta = engine.run(corners);
+  const std::vector<CornerTiming> setup_sta =
+      dual_planes ? engine.run(setup_corners) : std::vector<CornerTiming>{};
+  const std::vector<CornerTiming>& sta_max = dual_planes ? setup_sta : sta;
   collect_worst(sta, sta_max);
   if (!recorded_before) {
     before_min = worst_min;
@@ -383,7 +384,7 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
   res.hold_clean = true;
   res.max_clean = true;
   double crit = 0.0;
-  for (const CornerTiming& c : sta_max.corners) {
+  for (const CornerTiming& c : sta_max) {
     crit = std::max(crit, c.critical_path_ps);
   }
   if (crit > budget + kEpsPs) res.max_clean = false;

@@ -50,7 +50,8 @@ bool timing_ready(const LintContext& ctx, std::string_view rule_id,
 /// One multi-corner min/max pass over the whole sweep. Every timing rule
 /// reads the same result, so setup and hold verdicts are provably computed
 /// from identical arrival planes.
-MinMaxStaResult sweep_sta(const Netlist& nl, const TimingContext& timing) {
+std::vector<CornerTiming> sweep_sta(const Netlist& nl,
+                                    const TimingContext& timing) {
   const StaEngine engine(nl, *timing.tech);
   const std::vector<StaCorner> corners = aging_corners(nl, timing);
   return engine.run(corners);
@@ -78,7 +79,7 @@ class RazorCoverageRule final : public Rule {
     if (!timing_ready(ctx, id(), out)) return;
     const Netlist& nl = *ctx.netlist;
     const TimingContext& timing = *ctx.timing;
-    const MinMaxStaResult sta = sweep_sta(nl, timing);
+    const std::vector<CornerTiming> sta = sweep_sta(nl, timing);
 
     std::size_t can_exceed = 0;
     std::size_t uncovered = 0;
@@ -89,7 +90,7 @@ class RazorCoverageRule final : public Rule {
       // does not rely on that — every corner is checked).
       double arrival = 0.0;
       const CornerTiming* at = nullptr;
-      for (const CornerTiming& c : sta.corners) {
+      for (const CornerTiming& c : sta) {
         if (c.max_arrival_ps[o] >= arrival) {
           arrival = c.max_arrival_ps[o];
           at = &c;
@@ -116,7 +117,7 @@ class RazorCoverageRule final : public Rule {
           "proved: " + std::to_string(can_exceed) + " of " +
               std::to_string(nl.num_outputs()) +
               " outputs can exceed T_clk = " + fmt_ps(timing.period_ps) +
-              " across " + std::to_string(sta.corners.size()) +
+              " across " + std::to_string(sta.size()) +
               " corners (worst " + fmt_ps(worst_ps) +
               "); all are Razor-protected",
           kNoGate, kInvalidNet});
@@ -147,7 +148,7 @@ class ShadowWindowRule final : public Rule {
     if (!timing_ready(ctx, id(), out)) return;
     const Netlist& nl = *ctx.netlist;
     const TimingContext& timing = *ctx.timing;
-    const MinMaxStaResult sta = sweep_sta(nl, timing);
+    const std::vector<CornerTiming> sta = sweep_sta(nl, timing);
     const double window_ps =
         timing.period_ps * (1.0 + timing.razor.shadow_window_cycles);
 
@@ -157,7 +158,7 @@ class ShadowWindowRule final : public Rule {
       // Unprotected late outputs are razor-coverage errors; this rule owns
       // the protected-but-unrecoverable case.
       if (!timing.output_protected(i)) continue;
-      for (const CornerTiming& c : sta.corners) {
+      for (const CornerTiming& c : sta) {
         const double arrival = c.max_arrival_ps[o];
         if (arrival <= window_ps) continue;
         ++beyond;
@@ -203,11 +204,11 @@ class HoldCountRule final : public Rule {
     const Netlist& nl = *ctx.netlist;
     const TimingContext& timing = *ctx.timing;
     const double budget_ps = timing.period_ps * timing.max_hold_cycles;
-    const MinMaxStaResult sta = sweep_sta(nl, timing);
+    const std::vector<CornerTiming> sta = sweep_sta(nl, timing);
 
     const CornerTiming* first_bad = nullptr;
     const CornerTiming* worst = nullptr;
-    for (const CornerTiming& c : sta.corners) {
+    for (const CornerTiming& c : sta) {
       if (worst == nullptr || c.critical_path_ps > worst->critical_path_ps) {
         worst = &c;
       }
@@ -232,7 +233,7 @@ class HoldCountRule final : public Rule {
           "proved: critical path stays within the hold budget " +
               std::to_string(timing.max_hold_cycles) + " x T_clk = " +
               fmt_ps(budget_ps) + " across " +
-              std::to_string(sta.corners.size()) + " corners (worst " +
+              std::to_string(sta.size()) + " corners (worst " +
               fmt_ps(worst->critical_path_ps) + " at " + worst->name +
               ", margin " + fmt_ps(budget_ps - worst->critical_path_ps) + ")",
           kNoGate, kInvalidNet});
@@ -281,7 +282,7 @@ class HoldWindowRule final : public Rule {
           kNoGate, kInvalidNet});
       return;
     }
-    const MinMaxStaResult sta = sweep_sta(nl, timing);
+    const std::vector<CornerTiming> sta = sweep_sta(nl, timing);
     const double window_ps =
         timing.period_ps * timing.razor.shadow_window_cycles;
     const double required_ps = window_ps + timing.hold_margin_ps;
@@ -294,7 +295,7 @@ class HoldWindowRule final : public Rule {
       if (!timing.output_protected(i)) continue;
       ++protected_outputs;
       const NetId o = nl.output_nets()[i];
-      for (const CornerTiming& c : sta.corners) {
+      for (const CornerTiming& c : sta) {
         const double arrival = c.min_arrival_ps[o];
         if (arrival < required_ps) {
           ++violating;
@@ -325,7 +326,7 @@ class HoldWindowRule final : public Rule {
               " Razor-protected outputs clear the shadow sampling window " +
               fmt_ps(window_ps) + " + margin " +
               fmt_ps(timing.hold_margin_ps) + " across " +
-              std::to_string(sta.corners.size()) + " corners" +
+              std::to_string(sta.size()) + " corners" +
               (have_margin ? " (tightest hold margin " + fmt_ps(tightest) + ")"
                            : ""),
           kNoGate, kInvalidNet});

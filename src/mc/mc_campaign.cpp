@@ -228,15 +228,9 @@ std::vector<McTrialRecord> McCampaign::score_corners(
       load_bus(inputs, pat.a, mult.width, mult.a_first_input);
       load_bus(inputs, pat.b, mult.width, mult.b_first_input);
       const std::span<const double> settle = sim.step(inputs);
-      const std::uint64_t golden = reference_multiply(pat.a, pat.b, mult.width);
-      const std::uint64_t product = sim.output_bits();
-      if (product != golden) {
-        throw std::logic_error(
-            "McCampaign: netlist product mismatch at pattern index " +
-            std::to_string(i) + ": " + std::to_string(pat.a) + " * " +
-            std::to_string(pat.b) + ": expected " + std::to_string(golden) +
-            ", netlist says " + std::to_string(product));
-      }
+      check_golden_product(i, pat.a, pat.b,
+                           reference_multiply(pat.a, pat.b, mult.width),
+                           sim.output_bits());
       for (int l = 0; l < kCornerLanes; ++l) {
         max_delay[l] = std::max(max_delay[l], settle[l]);
         violations[l] += settle[l] > arch.period_ps ? 1u : 0u;
@@ -360,6 +354,7 @@ std::string encode_mc_block(std::span<const McTrialRecord> records) {
 std::vector<McTrialRecord> decode_mc_block(const std::string& payload) {
   runtime::ByteReader r(payload);
   const std::uint32_t n = r.u32();
+  r.expect_records(n, 16);  // two f64 per record
   std::vector<McTrialRecord> records(n);
   for (McTrialRecord& rec : records) {
     rec.max_delay_ps = r.f64();

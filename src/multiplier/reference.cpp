@@ -1,6 +1,7 @@
 #include <stdexcept>
 
 #include "src/multiplier/multiplier.hpp"
+#include "src/obs/trace.hpp"
 
 namespace agingsim {
 
@@ -27,6 +28,7 @@ bool judges_on_multiplicand(MultiplierArch arch) noexcept {
 }
 
 MultiplierNetlist build_multiplier(MultiplierArch arch, int width) {
+  obs::TraceSpan span("netlist.generate", static_cast<std::uint64_t>(width));
   switch (arch) {
     case MultiplierArch::kArray: return build_array_multiplier(width);
     case MultiplierArch::kColumnBypass:
@@ -55,8 +57,8 @@ MultiplierSim::MultiplierSim(const MultiplierNetlist& mult,
       pattern_(mult.netlist.num_inputs(), Logic::kZero) {}
 
 StepResult MultiplierSim::apply(std::uint64_t a, std::uint64_t b) {
-  sim_.load_bus(pattern_, a, mult_->width, mult_->a_first_input);
-  sim_.load_bus(pattern_, b, mult_->width, mult_->b_first_input);
+  load_bus(pattern_, a, mult_->width, mult_->a_first_input);
+  load_bus(pattern_, b, mult_->width, mult_->b_first_input);
   return sim_.step(pattern_);
 }
 

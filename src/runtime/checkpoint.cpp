@@ -48,6 +48,7 @@ void count_discard(const char* why) {
        obs::counter("checkpoint.discarded_digest")},
       {"truncated payload", obs::counter("checkpoint.discarded_truncated")},
       {"payload CRC mismatch", obs::counter("checkpoint.discarded_crc")},
+      {"unit mismatch", obs::counter("checkpoint.discarded_unit")},
   };
   checkpoint_metrics().discarded.add();
   for (const auto& reason : kReasons) {
@@ -213,7 +214,13 @@ CheckpointScan CheckpointStore::load() {
     if (file.extension() != ".ckpt") continue;  // foreign file: leave alone
     std::uint64_t unit = 0;
     std::string payload;
-    if (const char* why = read_unit_file(file, digest_, unit, payload)) {
+    const char* why = read_unit_file(file, digest_, unit, payload);
+    // The CRC covers only the payload: a damaged unit field must not
+    // restore this file as another unit.
+    if (why == nullptr && file.filename() != unit_path(unit).filename()) {
+      why = "unit mismatch";
+    }
+    if (why != nullptr) {
       diagnose(file, why);
       std::filesystem::remove(file, ec);
       ++scan.discarded;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <mutex>
 #include <thread>
 
@@ -42,99 +40,6 @@ const RunnerMetrics& runner_metrics() {
   return m;
 }
 
-/// Deadline enforcement thread. Attempts are armed with their CancelToken;
-/// the thread sleeps until the oldest armed deadline (all attempts share
-/// one deadline duration, so deadlines expire in arm order) and cancels
-/// whatever has expired. Cancellation is cooperative: the token flips, the
-/// task observes it at its next poll() and unwinds with
-/// RunError(kTimeout). A disabled watchdog (deadline 0) spawns no thread.
-class Watchdog {
- public:
-  /// `stop` (optional, not owned) is the runner's external stop token:
-  /// when it flips, every armed attempt is cancelled immediately, same as
-  /// a deadline expiry. The thread spawns when either trigger can fire.
-  Watchdog(std::chrono::milliseconds deadline, const CancelToken* stop)
-      : deadline_(deadline), stop_(stop) {
-    if (deadline_.count() > 0 || stop_ != nullptr) {
-      thread_ = std::jthread([this](std::stop_token st) { loop(st); });
-    }
-  }
-
-  /// Registers one attempt; returns an id for disarm() (0 when disabled).
-  std::uint64_t arm(CancelToken* token) {
-    if (deadline_.count() <= 0 && stop_ == nullptr) return 0;
-    std::lock_guard lk(mutex_);
-    if (stopped_) {
-      // The stop token already fired: cancel straight away so the attempt
-      // unwinds at its first poll.
-      token->cancel();
-    }
-    const std::uint64_t id = ++next_id_;
-    const Clock::time_point deadline = deadline_.count() > 0
-                                           ? Clock::now() + deadline_
-                                           : Clock::time_point::max();
-    armed_.emplace(id, Entry{token, deadline});
-    cv_.notify_all();
-    return id;
-  }
-
-  void disarm(std::uint64_t id) {
-    if (id == 0) return;
-    std::lock_guard lk(mutex_);
-    armed_.erase(id);
-  }
-
- private:
-  struct Entry {
-    CancelToken* token;
-    Clock::time_point deadline;
-  };
-
-  void loop(std::stop_token stop) {
-    std::unique_lock lk(mutex_);
-    while (!stop.stop_requested()) {
-      if (stop_ != nullptr && !stopped_ && stop_->cancelled()) {
-        // External stop: flush every armed attempt at once. The flag stays
-        // set so late arms are cancelled on entry.
-        stopped_ = true;
-        for (auto& [id, entry] : armed_) entry.token->cancel();
-        armed_.clear();
-      }
-      const Clock::time_point now = Clock::now();
-      Clock::time_point earliest = Clock::time_point::max();
-      for (auto it = armed_.begin(); it != armed_.end();) {
-        if (it->second.deadline <= now) {
-          it->second.token->cancel();
-          runner_metrics().watchdog_fires.add();
-          it = armed_.erase(it);
-        } else {
-          earliest = std::min(earliest, it->second.deadline);
-          ++it;
-        }
-      }
-      // The external stop token has no way to wake this cv, so cap the
-      // sleep at a short poll tick while one is configured.
-      if (stop_ != nullptr) {
-        earliest = std::min(earliest, now + std::chrono::milliseconds(20));
-      }
-      if (earliest == Clock::time_point::max()) {
-        cv_.wait(lk, stop, [&] { return !armed_.empty(); });
-      } else {
-        cv_.wait_until(lk, stop, earliest, [] { return false; });
-      }
-    }
-  }
-
-  std::chrono::milliseconds deadline_;
-  const CancelToken* stop_;
-  bool stopped_ = false;  // guarded by mutex_
-  std::mutex mutex_;
-  std::condition_variable_any cv_;
-  std::map<std::uint64_t, Entry> armed_;
-  std::uint64_t next_id_ = 0;
-  std::jthread thread_;
-};
-
 void apply_chaos(const ChaosPolicy& chaos, std::uint64_t unit, int attempt,
                  const CancelToken& cancel) {
   switch (chaos.decide(unit, attempt)) {
@@ -150,12 +55,11 @@ void apply_chaos(const ChaosPolicy& chaos, std::uint64_t unit, int attempt,
                      "chaos: injected permanent fault (unit " +
                          std::to_string(unit) + ")");
     case ChaosAction::kStall: {
-      // Deadline-aware: one blocking wait that a watchdog cancel() ends
-      // immediately. The old fixed-tick poll loop kept a cancelled task
-      // stalling for up to a full tick past its deadline — and, worse,
-      // burned a wakeup per millisecond for the whole stall.
+      // Deadline-aware: one blocking wait that a cancel() ends immediately,
+      // instead of a fixed-tick poll loop that overshoots the deadline by
+      // up to a tick and wakes once per tick for the whole stall.
       cancel.wait_until(Clock::now() + chaos.stall_duration);
-      cancel.poll();  // a watchdog cancellation ends the stall
+      cancel.poll();  // a deadline or stop cancellation ends the stall
       return;
     }
   }
@@ -163,13 +67,33 @@ void apply_chaos(const ChaosPolicy& chaos, std::uint64_t unit, int attempt,
 
 }  // namespace
 
+CancelToken::CancelToken(const CancelToken* parent) : parent_(parent) {
+  if (parent_ == nullptr) return;
+  // Under the parent's lock a cancel() either has already flipped its flag
+  // (seen here) or has yet to walk its children (and will find this one).
+  std::lock_guard lk(parent_->mutex_);
+  if (parent_->cancelled()) {
+    flag_.store(true, std::memory_order_release);
+  } else {
+    parent_->children_.push_back(this);
+  }
+}
+
+CancelToken::~CancelToken() {
+  if (parent_ == nullptr) return;
+  std::lock_guard lk(parent_->mutex_);
+  std::erase(parent_->children_, this);
+}
+
 void CancelToken::cancel() noexcept {
   flag_.store(true, std::memory_order_release);
   // Taking the lock before notifying orders the store against a sleeper's
   // predicate re-check: a wait_until that just saw the flag clear is
-  // guaranteed to observe the notification.
+  // guaranteed to observe the notification. It also keeps each child alive
+  // (its destructor takes this lock) while it is cancelled.
   std::lock_guard lk(mutex_);
   cv_.notify_all();
+  for (CancelToken* child : children_) child->cancel();
 }
 
 void CancelToken::poll() const {
@@ -183,6 +107,58 @@ void CancelToken::wait_until(
     std::chrono::steady_clock::time_point deadline) const {
   std::unique_lock lk(mutex_);
   cv_.wait_until(lk, deadline, [this] { return cancelled(); });
+}
+
+void DeadlineTimer::arm(Clock::time_point deadline,
+                        std::weak_ptr<CancelToken> token) {
+  std::lock_guard lk(mutex_);
+  if (stopping_) return;
+  entries_.push_back(Entry{deadline, std::move(token)});
+  if (!thread_.joinable()) thread_ = std::thread([this] { loop(); });
+  cv_.notify_one();
+}
+
+void DeadlineTimer::cancel_all_at(Clock::time_point when) {
+  std::lock_guard lk(mutex_);
+  drain_at_ = std::min(drain_at_, when);
+  cv_.notify_one();
+}
+
+void DeadlineTimer::stop() {
+  {
+    std::lock_guard lk(mutex_);
+    stopping_ = true;
+  }
+  cv_.notify_all();
+  if (thread_.joinable()) thread_.join();
+}
+
+void DeadlineTimer::loop() {
+  std::unique_lock lk(mutex_);
+  while (!stopping_) {
+    // Expired, drained and freed entries drop out; the next wake is the
+    // earliest surviving deadline or the drain time. The lock is held from
+    // scan to wait, so no arm() notification can slip through unseen.
+    const Clock::time_point now = Clock::now();
+    const bool drain = drain_at_ <= now;
+    if (drain) drain_at_ = Clock::time_point::max();
+    Clock::time_point next = drain_at_;
+    std::erase_if(entries_, [&](const Entry& e) {
+      const std::shared_ptr<CancelToken> token = e.token.lock();
+      if (token == nullptr) return true;
+      if (drain || e.deadline <= now) {
+        token->cancel();
+        return true;
+      }
+      next = std::min(next, e.deadline);
+      return false;
+    });
+    if (next == Clock::time_point::max()) {
+      cv_.wait(lk);
+    } else {
+      cv_.wait_until(lk, next);
+    }
+  }
 }
 
 RunnerConfig RunnerConfig::from_env() {
@@ -290,9 +266,16 @@ std::vector<std::string> RobustRunner::run(std::size_t n, const Task& task,
                        : 0;
   std::atomic<std::uint64_t> fresh_done{0};
 
-  Watchdog watchdog(config_.deadline, config_.stop);
+  DeadlineTimer timer;
   const auto stop_requested = [&] {
     return config_.stop != nullptr && config_.stop->cancelled();
+  };
+  // An attempt token cancelled while the stop token is not was cancelled
+  // by its own deadline.
+  const auto end_attempt = [&](const CancelToken& cancel) {
+    if (cancel.cancelled() && !stop_requested()) {
+      runner_metrics().watchdog_fires.add();
+    }
   };
   const auto run_unit = [&](std::size_t pending_index) {
     const std::uint64_t unit = pending[pending_index];
@@ -303,13 +286,15 @@ std::vector<std::string> RobustRunner::run(std::size_t n, const Task& task,
       return;
     }
     for (int attempt = 0;; ++attempt) {
-      CancelToken cancel;
-      const std::uint64_t armed = watchdog.arm(&cancel);
+      const auto cancel = std::make_shared<CancelToken>(config_.stop);
+      if (config_.deadline.count() > 0) {
+        timer.arm(Clock::now() + config_.deadline, cancel);
+      }
       ++outcome.attempts;
       try {
-        apply_chaos(config_.chaos, unit, attempt, cancel);
-        std::string payload = task(unit, cancel);
-        watchdog.disarm(armed);
+        apply_chaos(config_.chaos, unit, attempt, *cancel);
+        std::string payload = task(unit, *cancel);
+        end_attempt(*cancel);
         payloads[unit] = std::move(payload);
         outcome.state = UnitState::kComputed;
         if (store != nullptr) {
@@ -337,7 +322,7 @@ std::vector<std::string> RobustRunner::run(std::size_t n, const Task& task,
         report_done(unit);
         return;
       } catch (const RunError& e) {
-        watchdog.disarm(armed);
+        end_attempt(*cancel);
         if (stop_requested()) {
           // The cancellation came from the external stop, not a failure of
           // this unit: record it as skipped so a resume re-runs it.
@@ -358,7 +343,7 @@ std::vector<std::string> RobustRunner::run(std::size_t n, const Task& task,
         outcome.error = e.what();
         return;
       } catch (const std::exception& e) {
-        watchdog.disarm(armed);
+        end_attempt(*cancel);
         outcome.state = UnitState::kQuarantined;
         outcome.category = ErrorCategory::kPermanent;
         outcome.error = e.what();

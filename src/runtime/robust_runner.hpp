@@ -11,8 +11,8 @@
 //    recorded as failed in the RunReport and the campaign keeps going
 //    (graceful degradation, the harness analogue of the AHL storm
 //    fallback) — permanent/unclassified failures quarantine immediately,
-//  - arms a watchdog thread per attempt when a deadline is configured:
-//    past the deadline the task's CancelToken flips and a cooperative task
+//  - arms each attempt's CancelToken on a DeadlineTimer when a deadline is
+//    configured: past the deadline the token flips and a cooperative task
 //    observes it via poll(), which throws RunError(kTimeout),
 //  - persists every completed payload to the checkpoint store the moment
 //    it finishes, so a SIGKILL loses at most the in-flight units,
@@ -30,8 +30,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/exec/thread_pool.hpp"
@@ -41,16 +43,26 @@
 
 namespace agingsim::runtime {
 
-/// Cooperative cancellation flag shared between a task attempt and the
-/// watchdog. Long-running tasks call poll() at convenient boundaries.
+/// Cooperative cancellation flag shared between a task attempt and whoever
+/// may end it: a DeadlineTimer, or a parent token such as the runner's
+/// external stop. Long-running tasks call poll() at convenient boundaries.
 class CancelToken {
  public:
+  /// A token linked to `parent` (null: none) is cancelled with it — at
+  /// once, waking its wait_until() — and starts cancelled if the parent
+  /// already is. The parent must outlive its children.
+  explicit CancelToken(const CancelToken* parent = nullptr);
+  ~CancelToken();
+  CancelToken(const CancelToken&) = delete;
+  CancelToken& operator=(const CancelToken&) = delete;
+
   bool cancelled() const noexcept {
     return flag_.load(std::memory_order_acquire);
   }
-  /// Flips the flag and wakes any wait_until() sleeper immediately.
+  /// Flips the flag, wakes any wait_until() sleeper immediately and
+  /// cancels every linked child.
   void cancel() noexcept;
-  /// Throws RunError(kTimeout) once the watchdog has cancelled the attempt.
+  /// Throws RunError(kTimeout) once the attempt has been cancelled.
   void poll() const;
   /// Blocks until `deadline` or cancellation, whichever comes first — the
   /// deadline-aware replacement for fixed-tick polling loops (a cancel
@@ -60,14 +72,53 @@ class CancelToken {
 
  private:
   std::atomic<bool> flag_{false};
+  const CancelToken* parent_;
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_;
+  mutable std::vector<CancelToken*> children_;  // guarded by mutex_
+};
+
+/// Cancels CancelTokens at their deadlines from one thread, started by the
+/// first arm(). Tokens are held weakly, so a token freed before its
+/// deadline just drops out and callers never disarm. Also the drain
+/// hammer: cancel_all_at() cancels every token still armed at that time.
+class DeadlineTimer {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  DeadlineTimer() = default;
+  ~DeadlineTimer() { stop(); }
+  DeadlineTimer(const DeadlineTimer&) = delete;
+  DeadlineTimer& operator=(const DeadlineTimer&) = delete;
+
+  /// Cancels `token` at `deadline`; Clock::time_point::max() leaves it to
+  /// cancel_all_at(). Ignored after stop().
+  void arm(Clock::time_point deadline, std::weak_ptr<CancelToken> token);
+  /// Cancels every token armed and alive at `when` (the earliest call
+  /// wins), whatever its own deadline.
+  void cancel_all_at(Clock::time_point when);
+  /// Joins the thread; tokens still armed stay as they are.
+  void stop();
+
+ private:
+  struct Entry {
+    Clock::time_point deadline;
+    std::weak_ptr<CancelToken> token;
+  };
+  void loop();
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<Entry> entries_;  // unsorted; the loop scans for the minimum
+  Clock::time_point drain_at_ = Clock::time_point::max();
+  bool stopping_ = false;
+  std::thread thread_;
 };
 
 struct RunnerConfig {
   /// Extra attempts after the first for retryable failures (0 = fail fast).
   int max_retries = 3;
-  /// Per-attempt watchdog deadline; 0 disables the watchdog.
+  /// Per-attempt deadline; 0 disables it.
   std::chrono::milliseconds deadline{0};
   /// Backoff before retry k (1-based): base * growth^(k-1), capped.
   std::chrono::milliseconds backoff_base{25};
@@ -80,8 +131,8 @@ struct RunnerConfig {
   /// honoring AGINGSIM_THREADS.
   exec::ThreadPool* pool = nullptr;
   /// Optional external stop signal (not owned): when it flips, units not
-  /// yet started are skipped (UnitState::kSkipped) and in-flight attempts
-  /// are cancelled cooperatively, exactly like a watchdog deadline — each
+  /// yet started are skipped (UnitState::kSkipped) and in-flight attempts,
+  /// whose tokens are linked to it, are cancelled cooperatively — each
   /// completed unit has already been persisted, so a stopped campaign
   /// resumes from where it left off. This is how SIGTERM/SIGINT handlers
   /// (tools/agingrun) and the serving daemon's drain/deadline paths

@@ -116,6 +116,16 @@ std::string ByteReader::str() {
   return s;
 }
 
+void ByteReader::expect_records(std::uint64_t count,
+                                std::size_t record_bytes) const {
+  if (count > remaining() / record_bytes) {
+    throw RunError(ErrorCategory::kCorrupt,
+                   "ByteReader: " + std::to_string(count) +
+                       " records overrun the " + std::to_string(remaining()) +
+                       " bytes left");
+  }
+}
+
 void ByteReader::expect_end() const {
   if (!at_end()) {
     throw RunError(ErrorCategory::kCorrupt,

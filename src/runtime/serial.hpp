@@ -78,6 +78,10 @@ class ByteReader {
   bool at_end() const noexcept { return pos_ == bytes_.size(); }
   /// Throws RunError(kCorrupt) unless every byte was consumed.
   void expect_end() const;
+  /// Throws RunError(kCorrupt) unless `count` records of `record_bytes`
+  /// each fit in the bytes left. Call it before sizing a container by a
+  /// decoded count, so a corrupt count cannot drive the allocation.
+  void expect_records(std::uint64_t count, std::size_t record_bytes) const;
 
  private:
   void need(std::size_t n) const;

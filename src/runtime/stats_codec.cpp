@@ -99,8 +99,10 @@ std::string encode_run_stats_row(std::span<const RunStats> row) {
 }
 
 std::vector<RunStats> decode_run_stats_row(std::string_view payload) {
+  static const std::size_t kRecordBytes = encode_run_stats(RunStats{}).size();
   ByteReader r(payload);
   const std::uint64_t count = r.u64();
+  r.expect_records(count, kRecordBytes);
   std::vector<RunStats> row;
   row.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) row.push_back(decode_from(r));

@@ -162,12 +162,6 @@ class AdmissionQueue {
     return decision;
   }
 
-  /// Back-compat shim: anonymous client, wall-clock now.
-  AdmissionDecision try_push(T job, Priority priority,
-                             bool needs_cache_refill) {
-    return try_push(std::move(job), priority, needs_cache_refill, "anon");
-  }
-
   /// Blocks for the next job (normal lane fully before batch; deficit
   /// round-robin across clients within a lane). Returns nullopt only after
   /// close() once the queue is empty — the worker shutdown signal.

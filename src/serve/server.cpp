@@ -87,88 +87,6 @@ void count_rejection(ErrorCode code) {
 
 }  // namespace
 
-// --- DeadlineRegistry -----------------------------------------------------
-
-DeadlineRegistry::DeadlineRegistry() : thread_([this] { loop(); }) {}
-
-DeadlineRegistry::~DeadlineRegistry() { stop(); }
-
-void DeadlineRegistry::arm(std::chrono::steady_clock::time_point deadline,
-                           std::shared_ptr<runtime::CancelToken> token) {
-  {
-    std::lock_guard lk(mutex_);
-    entries_.push_back(Entry{deadline, std::move(token)});
-  }
-  cv_.notify_one();
-}
-
-void DeadlineRegistry::track(std::shared_ptr<runtime::CancelToken> token) {
-  arm(std::chrono::steady_clock::time_point::max(), std::move(token));
-}
-
-void DeadlineRegistry::cancel_all_at(
-    std::chrono::steady_clock::time_point when) {
-  {
-    std::lock_guard lk(mutex_);
-    hammer_ = std::min(hammer_, when);
-  }
-  cv_.notify_one();
-}
-
-void DeadlineRegistry::cancel_all() {
-  std::lock_guard lk(mutex_);
-  cancel_all_locked();
-}
-
-void DeadlineRegistry::cancel_all_locked() {
-  for (const Entry& e : entries_) {
-    if (auto token = e.token.lock()) token->cancel();
-  }
-  entries_.clear();
-}
-
-void DeadlineRegistry::stop() {
-  {
-    std::lock_guard lk(mutex_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void DeadlineRegistry::loop() {
-  std::unique_lock lk(mutex_);
-  while (!stop_) {
-    // Expired or abandoned (job finished, token freed) entries drop out;
-    // the next wake is the earliest surviving *finite* deadline. Entries
-    // without one (track()) only matter to cancel_all, so with none finite
-    // the loop parks until arm()/stop() notifies — the lock is held from
-    // scan to wait, so no notification can slip through unseen.
-    const auto now = std::chrono::steady_clock::now();
-    if (hammer_ <= now) {
-      cancel_all_locked();
-      hammer_ = std::chrono::steady_clock::time_point::max();
-    }
-    auto next = hammer_;
-    std::erase_if(entries_, [&](const Entry& e) {
-      auto token = e.token.lock();
-      if (token == nullptr) return true;
-      if (e.deadline <= now) {
-        token->cancel();
-        return true;
-      }
-      next = std::min(next, e.deadline);
-      return false;
-    });
-    if (next == std::chrono::steady_clock::time_point::max()) {
-      cv_.wait(lk);
-    } else {
-      cv_.wait_until(lk, next);
-    }
-  }
-}
-
 // --- Connection -----------------------------------------------------------
 
 Server::Connection::~Connection() {
@@ -610,11 +528,7 @@ void Server::dispatch_queueable(Connection& conn,
   server_metrics().client_accepted.add();
   server_metrics().queue_depth.record(
       static_cast<std::int64_t>(queue_.depth()));
-  if (deadline != std::chrono::steady_clock::time_point::max()) {
-    deadlines_.arm(deadline, std::move(token));
-  } else {
-    deadlines_.track(std::move(token));
-  }
+  deadlines_.arm(deadline, std::move(token));
 }
 
 void Server::worker_loop() {

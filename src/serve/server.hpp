@@ -9,9 +9,11 @@
 //                   health/status respond even when every worker is busy)
 //                   and routes queueable work through the admission queue;
 //   N workers       pop admitted jobs, execute on Service, reply;
-//   1 deadline watchdog
-//                   cancels each job's token when its deadline expires,
-//                   whether the job is still queued or already running.
+//   1 deadline timer
+//                   (runtime::DeadlineTimer, started by the first admitted
+//                   job) cancels each job's token when its deadline
+//                   expires, whether the job is still queued or already
+//                   running, and every token at the drain grace time.
 //
 // Drain (SIGTERM / shutdown request): stop accepting connections, reject
 // new work with `draining`, let queued + in-flight work finish; after
@@ -21,7 +23,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -60,41 +61,6 @@ struct ServerConfig {
   /// 0 disables.
   std::uint32_t max_inflight_per_conn = 32;
   ServiceConfig service{};
-};
-
-/// Cancels CancelTokens at their deadline. Also the drain hammer: after
-/// the grace period every live token is cancelled at once.
-class DeadlineRegistry {
- public:
-  DeadlineRegistry();
-  ~DeadlineRegistry();
-
-  void arm(std::chrono::steady_clock::time_point deadline,
-           std::shared_ptr<runtime::CancelToken> token);
-  /// Registers a token with no deadline (drain cancellation only).
-  void track(std::shared_ptr<runtime::CancelToken> token);
-  /// Schedules cancellation of every live token at `when` — the drain
-  /// grace hammer. Runs on the registry thread; no extra thread to race
-  /// the shutdown sequence.
-  void cancel_all_at(std::chrono::steady_clock::time_point when);
-  void cancel_all();
-  void stop();
-
- private:
-  struct Entry {
-    std::chrono::steady_clock::time_point deadline;
-    std::weak_ptr<runtime::CancelToken> token;
-  };
-  void loop();
-  void cancel_all_locked();
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<Entry> entries_;  // unsorted; the loop scans for the minimum
-  std::chrono::steady_clock::time_point hammer_ =
-      std::chrono::steady_clock::time_point::max();
-  bool stop_ = false;
-  std::thread thread_;
 };
 
 class Server {
@@ -176,7 +142,7 @@ class Server {
   AgedStateCache cache_;
   Service service_;
   AdmissionQueue<Job> queue_;
-  DeadlineRegistry deadlines_;
+  runtime::DeadlineTimer deadlines_;
 
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};

@@ -241,7 +241,9 @@ HandlerResult Service::handle_query(const JsonValue& params,
     if (cancel.cancelled()) return cancelled_result(cancel, "corner refill");
     Rng rng(q->workload_seed);
     const auto patterns = uniform_patterns(rng, q->width, q->ops);
-    fresh.trace = compute_op_trace(mult, tech_, patterns, fresh.delay_scales);
+    fresh.trace = compute_op_trace(
+        mult, tech_, patterns,
+        TraceOptions{.gate_delay_scale = fresh.delay_scales});
     if (cache_ != nullptr) cache_->put(key, fresh);
     corner = std::move(fresh);
   }

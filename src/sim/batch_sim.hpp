@@ -144,7 +144,7 @@ class BatchTimingSim {
   /// Evaluates lanes [0, lanes) in one sweep. `input_bits` holds one word
   /// per primary input (in input order): bit l is the value that input
   /// takes on lane l. All input lanes are known 0/1 — operands come from
-  /// registers, exactly like TimingSim::load_bus patterns. Returns one
+  /// registers, exactly like load_bus patterns. Returns one
   /// StepResult per lane, each exactly what the corresponding scalar
   /// step() would have returned; the span is valid until the next call.
   /// A word always costs a full 64-lane sweep, however few lanes it uses.
@@ -159,7 +159,7 @@ class BatchTimingSim {
   std::uint64_t output_bits(int lane) const;
 
   /// Packs an unsigned value's bit `i` into `input_bits[first_input + i]`
-  /// at lane `lane` (the word analogue of TimingSim::load_bus). Throws
+  /// at lane `lane` (the word analogue of load_bus). Throws
   /// std::invalid_argument on a lane outside [0, 64) or a bus outside the
   /// primary inputs.
   void load_bus_lane(std::span<std::uint64_t> input_bits, std::uint64_t value,

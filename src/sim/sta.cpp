@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/obs/trace.hpp"
+
 namespace agingsim {
 namespace {
 
@@ -94,10 +96,9 @@ CornerTiming StaEngine::forward(const StaCorner& corner) const {
   CornerTiming t;
   t.name = corner.name;
   // Max plane starts at 0 for every net (primary inputs launch at t = 0 and
-  // undriven nets stay there — the legacy run_sta convention, preserved so
-  // the max plane is exactly == the legacy numbers). The min plane starts at
-  // 0 on primary inputs and is assigned on every gate-driven net; gates with
-  // no fanin (tie cells) seed their own delay in both planes.
+  // undriven nets stay there). The min plane starts at 0 on primary inputs
+  // and is assigned on every gate-driven net; gates with no fanin (tie
+  // cells) seed their own delay in both planes.
   t.max_arrival_ps.assign(nl.num_nets(), 0.0);
   t.min_arrival_ps.assign(nl.num_nets(), 0.0);
   const bool scaled = !corner.gate_delay_scale.empty();
@@ -125,20 +126,20 @@ CornerTiming StaEngine::forward(const StaCorner& corner) const {
   return t;
 }
 
-MinMaxStaResult StaEngine::run(std::span<const StaCorner> corners) const {
+std::vector<CornerTiming> StaEngine::run(
+    std::span<const StaCorner> corners) const {
+  obs::TraceSpan span("sta.run", corners.size());
   for (const StaCorner& c : corners) check_corner(c);
-  MinMaxStaResult r;
-  r.corners.reserve(corners.size());
-  // One logical pass: per-corner planes are independent flat arrays and the
-  // schedule is walked once per corner batch. The arithmetic per gate only
-  // depends on its fanin's final values, so per-corner results are
-  // bit-identical whether corners share the gate loop or not; keeping the
-  // corner loop outermost keeps each plane's working set contiguous.
-  for (const StaCorner& c : corners) r.corners.push_back(forward(c));
+  // The corner loop is outermost: each walk of the schedule touches one
+  // corner's planes, so its working set stays contiguous.
+  std::vector<CornerTiming> r;
+  r.reserve(corners.size());
+  for (const StaCorner& c : corners) r.push_back(forward(c));
   return r;
 }
 
 CornerTiming StaEngine::run_corner(const StaCorner& corner) const {
+  obs::TraceSpan span("sta.run_corner");
   check_corner(corner);
   return forward(corner);
 }
@@ -178,24 +179,6 @@ StaEngine::Downstream StaEngine::downstream(
     }
   }
   return d;
-}
-
-StaResult run_sta(const Netlist& netlist, const TechLibrary& tech,
-                  std::span<const double> gate_delay_scale) {
-  if (!gate_delay_scale.empty() &&
-      gate_delay_scale.size() != netlist.num_gates()) {
-    throw std::invalid_argument(
-        "run_sta: gate_delay_scale must have one entry per gate");
-  }
-  const StaEngine engine(netlist, tech);
-  StaCorner corner;
-  corner.gate_delay_scale.assign(gate_delay_scale.begin(),
-                                 gate_delay_scale.end());
-  CornerTiming t = engine.run_corner(corner);
-  StaResult r;
-  r.arrival_ps = std::move(t.max_arrival_ps);
-  r.critical_path_ps = t.critical_path_ps;
-  return r;
 }
 
 }  // namespace agingsim

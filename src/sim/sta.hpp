@@ -10,20 +10,11 @@
 
 namespace agingsim {
 
-/// Result of a legacy (max-only) static timing analysis pass.
-struct StaResult {
-  /// Worst-case arrival time (ps) of every net, inputs at t = 0.
-  std::vector<double> arrival_ps;
-  /// Max arrival over the primary outputs: the critical-path delay. This is
-  /// the cycle period a fixed-latency design must use (paper Section II-C).
-  double critical_path_ps = 0.0;
-};
-
 /// One analysis corner: a label plus an optional per-gate delay multiplier
 /// overlay (the aging overlay produced by src/aging/; empty means every gate
 /// runs at its nominal library delay). Corners compose fresh/aged silicon
-/// with any per-gate derating in one object, so a multi-corner run covers
-/// "fresh", "year-3.5", "year-7", ... in a single graph traversal.
+/// with any per-gate derating in one object, so one `StaEngine::run` call
+/// covers "fresh", "year-3.5", "year-7", ... against one level schedule.
 struct StaCorner {
   std::string name;
   /// One multiplier per gate, or empty for 1.0 everywhere.
@@ -33,18 +24,18 @@ struct StaCorner {
 /// Min/max arrivals of every net at one corner.
 ///
 /// `max_arrival_ps` is the latest settle time (setup side): every gate's
-/// output is max(input arrivals) + delay — identical to the legacy
-/// `run_sta` numbers, bit for bit.
+/// output is max(input arrivals) + delay, with primary inputs and undriven
+/// nets at t = 0. Tri-state buffers count every pin, so the max plane is the
+/// "always enabled" worst case — sound for late settles only.
 ///
 /// `min_arrival_ps` is the *earliest time the net can change* after the
 /// launch edge (hold side): min over all input arcs + delay. Tri-state
 /// buffers deliberately include the enable arc in the min plane — a bypass
 /// select toggling can propagate new data through a kTbuf as soon as the
-/// enable arrives, even when the data pin is still settling. The legacy
-/// "always enabled" reading (correct as a max-side worst case) would drop
-/// that arc, because a statically-enabled buffer's enable never transitions;
-/// for min analysis that is unsound and hides exactly the short paths the
-/// Razor shadow window is vulnerable to.
+/// enable arrives, even when the data pin is still settling. A min analysis
+/// built on the "always enabled" reading would drop that arc, because a
+/// statically-enabled buffer's enable never transitions; that is unsound and
+/// hides exactly the short paths the Razor shadow window is vulnerable to.
 struct CornerTiming {
   std::string name;
   std::vector<double> min_arrival_ps;
@@ -56,21 +47,16 @@ struct CornerTiming {
   double earliest_output_ps = 0.0;
 };
 
-/// One `StaEngine::run`: per-corner min/max arrivals, corners in call order.
-struct MinMaxStaResult {
-  std::vector<CornerTiming> corners;
-};
-
-/// Levelized, struct-of-arrays min/max static timing engine.
+/// Levelized min/max static timing engine: the one timing entry point.
+/// Setup and hold are two planes of the same pass, not two analyses.
 ///
 /// Construction validates the netlist (cell kinds in the library, pin
 /// windows in bounds, topological net order) and builds a level schedule —
 /// gates grouped by topological level, level-major — plus a flat per-gate
-/// nominal-delay table. A `run` then propagates the earliest and latest
-/// arrival of every net across *all* requested corners in one traversal of
-/// that schedule: the per-corner arrival planes are separate flat arrays
-/// (struct-of-arrays), and each gate is visited exactly once with an inner
-/// corner loop, so adding corners costs arithmetic, not graph walks.
+/// nominal-delay table. A `run` then walks that schedule once per corner,
+/// filling the corner's min and max arrival planes (separate flat arrays)
+/// in the same gate loop. Corners are independent, so a corner's planes
+/// are bit-identical whether it runs alone or among others.
 ///
 /// Throws std::invalid_argument from the constructor when the netlist is
 /// structurally broken; lint rules rely on that (the LintEngine converts a
@@ -79,10 +65,10 @@ class StaEngine {
  public:
   StaEngine(const Netlist& netlist, const TechLibrary& tech);
 
-  /// Min/max arrivals for every corner in one levelized pass. Each corner's
+  /// Min/max arrivals for every corner, in call order. Each corner's
   /// `gate_delay_scale` must be empty or sized one-per-gate (throws
   /// std::invalid_argument otherwise).
-  MinMaxStaResult run(std::span<const StaCorner> corners) const;
+  std::vector<CornerTiming> run(std::span<const StaCorner> corners) const;
 
   /// Single-corner convenience.
   CornerTiming run_corner(const StaCorner& corner) const;
@@ -118,18 +104,5 @@ class StaEngine {
   std::vector<std::uint32_t> level_begin_;  // size num_levels_ + 1
   int num_levels_ = 0;
 };
-
-/// Legacy value-independent worst-case timing — the **max corner only**.
-/// Every gate's output arrival is max(input arrivals) + gate delay;
-/// tri-state buffers are treated as always enabled, which is a conservative
-/// worst case *for late settles only*. This entry point has no min-delay
-/// plane and must not be used for hold / short-path reasoning: a min
-/// analysis derived from the same always-enabled assumption would drop the
-/// tbuf enable arc and overestimate how slow the fastest path is. Use
-/// `StaEngine` (whose max plane is exactly `==` these numbers) wherever
-/// earliest arrivals matter. `gate_delay_scale`, if non-empty, gives a
-/// per-gate delay multiplier; it must have one entry per gate.
-StaResult run_sta(const Netlist& netlist, const TechLibrary& tech,
-                  std::span<const double> gate_delay_scale = {});
 
 }  // namespace agingsim

@@ -131,14 +131,6 @@ void load_bus(std::span<Logic> pattern_buffer, std::uint64_t value, int width,
   }
 }
 
-void TimingSim::load_bus(std::span<Logic> pattern_buffer, std::uint64_t value,
-                         int width, int first_input) const {
-  agingsim::load_bus(
-      pattern_buffer.first(
-          std::min(netlist_->num_inputs(), pattern_buffer.size())),
-      value, width, first_input);
-}
-
 template <bool kOverlay, bool kTransient>
 bool TimingSim::evaluate_gate(GateId g, StepResult& result) {
   const Netlist& nl = *netlist_;

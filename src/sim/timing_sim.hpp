@@ -134,12 +134,6 @@ class TimingSim {
   /// nets transition from X); its timing numbers are still well defined.
   StepResult step(std::span<const Logic> input_values);
 
-  /// Applies an unsigned pattern to an input bus laid out LSB-first starting
-  /// at primary-input index `first_input`. Throws std::invalid_argument when
-  /// the bus does not fit (bus_fits).
-  void load_bus(std::span<Logic> pattern_buffer, std::uint64_t value,
-                int width, int first_input) const;
-
   Logic value(NetId net) const noexcept { return value_[net]; }
   double arrival(NetId net) const noexcept { return arrival_[net]; }
 

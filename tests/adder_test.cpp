@@ -17,8 +17,8 @@ struct AdderSim {
         pattern_(adder.netlist.num_inputs()) {}
 
   StepResult apply(std::uint64_t a, std::uint64_t b) {
-    sim_.load_bus(pattern_, a, adder_->width, adder_->a_first_input);
-    sim_.load_bus(pattern_, b, adder_->width, adder_->b_first_input);
+    load_bus(pattern_, a, adder_->width, adder_->a_first_input);
+    load_bus(pattern_, b, adder_->width, adder_->b_first_input);
     return sim_.step(pattern_);
   }
 
@@ -134,10 +134,12 @@ TEST(AdderTest, HoldProbabilityIsQuarterForTwoProbes) {
 
 TEST(AdderTest, ClaIsFasterThanRca) {
   const TechLibrary& t = default_tech_library();
-  const double rca =
-      run_sta(build_ripple_carry_adder(32).netlist, t).critical_path_ps;
-  const double cla =
-      run_sta(build_carry_lookahead_adder(32).netlist, t).critical_path_ps;
+  const double rca = StaEngine(build_ripple_carry_adder(32).netlist, t)
+                         .run_corner({})
+                         .critical_path_ps;
+  const double cla = StaEngine(build_carry_lookahead_adder(32).netlist, t)
+                         .run_corner({})
+                         .critical_path_ps;
   EXPECT_LT(cla, rca);
 }
 

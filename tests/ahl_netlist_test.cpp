@@ -12,7 +12,7 @@ namespace {
 
 bool eval_netlist(const JudgingNetlist& jn, TimingSim& sim,
                   std::vector<Logic>& pattern, std::uint64_t operand) {
-  sim.load_bus(pattern, operand, jn.width, 0);
+  load_bus(pattern, operand, jn.width, 0);
   sim.step(pattern);
   return sim.output_bits() & 1;
 }
@@ -67,10 +67,10 @@ TEST(AhlNetlistTest, DegenerateSkips) {
   std::vector<Logic> pa(always.netlist.num_inputs());
   std::vector<Logic> pn(never.netlist.num_inputs());
   for (std::uint64_t v : {0ull, 1ull, 127ull, 255ull}) {
-    sa.load_bus(pa, v, 8, 0);
+    load_bus(pa, v, 8, 0);
     sa.step(pa);
     EXPECT_EQ(sa.output_bits() & 1, 1u);
-    sn.load_bus(pn, v, 8, 0);
+    load_bus(pn, v, 8, 0);
     sn.step(pn);
     EXPECT_EQ(sn.output_bits() & 1, 0u);
   }

@@ -25,6 +25,7 @@
 #include "src/core/vl_multiplier.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/netlist/builder.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/batch_sim.hpp"
 #include "src/workload/rng.hpp"
 
@@ -503,21 +504,30 @@ TEST(BatchKernelTest, TraceEqualityAcrossKernels) {
                                  .kernel = SimKernel::kSparse};
         TraceOptions dense_opts = sparse_opts;
         dense_opts.kernel = SimKernel::kDense;
-        BatchStats stats;
         TraceOptions batch_opts = sparse_opts;
         batch_opts.kernel = SimKernel::kBatch;
-        batch_opts.batch_stats = &stats;
 
         const auto sparse_trace =
             compute_op_trace(m, test_tech(), patterns, sparse_opts);
         const auto dense_trace =
             compute_op_trace(m, test_tech(), patterns, dense_opts);
+        // The batch trace's word and lane counts, from the sim.batch.*
+        // counters it records.
+        const bool metrics_were_on = obs::metrics_enabled();
+        obs::set_metrics_enabled(true);
+        obs::reset_metrics();
         const auto batch_trace =
             compute_op_trace(m, test_tech(), patterns, batch_opts);
+        std::uint64_t words = 0, lanes = 0;
+        for (const obs::MetricValue& mv : obs::metrics_snapshot()) {
+          if (mv.name == "sim.batch.words") words = mv.value;
+          if (mv.name == "sim.batch.lanes") lanes = mv.value;
+        }
+        obs::set_metrics_enabled(metrics_were_on);
         ASSERT_EQ(sparse_trace, dense_trace);
         ASSERT_EQ(sparse_trace, batch_trace);
-        EXPECT_EQ(stats.lanes, ops);
-        EXPECT_EQ(stats.words, (ops + kBatchLanes - 1) / kBatchLanes);
+        EXPECT_EQ(lanes, ops);
+        EXPECT_EQ(words, (ops + kBatchLanes - 1) / kBatchLanes);
       }
     }
   }

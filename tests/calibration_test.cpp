@@ -4,8 +4,8 @@
 
 #include <stdexcept>
 
+#include "src/core/vl_multiplier.hpp"
 #include "src/multiplier/multiplier.hpp"
-#include "src/sim/sta.hpp"
 
 namespace agingsim {
 namespace {
@@ -13,7 +13,7 @@ namespace {
 TEST(CalibrationTest, Cb16CriticalPathHitsTarget) {
   const TechLibrary tech = calibrated_tech_library(1880.0);
   const auto cb16 = build_column_bypass_multiplier(16);
-  EXPECT_NEAR(run_sta(cb16.netlist, tech).critical_path_ps, 1880.0, 1e-6);
+  EXPECT_NEAR(critical_path_ps(cb16, tech), 1880.0, 1e-6);
 }
 
 TEST(CalibrationTest, ScaleIsConsistent) {
@@ -24,10 +24,8 @@ TEST(CalibrationTest, ScaleIsConsistent) {
 
 TEST(CalibrationTest, ArchitectureOrderingSurvivesCalibration) {
   const TechLibrary tech = calibrated_tech_library();
-  const double am =
-      run_sta(build_array_multiplier(16).netlist, tech).critical_path_ps;
-  const double cb = run_sta(build_column_bypass_multiplier(16).netlist, tech)
-                        .critical_path_ps;
+  const double am = critical_path_ps(build_array_multiplier(16), tech);
+  const double cb = critical_path_ps(build_column_bypass_multiplier(16), tech);
   EXPECT_LT(am, cb);  // the AM is the fastest fixed design, as in Fig. 5
 }
 

@@ -342,7 +342,8 @@ TEST_P(TrialLaneTest, LanesMatchTheReferenceKernelsExactly) {
     EXPECT_EQ(runs[0].payloads[0],
               runtime::encode_run_stats(system.run(
                   compute_op_trace(*mult_, *tech_, ops,
-                                   options.gate_delay_scale),
+                                   TraceOptions{.gate_delay_scale =
+                                                    options.gate_delay_scale}),
                   options.mean_dvth_v)));
     // The plain parallel path scores the same lanes.
     options.kernel = SimKernel::kBatch;

@@ -3,23 +3,33 @@
 // independent oracle (iterate-to-fixpoint, order-independent). Any
 // divergence in functional values, any sensitized arrival beyond the STA
 // bound, or any structural-validation miss is a bug in the engine the whole
-// reproduction stands on.
+// reproduction stands on. Seeded adversarial inputs also drive the parsers
+// of untrusted text and the decoders of persisted bytes.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/core/cli.hpp"
+#include "src/core/vl_multiplier.hpp"
 #include "src/lint/engine.hpp"
 #include "src/lint/repair.hpp"
+#include "src/mc/mc_campaign.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/netlist/surgeon.hpp"
 #include "src/netlist/techlib.hpp"
 #include "src/runtime/chaos.hpp"
+#include "src/runtime/checkpoint.hpp"
+#include "src/runtime/run_error.hpp"
+#include "src/runtime/serial.hpp"
+#include "src/runtime/stats_codec.hpp"
 #include "src/sim/sta.hpp"
 #include "src/sim/timing_sim.hpp"
 #include "src/workload/rng.hpp"
@@ -107,12 +117,13 @@ TEST(FuzzTest, SensitizedArrivalsNeverExceedSta) {
   Rng rng(0xF023);
   for (int trial = 0; trial < 25; ++trial) {
     const Netlist nl = random_netlist(rng, 5, 80);
-    const StaResult sta = run_sta(nl, default_tech_library());
+    const CornerTiming sta =
+        StaEngine(nl, default_tech_library()).run_corner({});
     // settle_ps spans *all* nets; random netlists have dead-end logic
     // deeper than any marked output, so bound it by the deepest net, not
     // by the output-only critical path.
     double deepest = 0.0;
-    for (double a : sta.arrival_ps) deepest = std::max(deepest, a);
+    for (double a : sta.max_arrival_ps) deepest = std::max(deepest, a);
     TimingSim sim(nl, default_tech_library());
     std::vector<Logic> pattern(nl.num_inputs());
     for (int step = 0; step < 20; ++step) {
@@ -121,7 +132,7 @@ TEST(FuzzTest, SensitizedArrivalsNeverExceedSta) {
       EXPECT_LE(r.settle_ps, deepest + 1e-9);
       EXPECT_LE(r.output_settle_ps, sta.critical_path_ps + 1e-9);
       for (NetId n = 0; n < nl.num_nets(); ++n) {
-        EXPECT_LE(sim.arrival(n), sta.arrival_ps[n] + 1e-9) << n;
+        EXPECT_LE(sim.arrival(n), sta.max_arrival_ps[n] + 1e-9) << n;
       }
     }
   }
@@ -314,13 +325,13 @@ TEST(FuzzTest, LintFlagsSeveredRazorTapOnRandomNetlists) {
   int effective = 0;
   for (int trial = 0; trial < 20; ++trial) {
     const Netlist nl = random_netlist(rng, 6, 60);
-    const StaResult sta = run_sta(nl, tech);
+    const CornerTiming sta = StaEngine(nl, tech).run_corner({});
     // Victim: the output with the deepest arrival (must be late enough that
     // halving its arrival still leaves it past the period).
     std::size_t victim = 0;
     double worst = 0.0;
     for (std::size_t i = 0; i < nl.num_outputs(); ++i) {
-      const double a = sta.arrival_ps[nl.output_nets()[i]];
+      const double a = sta.max_arrival_ps[nl.output_nets()[i]];
       if (a > worst) {
         worst = a;
         victim = i;
@@ -474,6 +485,166 @@ TEST(FuzzTest, FlagValuesParseInRangeOrReturnTheDocumentedError) {
           << e;
     }
   }
+}
+
+
+// --- Decoders of persisted bytes ----------------------------------------
+
+// One damaged copy of a valid encoding whose leading element count is the
+// `count_bytes`-byte little-endian integer at `count_at`: random bytes, a
+// truncation, bit flips, or an inflated count.
+std::string damage(Rng& rng, std::string bytes, std::size_t count_at,
+                   std::size_t count_bytes) {
+  switch (rng.next_below(4)) {
+    case 0:
+      bytes.resize(rng.next_below(bytes.size() + 32));
+      for (char& c : bytes) c = static_cast<char>(rng.next());
+      break;
+    case 1:
+      bytes.resize(rng.next_below(bytes.size() + 1));
+      break;
+    case 2:
+      for (std::uint64_t flips = 1 + rng.next_below(4);
+           flips > 0 && !bytes.empty(); --flips) {
+        bytes[rng.next_below(bytes.size())] ^=
+            static_cast<char>(1u << rng.next_below(8));
+      }
+      break;
+    default: {
+      constexpr std::uint64_t kCounts[] = {~std::uint64_t{0}, 1ull << 40,
+                                           1ull << 32, 0xFFFFFFFFull,
+                                           1ull << 24};
+      const std::uint64_t count =
+          rng.next_below(2) == 0 ? kCounts[rng.next_below(5)] : rng.next();
+      for (std::size_t i = 0; i < count_bytes; ++i) {
+        if (count_at + i < bytes.size()) {
+          bytes[count_at + i] = static_cast<char>(count >> (8 * i));
+        }
+      }
+    }
+  }
+  return bytes;
+}
+
+RunStats random_stats(Rng& rng) {
+  RunStats s;
+  s.ops = rng.next_below(100000);
+  s.errors = rng.next_below(1000);
+  s.total_cycles = rng.next();
+  s.switched_to_second_block = rng.next_below(2) == 1;
+  s.storm_ops = rng.next_below(50);
+  s.period_ps = 1000.0 * rng.next_double();
+  s.avg_latency_ps = 2000.0 * rng.next_double();
+  s.edp_mw_ns2 = rng.next_double();
+  return s;
+}
+
+// A decoder either decodes or throws RunError(kCorrupt): never another
+// exception, and never an allocation sized by a count it has not checked.
+template <typename Decode>
+void expect_decodes_or_corrupt(const Decode& decode, const std::string& bytes) {
+  try {
+    decode(bytes);
+  } catch (const runtime::RunError& e) {
+    EXPECT_EQ(e.category(), runtime::ErrorCategory::kCorrupt) << e.what();
+  }
+}
+
+TEST(FuzzTest, PersistedDecodersDecodeOrThrowCorrupt) {
+  const auto run_stats = [](const std::string& b) {
+    return runtime::decode_run_stats(b);
+  };
+  const auto run_stats_row = [](const std::string& b) {
+    return runtime::decode_run_stats_row(b);
+  };
+  const auto mc_block = [](const std::string& b) {
+    return mc::decode_mc_block(b);
+  };
+  const auto expect_corrupt = [](const auto& decode, const std::string& b) {
+    try {
+      decode(b);
+      ADD_FAILURE() << "a count past the payload decoded";
+    } catch (const runtime::RunError& e) {
+      EXPECT_EQ(e.category(), runtime::ErrorCategory::kCorrupt) << e.what();
+    }
+  };
+  // Counts that once sized an allocation before any record was read.
+  expect_corrupt(mc_block, std::string("\xff\xff\xff\xff", 4));
+  expect_corrupt(mc_block, std::string("\x00\x00\x00\x01", 4));
+  for (const std::uint64_t count : {~0ull, 1ull << 40}) {
+    runtime::ByteWriter w;
+    w.u64(count);
+    expect_corrupt(run_stats_row, w.data());
+  }
+
+  Rng rng(0xDEC0DE);
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::vector<RunStats> row(rng.next_below(4));
+    for (RunStats& s : row) s = random_stats(rng);
+    std::vector<mc::McTrialRecord> block(rng.next_below(40));
+    for (mc::McTrialRecord& rec : block) {
+      rec = {2000.0 * rng.next_double(), rng.next_double()};
+    }
+    const RunStats one = random_stats(rng);
+    const std::string stats_bytes = runtime::encode_run_stats(one);
+    const std::string row_bytes = runtime::encode_run_stats_row(row);
+    const std::string block_bytes = mc::encode_mc_block(block);
+    ASSERT_EQ(run_stats(stats_bytes), one);
+    ASSERT_EQ(run_stats_row(row_bytes), row);
+    ASSERT_EQ(mc_block(block_bytes), block);
+    expect_decodes_or_corrupt(run_stats, damage(rng, stats_bytes, 0, 4));
+    expect_decodes_or_corrupt(run_stats_row, damage(rng, row_bytes, 0, 8));
+    expect_decodes_or_corrupt(mc_block, damage(rng, block_bytes, 0, 4));
+  }
+}
+
+TEST(FuzzTest, DamagedCheckpointFilesAreDiscarded) {
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::temp_directory_path() / "agingsim_fuzz_checkpoint_files";
+  fs::remove_all(root);
+  constexpr std::uint64_t kDigest = 0xF022C4EC;
+  const auto read = [](const fs::path& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const auto write = [](const fs::path& file, const std::string& bytes) {
+    std::ofstream(file, std::ios::binary) << bytes;
+  };
+  // Two units as persist() writes them: the first gets damaged, the second
+  // must survive every scan.
+  Rng rng(0xC4EC);
+  std::string unit0, unit1;
+  {
+    runtime::CheckpointStore golden(root / "golden", kDigest);
+    golden.persist(0, runtime::encode_run_stats_row(std::vector<RunStats>{
+                          random_stats(rng), random_stats(rng)}));
+    golden.persist(1, runtime::encode_run_stats(random_stats(rng)));
+    unit0 = read(root / "golden" / "unit-000000.ckpt");
+    unit1 = read(root / "golden" / "unit-000001.ckpt");
+  }
+  const fs::path work = root / "work";
+  for (int iter = 0; iter < 300; ++iter) {
+    fs::remove_all(work);
+    fs::create_directories(work);
+    // The header's payload length (offset 24, u64) is the count to inflate.
+    const std::string damaged = damage(rng, unit0, 24, 8);
+    write(work / "unit-000000.ckpt", damaged);
+    write(work / "unit-000001.ckpt", unit1);
+    runtime::CheckpointStore store(work, kDigest);
+    runtime::CheckpointScan scan;
+    ASSERT_NO_THROW(scan = store.load());
+    EXPECT_TRUE(store.has(1));
+    if (damaged == unit0) {
+      EXPECT_EQ(scan.loaded, 2u);
+      continue;
+    }
+    EXPECT_EQ(scan.loaded, 1u) << "iteration " << iter;
+    EXPECT_EQ(scan.discarded, 1u) << "iteration " << iter;
+    EXPECT_FALSE(store.has(0)) << "iteration " << iter;
+    EXPECT_FALSE(fs::exists(work / "unit-000000.ckpt"));
+  }
+  fs::remove_all(root);
 }
 
 }  // namespace

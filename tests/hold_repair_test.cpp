@@ -13,6 +13,7 @@
 
 #include "src/aging/prob_propagation.hpp"
 #include "src/aging/scenario.hpp"
+#include "src/core/vl_multiplier.hpp"
 #include "src/lint/engine.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/netlist/builder.hpp"
@@ -56,7 +57,8 @@ struct ShortPathFixture {
     timing.tech = &tech;  // no aging scenario: single fresh corner
     // Two-cycle AHL budget exactly covers the chain, as aginglint's auto
     // period would pick it.
-    const double crit = run_sta(nb.netlist(), tech).critical_path_ps;
+    const double crit =
+        StaEngine(nb.netlist(), tech).run_corner({}).critical_path_ps;
     timing.period_ps = crit / timing.max_hold_cycles + 1.0;
   }
 
@@ -152,7 +154,8 @@ TEST(HoldRepairTest, WideSpanOutputRepairsUpstream) {
 
   lint::TimingContext timing;
   timing.tech = &tech;
-  const double crit = run_sta(nb.netlist(), tech).critical_path_ps;
+  const double crit =
+      StaEngine(nb.netlist(), tech).run_corner({}).critical_path_ps;
   timing.period_ps = crit / timing.max_hold_cycles + 1.0;
   timing.check_hold = true;
 
@@ -226,9 +229,10 @@ TEST(HoldRepairTest, StockMultiplierRepairsToCleanAcrossAgedCorners) {
   timing.aging = &aging;
   timing.sweep_years = {0.0, 3.5, 7.0};
   timing.check_hold = true;
-  const StaResult aged =
-      run_sta(mult.netlist, tech, aging.delay_scales_at(7.0));
-  timing.period_ps = aged.critical_path_ps / timing.max_hold_cycles + 1.0;
+  timing.period_ps =
+      critical_path_ps(mult, tech, aging.delay_scales_at(7.0)) /
+          timing.max_hold_cycles +
+      1.0;
 
   // Pre-repair: the hold rule fires (p[0]'s min arrival is one AND delay),
   // the legacy rules do not.

@@ -46,7 +46,8 @@ TEST(IntegrationTest, SevenYearStoryFixedDegradesVlHolds) {
   Rng rng(2);
   const auto pats = uniform_patterns(rng, 8, 2000);
   const auto trace0 = compute_op_trace(m, tech, pats);
-  const auto trace7 = compute_op_trace(m, tech, pats, scales7);
+  const auto trace7 = compute_op_trace(
+      m, tech, pats, TraceOptions{.gate_delay_scale = scales7});
 
   VlSystemConfig cfg;
   cfg.period_ps = 0.75 * crit7;  // generous: no violations even aged
@@ -74,7 +75,8 @@ TEST(IntegrationTest, AgedPowerIsLowerThanFreshPower) {
   const double crit0 = critical_path_ps(m, tech);
   const RunStats y0 = fixed.run(trace0, crit0, 0.0);
   const auto scales = scenario.delay_scales_at(7.0);
-  const auto trace7 = compute_op_trace(m, tech, pats, scales);
+  const auto trace7 = compute_op_trace(
+      m, tech, pats, TraceOptions{.gate_delay_scale = scales});
   const RunStats y7 = fixed.run(trace7, critical_path_ps(m, tech, scales),
                                 scenario.mean_dvth_at(7.0));
   EXPECT_LT(y7.avg_power_mw, y0.avg_power_mw);

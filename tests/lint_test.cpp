@@ -15,6 +15,7 @@
 #include "src/aging/prob_propagation.hpp"
 #include "src/aging/scenario.hpp"
 #include "src/core/calibration.hpp"
+#include "src/core/vl_multiplier.hpp"
 #include "src/lint/engine.hpp"
 #include "src/lint/structural.hpp"
 #include "src/multiplier/multiplier.hpp"
@@ -236,9 +237,9 @@ class LintTimingTest : public ::testing::Test {
         mult_(build_column_bypass_multiplier(8)),
         aging_(mult_.netlist, tech_, BtiModel::calibrated(tech_),
                analytic_stress(mult_.netlist)),
-        fresh_crit_(run_sta(mult_.netlist, tech_).critical_path_ps),
-        aged_crit_(run_sta(mult_.netlist, tech_, aging_.delay_scales_at(7.0))
-                       .critical_path_ps) {}
+        fresh_crit_(critical_path_ps(mult_, tech_)),
+        aged_crit_(
+            critical_path_ps(mult_, tech_, aging_.delay_scales_at(7.0))) {}
 
   LintReport run_with(const lint::TimingContext& timing) const {
     lint::LintContext ctx;
@@ -250,12 +251,12 @@ class LintTimingTest : public ::testing::Test {
 
   /// Primary-output index with the worst aged arrival.
   std::size_t critical_output_index() const {
-    const StaResult sta =
-        run_sta(mult_.netlist, tech_, aging_.delay_scales_at(7.0));
+    const CornerTiming sta = StaEngine(mult_.netlist, tech_)
+                                 .run_corner({"", aging_.delay_scales_at(7.0)});
     std::size_t worst = 0;
     double worst_ps = -1.0;
     for (std::size_t i = 0; i < mult_.netlist.num_outputs(); ++i) {
-      const double a = sta.arrival_ps[mult_.netlist.output_nets()[i]];
+      const double a = sta.max_arrival_ps[mult_.netlist.output_nets()[i]];
       if (a > worst_ps) {
         worst_ps = a;
         worst = i;
@@ -516,9 +517,7 @@ TEST_P(StockArchitectureLintTest, LintsErrorFree) {
   timing.aging = &aging;
   timing.sweep_years = {0.0, 7.0};
   timing.period_ps =
-      run_sta(mult.netlist, tech, aging.delay_scales_at(7.0)).critical_path_ps /
-          2.0 +
-      1.0;
+      critical_path_ps(mult, tech, aging.delay_scales_at(7.0)) / 2.0 + 1.0;
   lint::LintContext ctx;
   ctx.netlist = &mult.netlist;
   ctx.multiplier = &mult;

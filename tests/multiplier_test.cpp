@@ -4,7 +4,7 @@
 
 #include <tuple>
 
-#include "src/sim/sta.hpp"
+#include "src/core/vl_multiplier.hpp"
 #include "src/workload/patterns.hpp"
 
 namespace agingsim {
@@ -103,12 +103,9 @@ TEST(MultiplierTest, BypassingCostsGatesAndTransistors) {
 
 TEST(MultiplierTest, BypassingLengthensCriticalPath) {
   const TechLibrary& t = default_tech_library();
-  const double am = run_sta(build_array_multiplier(16).netlist, t)
-                        .critical_path_ps;
-  const double cb =
-      run_sta(build_column_bypass_multiplier(16).netlist, t).critical_path_ps;
-  const double rb =
-      run_sta(build_row_bypass_multiplier(16).netlist, t).critical_path_ps;
+  const double am = critical_path_ps(build_array_multiplier(16), t);
+  const double cb = critical_path_ps(build_column_bypass_multiplier(16), t);
+  const double rb = critical_path_ps(build_row_bypass_multiplier(16), t);
   EXPECT_GT(cb, am);
   EXPECT_GT(rb, am);
 }
@@ -185,10 +182,8 @@ TEST(MultiplierTest, JudgingOperandConvention) {
 TEST(MultiplierTest, WallaceTreeIsShallowest) {
   // The O(log n) reduction tree must beat the O(n) array in depth.
   const TechLibrary& t = default_tech_library();
-  const double am =
-      run_sta(build_array_multiplier(16).netlist, t).critical_path_ps;
-  const double wt =
-      run_sta(build_wallace_tree_multiplier(16).netlist, t).critical_path_ps;
+  const double am = critical_path_ps(build_array_multiplier(16), t);
+  const double wt = critical_path_ps(build_wallace_tree_multiplier(16), t);
   EXPECT_LT(wt, am);
 }
 

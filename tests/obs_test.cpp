@@ -2,7 +2,7 @@
 // sites record nothing, shards merge across threads, trace rings keep the
 // newest spans on wraparound and an exited thread's spans on reuse, and
 // the Chrome trace export is well-formed JSON whose complete events nest
-// consistently.
+// consistently, and the library's layers record their spans.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/vl_multiplier.hpp"
+#include "src/lint/engine.hpp"
+#include "src/lint/repair.hpp"
+#include "src/multiplier/multiplier.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/sim/sta.hpp"
 
 namespace agingsim {
 namespace {
@@ -339,6 +344,37 @@ TEST(ObsTraceTest, SpanEnabledAtConstructionRecordsDespiteLaterDisable) {
   }
   const std::string json = obs::trace_json();
   EXPECT_NE(json.find("obs_test.mid_disable"), std::string::npos) << json;
+}
+
+// The library's own layers record spans (docs/OBSERVABILITY.md), so any
+// traced run can split its time across netlist generation, STA, lint and
+// hold repair without harness wrappers.
+TEST(ObsTraceTest, LibraryLayersRecordTheirSpans) {
+  ObsQuiesce quiesce;
+  obs::set_trace_enabled(true);
+  obs::reset_trace();
+  const TechLibrary& tech = default_tech_library();
+  const MultiplierNetlist mult =
+      build_multiplier(MultiplierArch::kColumnBypass, 4);
+  StaEngine(mult.netlist, tech).run(std::vector<StaCorner>(2));
+  lint::TimingContext timing;
+  timing.tech = &tech;
+  timing.period_ps = critical_path_ps(mult, tech) / timing.max_hold_cycles;
+  lint::LintContext ctx;
+  ctx.netlist = &mult.netlist;
+  ctx.timing = &timing;
+  lint::LintEngine().run(ctx);
+  Netlist repaired = mult.netlist;
+  lint::repair_hold(repaired, tech, timing);
+  obs::set_trace_enabled(false);
+
+  const std::string json = obs::trace_json();
+  for (const char* name : {"netlist.generate", "sta.run", "sta.run_corner",
+                           "lint.rule", "lint.repair_pass"}) {
+    std::string quoted(1, '"');
+    quoted.append(name).push_back('"');
+    EXPECT_NE(json.find(quoted), std::string::npos) << name;
+  }
 }
 
 }  // namespace

@@ -6,13 +6,16 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
 #include "src/fault/campaign.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/runtime/serial.hpp"
 #include "src/runtime/stats_codec.hpp"
 
@@ -523,6 +526,100 @@ TEST(RobustRunnerTest, WaitUntilReturnsAtDeadlineWithoutCancel) {
   EXPECT_GE(std::chrono::steady_clock::now() - t0, milliseconds(20));
   EXPECT_FALSE(token.cancelled());
   EXPECT_NO_THROW(token.poll());
+}
+
+// --- parent-linked tokens and the DeadlineTimer --------------------------
+
+TEST(CancelTokenTest, ChildOfACancelledParentStartsCancelled) {
+  CancelToken parent;
+  parent.cancel();
+  const CancelToken child(&parent);
+  EXPECT_TRUE(child.cancelled());
+  EXPECT_THROW(child.poll(), RunError);
+}
+
+TEST(CancelTokenTest, CancellingTheParentCancelsAndWakesTheChild) {
+  CancelToken parent;
+  const CancelToken child(&parent);
+  const CancelToken unrelated;
+  EXPECT_FALSE(child.cancelled());
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread waiter([&] {
+    child.wait_until(std::chrono::steady_clock::now() +
+                     std::chrono::seconds(30));
+  });
+  std::this_thread::sleep_for(milliseconds(20));
+  parent.cancel();
+  waiter.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10))
+      << "the parent's cancel did not wake the child's wait";
+  EXPECT_TRUE(child.cancelled());
+  EXPECT_FALSE(unrelated.cancelled());
+}
+
+TEST(DeadlineTimerTest, CancelsAnArmedTokenAtItsDeadlineAndDropsFreedOnes) {
+  DeadlineTimer timer;
+  const auto t0 = DeadlineTimer::Clock::now();
+  const auto due = std::make_shared<CancelToken>();
+  const auto later = std::make_shared<CancelToken>();
+  auto freed = std::make_shared<CancelToken>();
+  const std::weak_ptr<CancelToken> freed_ref = freed;
+  timer.arm(t0 + milliseconds(50), due);
+  timer.arm(t0 + std::chrono::hours(1), later);
+  timer.arm(t0 + milliseconds(50), freed);
+  freed.reset();
+  EXPECT_TRUE(freed_ref.expired()) << "the timer must hold tokens weakly";
+  due->wait_until(t0 + std::chrono::seconds(30));
+  EXPECT_TRUE(due->cancelled());
+  EXPECT_GE(DeadlineTimer::Clock::now() - t0, milliseconds(50));
+  EXPECT_LT(DeadlineTimer::Clock::now() - t0, std::chrono::seconds(10));
+  EXPECT_FALSE(later->cancelled());
+}
+
+TEST(DeadlineTimerTest, CancelAllAtCancelsTokensArmedWithoutADeadline) {
+  DeadlineTimer timer;
+  const auto token = std::make_shared<CancelToken>();
+  timer.arm(DeadlineTimer::Clock::time_point::max(), token);
+  const auto t0 = DeadlineTimer::Clock::now();
+  timer.cancel_all_at(t0 + milliseconds(30));
+  token->wait_until(t0 + std::chrono::seconds(30));
+  EXPECT_TRUE(token->cancelled());
+  EXPECT_LT(DeadlineTimer::Clock::now() - t0, std::chrono::seconds(10));
+}
+
+// runner.watchdog_fires counts attempts cancelled by their own deadline,
+// not attempts the external stop token cancelled.
+TEST(RobustRunnerTest, WatchdogFiresCountsOnlyOwnDeadlines) {
+  const auto fires = [](const CancelToken* stop) {
+    const bool metrics_were_on = obs::metrics_enabled();
+    obs::set_metrics_enabled(true);
+    obs::reset_metrics();
+    RunnerConfig config = fast_config();
+    config.max_retries = 0;
+    config.deadline = milliseconds(stop != nullptr ? 60'000 : 30);
+    config.stop = stop;
+    RobustRunner(config).run(
+        1, [](std::uint64_t, const CancelToken& cancel) -> std::string {
+          cancel.wait_until(std::chrono::steady_clock::now() +
+                            std::chrono::seconds(30));
+          cancel.poll();
+          return "unreachable";
+        });
+    std::uint64_t n = 0;
+    for (const obs::MetricValue& m : obs::metrics_snapshot()) {
+      if (m.name == "runner.watchdog_fires") n = m.value;
+    }
+    obs::set_metrics_enabled(metrics_were_on);
+    return n;
+  };
+  EXPECT_EQ(fires(nullptr), 1u);
+  CancelToken stop;
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(milliseconds(30));
+    stop.cancel();
+  });
+  EXPECT_EQ(fires(&stop), 0u);
+  stopper.join();
 }
 
 // --- external stop token (SIGTERM handlers, daemon drain) ---------------

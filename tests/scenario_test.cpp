@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/vl_multiplier.hpp"
 #include "src/multiplier/multiplier.hpp"
-#include "src/sim/sta.hpp"
 
 namespace agingsim {
 namespace {
@@ -39,9 +39,9 @@ TEST_F(ScenarioFixture, ScalesAreAboveOneAndMonotoneInYears) {
 }
 
 TEST_F(ScenarioFixture, SevenYearCriticalPathDegradationNearPaperValue) {
-  const double fresh = run_sta(mult_.netlist, tech_).critical_path_ps;
+  const double fresh = critical_path_ps(mult_, tech_);
   const auto scales = scenario_.delay_scales_at(7.0);
-  const double aged = run_sta(mult_.netlist, tech_, scales).critical_path_ps;
+  const double aged = critical_path_ps(mult_, tech_, scales);
   // The paper's Fig. 7 reports ~13% over 7 years; the calibration targets a
   // *device* at S=0.5, and per-gate stress spread moves the circuit-level
   // number a little.

@@ -138,8 +138,8 @@ TEST(SequentialTest, InstantiateComposesSubcircuits) {
   std::vector<Logic> pattern(4);
   for (std::uint64_t av = 0; av < 4; ++av) {
     for (std::uint64_t bv = 0; bv < 4; ++bv) {
-      sim.load_bus(pattern, av, 2, 0);
-      sim.load_bus(pattern, bv, 2, 2);
+      load_bus(pattern, av, 2, 0);
+      load_bus(pattern, bv, 2, 2);
       sim.step(pattern);
       EXPECT_EQ(sim.output_bits(), av + bv) << av << "+" << bv;
     }

@@ -82,10 +82,10 @@ TEST(ServeAdmission, RetryAfterScalesWithBacklogAndClamps) {
 
 TEST(ServeAdmission, QueueNormalPopsBeforeBatch) {
   AdmissionQueue<int> q(small_config());
-  EXPECT_TRUE(q.try_push(1, Priority::kBatch, false).admitted);
-  EXPECT_TRUE(q.try_push(2, Priority::kNormal, false).admitted);
-  EXPECT_TRUE(q.try_push(3, Priority::kBatch, false).admitted);
-  EXPECT_TRUE(q.try_push(4, Priority::kNormal, false).admitted);
+  EXPECT_TRUE(q.try_push(1, Priority::kBatch, false, "anon").admitted);
+  EXPECT_TRUE(q.try_push(2, Priority::kNormal, false, "anon").admitted);
+  EXPECT_TRUE(q.try_push(3, Priority::kBatch, false, "anon").admitted);
+  EXPECT_TRUE(q.try_push(4, Priority::kNormal, false, "anon").admitted);
   EXPECT_EQ(q.depth(), 4u);
   EXPECT_EQ(q.pop().value(), 2);  // normals first, FIFO among themselves
   EXPECT_EQ(q.pop().value(), 4);
@@ -95,9 +95,9 @@ TEST(ServeAdmission, QueueNormalPopsBeforeBatch) {
 
 TEST(ServeAdmission, ClosedQueueRejectsWithDrainingAndDrainsBacklog) {
   AdmissionQueue<int> q(small_config());
-  EXPECT_TRUE(q.try_push(1, Priority::kNormal, false).admitted);
+  EXPECT_TRUE(q.try_push(1, Priority::kNormal, false, "anon").admitted);
   q.close();
-  const AdmissionDecision d = q.try_push(2, Priority::kNormal, false);
+  const AdmissionDecision d = q.try_push(2, Priority::kNormal, false, "anon");
   EXPECT_FALSE(d.admitted);
   EXPECT_EQ(d.reason, ErrorCode::kDraining);
   // The backlog is still served, then pop() signals shutdown.
@@ -110,7 +110,7 @@ TEST(ServeAdmission, PopBlocksUntilPushOrClose) {
   std::optional<int> got;
   std::thread consumer([&] { got = q.pop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(q.try_push(9, Priority::kNormal, false).admitted);
+  EXPECT_TRUE(q.try_push(9, Priority::kNormal, false, "anon").admitted);
   consumer.join();
   EXPECT_EQ(got.value(), 9);
 

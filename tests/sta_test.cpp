@@ -6,14 +6,23 @@
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "src/core/vl_multiplier.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/netlist/builder.hpp"
 #include "src/netlist/surgeon.hpp"
 
 namespace agingsim {
 namespace {
+
+// One corner of a fresh engine: the max plane is the setup-side timing the
+// StaTest cases pin.
+CornerTiming sta(const Netlist& nl, const TechLibrary& tech,
+                 std::vector<double> scale = {}) {
+  return StaEngine(nl, tech).run_corner(StaCorner{"", std::move(scale)});
+}
 
 TEST(StaTest, ChainAccumulatesDelay) {
   NetlistBuilder nb;
@@ -22,11 +31,11 @@ TEST(StaTest, ChainAccumulatesDelay) {
   const NetId y = nb.inv(x);
   nb.netlist().mark_output(y, "y");
   const TechLibrary& t = default_tech_library();
-  const StaResult r = run_sta(nb.netlist(), t);
+  const CornerTiming r = sta(nb.netlist(), t);
   const double inv = t.delay(CellKind::kInv);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[a], 0.0);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[x], inv);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[y], 2.0 * inv);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[a], 0.0);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[x], inv);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[y], 2.0 * inv);
   EXPECT_DOUBLE_EQ(r.critical_path_ps, 2.0 * inv);
 }
 
@@ -38,8 +47,8 @@ TEST(StaTest, TakesWorstInputArrival) {
   const NetId y = nb.and2(slow, b);
   nb.netlist().mark_output(y, "y");
   const TechLibrary& t = default_tech_library();
-  const StaResult r = run_sta(nb.netlist(), t);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[y], 3.0 * t.delay(CellKind::kInv) +
+  const CornerTiming r = sta(nb.netlist(), t);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[y], 3.0 * t.delay(CellKind::kInv) +
                                         t.delay(CellKind::kAnd2));
 }
 
@@ -49,7 +58,7 @@ TEST(StaTest, CriticalPathIsOverOutputsOnly) {
   const NetId y = nb.inv(a);
   nb.inv(nb.inv(y));  // deeper dead-end logic, not an output
   nb.netlist().mark_output(y, "y");
-  const StaResult r = run_sta(nb.netlist(), default_tech_library());
+  const CornerTiming r = sta(nb.netlist(), default_tech_library());
   EXPECT_DOUBLE_EQ(r.critical_path_ps,
                    default_tech_library().delay(CellKind::kInv));
 }
@@ -62,7 +71,7 @@ TEST(StaTest, AgingOverlayScalesPerGate) {
   nb.netlist().mark_output(y, "y");
   const TechLibrary& t = default_tech_library();
   const std::vector<double> scales = {2.0, 3.0};
-  const StaResult r = run_sta(nb.netlist(), t, scales);
+  const CornerTiming r = sta(nb.netlist(), t, scales);
   EXPECT_DOUBLE_EQ(r.critical_path_ps, 5.0 * t.delay(CellKind::kInv));
 }
 
@@ -85,12 +94,12 @@ TEST(StaTest, GoldenArrivalsOnFullAdder) {
   const double dx = t.delay(CellKind::kXor2);
   const double da = t.delay(CellKind::kAnd2);
   const double dor = t.delay(CellKind::kOr2);
-  const StaResult r = run_sta(nb.netlist(), t);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[s1], dx);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[sum], 2.0 * dx);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[c1], da);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[c2], dx + da);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[carry], dx + da + dor);
+  const CornerTiming r = sta(nb.netlist(), t);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[s1], dx);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[sum], 2.0 * dx);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[c1], da);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[c2], dx + da);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[carry], dx + da + dor);
   EXPECT_DOUBLE_EQ(r.critical_path_ps, std::max(2.0 * dx, dx + da + dor));
 }
 
@@ -104,10 +113,10 @@ TEST(StaTest, TriStateEnableArcCounts) {
   const NetId bus = nb.tbuf(d, en_slow);
   nb.netlist().mark_output(bus, "bus");
   const TechLibrary& t = default_tech_library();
-  const StaResult r = run_sta(nb.netlist(), t);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[bus],
+  const CornerTiming r = sta(nb.netlist(), t);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[bus],
                    2.0 * t.delay(CellKind::kInv) + t.delay(CellKind::kTbuf));
-  EXPECT_DOUBLE_EQ(r.critical_path_ps, r.arrival_ps[bus]);
+  EXPECT_DOUBLE_EQ(r.critical_path_ps, r.max_arrival_ps[bus]);
 }
 
 // A net nothing reads (dangling gate output) is still timed — aging models
@@ -121,9 +130,9 @@ TEST(StaTest, FanoutFreeAndUndrivenNets) {
   const NetId dangling = nb.and2(y, a);  // no fanout, not an output
   nb.netlist().mark_output(y, "y");
   const TechLibrary& t = default_tech_library();
-  const StaResult r = run_sta(nb.netlist(), t);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[unused], 0.0);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[dangling],
+  const CornerTiming r = sta(nb.netlist(), t);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[unused], 0.0);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[dangling],
                    t.delay(CellKind::kInv) + t.delay(CellKind::kAnd2));
   EXPECT_DOUBLE_EQ(r.critical_path_ps, t.delay(CellKind::kInv));
 }
@@ -140,9 +149,9 @@ TEST(StaTest, TieCellsSeedTheirOwnDelay) {
   const NetId y = nb.netlist().add_gate(CellKind::kAnd2, {a, one});
   nb.netlist().mark_output(y, "y");
   const TechLibrary& t = default_tech_library();
-  const StaResult r = run_sta(nb.netlist(), t);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[one], t.delay(CellKind::kTie1));
-  EXPECT_DOUBLE_EQ(r.arrival_ps[y],
+  const CornerTiming r = sta(nb.netlist(), t);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[one], t.delay(CellKind::kTie1));
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[y],
                    t.delay(CellKind::kTie1) + t.delay(CellKind::kAnd2));
 }
 
@@ -156,8 +165,8 @@ TEST(StaTest, ZeroScaleOverlayFreezesAGate) {
   nb.netlist().mark_output(y, "y");
   const TechLibrary& t = default_tech_library();
   const std::vector<double> scales = {0.0, 1.0};
-  const StaResult r = run_sta(nb.netlist(), t, scales);
-  EXPECT_DOUBLE_EQ(r.arrival_ps[x], 0.0);
+  const CornerTiming r = sta(nb.netlist(), t, scales);
+  EXPECT_DOUBLE_EQ(r.max_arrival_ps[x], 0.0);
   EXPECT_DOUBLE_EQ(r.critical_path_ps, t.delay(CellKind::kInv));
 }
 
@@ -166,7 +175,7 @@ TEST(StaTest, RejectsWrongOverlaySize) {
   const NetId a = nb.input("a");
   nb.netlist().mark_output(nb.inv(a), "y");
   const std::vector<double> wrong = {1.0, 1.0};
-  EXPECT_THROW(run_sta(nb.netlist(), default_tech_library(), wrong),
+  EXPECT_THROW(sta(nb.netlist(), default_tech_library(), wrong),
                std::invalid_argument);
 }
 
@@ -195,7 +204,7 @@ TEST(StaEngineTest, GoldenMinMaxOnFullAdder) {
 
   const StaEngine engine(nb.netlist(), t);
   const CornerTiming r = engine.run_corner(StaCorner{"fresh", {}});
-  // Max plane: identical to the legacy golden values.
+  // Max plane: identical to StaTest.GoldenArrivalsOnFullAdder.
   EXPECT_DOUBLE_EQ(r.max_arrival_ps[sum], 2.0 * dx);
   EXPECT_DOUBLE_EQ(r.max_arrival_ps[carry], dx + da + dor);
   // Min plane: sum's fastest arc is cin (arrival 0) straight into the
@@ -211,11 +220,10 @@ TEST(StaEngineTest, GoldenMinMaxOnFullAdder) {
 
 // The min plane includes the tri-state *enable* arc: a toggling bypass
 // select propagates new data through a kTbuf as soon as the enable arrives,
-// even while the data pin is still settling. The legacy always-enabled
-// reading (run_sta, max side only) cannot see this — its arrival for the
-// same net is the slow data path — which is exactly why run_sta must never
-// be used for hold reasoning (satellite: max-only assumption, documented
-// in sta.hpp and pinned here).
+// even while the data pin is still settling. The max plane's always-enabled
+// reading cannot see this — its arrival for the same net is the slow data
+// path — which is why hold reasoning must read the min plane (documented in
+// sta.hpp and pinned here).
 TEST(StaEngineTest, TbufEnableArcDefinesMinArrival) {
   NetlistBuilder nb;
   const NetId d = nb.input("d");
@@ -231,11 +239,7 @@ TEST(StaEngineTest, TbufEnableArcDefinesMinArrival) {
   const CornerTiming r = engine.run_corner(StaCorner{"fresh", {}});
   EXPECT_DOUBLE_EQ(r.min_arrival_ps[bus], dtb);            // enable arc
   EXPECT_DOUBLE_EQ(r.max_arrival_ps[bus], 2.0 * dinv + dtb);  // data arc
-
-  // The legacy entry point reports only the max-side number.
-  const StaResult legacy = run_sta(nb.netlist(), t);
-  EXPECT_EQ(legacy.arrival_ps[bus], r.max_arrival_ps[bus]);
-  EXPECT_GT(legacy.arrival_ps[bus], r.min_arrival_ps[bus]);
+  EXPECT_GT(r.max_arrival_ps[bus], r.min_arrival_ps[bus]);
 }
 
 // One run() call covers several corners; each corner's planes match the
@@ -253,27 +257,31 @@ TEST(StaEngineTest, MultiCornerSinglePass) {
   corners[0].name = "fresh";
   corners[1].name = "aged";
   corners[1].gate_delay_scale.assign(nb.netlist().num_gates(), 1.5);
-  const MinMaxStaResult r = engine.run(corners);
-  ASSERT_EQ(r.corners.size(), 2u);
-  EXPECT_EQ(r.corners[0].name, "fresh");
-  EXPECT_EQ(r.corners[1].name, "aged");
+  const std::vector<CornerTiming> r = engine.run(corners);
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_EQ(r[0].name, "fresh");
+  EXPECT_EQ(r[1].name, "aged");
   for (std::size_t c = 0; c < corners.size(); ++c) {
     const CornerTiming single = engine.run_corner(corners[c]);
-    EXPECT_EQ(r.corners[c].min_arrival_ps, single.min_arrival_ps);
-    EXPECT_EQ(r.corners[c].max_arrival_ps, single.max_arrival_ps);
-    EXPECT_EQ(r.corners[c].critical_path_ps, single.critical_path_ps);
+    EXPECT_EQ(r[c].min_arrival_ps, single.min_arrival_ps);
+    EXPECT_EQ(r[c].max_arrival_ps, single.max_arrival_ps);
+    EXPECT_EQ(r[c].critical_path_ps, single.critical_path_ps);
   }
-  EXPECT_DOUBLE_EQ(r.corners[1].critical_path_ps,
-                   1.5 * r.corners[0].critical_path_ps);
+  EXPECT_DOUBLE_EQ(r[1].critical_path_ps, 1.5 * r[0].critical_path_ps);
 }
 
-// Reference replica of the legacy run_sta loop: one ascending-gate-id
-// sweep, worst input arrival + delay. The engine's max plane must agree
-// with this *exactly* (operator==, no tolerance) — same pin visit order,
-// same arithmetic — on every generated multiplier.
-StaResult replica_legacy_sta(const Netlist& nl, const TechLibrary& tech,
-                             std::span<const double> scale) {
-  StaResult r;
+// Reference max-only timing: one ascending-gate-id sweep, worst input
+// arrival + delay. The engine's level-major max plane must agree with this
+// *exactly* (operator==, no tolerance) — same pin visit order, same
+// arithmetic — on every generated multiplier.
+struct ReferenceTiming {
+  std::vector<double> arrival_ps;
+  double critical_path_ps = 0.0;
+};
+
+ReferenceTiming reference_max_sta(const Netlist& nl, const TechLibrary& tech,
+                                   std::span<const double> scale) {
+  ReferenceTiming r;
   r.arrival_ps.assign(nl.num_nets(), 0.0);
   for (GateId g = 0; g < nl.num_gates(); ++g) {
     const Gate& gt = nl.gate(g);
@@ -307,7 +315,7 @@ TEST(StaEngineTest, MaxPlaneExactlyMatchesLegacyOnAllMultipliers) {
       const StaEngine engine(nl, t);
       for (const std::span<const double> overlay :
            {std::span<const double>{}, std::span<const double>(scale)}) {
-        const StaResult ref = replica_legacy_sta(nl, t, overlay);
+        const ReferenceTiming ref = reference_max_sta(nl, t, overlay);
         StaCorner corner;
         corner.gate_delay_scale.assign(overlay.begin(), overlay.end());
         const CornerTiming mm = engine.run_corner(corner);
@@ -317,9 +325,8 @@ TEST(StaEngineTest, MaxPlaneExactlyMatchesLegacyOnAllMultipliers) {
               << arch_name(arch) << width << " net " << n;
         }
         EXPECT_EQ(mm.critical_path_ps, ref.critical_path_ps);
-        // And the public legacy wrapper returns the same plane.
-        const StaResult wrapped = run_sta(nl, t, overlay);
-        EXPECT_EQ(wrapped.arrival_ps, ref.arrival_ps);
+        // And the fixed-latency period helper reads the same number.
+        EXPECT_EQ(critical_path_ps(mult, t, overlay), ref.critical_path_ps);
       }
     }
   }

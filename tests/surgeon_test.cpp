@@ -85,8 +85,8 @@ TEST(SurgeonInsertBufferTest, RenumbersAndStaysStructurallyClean) {
 TEST(SurgeonInsertBufferTest, ChainLengthensThePathByExactlyItsDelay) {
   FullAdder fa;
   const TechLibrary& t = default_tech_library();
-  const StaResult before = run_sta(fa.netlist(), t);
-  const double carry_before = before.arrival_ps[fa.carry];
+  const CornerTiming before = StaEngine(fa.netlist(), t).run_corner({});
+  const double carry_before = before.max_arrival_ps[fa.carry];
   const double dx = t.delay(CellKind::kXor2);
   const double da = t.delay(CellKind::kAnd2);
   const double dor = t.delay(CellKind::kOr2);
@@ -95,10 +95,10 @@ TEST(SurgeonInsertBufferTest, ChainLengthensThePathByExactlyItsDelay) {
   // Three buffers on the critical edge s1 -> c2.
   const auto sink = static_cast<GateId>(fa.netlist().driver_of(fa.c2));
   NetlistSurgeon(fa.netlist()).insert_buffer(fa.s1, sink, 3);
-  const StaResult after = run_sta(fa.netlist(), t);
+  const CornerTiming after = StaEngine(fa.netlist(), t).run_corner({});
   // carry was renumbered by the insertion; the output table tracked it.
   const NetId carry_now = fa.netlist().output_nets()[1];
-  EXPECT_DOUBLE_EQ(after.arrival_ps[carry_now],
+  EXPECT_DOUBLE_EQ(after.max_arrival_ps[carry_now],
                    carry_before + 3.0 * t.delay(CellKind::kBuf));
 }
 
@@ -127,7 +127,7 @@ TEST(SurgeonInsertOutputBufferTest, AppendsWithoutRenumbering) {
   FullAdder fa;
   const Netlist original = fa.netlist();
   const TechLibrary& t = default_tech_library();
-  const StaResult before = run_sta(original, t);
+  const CornerTiming before = StaEngine(original, t).run_corner({});
 
   const NetId new_out = NetlistSurgeon(fa.netlist()).insert_output_buffer(0, 2);
   EXPECT_EQ(fa.netlist().num_gates(), original.num_gates() + 2);
@@ -140,9 +140,10 @@ TEST(SurgeonInsertOutputBufferTest, AppendsWithoutRenumbering) {
   fa.netlist().validate();
   EXPECT_EQ(structural_errors(fa.netlist()), 0u);
 
-  const StaResult after = run_sta(fa.netlist(), t);
-  EXPECT_DOUBLE_EQ(after.arrival_ps[new_out],
-                   before.arrival_ps[fa.sum] + 2.0 * t.delay(CellKind::kBuf));
+  const CornerTiming after = StaEngine(fa.netlist(), t).run_corner({});
+  EXPECT_DOUBLE_EQ(
+      after.max_arrival_ps[new_out],
+      before.max_arrival_ps[fa.sum] + 2.0 * t.delay(CellKind::kBuf));
 
   const lint::EquivalenceSummary eq = lint::check_logic_equivalence(
       original, fa.netlist(), t, 128, 0xD1FFu);

@@ -4,9 +4,9 @@
 
 #include <vector>
 
+#include "src/core/vl_multiplier.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/netlist/builder.hpp"
-#include "src/sim/sta.hpp"
 #include "src/workload/patterns.hpp"
 
 namespace agingsim {
@@ -146,10 +146,9 @@ TEST(TimingSimTest, LoadBusRejectsNegativeFirstInput) {
   // first_input + width stays within the inputs, so only the sign of
   // first_input shows the bus starts before input 0.
   const MultiplierNetlist m = build_array_multiplier(4);
-  const TimingSim sim(m.netlist, default_tech_library());
   std::vector<Logic> buffer(m.netlist.num_inputs(), Logic::kZero);
-  EXPECT_THROW(sim.load_bus(buffer, 3, 2, -1), std::invalid_argument);
-  EXPECT_THROW(sim.load_bus(buffer, 3, m.width, -m.width),
+  EXPECT_THROW(load_bus(buffer, 3, 2, -1), std::invalid_argument);
+  EXPECT_THROW(load_bus(buffer, 3, m.width, -m.width),
                std::invalid_argument);
   EXPECT_EQ(buffer, std::vector<Logic>(buffer.size(), Logic::kZero));
 }
@@ -168,7 +167,7 @@ TEST(TimingSimTest, RejectsBadAgingOverlay) {
 TEST(TimingSimTest, SensitizedDelayBoundedBySta) {
   const MultiplierNetlist m = build_column_bypass_multiplier(8);
   const TechLibrary& t = default_tech_library();
-  const double sta = run_sta(m.netlist, t).critical_path_ps;
+  const double sta = critical_path_ps(m, t);
   MultiplierSim sim(m, t);
   Rng rng(7);
   for (int i = 0; i < 500; ++i) {

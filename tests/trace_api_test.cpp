@@ -91,7 +91,9 @@ TEST(TraceApiTest, TraceGeneratorIsTheCorrectnessOracle) {
   Rng rng(5);
   const auto pats = uniform_patterns(rng, 4, 10);
   const std::vector<double> wrong(3, 1.0);
-  EXPECT_THROW(compute_op_trace(m, t, pats, wrong), std::invalid_argument);
+  EXPECT_THROW(
+      compute_op_trace(m, t, pats, TraceOptions{.gate_delay_scale = wrong}),
+      std::invalid_argument);
 }
 
 TEST(TraceApiTest, RunStatsEnergyBreakdownIsExhaustive) {

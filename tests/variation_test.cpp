@@ -4,8 +4,8 @@
 
 #include <cmath>
 
+#include "src/core/vl_multiplier.hpp"
 #include "src/multiplier/multiplier.hpp"
-#include "src/sim/sta.hpp"
 
 namespace agingsim {
 namespace {
@@ -48,12 +48,11 @@ TEST(VariationTest, VariationWidensCriticalPathSpread) {
   // exceeds nominal — the guard-band a fixed design must pay.
   const auto m = build_array_multiplier(8);
   const TechLibrary& t = default_tech_library();
-  const double nominal = run_sta(m.netlist, t).critical_path_ps;
+  const double nominal = critical_path_ps(m, t);
   double worst = 0.0;
   for (std::uint64_t die = 0; die < 20; ++die) {
     const auto scales = process_variation_scales(m.netlist, 0.08, die);
-    worst = std::max(worst,
-                     run_sta(m.netlist, t, scales).critical_path_ps);
+    worst = std::max(worst, critical_path_ps(m, t, scales));
   }
   EXPECT_GT(worst, nominal);
 }

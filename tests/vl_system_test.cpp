@@ -28,7 +28,8 @@ class VlSystemTest : public ::testing::Test {
                                   BtiModel::calibrated(*tech_), 7, 500);
     aged_scales_ = new std::vector<double>(scenario_->delay_scales_at(7.0));
     aged_trace_ = new std::vector<OpTrace>(
-        compute_op_trace(*mult_, *tech_, *patterns_, *aged_scales_));
+        compute_op_trace(*mult_, *tech_, *patterns_,
+                         TraceOptions{.gate_delay_scale = *aged_scales_}));
     crit_ = critical_path_ps(*mult_, *tech_);
     aged_crit_ = critical_path_ps(*mult_, *tech_, *aged_scales_);
   }

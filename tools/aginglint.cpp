@@ -30,12 +30,12 @@
 #include "src/aging/scenario.hpp"
 #include "src/core/calibration.hpp"
 #include "src/core/cli.hpp"
+#include "src/core/vl_multiplier.hpp"
 #include "src/lint/engine.hpp"
 #include "src/lint/repair.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/obs/artifacts.hpp"
 #include "src/report/json.hpp"
-#include "src/sim/sta.hpp"
 
 namespace {
 
@@ -194,10 +194,10 @@ TargetResult lint_target(const Options& opt, const TechLibrary& tech,
     const double worst_year =
         opt.years.empty() ? 0.0
                           : *std::max_element(opt.years.begin(), opt.years.end());
-    const StaResult aged_sta =
-        run_sta(mult.netlist, tech, aging.delay_scales_at(worst_year));
     timing.period_ps =
-        aged_sta.critical_path_ps / opt.hold_cycles + 1.0;
+        critical_path_ps(mult, tech, aging.delay_scales_at(worst_year)) /
+            opt.hold_cycles +
+        1.0;
   }
   if (!opt.unprotected_outputs.empty()) {
     timing.razor_protected.assign(mult.netlist.num_outputs(), 1);
