@@ -89,7 +89,8 @@ inline void run_seven_year_figure(const char* fig, int width,
     store.emplace(std::filesystem::path(*dir) / fig, digest.value());
     const runtime::CheckpointScan scan = store->load();
     std::fprintf(stderr, "%s: checkpoints: %zu year rows restored, %zu "
-                 "stale files discarded\n", fig, scan.loaded, scan.discarded);
+                 "damaged or stale records discarded\n", fig, scan.loaded,
+                 scan.discarded);
     runner_config.checkpoints = &*store;
   }
   runtime::RobustRunner runner(runner_config);

@@ -24,10 +24,17 @@ void warn_once(const char* name, std::string_view value, const char* what) {
                std::string(value).c_str(), what);
 }
 
+/// Empty, or starting where strtol, strtoull and strtod are laxer than the
+/// documented grammar: they skip leading blanks and take a '+'.
+bool empty_or_loose_start(std::string_view text) {
+  return text.empty() || text[0] == '+' ||
+         std::isspace(static_cast<unsigned char>(text[0])) != 0;
+}
+
 }  // namespace
 
 std::optional<long> parse_long(std::string_view text, int base) {
-  if (text.empty()) return std::nullopt;
+  if (empty_or_loose_start(text)) return std::nullopt;
   const std::string buf(text);
   char* end = nullptr;
   errno = 0;
@@ -39,14 +46,9 @@ std::optional<long> parse_long(std::string_view text, int base) {
 }
 
 std::optional<unsigned long long> parse_u64(std::string_view text, int base) {
-  if (text.empty()) return std::nullopt;
+  // strtoull silently negates "-1" instead of failing.
+  if (empty_or_loose_start(text) || text[0] == '-') return std::nullopt;
   const std::string buf(text);
-  // strtoull silently negates "-1" (or " -1") instead of failing; reject
-  // signs and the leading blanks it would skip to reach one.
-  if (buf[0] == '-' || buf[0] == '+' ||
-      std::isspace(static_cast<unsigned char>(buf[0])) != 0) {
-    return std::nullopt;
-  }
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(buf.c_str(), &end, base);
@@ -57,7 +59,7 @@ std::optional<unsigned long long> parse_u64(std::string_view text, int base) {
 }
 
 std::optional<double> parse_double(std::string_view text) {
-  if (text.empty()) return std::nullopt;
+  if (empty_or_loose_start(text)) return std::nullopt;
   const std::string buf(text);
   char* end = nullptr;
   errno = 0;

@@ -27,13 +27,18 @@
 
 namespace agingsim::env {
 
-/// Strict integer parse of an entire string (base 10, or 0x/0 prefixes
-/// with base 0). nullopt on empty input, trailing garbage or overflow.
+/// Strict integer parse of an entire string: an optional '-', then digits
+/// (base 10, or with base 0 a 0x prefix for hex and a leading 0 for
+/// octal). nullopt on empty input, a leading blank or '+', trailing
+/// garbage or overflow.
 std::optional<long> parse_long(std::string_view text, int base = 10);
+/// parse_long's grammar without the '-'.
 std::optional<unsigned long long> parse_u64(std::string_view text,
                                             int base = 10);
-/// Strict double parse of an entire string; nullopt on empty input,
-/// trailing garbage, or a non-finite result.
+/// Strict double parse of an entire string: an optional '-', then a
+/// decimal or 0x-hex floating literal as strtod reads it. nullopt on empty
+/// input, a leading blank or '+', trailing garbage, or a result that is
+/// out of range or not finite.
 std::optional<double> parse_double(std::string_view text);
 
 /// Reads `name` as a strict integer in [min_value, clamp_max]. Returns

@@ -48,6 +48,11 @@ TEST(EnvParseTest, LongParsesWholeStringsOnly) {
   EXPECT_FALSE(env::parse_long("12abc").has_value());  // the old atol bug
   EXPECT_FALSE(env::parse_long("abc").has_value());
   EXPECT_FALSE(env::parse_long("12 ").has_value());
+  // strtol skips leading blanks and takes a '+'; the grammar does not.
+  EXPECT_FALSE(env::parse_long(" 12").has_value());
+  EXPECT_FALSE(env::parse_long("\n3").has_value());
+  EXPECT_FALSE(env::parse_long("+12").has_value());
+  EXPECT_FALSE(env::parse_long(" 0x10", 0).has_value());
   EXPECT_FALSE(env::parse_long("99999999999999999999").has_value());
 }
 
@@ -69,6 +74,9 @@ TEST(EnvParseTest, DoubleRejectsGarbageAndNonFinite) {
   EXPECT_FALSE(env::parse_double("1e400").has_value());  // overflow
   EXPECT_FALSE(env::parse_double("nan").has_value());
   EXPECT_FALSE(env::parse_double("inf").has_value());
+  EXPECT_FALSE(env::parse_double(" 0.5").has_value());
+  EXPECT_FALSE(env::parse_double("+0.5").has_value());
+  EXPECT_EQ(env::parse_double("-0.5"), -0.5);
 }
 
 TEST(EnvVarTest, RejectedValueWarnsOnceAndFallsBack) {

@@ -17,6 +17,7 @@
 #include "src/runtime/stats_codec.hpp"
 #include "src/sim/corner_sim.hpp"
 #include "src/workload/patterns.hpp"
+#include "tests/killed_store.hpp"
 
 namespace agingsim {
 namespace {
@@ -396,13 +397,10 @@ TEST_F(TrialLaneResumeTest, LanesResumeAGroupSplitBySparseCheckpoints) {
   const FaultCampaign c = campaign();
   const StoredRun sparse = run_stored(
       c, ops(), CampaignRunOptions{.kernel = SimKernel::kSparse}, dir_);
-  for (int u = 10; u <= 33; ++u) {
-    char name[32];
-    std::snprintf(name, sizeof name, "unit-%06d.ckpt", u);
-    ASSERT_TRUE(fs::remove(dir_ / name)) << name;
-  }
+  const fs::path killed = dir_ / "killed";
+  ASSERT_EQ(persist_kept_units(dir_, killed, c.config_digest(ops()), 10), 10u);
   const StoredRun lanes = run_stored(
-      c, ops(), CampaignRunOptions{.kernel = SimKernel::kBatch}, dir_);
+      c, ops(), CampaignRunOptions{.kernel = SimKernel::kBatch}, killed);
   EXPECT_EQ(lanes.report.restored, 10u);
   EXPECT_EQ(lanes.report.computed, 24u);
   EXPECT_TRUE(lanes.stats == sparse.stats);

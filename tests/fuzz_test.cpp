@@ -8,16 +8,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/core/cli.hpp"
+#include "src/core/env.hpp"
 #include "src/core/vl_multiplier.hpp"
 #include "src/lint/engine.hpp"
 #include "src/lint/repair.hpp"
@@ -367,11 +375,11 @@ TEST(FuzzTest, LintFlagsSeveredRazorTapOnRandomNetlists) {
 
 /// A fuzz input: a random string over the grammar's own characters, or one
 /// of `seeds` with a few characters replaced, inserted or deleted.
-std::string fuzz_text(Rng& rng, std::span<const std::string_view> seeds) {
-  static constexpr std::string_view kAlphabet =
-      "0123456789:.,-+xXeEabcdhinpst ";
+std::string fuzz_text(
+    Rng& rng, std::span<const std::string_view> seeds,
+    std::string_view alphabet = "0123456789:.,-+xXeEabcdhinpst ") {
   const auto pick = [&] {
-    return kAlphabet[rng.next_below(kAlphabet.size())];
+    return alphabet[rng.next_below(alphabet.size())];
   };
   std::string text;
   if (rng.next_below(3) == 0) {
@@ -487,6 +495,142 @@ TEST(FuzzTest, FlagValuesParseInRangeOrReturnTheDocumentedError) {
   }
 }
 
+
+// --- Env parsers ---------------------------------------------------------
+
+// Reference decoders for the grammar src/core/env.hpp documents, written
+// from the grammar rather than with strto*: digits accumulate by hand, and
+// nothing skips a leading blank or takes a '+'.
+std::optional<unsigned long long> ref_digits(std::string_view text,
+                                             int base) {
+  if (base == 0) {  // a 0x prefix selects hex, a leading 0 octal
+    const bool hex = text.size() > 1 && text[0] == '0' &&
+                     (text[1] == 'x' || text[1] == 'X');
+    if (hex) text.remove_prefix(2);
+    base = hex ? 16 : text.starts_with('0') ? 8 : 10;
+  }
+  if (text.empty()) return std::nullopt;
+  unsigned long long v = 0;
+  for (const char c : text) {
+    const auto u = static_cast<unsigned char>(c);
+    const int d = std::isdigit(u) != 0    ? c - '0'
+                  : std::isxdigit(u) != 0 ? std::tolower(u) - 'a' + 10
+                                          : base;
+    if (d >= base) return std::nullopt;
+    const auto b = static_cast<unsigned long long>(base);
+    if (v > (ULLONG_MAX - static_cast<unsigned long long>(d)) / b) {
+      return std::nullopt;
+    }
+    v = v * b + static_cast<unsigned long long>(d);
+  }
+  return v;
+}
+
+std::optional<long> ref_long(std::string_view text, int base) {
+  const bool negative = text.starts_with('-');
+  if (negative) text.remove_prefix(1);
+  const auto mag = ref_digits(text, base);
+  constexpr auto kMax = static_cast<unsigned long long>(LONG_MAX);
+  if (!mag.has_value() || *mag > kMax + (negative ? 1 : 0)) {
+    return std::nullopt;
+  }
+  if (!negative) return static_cast<long>(*mag);
+  return *mag == 0 ? 0L : -static_cast<long>(*mag - 1) - 1;
+}
+
+std::optional<double> ref_double(std::string_view text) {
+  std::size_t i = text.starts_with('-') ? 1 : 0;
+  const std::string_view prefix = text.substr(i, 2);
+  const bool hex = prefix == "0x" || prefix == "0X";
+  if (hex) i += 2;
+  const auto run = [&](auto digit) {
+    const std::size_t start = i;
+    while (i < text.size() && digit(static_cast<unsigned char>(text[i]))) {
+      ++i;
+    }
+    return i - start;
+  };
+  const auto mantissa_digit = [hex](unsigned char c) {
+    return (hex ? std::isxdigit(c) : std::isdigit(c)) != 0;
+  };
+  std::size_t mantissa = run(mantissa_digit);
+  if (i < text.size() && text[i] == '.') {
+    ++i;
+    mantissa += run(mantissa_digit);
+  }
+  if (mantissa == 0) return std::nullopt;
+  const std::string_view exponent = hex ? "pP" : "eE";
+  if (i < text.size() && exponent.find(text[i]) != std::string_view::npos) {
+    ++i;
+    if (i < text.size() && (text[i] == '+' || text[i] == '-')) ++i;
+    if (run([](unsigned char c) { return std::isdigit(c) != 0; }) == 0) {
+      return std::nullopt;
+    }
+  }
+  if (i != text.size()) return std::nullopt;
+  // The literal matched; its value is the C library's, kept in range only.
+  errno = 0;
+  const double v = std::strtod(std::string(text).c_str(), nullptr);
+  if (errno == ERANGE || !std::isfinite(v)) return std::nullopt;
+  return v;
+}
+
+TEST(FuzzTest, EnvParsersFollowTheDocumentedGrammar) {
+  const std::string_view seeds[] = {
+      "12",    "-5",     "0x10",  "017",    "0.5",  "1e3",
+      "-0.25", "0x1p3",  ".5",    "5.",     "1e-400", "batch",
+      "dense", "9223372036854775807", "-9223372036854775808",
+      "18446744073709551615"};
+  constexpr std::string_view kAlphabet = "0123456789-+.eEpPxXabfin \t\n";
+  constexpr const char* kVar = "AGINGSIM_FUZZ_ENV_PARSERS";
+  static constexpr const char* kChoices[] = {"dense", "batch"};
+  Rng rng(0xE4F);
+  testing::internal::CaptureStderr();  // rejected values warn
+  for (int iter = 0; iter < 6000; ++iter) {
+    const std::string text = fuzz_text(rng, seeds, kAlphabet);
+    try {
+      for (const int base : {10, 0}) {
+        EXPECT_EQ(env::parse_long(text, base), ref_long(text, base))
+            << "'" << text << "' base " << base;
+        const auto u64 = text.starts_with('-') ? std::nullopt
+                                               : ref_digits(text, base);
+        EXPECT_EQ(env::parse_u64(text, base), u64)
+            << "'" << text << "' base " << base;
+      }
+      const std::optional<double> ref = ref_double(text);
+      const std::optional<double> got = env::parse_double(text);
+      EXPECT_EQ(got.has_value(), ref.has_value()) << "'" << text << "'";
+      if (got.has_value() && ref.has_value()) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(*got),
+                  std::bit_cast<std::uint64_t>(*ref))
+            << "'" << text << "'";
+      }
+
+      // The readers of the environment: their fallback, or exactly the
+      // in-range value the grammar gives.
+      ::setenv(kVar, text.c_str(), 1);
+      const std::optional<long> ref_l = ref_long(text, 10);
+      const std::optional<long> want_long =
+          ref_l.has_value() && *ref_l >= 1
+              ? std::optional<long>(std::min(*ref_l, 64L))
+              : std::nullopt;
+      EXPECT_EQ(env::long_var(kVar, 1, 64), want_long) << "'" << text << "'";
+      const double want_double =
+          ref.has_value() && *ref >= 0.0 ? *ref : 0.25;
+      EXPECT_EQ(env::double_or(kVar, 0.25, 0.0), want_double)
+          << "'" << text << "'";
+      const std::optional<std::size_t> choice =
+          env::choice_var(kVar, kChoices);
+      EXPECT_TRUE(choice.has_value() ? text == kChoices[*choice]
+                                     : text != "dense" && text != "batch")
+          << "'" << text << "'";
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "'" << text << "' threw " << e.what();
+    }
+  }
+  ::unsetenv(kVar);
+  testing::internal::GetCapturedStderr();
+}
 
 // --- Decoders of persisted bytes ----------------------------------------
 
@@ -604,6 +748,7 @@ TEST(FuzzTest, DamagedCheckpointFilesAreDiscarded) {
       fs::temp_directory_path() / "agingsim_fuzz_checkpoint_files";
   fs::remove_all(root);
   constexpr std::uint64_t kDigest = 0xF022C4EC;
+  constexpr std::size_t kHeaderBytes = 40;
   const auto read = [](const fs::path& file) {
     std::ifstream in(file, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in), {});
@@ -611,38 +756,81 @@ TEST(FuzzTest, DamagedCheckpointFilesAreDiscarded) {
   const auto write = [](const fs::path& file, const std::string& bytes) {
     std::ofstream(file, std::ios::binary) << bytes;
   };
-  // Two units as persist() writes them: the first gets damaged, the second
-  // must survive every scan.
+  // A segment of five records as persist() writes them, each payload
+  // distinct; `ends[u]` is where unit u's record stops.
   Rng rng(0xC4EC);
-  std::string unit0, unit1;
+  std::vector<std::string> payloads;
+  std::vector<std::size_t> ends;
+  std::string segment;
   {
     runtime::CheckpointStore golden(root / "golden", kDigest);
-    golden.persist(0, runtime::encode_run_stats_row(std::vector<RunStats>{
-                          random_stats(rng), random_stats(rng)}));
-    golden.persist(1, runtime::encode_run_stats(random_stats(rng)));
-    unit0 = read(root / "golden" / "unit-000000.ckpt");
-    unit1 = read(root / "golden" / "unit-000001.ckpt");
+    std::size_t end = 0;
+    for (std::uint64_t unit = 0; unit < 5; ++unit) {
+      payloads.push_back(
+          unit % 2 == 0
+              ? runtime::encode_run_stats_row(std::vector<RunStats>{
+                    random_stats(rng), random_stats(rng)})
+              : runtime::encode_run_stats(random_stats(rng)));
+      golden.persist(unit, payloads.back());
+      end += kHeaderBytes + payloads.back().size();
+      ends.push_back(end);
+    }
+    for (const auto& entry : fs::directory_iterator(root / "golden")) {
+      segment = read(entry.path());
+    }
+    ASSERT_EQ(segment.size(), end);
   }
   const fs::path work = root / "work";
-  for (int iter = 0; iter < 300; ++iter) {
+  for (int iter = 0; iter < 600; ++iter) {
     fs::remove_all(work);
     fs::create_directories(work);
-    // The header's payload length (offset 24, u64) is the count to inflate.
-    const std::string damaged = damage(rng, unit0, 24, 8);
-    write(work / "unit-000000.ckpt", damaged);
-    write(work / "unit-000001.ckpt", unit1);
+    // Truncate at any offset, flip any byte, or inflate the first record's
+    // payload length (offset 24, u64). [from, to) holds every changed byte.
+    std::string damaged = segment;
+    std::size_t from = segment.size();
+    std::size_t to = segment.size();
+    switch (rng.next_below(3)) {
+      case 0:
+        from = rng.next_below(segment.size());
+        damaged.resize(from);
+        break;
+      case 1:
+        from = rng.next_below(segment.size());
+        to = from + 1;
+        damaged[from] ^= static_cast<char>(1 + rng.next_below(255));
+        break;
+      default:
+        damaged = damage(rng, segment, 24, 8);
+        if (damaged != segment) from = 0;
+        break;
+    }
+    write(work / "seg-1-0.log", damaged);
     runtime::CheckpointStore store(work, kDigest);
     runtime::CheckpointScan scan;
+    testing::internal::CaptureStderr();
     ASSERT_NO_THROW(scan = store.load());
-    EXPECT_TRUE(store.has(1));
-    if (damaged == unit0) {
-      EXPECT_EQ(scan.loaded, 2u);
-      continue;
+    testing::internal::GetCapturedStderr();
+    std::size_t intact = 0;
+    for (std::uint64_t unit = 0; unit < payloads.size(); ++unit) {
+      const std::optional<std::string> got = store.restore(unit);
+      if (got.has_value()) {
+        EXPECT_EQ(*got, payloads[unit])
+            << "iteration " << iter << ": unit " << unit
+            << " restored with wrong bytes";
+      }
+      const std::size_t begin =
+          ends[unit] - kHeaderBytes - payloads[unit].size();
+      if (ends[unit] <= from || begin >= to) {  // an untouched record
+        ++intact;
+        EXPECT_TRUE(got.has_value()) << "iteration " << iter << ": unit "
+                                     << unit << " lost";
+      }
     }
-    EXPECT_EQ(scan.loaded, 1u) << "iteration " << iter;
-    EXPECT_EQ(scan.discarded, 1u) << "iteration " << iter;
-    EXPECT_FALSE(store.has(0)) << "iteration " << iter;
-    EXPECT_FALSE(fs::exists(work / "unit-000000.ckpt"));
+    EXPECT_GE(scan.loaded, intact) << "iteration " << iter;
+    if (damaged == segment) {
+      EXPECT_EQ(scan.loaded, payloads.size());
+      EXPECT_EQ(scan.discarded, 0u);
+    }
   }
   fs::remove_all(root);
 }

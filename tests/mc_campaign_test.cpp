@@ -23,6 +23,7 @@
 #include "src/runtime/checkpoint.hpp"
 #include "src/runtime/robust_runner.hpp"
 #include "src/runtime/run_error.hpp"
+#include "tests/killed_store.hpp"
 
 namespace agingsim::mc {
 namespace {
@@ -116,14 +117,14 @@ TEST(McCampaignTest, KillAndResumeIsByteIdentical) {
                                          McRunOptions{.runner = &runner}));
   }
 
-  // "Kill" after the first unit: drop the checkpoints of units 1 and 2.
-  ASSERT_TRUE(fs::remove(dir / "unit-000001.ckpt"));
-  ASSERT_TRUE(fs::remove(dir / "unit-000002.ckpt"));
+  // "Kill" after the first unit: units 1 and 2 never persisted.
+  const fs::path killed = dir / "killed";
+  ASSERT_EQ(persist_kept_units(dir, killed, digest, 1), 1u);
 
   // Resume restores unit 0 and recomputes the rest — byte-identical JSON.
   {
     ScopedThreadsEnv scoped("8");
-    runtime::CheckpointStore store(dir, digest);
+    runtime::CheckpointStore store(killed, digest);
     ASSERT_EQ(store.load().loaded, 1u);
     runtime::RunnerConfig config;
     config.checkpoints = &store;

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
@@ -18,6 +17,7 @@
 #include "src/report/json.hpp"
 #include "src/runtime/checkpoint.hpp"
 #include "src/runtime/robust_runner.hpp"
+#include "tests/killed_store.hpp"
 
 namespace agingsim {
 namespace {
@@ -148,11 +148,12 @@ TEST(ParallelDeterminismTest, BatchKernelCampaignIsIdenticalAcrossThreads) {
 }
 
 // A campaign killed mid-run leaves the checkpoint store with only the units
-// that finished (persist is atomic per unit — a SIGKILL can tear nothing
-// else). Emulated here by erasing the trailing units' files; the resumed
-// campaign must restore the survivors, recompute only the missing units,
-// and land on byte-identical statistics — even when the resume switches
-// kernel and thread count, since neither is part of the config digest.
+// that finished (a unit counts once a sync covers its record; load() drops
+// a torn tail). Emulated here by persisting the leading units alone into a
+// fresh store (tests/killed_store.hpp); the resumed campaign must restore
+// the survivors, recompute only the missing units, and land on
+// byte-identical statistics — even when the resume switches kernel and
+// thread count, since neither is part of the config digest.
 TEST(ParallelDeterminismTest, BatchCampaignResumesIdenticallyAfterKill) {
   namespace fs = std::filesystem;
   const fs::path dir =
@@ -177,7 +178,7 @@ TEST(ParallelDeterminismTest, BatchCampaignResumesIdenticallyAfterKill) {
   fast.backoff_base = std::chrono::milliseconds(1);
 
   // Uninterrupted single-thread sparse run: the golden statistics, and the
-  // full set of per-unit checkpoints (baseline + trials = 7 files).
+  // full set of per-unit checkpoints (baseline + trials = 7 records).
   FaultCampaignStats golden;
   {
     ScopedThreadsEnv scoped("1");
@@ -192,20 +193,14 @@ TEST(ParallelDeterminismTest, BatchCampaignResumesIdenticallyAfterKill) {
   }
 
   // "Kill" after unit 2: units 3.. never persisted.
-  std::size_t erased = 0;
-  for (std::uint64_t unit = 3; unit <= 6; ++unit) {
-    char name[32];
-    std::snprintf(name, sizeof name, "unit-%06llu.ckpt",
-                  static_cast<unsigned long long>(unit));
-    erased += fs::remove(dir / name) ? 1u : 0u;
-  }
-  ASSERT_EQ(erased, 4u);
+  const fs::path killed = dir / "killed";
+  ASSERT_EQ(persist_kept_units(dir, killed, digest, 3), 3u);
 
   // Resume on 8 threads under the batch kernel: restored prefix + freshly
   // computed tail must reproduce the golden statistics exactly.
   {
     ScopedThreadsEnv scoped("8");
-    runtime::CheckpointStore store(dir, digest);
+    runtime::CheckpointStore store(killed, digest);
     ASSERT_EQ(store.load().loaded, 3u);  // baseline + units 1, 2
     runtime::RunnerConfig cfg = fast;
     cfg.checkpoints = &store;

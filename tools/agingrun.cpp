@@ -237,8 +237,8 @@ int run_tool(const Options& opt) {
         const runtime::CheckpointScan scan = store->load();
         if (!opt.quiet) {
           std::fprintf(stderr,
-                       "agingrun: resume: %zu units restored, %zu stale "
-                       "files discarded\n",
+                       "agingrun: resume: %zu units restored, %zu damaged "
+                       "or stale records discarded\n",
                        scan.loaded, scan.discarded);
         }
       } else {
