@@ -309,7 +309,9 @@ std::vector<std::string> RobustRunner::run(std::size_t n, const Task& task,
                     .count());
           } catch (const RunError& e) {
             // A dead disk must not kill a finished computation: the run
-            // continues, only resumability of this unit is lost.
+            // continues without resumability. A failed write loses this
+            // unit's; a failed sync disables checkpointing for the rest of
+            // the run, so every later unit warns here too.
             std::fprintf(stderr, "checkpoint: persist failed: %s\n",
                          e.what());
           }

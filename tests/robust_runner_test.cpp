@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -652,12 +653,12 @@ TEST(RobustRunnerTest, PreCancelledStopTokenSkipsEveryUnit) {
 
 TEST(RobustRunnerTest, MidRunStopSkipsTheRemainderAndKeepsCompletedWork) {
   TempDir dir("midrun_stop");
-  CheckpointStore store(dir.path(), 0x51u);
-  store.load();
+  std::optional<CheckpointStore> store(std::in_place, dir.path(), 0x51u);
+  store->load();
   RunnerConfig config = fast_config();
   CancelToken stop;
   config.stop = &stop;
-  config.checkpoints = &store;
+  config.checkpoints = &*store;
   RobustRunner runner(config);
   RunReport report;
   // The third unit pulls the plug, the way a signal handler would from
@@ -676,7 +677,8 @@ TEST(RobustRunnerTest, MidRunStopSkipsTheRemainderAndKeepsCompletedWork) {
   EXPECT_GT(report.computed, 0u);
   EXPECT_EQ(report.computed + report.skipped, 32u);
   // Every computed unit reached the checkpoint store before the return.
-  EXPECT_EQ(store.size(), report.computed);
+  EXPECT_EQ(store->size(), report.computed);
+  store.reset();  // the interrupted run exits
 
   // A resumed run restores the completed units and computes only the
   // skipped ones, producing payloads identical to an uninterrupted run.
