@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -200,37 +201,45 @@ static int bench_body() {
   // --- Batch kernel thread scaling -------------------------------------
   // Independent batch traces fanned over explicit pools (the shape of a
   // fault campaign's trial fan-out); serial-result identity is the same
-  // determinism contract the sweep scaling section asserts.
+  // determinism contract the sweep scaling section asserts. 16 traces, the
+  // best of 3 rounds, and each round times every thread count, so drift on
+  // a shared host hits all rows alike: with 8 traces and the best of 2
+  // runs per row, the 4-thread row read 0.9-3.1x on a 4-vCPU guest.
   {
     const MultiplierNetlist m = build_column_bypass_multiplier(16);
     const std::size_t trace_ops = std::min<std::size_t>(ops, 2000);
-    constexpr std::size_t kTraces = 8;
-    std::vector<std::vector<OpTrace>> serial_result;
-    double serial_ms = 0.0;
-    json.key("batch_thread_scaling").begin_array();
-    for (const int threads : {1, 2, 4}) {
-      exec::ThreadPool pool(threads);
-      std::vector<std::vector<OpTrace>> result;
-      const double ms = time_best_ms(2, [&] {
-        result = exec::parallel_for_indexed(pool, kTraces, [&](std::size_t t) {
-          return compute_op_trace(
-              m, tech(), workload(16, trace_ops, 0xB000 + t),
-              TraceOptions{.kernel = SimKernel::kBatch});
-        });
-      });
-      if (threads == 1) {
-        serial_result = result;
-        serial_ms = ms;
+    constexpr std::size_t kTraces = 16;
+    constexpr int kThreads[] = {1, 2, 4};
+    std::vector<std::unique_ptr<exec::ThreadPool>> pools;
+    for (const int threads : kThreads) {
+      pools.push_back(std::make_unique<exec::ThreadPool>(threads));
+    }
+    std::vector<std::vector<std::vector<OpTrace>>> results(pools.size());
+    std::vector<double> best_ms(pools.size(), 1e300);
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t k = 0; k < pools.size(); ++k) {
+        best_ms[k] = std::min(best_ms[k], time_best_ms(1, [&] {
+          results[k] = exec::parallel_for_indexed(
+              *pools[k], kTraces, [&](std::size_t t) {
+                return compute_op_trace(
+                    m, tech(), workload(16, trace_ops, 0xB000 + t),
+                    TraceOptions{.kernel = SimKernel::kBatch});
+              });
+        }));
       }
+    }
+    json.key("batch_thread_scaling").begin_array();
+    for (std::size_t k = 0; k < pools.size(); ++k) {
+      const double ms = best_ms[k];
       json.begin_object();
-      json.key("threads").value(threads);
+      json.key("threads").value(kThreads[k]);
       json.key("traces_ms").value(ms);
       json.key("patterns_per_sec")
           .value(ms > 0.0 ? 1000.0 *
                                 static_cast<double>(kTraces * trace_ops) / ms
                           : 0.0);
-      json.key("speedup_vs_serial").value(ms > 0.0 ? serial_ms / ms : 0.0);
-      json.key("identical_to_serial").value(result == serial_result);
+      json.key("speedup_vs_serial").value(ms > 0.0 ? best_ms[0] / ms : 0.0);
+      json.key("identical_to_serial").value(results[k] == results[0]);
       json.end_object();
     }
     json.end_array();

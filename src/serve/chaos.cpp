@@ -15,9 +15,9 @@
 namespace agingsim::serve {
 namespace {
 
-// Per-thread operation counter: each connection is driven by a single
-// thread per direction, so hashing (seed, thread-local counter) yields a
-// reproducible per-connection fault schedule without cross-thread locking.
+// Per-thread operation counter: the server's draws all come from its loop
+// thread and each client's from its own, so hashing (seed, thread-local
+// counter) yields a reproducible schedule without cross-thread locking.
 std::uint64_t next_draw(std::uint64_t seed) {
   thread_local std::uint64_t counter = 0;
   return mix64(seed ^ mix64(++counter));

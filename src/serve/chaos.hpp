@@ -10,12 +10,12 @@
 //
 // Spec: AGINGSIM_SERVE_CHAOS=seed:rate[:actions], actions a subset of
 //
-//   t  torn writes:   write_frame_fd emits deterministic 1..8-byte chunks
+//   t  torn writes:   a socket write sends a deterministic 1..8-byte chunk
 //   b  byte reads:    every read is clamped to a 1..3-byte request
 //   s  stalls:        a chaos-selected op sleeps 0.2-2 ms first (slow-loris
-//                     pacing on an otherwise healthy stream)
-//   d  disconnects:   a chaos-selected frame write aborts partway and
-//                     shuts the socket down (mid-frame disconnect)
+//                     pacing; on the server it stalls the whole loop)
+//   d  disconnects:   a chaos-selected frame is cut in half and only its
+//                     connection is closed (mid-frame disconnect)
 //
 // `rate` gates t/s/d per operation; `b` applies to every read while
 // enabled (clamping is harmless, so there is no reason to dilute it).
@@ -24,9 +24,9 @@
 // only for drills that expect transport errors.
 //
 // Determinism: decisions come from a splitmix64 stream keyed by the seed
-// and a thread-local operation counter. Each connection is driven by one
-// thread on each side, so the per-connection fault sequence is reproducible
-// for a given seed even though threads interleave globally.
+// and a thread-local operation counter. Every server-side draw comes from
+// the server's one loop thread, in the order of its socket operations
+// across all connections; a client draws from its own thread.
 
 #include <cstddef>
 #include <cstdint>
@@ -59,7 +59,7 @@ const ServeChaosConfig& serve_chaos();
 /// production paths — the daemon configures chaos via the environment.
 void set_serve_chaos_for_tests(const ServeChaosConfig& config);
 
-// --- transport hooks (called from protocol.cpp) ---------------------------
+// --- transport hooks (the server loop and protocol.cpp call these) ---------
 
 /// Next write chunk size for a buffer with `remaining` bytes left. Returns
 /// `remaining` unless torn writes are enabled, in which case a
@@ -71,8 +71,8 @@ std::size_t chaos_write_chunk(std::size_t remaining);
 std::size_t chaos_read_clamp(std::size_t want);
 
 /// True when a chaos disconnect should tear down this frame write: the
-/// caller writes only a deterministic prefix, shuts the socket down and
-/// reports a transport error. Only fires when action `d` is armed.
+/// caller writes only a deterministic prefix, then ends the connection
+/// (a client also reports a transport error). Only fires with action `d`.
 bool chaos_drop_write();
 
 }  // namespace agingsim::serve

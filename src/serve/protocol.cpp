@@ -17,9 +17,9 @@ struct MethodInfo {
   Priority priority;
 };
 
-// The protocol surface. Control methods answer inline on the connection
-// thread — they must work when the admission queue is full, that is the
-// point of having them.
+// The protocol surface. Control methods are answered by the server's loop
+// itself — they must work when the admission queue is full and every
+// worker is busy, that is the point of having them.
 constexpr MethodInfo kMethods[] = {
     {"health", Priority::kControl},   {"status", Priority::kControl},
     {"metrics", Priority::kControl},  {"shutdown", Priority::kControl},
@@ -50,15 +50,6 @@ void store_le32(std::uint32_t v, char* p) noexcept {
 
 }  // namespace
 
-std::string_view priority_name(Priority p) noexcept {
-  switch (p) {
-    case Priority::kControl: return "control";
-    case Priority::kNormal: return "normal";
-    case Priority::kBatch: return "batch";
-  }
-  return "?";
-}
-
 std::string_view error_code_name(ErrorCode code) noexcept {
   switch (code) {
     case ErrorCode::kBadRequest: return "bad_request";
@@ -83,10 +74,6 @@ bool valid_client_id(std::string_view id) noexcept {
     if (!ok) return false;
   }
   return true;
-}
-
-bool known_method(std::string_view method) noexcept {
-  return find_method(method) != nullptr;
 }
 
 Priority method_priority(std::string_view method) noexcept {
@@ -243,22 +230,15 @@ bool write_frame_fd(int fd, std::string_view payload, std::string* error) {
     if (error != nullptr) *error = "chaos: mid-frame disconnect";
     return false;
   }
-  // MSG_NOSIGNAL: a reply racing a client disconnect must fail with EPIPE,
-  // not kill the process — the connection may outlive its peer while a
-  // queued Job still holds it. Falls back to write(2) for non-socket fds.
+  // MSG_NOSIGNAL: a write racing the peer's disconnect fails with EPIPE
+  // instead of killing the process.
   std::size_t done = 0;
-  bool is_socket = true;
   while (done < frame.size()) {
-    const std::size_t chunk = chaos_write_chunk(frame.size() - done);
-    const ssize_t n =
-        is_socket ? ::send(fd, frame.data() + done, chunk, MSG_NOSIGNAL)
-                  : ::write(fd, frame.data() + done, chunk);
+    const ssize_t n = ::send(fd, frame.data() + done,
+                             chaos_write_chunk(frame.size() - done),
+                             MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (is_socket && errno == ENOTSOCK) {
-        is_socket = false;
-        continue;
-      }
       if (error != nullptr) *error = std::strerror(errno);
       return false;
     }

@@ -47,8 +47,6 @@ enum class Priority {
   kBatch,    ///< campaign: queued, shed first under degradation tier 2
 };
 
-std::string_view priority_name(Priority p) noexcept;
-
 /// Machine-readable error codes of failed responses.
 enum class ErrorCode {
   kBadRequest,   ///< malformed JSON / unknown method / invalid params
@@ -89,8 +87,6 @@ bool valid_client_id(std::string_view id) noexcept;
 std::optional<Request> parse_request(std::string_view payload,
                                      std::string* error_response);
 
-/// True when `method` names a known protocol method.
-bool known_method(std::string_view method) noexcept;
 /// Priority class of a known method (kNormal for unknown — but unknown
 /// methods never pass parse_request).
 Priority method_priority(std::string_view method) noexcept;
@@ -135,8 +131,8 @@ class FrameDecoder {
   bool poisoned_ = false;
 };
 
-/// Blocking fd transport used by the daemon's connection threads and the
-/// client library. Both retry EINTR and handle short reads/writes.
+/// Blocking socket transport for clients (the daemon's loop is
+/// non-blocking). Both retry EINTR and handle short reads/writes.
 /// read_frame returns nullopt on clean EOF at a frame boundary; sets
 /// `*error` (when given) for hard failures.
 bool write_frame_fd(int fd, std::string_view payload,

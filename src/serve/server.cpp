@@ -1,5 +1,6 @@
 #include "src/serve/server.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -8,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <utility>
 
@@ -18,6 +20,11 @@
 
 namespace agingsim::serve {
 namespace {
+
+/// Unsent output above which the loop stops reading a connection's
+/// requests (docs/SERVING.md): a peer that never reads then holds at most
+/// this plus the output of its in-flight requests, and pins no worker.
+constexpr std::size_t kMaxUnsentBytes = 64u << 10;
 
 constexpr std::array<double, 10> kLatencyBucketsUs = {
     100.0,     250.0,     1'000.0,    5'000.0,     25'000.0,
@@ -87,25 +94,6 @@ void count_rejection(ErrorCode code) {
 
 }  // namespace
 
-// --- Connection -----------------------------------------------------------
-
-Server::Connection::~Connection() {
-  if (fd >= 0) ::close(fd);
-}
-
-bool Server::Connection::send(std::string_view payload) {
-  std::lock_guard lk(write_mutex);
-  return write_frame_fd(fd, payload);
-}
-
-void Server::Connection::shutdown_read() noexcept {
-  // Unblocks a connection thread parked in read_frame_fd without racing
-  // the fd's lifetime (close happens once the thread exits).
-  ::shutdown(fd, SHUT_RDWR);
-}
-
-// --- Server ---------------------------------------------------------------
-
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
       cache_(config_.cache_budget_bytes),
@@ -122,17 +110,8 @@ bool Server::start(std::string* error) {
     const int err = errno;  // saved before close() below can clobber it
     if (error != nullptr) *error = what + ": " + std::strerror(err);
     // started_ stays false on this path, so wait() would never reach its
-    // cleanup block — release whatever was opened before the failure here.
-    for (int& fd : wake_pipe_) {
-      if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-      }
-    }
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
+    // cleanup — release whatever was opened before the failure here.
+    close_fds();
     return false;
   };
   if (config_.socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
@@ -141,8 +120,8 @@ bool Server::start(std::string* error) {
     }
     return false;
   }
-  if (pipe(wake_pipe_) != 0) return fail("pipe");
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (::pipe2(wake_pipe_, O_NONBLOCK | O_CLOEXEC) != 0) return fail("pipe");
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return fail("socket");
   // A stale socket file from a killed daemon would make bind fail; the
   // kill-and-restart resume path depends on a fresh bind succeeding.
@@ -157,18 +136,18 @@ bool Server::start(std::string* error) {
   }
   if (::listen(listen_fd_, 64) != 0) return fail("listen");
 
-  started_at_ = std::chrono::steady_clock::now();
+  started_at_ = Clock::now();
   started_.store(true, std::memory_order_release);
   const int workers = std::max(1, config_.workers);
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  listener_ = std::thread([this] { listener_loop(); });
+  loop_ = std::thread([this] { run_loop(); });
   return true;
 }
 
-void Server::wake_listener() noexcept {
+void Server::wake_loop() noexcept {
   if (wake_pipe_[1] >= 0) {
     const char byte = 'w';
     [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
@@ -177,261 +156,295 @@ void Server::wake_listener() noexcept {
 
 void Server::drain() {
   if (draining_.exchange(true)) return;
-  wake_listener();
+  wake_loop();
   queue_.close();
   // After the grace period, cancel whatever is still queued or running:
   // campaigns checkpoint their completed units and return `cancelled`, so
   // no work is lost — it resumes on the next daemon start.
-  deadlines_.cancel_all_at(std::chrono::steady_clock::now() +
+  deadlines_.cancel_all_at(Clock::now() +
                            std::chrono::milliseconds(config_.drain_grace_ms));
 }
 
 void Server::wait() {
   if (!started_.load(std::memory_order_acquire)) return;
-  if (listener_.joinable()) listener_.join();
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
   workers_.clear();
   deadlines_.stop();
-  {
-    std::lock_guard lk(conns_mutex_);
-    for (const auto& weak : conns_) {
-      if (auto conn = weak.lock()) conn->shutdown_read();
-    }
-  }
-  std::vector<ConnThread> conn_threads;
-  {
-    std::lock_guard lk(conn_threads_mutex_);
-    conn_threads.swap(conn_threads_);
-  }
-  for (ConnThread& ct : conn_threads) {
-    if (ct.thread.joinable()) ct.thread.join();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::unlink(config_.socket_path.c_str());
-  }
-  for (int& fd : wake_pipe_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
+  // Every reply is in the outbox now; the loop flushes, closes and exits.
+  closing_.store(true, std::memory_order_release);
+  wake_loop();
+  if (loop_.joinable()) loop_.join();
+  close_fds();
+  ::unlink(config_.socket_path.c_str());
   started_.store(false, std::memory_order_release);
 }
 
-void Server::listener_loop() {
-  while (!draining_.load(std::memory_order_acquire)) {
-    std::array<pollfd, 2> fds{{{listen_fd_, POLLIN, 0},
-                               {wake_pipe_[0], POLLIN, 0}}};
-    const int rc = ::poll(fds.data(), fds.size(), -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if ((fds[1].revents & POLLIN) != 0) break;  // drain() woke us
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
-    }
-    server_metrics().connections.add();
-    auto conn = std::make_shared<Connection>();
-    conn->fd = client;
-    conn->peer_id = "conn-" + std::to_string(++conn_counter_);
-    {
-      std::lock_guard lk(conns_mutex_);
-      std::erase_if(conns_, [](const auto& w) { return w.expired(); });
-      conns_.push_back(conn);
-    }
-    reap_connection_threads();
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    std::thread thread([this, conn = std::move(conn), done]() mutable {
-      connection_loop(std::move(conn));
-      done->store(true, std::memory_order_release);
-    });
-    std::lock_guard lk(conn_threads_mutex_);
-    conn_threads_.push_back(ConnThread{std::move(thread), std::move(done)});
+void Server::close_fds() noexcept {
+  for (int* fd : {&listen_fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
 }
 
-void Server::reap_connection_threads() {
-  // A long-lived daemon serves many short connections; joining finished
-  // reader threads on each accept keeps conn_threads_ bounded by the number
-  // of *concurrent* connections instead of growing per connection ever
-  // made. The join happens outside the lock — it is immediate (the thread
-  // set `done` as its last action) but there is no reason to hold the
-  // mutex across a syscall.
-  std::vector<ConnThread> finished;
-  {
-    std::lock_guard lk(conn_threads_mutex_);
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < conn_threads_.size(); ++i) {
-      ConnThread& ct = conn_threads_[i];
-      if (ct.done->load(std::memory_order_acquire)) {
-        finished.push_back(std::move(ct));
-      } else {
-        // Self-move-assigning a joinable std::thread terminates; only
-        // shift entries that actually have a gap to fill.
-        if (keep != i) conn_threads_[keep] = std::move(ct);
-        ++keep;
-      }
-    }
-    conn_threads_.resize(keep);
-  }
-  for (ConnThread& ct : finished) {
-    if (ct.thread.joinable()) ct.thread.join();
-  }
-}
+// --- the loop -------------------------------------------------------------
 
-void Server::connection_loop(std::shared_ptr<Connection> conn) {
-  // poll(2)-paced incremental reads through a FrameDecoder instead of a
-  // blocking read_frame_fd: the blocking read gave a slow-loris client —
-  // one that sends a partial length prefix and stalls — a parked server
-  // thread for free, forever. Now a frame that starts must finish within
-  // read_deadline_ms, and (opt-in) a fully idle connection expires after
-  // idle_timeout_ms.
-  using Clock = std::chrono::steady_clock;
-  FrameDecoder decoder;
-  std::optional<Clock::time_point> frame_deadline;
-  Clock::time_point last_activity = Clock::now();
-  char buf[4096];
-
-  // One frame through parse/control/dispatch; false ends the connection.
-  const auto process = [&](const std::string& payload) -> bool {
-    std::string bad_request_body;
-    std::optional<Request> request =
-        parse_request(payload, &bad_request_body);
-    if (!request.has_value()) {
-      server_metrics().bad_request.add();
-      return conn->send(bad_request_body);
-    }
-    if (request->priority == Priority::kControl) {
-      handle_control(*conn, *request);
-      return true;
-    }
-    const std::uint32_t cap = config_.max_inflight_per_conn;
-    if (cap != 0 &&
-        conn->inflight.load(std::memory_order_acquire) >= cap) {
-      server_metrics().rejected_inflight_cap.add();
-      return conn->send(error_response(
-          request->id, ErrorCode::kOverloaded,
-          "per-connection in-flight cap (" + std::to_string(cap) +
-              ") reached; wait for responses before pipelining more",
-          queue_.config().retry_after_min_ms));
-    }
-    dispatch_queueable(*conn, conn, std::move(*request));
-    return true;
-  };
-
+void Server::run_loop() {
+  std::vector<Outgoing> frames;
+  std::vector<pollfd> fds;
+  std::vector<Conn*> polled;  // polled[i] owns fds[i + 2]
+  Clock::time_point flush_until = Clock::time_point::max();
   for (;;) {
-    bool send_failed = false;
-    while (auto payload = decoder.next()) {
-      if (!process(*payload)) {
-        send_failed = true;
-        break;
-      }
+    // closing_ before the outbox: once it reads true, every worker frame
+    // is already there.
+    const bool closing = closing_.load(std::memory_order_acquire);
+    frames.clear();
+    {
+      std::lock_guard lk(outbox_mutex_);
+      frames.swap(outbox_);
     }
-    if (send_failed) break;
-    if (decoder.poisoned()) {
-      server_metrics().poisoned_streams.add();
-      break;
-    }
-    if (decoder.mid_frame()) {
-      if (!frame_deadline.has_value() && config_.read_deadline_ms > 0) {
-        frame_deadline =
-            Clock::now() + std::chrono::milliseconds(config_.read_deadline_ms);
+    const Clock::time_point now = Clock::now();
+    for (Outgoing& frame : frames) {
+      const auto it = conns_.find(frame.conn);
+      if (it == conns_.end()) continue;  // closed meanwhile: dropped
+      if (frame.final) {
+        --it->second.inflight;
+        it->second.last_active = now;
       }
-    } else {
-      frame_deadline.reset();
+      reply(it->second, frame.payload);
+    }
+    if (closing && flush_until == Clock::time_point::max()) {
+      flush_until = now + std::chrono::milliseconds(config_.drain_grace_ms);
     }
 
-    Clock::time_point wake = Clock::time_point::max();
-    if (frame_deadline.has_value()) wake = *frame_deadline;
-    const bool idle_eligible =
-        config_.idle_timeout_ms > 0 && !decoder.mid_frame() &&
-        conn->inflight.load(std::memory_order_acquire) == 0;
-    if (idle_eligible) {
-      wake = std::min(wake, last_activity + std::chrono::milliseconds(
-                                                config_.idle_timeout_ms));
+    Clock::time_point wake = flush_until;
+    fds.assign({{wake_pipe_[0], POLLIN, 0},
+                {draining() ? -1 : listen_fd_, POLLIN, 0}});
+    polled.clear();
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      short events = 0;
+      if (!tend(it->second, now, closing, &events, &wake)) {
+        it = close_conn(it);
+        continue;
+      }
+      if (events != 0) {
+        fds.push_back({it->second.fd, events, 0});
+        polled.push_back(&it->second);
+      }
+      ++it;
     }
+    if (closing && (conns_.empty() || now >= flush_until)) break;
+
     int timeout_ms = -1;
     if (wake != Clock::time_point::max()) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          wake - Clock::now());
-      timeout_ms = static_cast<int>(std::max<std::int64_t>(left.count(), 0));
+      timeout_ms = static_cast<int>(std::clamp<std::int64_t>(
+          std::chrono::ceil<std::chrono::milliseconds>(wake - now).count(), 0,
+          INT_MAX));
     }
-
-    pollfd pfd{conn->fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (rc == 0) {
-      const auto now = Clock::now();
-      if (frame_deadline.has_value() && now >= *frame_deadline) {
-        // Slow loris: the frame did not complete in time. Closing is the
-        // only honest response — mid-frame there is no valid request id to
-        // address an error to.
-        server_metrics().read_deadline_closed.add();
-        break;
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0) continue;  // EINTR
+    if (fds[0].revents != 0) {
+      char buf[64];
+      while (::read(wake_pipe_[0], buf, sizeof buf) > 0) {
       }
-      if (idle_eligible && now >= last_activity + std::chrono::milliseconds(
-                                                      config_.idle_timeout_ms)) {
-        server_metrics().idle_closed.add();
-        break;
+    }
+    if (fds[1].revents != 0) accept_all();
+    for (std::size_t i = 0; i < polled.size(); ++i) {
+      const pollfd& pfd = fds[i + 2];
+      if ((pfd.events & POLLIN) == 0 ||
+          (pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
+        continue;  // POLLOUT alone: the next tend() writes
       }
-      continue;
-    }
-    if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    // Chaos may clamp the request to a few bytes — exactly the adversarial
-    // delivery pattern the decoder must be indifferent to.
-    const ssize_t n = ::read(conn->fd, buf, chaos_read_clamp(sizeof buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;  // EOF (or shutdown_read from drain)
-    last_activity = Clock::now();
-    if (!decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)))) {
-      server_metrics().poisoned_streams.add();
-      break;
+      Conn& conn = *polled[i];
+      // Chaos may clamp the read to a few bytes — exactly the adversarial
+      // delivery pattern the decoder must be indifferent to.
+      char buf[16384];
+      const ssize_t n = ::read(conn.fd, buf, chaos_read_clamp(sizeof buf));
+      if (n > 0) {
+        conn.last_active = Clock::now();
+        // A poisoned stream shows in decoder.poisoned() at the next tend().
+        (void)conn.decoder.feed(
+            std::string_view(buf, static_cast<std::size_t>(n)));
+      } else if (n == 0 || (errno != EINTR && errno != EAGAIN)) {
+        conn.eof = true;
+      }
     }
   }
-  // No close here: queued/in-flight Jobs may still hold the Connection and
-  // reply later. Dropping this thread's reference lets ~Connection close
-  // the fd once the last holder (often a worker) is done with it.
+  for (auto it = conns_.begin(); it != conns_.end();) it = close_conn(it);
 }
 
-void Server::handle_control(Connection& conn, const Request& request) {
+void Server::accept_all() {
+  for (;;) {
+    const int fd =
+        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      return;  // EAGAIN: the backlog is empty
+    }
+    server_metrics().connections.add();
+    const std::uint64_t id = ++conn_counter_;
+    Conn& conn = conns_[id];
+    conn.id = id;
+    conn.fd = fd;
+    conn.peer_id = "conn-" + std::to_string(id);
+    conn.last_active = Clock::now();
+    std::lock_guard lk(outbox_mutex_);
+    live_.insert(id);
+  }
+}
+
+Server::ConnMap::iterator Server::close_conn(ConnMap::iterator it) {
+  {
+    std::lock_guard lk(outbox_mutex_);
+    live_.erase(it->first);
+  }
+  ::close(it->second.fd);
+  return conns_.erase(it);
+}
+
+bool Server::tend(Conn& conn, Clock::time_point now, bool closing,
+                  short* events, Clock::time_point* wake) {
+  // Stops reading while the peer leaves more than kMaxUnsentBytes unread:
+  // a client that never reads pins memory up to that bound, not a worker.
+  const auto reading = [&conn] {
+    return !conn.eof && !conn.cut && conn.unsent() <= kMaxUnsentBytes;
+  };
+  if (!closing) {
+    while (reading()) {
+      const std::optional<std::string> payload = conn.decoder.next();
+      if (!payload.has_value()) break;
+      serve_frame(conn, *payload);
+    }
+    if (!conn.eof && conn.decoder.poisoned()) {
+      server_metrics().poisoned_streams.add();
+      conn.eof = true;
+    }
+  }
+
+  // Writes what the socket takes now; a write error closes the connection.
+  while (conn.unsent() > 0) {
+    const ssize_t n =
+        ::send(conn.fd, conn.out.data() + conn.out_sent,
+               chaos_write_chunk(conn.unsent()), MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN) return false;
+      break;
+    }
+    conn.out_sent += static_cast<std::size_t>(n);
+  }
+  if (conn.out_sent > conn.out.size() / 2) {  // drop the written prefix
+    conn.out.erase(0, conn.out_sent);
+    conn.out_sent = 0;
+  }
+  if (conn.unsent() > 0) *events = POLLOUT;
+
+  if (closing || conn.cut) return conn.unsent() > 0;
+  if (conn.eof) return conn.unsent() > 0 || conn.inflight > 0;
+  // A frame that started arriving must finish within read_deadline_ms
+  // (the slow-loris defence); the clock stops while reading is paused.
+  if (reading() && conn.decoder.mid_frame() && config_.read_deadline_ms > 0) {
+    if (!conn.frame_deadline.has_value()) {
+      conn.frame_deadline =
+          now + std::chrono::milliseconds(config_.read_deadline_ms);
+    }
+    if (now >= *conn.frame_deadline) {
+      // Closing is the only honest response — mid-frame there is no valid
+      // request id to address an error to.
+      server_metrics().read_deadline_closed.add();
+      return false;
+    }
+    *wake = std::min(*wake, *conn.frame_deadline);
+  } else {
+    conn.frame_deadline.reset();
+  }
+  if (config_.idle_timeout_ms > 0 && !conn.decoder.mid_frame() &&
+      conn.inflight == 0) {
+    const Clock::time_point idle_at =
+        conn.last_active + std::chrono::milliseconds(config_.idle_timeout_ms);
+    if (now >= idle_at) {
+      server_metrics().idle_closed.add();
+      return false;
+    }
+    *wake = std::min(*wake, idle_at);
+  }
+  if (reading()) *events |= POLLIN;
+  return true;
+}
+
+void Server::reply(Conn& conn, std::string_view payload) {
+  if (conn.cut) return;
+  const std::string frame = encode_frame(payload);
+  if (chaos_drop_write()) {
+    // Chaos disconnect: half the frame, so the stream always ends
+    // mid-frame, then the connection closes once that much is written.
+    conn.out.append(frame, 0, frame.size() / 2);
+    conn.cut = true;
+    return;
+  }
+  conn.out += frame;
+}
+
+bool Server::post(std::uint64_t conn, std::string payload, bool final) {
+  bool wake = false;
+  {
+    std::lock_guard lk(outbox_mutex_);
+    if (!live_.contains(conn)) return false;
+    wake = outbox_.empty();
+    outbox_.push_back(Outgoing{conn, std::move(payload), final});
+  }
+  if (wake) wake_loop();
+  return true;
+}
+
+void Server::serve_frame(Conn& conn, const std::string& payload) {
+  std::string bad_request_body;
+  std::optional<Request> request = parse_request(payload, &bad_request_body);
+  if (!request.has_value()) {
+    server_metrics().bad_request.add();
+    reply(conn, bad_request_body);
+    return;
+  }
+  if (request->priority == Priority::kControl) {
+    handle_control(conn, *request);
+    return;
+  }
+  const std::uint32_t cap = config_.max_inflight_per_conn;
+  if (cap != 0 && conn.inflight >= cap) {
+    server_metrics().rejected_inflight_cap.add();
+    reply(conn, error_response(
+                    request->id, ErrorCode::kOverloaded,
+                    "per-connection in-flight cap (" + std::to_string(cap) +
+                        ") reached; wait for responses before pipelining more",
+                    queue_.config().retry_after_min_ms));
+    return;
+  }
+  dispatch_queueable(conn, std::move(*request));
+}
+
+void Server::handle_control(Conn& conn, const Request& request) {
   obs::TraceSpan span("serve.control", request.id);
+  std::string result;
   if (request.method == "health") {
     JsonWriter json;
     json.begin_object();
     json.key("status").value(draining() ? "draining" : "ok");
     json.end_object();
-    conn.send(ok_response(request.id, json.str()));
+    result = json.str();
+  } else if (request.method == "status") {
+    result = status_json();
+  } else if (request.method == "metrics") {
+    result = obs::metrics_json();
+  } else if (request.method == "shutdown") {
+    result = "{\"draining\": true}";
+  } else {
+    reply(conn, error_response(request.id, ErrorCode::kBadRequest,
+                               "unknown control method '" + request.method +
+                                   "'"));
     return;
   }
-  if (request.method == "status") {
-    conn.send(ok_response(request.id, status_json()));
-    return;
-  }
-  if (request.method == "metrics") {
-    conn.send(ok_response(request.id, obs::metrics_json()));
-    return;
-  }
-  if (request.method == "shutdown") {
-    conn.send(ok_response(request.id, "{\"draining\": true}"));
-    drain();
-    return;
-  }
-  conn.send(error_response(request.id, ErrorCode::kBadRequest,
-                           "unknown control method '" + request.method + "'"));
+  reply(conn, ok_response(request.id, result));
+  if (request.method == "shutdown") drain();
 }
 
 std::string Server::status_json() const {
@@ -451,7 +464,7 @@ std::string Server::status_json() const {
   json.key("uptime_ms")
       .value(static_cast<std::int64_t>(
           std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - started_at_)
+              Clock::now() - started_at_)
               .count()));
   json.key("clients").begin_array();
   for (const ClientSnapshot& c : queue_.clients()) {
@@ -482,9 +495,7 @@ std::string Server::status_json() const {
   return json.str();
 }
 
-void Server::dispatch_queueable(Connection& conn,
-                                std::shared_ptr<Connection> self,
-                                Request request) {
+void Server::dispatch_queueable(Conn& conn, Request request) {
   // Tier-1 classification: a query that would miss the aged-state cache
   // triggers an expensive aging recompute, so under pressure those are
   // shed while cache hits keep flowing.
@@ -498,15 +509,15 @@ void Server::dispatch_queueable(Connection& conn,
   job.request = std::move(request);
   job.client = job.request.client_id.empty() ? conn.peer_id
                                              : job.request.client_id;
-  job.conn = std::move(self);
+  job.conn = conn.id;
   job.token = std::make_shared<runtime::CancelToken>();
-  job.enqueued = std::chrono::steady_clock::now();
+  job.enqueued = Clock::now();
   const std::int64_t deadline_ms = job.request.deadline_ms > 0
                                        ? job.request.deadline_ms
                                        : config_.default_deadline_ms;
   job.deadline = deadline_ms > 0
                      ? job.enqueued + std::chrono::milliseconds(deadline_ms)
-                     : std::chrono::steady_clock::time_point::max();
+                     : Clock::time_point::max();
 
   const std::uint64_t id = job.request.id;
   const Priority priority = job.request.priority;
@@ -517,13 +528,14 @@ void Server::dispatch_queueable(Connection& conn,
       queue_.try_push(std::move(job), priority, needs_refill, client);
   if (!decision.admitted) {
     count_rejection(decision.reason);
-    conn.send(error_response(id, decision.reason,
-                             std::string("rejected: ") +
-                                 std::string(error_code_name(decision.reason)),
-                             decision.retry_after_ms));
+    reply(conn, error_response(
+                    id, decision.reason,
+                    std::string("rejected: ") +
+                        std::string(error_code_name(decision.reason)),
+                    decision.retry_after_ms));
     return;
   }
-  conn.inflight.fetch_add(1, std::memory_order_acq_rel);
+  ++conn.inflight;
   server_metrics().accepted.add();
   server_metrics().client_accepted.add();
   server_metrics().queue_depth.record(
@@ -535,7 +547,7 @@ void Server::worker_loop() {
   while (true) {
     std::optional<Job> job = queue_.pop();
     if (!job.has_value()) return;  // queue closed and empty: drain done
-    const auto started = std::chrono::steady_clock::now();
+    const auto started = Clock::now();
     server_metrics().queue_wait_us.observe(us_between(job->enqueued, started));
     in_flight_.fetch_add(1, std::memory_order_acq_rel);
 
@@ -551,19 +563,19 @@ void Server::worker_loop() {
           timed_out ? ErrorCode::kTimeout : ErrorCode::kCancelled,
           timed_out ? "deadline expired while queued" : "cancelled by drain");
     } else {
-      // Streaming: progress frames go out on the job's connection under
-      // its write mutex, interleaving cleanly with control replies. A
-      // failed frame write reports the client gone; the service finishes
-      // the campaign anyway (units checkpoint for the re-attach).
+      // Streaming: progress frames go to the loop ahead of the reply, in
+      // order. Once the loop has closed the connection the emitter reports
+      // the client gone; the service finishes the campaign anyway (units
+      // checkpoint for the re-attach).
       const Service::StreamEmitter emitter =
-          [&job](const std::string& payload) {
-            const bool sent = job->conn->send(payload);
+          [this, &job](const std::string& payload) {
+            const bool sent = post(job->conn, payload, false);
             if (sent) server_metrics().stream_frames.add();
             return sent;
           };
       HandlerResult result = service_.handle(job->request, *job->token,
                                              emitter);
-      const auto finished = std::chrono::steady_clock::now();
+      const auto finished = Clock::now();
       if (result.ok) {
         server_metrics().completed.add();
         response = ok_response(job->request.id, result.result_json);
@@ -585,15 +597,14 @@ void Server::worker_loop() {
         response = error_response(job->request.id, code, result.message);
       }
     }
-    const auto done = std::chrono::steady_clock::now();
+    const auto done = Clock::now();
     server_metrics().request_us.observe(us_between(job->enqueued, done));
     queue_.record_service_ms(
         std::chrono::duration<double, std::milli>(done - started).count());
     queue_.record_done(job->client);
     server_metrics().client_completed.add();
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    job->conn->send(response);
-    job->conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
+    post(job->conn, std::move(response), true);
   }
 }
 

@@ -3,32 +3,43 @@
 // The agingd server: Unix-domain socket transport, admission control and
 // worker scheduling wrapped around serve::Service (docs/SERVING.md).
 //
-// Thread layout:
-//   1 listener      accept loop, woken for shutdown via a self-pipe;
-//   1 per connection frame reader — answers control requests inline (so
-//                   health/status respond even when every worker is busy)
-//                   and routes queueable work through the admission queue;
-//   N workers       pop admitted jobs, execute on Service, reply;
+// Thread layout (fixed, however many connections are open):
+//   1 event loop    one poll(2) over the listening socket, the wake pipe
+//                   and every connection: accepts, reads and decodes
+//                   frames, answers control requests itself (so
+//                   health/status respond even when every worker is busy),
+//                   routes queueable work through the admission queue,
+//                   writes buffered replies, and runs each connection's
+//                   read-deadline and idle timers;
+//   N workers       pop admitted jobs, execute on Service, and post each
+//                   finished frame (reply or stream progress) to the loop
+//                   by connection id over the wake pipe — a worker never
+//                   touches a socket;
 //   1 deadline timer
 //                   (runtime::DeadlineTimer, started by the first admitted
 //                   job) cancels each job's token when its deadline
 //                   expires, whether the job is still queued or already
 //                   running, and every token at the drain grace time.
 //
-// Drain (SIGTERM / shutdown request): stop accepting connections, reject
-// new work with `draining`, let queued + in-flight work finish; after
-// `drain_grace_ms` cancel outstanding tokens, which checkpoints running
-// campaigns. wait() returns only when every thread has joined, so the
-// caller can flush observability artifacts and exit cleanly.
+// Drain (SIGTERM / shutdown request): stop accepting connections, keep
+// answering control requests, reject new work with `draining`, let queued
+// + in-flight work finish; after `drain_grace_ms` cancel outstanding
+// tokens, which checkpoints running campaigns. wait() joins the workers,
+// then the loop flushes pending output for at most `drain_grace_ms`,
+// closes every connection and exits, so the caller can flush
+// observability artifacts and exit cleanly.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "src/runtime/robust_runner.hpp"
@@ -70,15 +81,16 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the socket and spawns the thread set. False (with `*error`
-  /// filled) on bind/listen failure.
+  /// Binds the socket and spawns the loop and the workers. False (with
+  /// `*error` filled) on bind/listen failure.
   bool start(std::string* error);
 
-  /// Begins graceful drain; idempotent, safe from any thread (including a
-  /// worker executing the `shutdown` method).
+  /// Begins graceful drain; idempotent, safe from any thread (including
+  /// the loop answering a `shutdown` request).
   void drain();
 
-  /// Blocks until drain completes and every thread has joined.
+  /// Blocks until drain completes and every thread has joined: joins the
+  /// workers, then lets the loop flush and close every connection.
   void wait();
 
   bool draining() const noexcept {
@@ -92,51 +104,61 @@ class Server {
   }
 
  private:
-  struct Connection {
+  using Clock = std::chrono::steady_clock;
+
+  /// One client connection. Only the loop thread touches it; workers
+  /// address it by id, so a late reply cannot reach a reused fd.
+  struct Conn {
+    std::uint64_t id = 0;
     int fd = -1;
     /// Fallback fairness identity for requests without a `client_id`
     /// ("conn-<n>"): anonymous clients are then fair per connection.
     std::string peer_id;
-    /// Queued + running requests from this connection (the pipelining cap).
-    std::atomic<std::uint32_t> inflight{0};
-    std::mutex write_mutex;
-    /// The fd closes only when the last shared_ptr drops: queued and
-    /// in-flight Jobs hold references, so a worker's late reply can never
-    /// write to an fd number the kernel has already reused for another
-    /// client (the connection thread exiting first is the common case).
-    ~Connection();
-    /// Serialized writes: worker replies and inline control replies
-    /// interleave on the same stream.
-    bool send(std::string_view payload);
-    void shutdown_read() noexcept;
+    FrameDecoder decoder;
+    std::string out;             ///< encoded frames not yet written
+    std::size_t out_sent = 0;    ///< bytes at the front of `out` written
+    std::uint32_t inflight = 0;  ///< queued + running (the pipelining cap)
+    /// Read side done (EOF, read error or poisoned stream): the connection
+    /// closes once its in-flight replies are written.
+    bool eof = false;
+    /// A chaos disconnect cut a frame: closes once `out` is written.
+    bool cut = false;
+    std::optional<Clock::time_point> frame_deadline;
+    Clock::time_point last_active;
+    std::size_t unsent() const noexcept { return out.size() - out_sent; }
+  };
+  using ConnMap = std::map<std::uint64_t, Conn>;
+
+  /// A frame a worker hands to the loop.
+  struct Outgoing {
+    std::uint64_t conn = 0;
+    std::string payload;
+    bool final = false;  ///< the request's reply, not a progress frame
   };
 
   struct Job {
     Request request;
     std::string client;  ///< resolved fairness identity
-    std::shared_ptr<Connection> conn;
+    std::uint64_t conn = 0;
     std::shared_ptr<runtime::CancelToken> token;
-    std::chrono::steady_clock::time_point enqueued;
-    std::chrono::steady_clock::time_point deadline;  ///< max() = none
+    Clock::time_point enqueued;
+    Clock::time_point deadline;  ///< max() = none
   };
 
-  /// One reader thread per live connection plus a done flag the thread
-  /// sets on exit, so the listener can join finished threads instead of
-  /// accumulating one joinable entry per connection ever accepted.
-  struct ConnThread {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-
-  void listener_loop();
-  void reap_connection_threads();
-  void connection_loop(std::shared_ptr<Connection> conn);
+  void run_loop();
+  void accept_all();
+  bool tend(Conn& conn, Clock::time_point now, bool closing, short* events,
+            Clock::time_point* wake);
+  ConnMap::iterator close_conn(ConnMap::iterator it);
+  void serve_frame(Conn& conn, const std::string& payload);
+  void handle_control(Conn& conn, const Request& request);
+  void dispatch_queueable(Conn& conn, Request request);
+  void reply(Conn& conn, std::string_view payload);
+  bool post(std::uint64_t conn, std::string payload, bool final);
   void worker_loop();
-  void handle_control(Connection& conn, const Request& request);
-  void dispatch_queueable(Connection& conn, std::shared_ptr<Connection> self,
-                          Request request);
   std::string status_json() const;
-  void wake_listener() noexcept;
+  void wake_loop() noexcept;
+  void close_fds() noexcept;
 
   ServerConfig config_;
   AgedStateCache cache_;
@@ -146,20 +168,22 @@ class Server {
 
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
-  std::uint64_t conn_counter_ = 0;  ///< listener thread only
   std::atomic<bool> draining_{false};
+  std::atomic<bool> closing_{false};  ///< wait() joined the workers
   std::atomic<bool> started_{false};
   std::atomic<std::uint64_t> in_flight_{0};
 
-  std::mutex conns_mutex_;
-  std::vector<std::weak_ptr<Connection>> conns_;
+  ConnMap conns_;                   ///< loop thread only
+  std::uint64_t conn_counter_ = 0;  ///< loop thread only
 
-  std::thread listener_;
+  std::mutex outbox_mutex_;
+  std::vector<Outgoing> outbox_;
+  std::unordered_set<std::uint64_t> live_;  ///< ids of open connections
+
+  std::thread loop_;
   std::vector<std::thread> workers_;
-  std::mutex conn_threads_mutex_;
-  std::vector<ConnThread> conn_threads_;
 
-  std::chrono::steady_clock::time_point started_at_{};
+  Clock::time_point started_at_{};
 };
 
 }  // namespace agingsim::serve

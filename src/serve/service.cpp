@@ -54,27 +54,26 @@ const ServiceMetrics& service_metrics() {
   return m;
 }
 
-HandlerResult ok_result(const std::string& result_json) {
+HandlerResult ok_result(std::string result_json) {
   HandlerResult out;
   out.ok = true;
-  out.result_json = result_json;
+  out.result_json = std::move(result_json);
   return out;
 }
 
-HandlerResult bad_request(std::string message) {
+HandlerResult failure(ErrorCode code, std::string message) {
   return HandlerResult{.ok = false,
                        .result_json = {},
-                       .code = ErrorCode::kBadRequest,
+                       .code = code,
                        .message = std::move(message)};
 }
 
-HandlerResult cancelled_result(const runtime::CancelToken& cancel,
-                               std::string where) {
-  (void)cancel;
-  return HandlerResult{.ok = false,
-                       .result_json = {},
-                       .code = ErrorCode::kCancelled,
-                       .message = "cancelled during " + std::move(where)};
+HandlerResult bad_request(std::string message) {
+  return failure(ErrorCode::kBadRequest, std::move(message));
+}
+
+HandlerResult cancelled_result(const std::string& where) {
+  return failure(ErrorCode::kCancelled, "cancelled during " + where);
 }
 
 /// Validated query parameters; the digest must cover everything that
@@ -162,17 +161,11 @@ std::mutex& campaign_digest_mutex(std::uint64_t digest) {
   return *slot;
 }
 
-char hex_digit(std::uint64_t v) {
-  return "0123456789abcdef"[v & 0xF];
-}
-
 std::string digest_hex(std::uint64_t digest) {
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = hex_digit(digest);
-    digest >>= 4;
-  }
-  return out;
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(digest));
+  return hex;
 }
 
 }  // namespace
@@ -200,15 +193,9 @@ HandlerResult Service::handle(const Request& request,
     return bad_request("method '" + request.method +
                        "' is not a queueable method");
   } catch (const std::exception& e) {
-    return HandlerResult{.ok = false,
-                         .result_json = {},
-                         .code = ErrorCode::kInternal,
-                         .message = e.what()};
+    return failure(ErrorCode::kInternal, e.what());
   } catch (...) {
-    return HandlerResult{.ok = false,
-                         .result_json = {},
-                         .code = ErrorCode::kInternal,
-                         .message = "unknown exception"};
+    return failure(ErrorCode::kInternal, "unknown exception");
   }
 }
 
@@ -229,7 +216,7 @@ HandlerResult Service::handle_query(const JsonValue& params,
     cache_hit = false;
     service_metrics().corner_refills.add();
     obs::TraceSpan refill_span("serve.corner_refill", key);
-    if (cancel.cancelled()) return cancelled_result(cancel, "corner refill");
+    if (cancel.cancelled()) return cancelled_result("corner refill");
     AgedCorner fresh;
     if (q->years > 0.0) {
       const BtiModel model = BtiModel::calibrated(tech_);
@@ -238,7 +225,7 @@ HandlerResult Service::handle_query(const JsonValue& params,
       fresh.delay_scales = scenario.delay_scales_at(q->years);
       fresh.mean_dvth_v = scenario.mean_dvth_at(q->years);
     }
-    if (cancel.cancelled()) return cancelled_result(cancel, "corner refill");
+    if (cancel.cancelled()) return cancelled_result("corner refill");
     Rng rng(q->workload_seed);
     const auto patterns = uniform_patterns(rng, q->width, q->ops);
     fresh.trace = compute_op_trace(
@@ -247,7 +234,7 @@ HandlerResult Service::handle_query(const JsonValue& params,
     if (cache_ != nullptr) cache_->put(key, fresh);
     corner = std::move(fresh);
   }
-  if (cancel.cancelled()) return cancelled_result(cancel, "query replay");
+  if (cancel.cancelled()) return cancelled_result("query replay");
 
   VlSystemConfig cfg;
   cfg.period_ps =
@@ -425,12 +412,9 @@ HandlerResult Service::handle_campaign(const Request& request,
     stats = campaign.run(patterns, run_options);
   } catch (const runtime::RunError& e) {
     if (cancel.cancelled() || report.interrupted()) {
-      return cancelled_result(cancel, "campaign");
+      return cancelled_result("campaign");
     }
-    return HandlerResult{.ok = false,
-                         .result_json = {},
-                         .code = ErrorCode::kInternal,
-                         .message = e.what()};
+    return failure(ErrorCode::kInternal, e.what());
   }
 
   // Response bytes must be identical whether the campaign was computed in
@@ -485,7 +469,7 @@ HandlerResult Service::handle_work(const JsonValue& params,
       mix ^= mix << 17;
       ++iters;
     }
-    if (cancel.cancelled()) return cancelled_result(cancel, "work spin");
+    if (cancel.cancelled()) return cancelled_result("work spin");
   }
   JsonWriter json;
   json.begin_object();

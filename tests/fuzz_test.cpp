@@ -38,6 +38,8 @@
 #include "src/runtime/run_error.hpp"
 #include "src/runtime/serial.hpp"
 #include "src/runtime/stats_codec.hpp"
+#include "src/serve/json.hpp"
+#include "src/serve/protocol.hpp"
 #include "src/sim/sta.hpp"
 #include "src/sim/timing_sim.hpp"
 #include "src/workload/rng.hpp"
@@ -833,6 +835,121 @@ TEST(FuzzTest, DamagedCheckpointFilesAreDiscarded) {
     }
   }
   fs::remove_all(root);
+}
+
+// --- Decoders of untrusted wire bytes ------------------------------------
+
+// Feeds `stream` to a FrameDecoder in pieces ending at `cuts` and collects
+// what it yields, the way agingd's loop does with each non-blocking read:
+// take every complete frame after each piece, stop at a refused feed.
+std::vector<std::string> decode_in_pieces(std::string_view stream,
+                                          const std::vector<std::size_t>& cuts,
+                                          bool* poisoned) {
+  serve::FrameDecoder decoder;
+  std::vector<std::string> payloads;
+  std::size_t from = 0;
+  for (const std::size_t to : cuts) {
+    const bool fed = decoder.feed(stream.substr(from, to - from));
+    while (auto payload = decoder.next()) payloads.push_back(*payload);
+    from = to;
+    if (!fed) break;
+  }
+  *poisoned = decoder.poisoned();
+  return payloads;
+}
+
+TEST(FuzzTest, FrameDecoderYieldsTheSameFramesWhereverTheStreamSplits) {
+  Rng rng(0xF4A3E);
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::vector<std::string> payloads(rng.next_below(8));
+    std::string stream;
+    for (std::string& payload : payloads) {
+      payload.resize(rng.next_below(rng.next_below(8) == 0 ? 6000 : 64));
+      for (char& c : payload) c = static_cast<char>(rng.next());
+      stream += serve::encode_frame(payload);
+    }
+    // A length prefix over kMaxFrameBytes, then bytes that must never
+    // decode: the stream is poisoned right after the frames before it.
+    const bool oversized = rng.next_below(2) == 0;
+    if (oversized) {
+      const std::uint64_t len =
+          serve::kMaxFrameBytes + 1 +
+          rng.next_below(0xFFFFFFFFull - serve::kMaxFrameBytes);
+      for (int i = 0; i < 4; ++i) stream += static_cast<char>(len >> (8 * i));
+      for (std::uint64_t n = rng.next_below(32); n > 0; --n) {
+        stream += static_cast<char>(rng.next());
+      }
+    }
+    bool poisoned = false;
+    EXPECT_EQ(decode_in_pieces(stream, {stream.size()}, &poisoned), payloads)
+        << "iteration " << iter;
+    EXPECT_EQ(poisoned, oversized) << "iteration " << iter;
+
+    std::vector<std::size_t> cuts;
+    for (std::size_t at = 0; at < stream.size();) {
+      at = std::min(stream.size(),
+                    at + 1 + rng.next_below(rng.next_below(2) == 0 ? 8 : 700));
+      cuts.push_back(at);
+    }
+    EXPECT_EQ(decode_in_pieces(stream, cuts, &poisoned), payloads)
+        << "iteration " << iter;
+    EXPECT_EQ(poisoned, oversized) << "iteration " << iter;
+  }
+}
+
+TEST(FuzzTest, MutatedEnvelopesParseOrGetABadRequestBody) {
+  const std::string_view seeds[] = {
+      R"({"id": 7, "method": "query", "deadline_ms": 2000,)"
+      R"( "client_id": "ci-paced", "params": {"arch": "cb", "width": 8}})",
+      R"({"id": 1, "method": "health"})",
+      R"({"id": 18446744073709551615, "method": "campaign", "params":)"
+      R"( {"stream": true,)"
+      R"( "resume_cursor": {"digest": "ab", "unit_index": 2}}})",
+      R"({"method": "work",)"
+      R"( "params": {"spin_us": 50, "x": [1, -2.5e3, null]}})",
+      R"({"id": 3, "method": "shutdown", "client_id": "a.b_c-9"})",
+      R"(["\u00e9\"", {"id": -1}, 1e999, true, false])"};
+  constexpr std::string_view kAlphabet = "{}[]\":,.-+0123456789eEtrufalsn\\ ";
+  Rng rng(0xE47E1);
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string text(seeds[rng.next_below(std::size(seeds))]);
+    for (std::uint64_t edits = 1 + rng.next_below(4); edits > 0; --edits) {
+      const std::size_t at = rng.next_below(text.size() + 1);
+      const char c = rng.next_below(4) == 0
+                         ? static_cast<char>(rng.next())
+                         : kAlphabet[rng.next_below(kAlphabet.size())];
+      switch (rng.next_below(5)) {
+        case 0: text.insert(at, 1, c); break;
+        case 1: if (at < text.size()) text[at] = c; break;
+        case 2: text.erase(at, rng.next_below(8)); break;
+        case 3: text.resize(at); break;
+        default: text.insert(at, text.substr(rng.next_below(text.size() + 1),
+                                             rng.next_below(16)));
+      }
+    }
+    std::string body;
+    bool json = false;
+    std::optional<serve::Request> request;
+    try {
+      json = serve::parse_json(text).has_value();
+      request = serve::parse_request(text, &body);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "'" << text << "' threw " << e.what();
+      continue;
+    }
+    if (request.has_value()) {
+      EXPECT_TRUE(json) << text;
+      EXPECT_EQ(request->priority, serve::method_priority(request->method))
+          << text;
+      continue;
+    }
+    const std::optional<serve::JsonValue> doc = serve::parse_json(body);
+    ASSERT_TRUE(doc.has_value()) << "'" << text << "' got " << body;
+    EXPECT_FALSE(doc->bool_or("ok", true)) << body;
+    const serve::JsonValue* error = doc->find("error");
+    ASSERT_NE(error, nullptr) << body;
+    EXPECT_EQ(error->str_or("code", ""), "bad_request") << body;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "src/serve/chaos.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -233,6 +234,47 @@ TEST(ServeChaos, DropWriteAbortsTheFrameMidWrite) {
   ::close(sv[1]);
 }
 
+TEST(ServeChaos, ServerDisconnectCutsOneFrameAndClosesOnlyItsConnection) {
+  TempDir dir("cut");
+  Server server(chaos_server_config(dir));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const int bystander = connect_unix(server.config().socket_path);
+  const int victim = connect_unix(server.config().socket_path);
+  ASSERT_GE(bystander, 0);
+  ASSERT_GE(victim, 0);
+
+  ServeChaosConfig cfg;
+  cfg.seed = 3;
+  cfg.rate = 1.0;  // every frame the server writes is cut
+  cfg.disconnects = true;
+  const ChaosGuard guard(cfg);
+  // Raw bytes: the client's own frame writer would draw a disconnect too.
+  const std::string request = encode_frame(R"({"id": 1, "method": "health"})");
+  ASSERT_EQ(::write(victim, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  const timeval give_up{5, 0};
+  ASSERT_EQ(::setsockopt(victim, SOL_SOCKET, SO_RCVTIMEO, &give_up,
+                         sizeof give_up),
+            0);
+  FrameDecoder decoder;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::read(victim, buf, sizeof buf)) > 0) {
+    (void)decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+  }
+  EXPECT_EQ(n, 0) << "the cut connection was not closed";
+  EXPECT_FALSE(decoder.next().has_value()) << "a whole frame got through";
+  EXPECT_TRUE(decoder.mid_frame()) << "the stream did not end mid-frame";
+  pollfd pfd{bystander, POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 200), 0) << "another connection was touched";
+  ::close(victim);
+  ::close(bystander);
+
+  server.drain();
+  server.wait();
+}
+
 // --- server defences against hostile sockets -------------------------------
 
 TEST(ServeChaos, SlowLorisMidFrameStallIsClosedAtTheReadDeadline) {
@@ -289,6 +331,34 @@ TEST(ServeChaos, IdleConnectionsAreClosedWhenTimeoutConfigured) {
   const ssize_t n = ::read(fd, buf, sizeof buf);
   EXPECT_LE(n, 0);
   EXPECT_LT(steady_clock::now() - t0, std::chrono::seconds(5));
+  ::close(fd);
+
+  server.drain();
+  server.wait();
+}
+
+TEST(ServeChaos, IdleTimeoutCountsFromTheLastReply) {
+  TempDir dir("idlereply");
+  ServerConfig config = chaos_server_config(dir);
+  config.idle_timeout_ms = 100;
+  config.read_deadline_ms = 0;  // isolate the idle path
+  Server server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  const int fd = connect_unix(config.socket_path);
+  ASSERT_GE(fd, 0);
+  // A request that runs past the window: the connection is not idle while
+  // it is in flight, and goes idle once its reply is out.
+  const auto w = call(
+      fd, R"({"id": 1, "method": "work", "params": {"spin_us": 300000}})");
+  ASSERT_TRUE(w.has_value());
+  EXPECT_TRUE(w->bool_or("ok", false));
+  pollfd pfd{fd, POLLIN, 0};
+  char buf[16];
+  const bool closed =
+      ::poll(&pfd, 1, 3000) == 1 && ::read(fd, buf, sizeof buf) <= 0;
+  EXPECT_TRUE(closed) << "still open 3 s after the reply";
   ::close(fd);
 
   server.drain();

@@ -1,19 +1,25 @@
 // End-to-end tests of the agingd server over a real Unix-domain socket
 // (src/serve/server.hpp): control-plane availability under load, admission
-// rejections with retry hints, per-request deadlines, drain semantics and
-// campaign determinism across calls.
+// rejections with retry hints, per-request deadlines, drain semantics,
+// campaign determinism across calls, and the event loop's promises — a
+// client that never reads pins no worker and cannot hold up a drain, and
+// connections cost no threads.
 
 #include "src/serve/server.hpp"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -60,13 +66,16 @@ class Client {
       fd_ = -1;
     }
   }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
+  ~Client() { close(); }
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
   bool connected() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
 
   bool send(const std::string& payload) {
     return write_frame_fd(fd_, payload);
@@ -97,6 +106,44 @@ class Client {
 std::string error_code_of(const JsonValue& response) {
   const JsonValue* error = response.find("error");
   return error != nullptr ? error->str_or("code", "") : "";
+}
+
+/// Turns `fd` into a client that pipelines `work` frames (spin_us 0) and
+/// never reads: it sends until its socket stays unwritable for 300 ms,
+/// i.e. until the server stops taking its requests. False if it never
+/// blocks.
+bool pipeline_until_blocked(int fd) {
+  if (::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK) != 0) {
+    return false;
+  }
+  const std::string frame =
+      encode_frame(R"({"id": 1, "method": "work", "params": {"spin_us": 0}})");
+  std::size_t off = 0;
+  for (int frames = 0; frames < 100'000;) {
+    const ssize_t n =
+        ::send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+      if (off == frame.size()) {
+        off = 0;
+        ++frames;
+      }
+      continue;
+    }
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    pollfd pfd{fd, POLLOUT, 0};
+    if (::poll(&pfd, 1, 300) == 0) return true;
+  }
+  return false;
+}
+
+std::size_t count_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       fs::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
 }
 
 /// Spins until `pred` holds or ~2 s elapse.
@@ -219,9 +266,11 @@ TEST_F(ServeServerTest, EarlyDisconnectDoesNotCorruptOtherConnections) {
   ASSERT_TRUE(server.start(&error)) << error;
 
   // A client queues slow work and disconnects before the reply. The
-  // worker's late send must hit the ghost's still-reserved fd (or a dead
-  // one) — never an fd number the kernel re-issued to a newer connection,
-  // which would splice the ghost's response into that client's stream.
+  // worker posts its late reply to the loop by connection id, and the loop
+  // writes it to the ghost's own connection or drops it once that is
+  // closed — never to an fd number the kernel re-issued to a newer
+  // connection, which would splice the ghost's response into that
+  // client's stream.
   {
     Client ghost(server.config().socket_path);
     ASSERT_TRUE(ghost.connected());
@@ -451,6 +500,81 @@ TEST_F(ServeServerTest, CampaignResponsesAreDeterministicAcrossCalls) {
   // The checkpoint store landed under the configured root.
   EXPECT_TRUE(fs::exists(fs::path(server.config().service.checkpoint_root) /
                          ("ck-" + digest)));
+
+  server.drain();
+  server.wait();
+}
+
+TEST_F(ServeServerTest, NeverReadingClientPinsNoWorker) {
+  TempDir dir("hog");
+  Server server(base_config(dir));  // one worker
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Client hog(server.config().socket_path);
+  ASSERT_TRUE(hog.connected());
+  ASSERT_TRUE(pipeline_until_blocked(hog.fd()))
+      << "the server kept reading a client that never reads its replies";
+
+  Client other(server.config().socket_path);
+  ASSERT_TRUE(other.send(
+      R"({"id": 2, "method": "work", "params": {"spin_us": 0}})"));
+  pollfd pfd{other.fd(), POLLIN, 0};
+  const bool answered = ::poll(&pfd, 1, 2000) == 1;
+  // Closing the hog unblocks a worker stuck writing to it, so a failure
+  // here ends the test instead of hanging the drain below.
+  if (!answered) hog.close();
+  ASSERT_TRUE(answered) << "no reply within 2 s while a client never reads";
+  const auto reply = other.recv();
+  hog.close();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_TRUE(reply->bool_or("ok", false)) << error_code_of(*reply);
+  EXPECT_EQ(reply->i64_or("id", -1), 2);
+
+  server.drain();
+  server.wait();
+}
+
+TEST_F(ServeServerTest, DrainFinishesDespiteANeverReadingClient) {
+  TempDir dir("hogdrain");
+  Server server(base_config(dir));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Client hog(server.config().socket_path);
+  ASSERT_TRUE(pipeline_until_blocked(hog.fd()));
+
+  // The hog stays connected and unread: pending output may delay the exit
+  // by at most the drain grace.
+  auto stopped = std::async(std::launch::async, [&server] {
+    server.drain();
+    server.wait();
+  });
+  const bool finished =
+      stopped.wait_for(milliseconds(server.config().drain_grace_ms + 2000)) ==
+      std::future_status::ready;
+  if (!finished) hog.close();  // unblocks a worker stuck writing to it
+  stopped.get();
+  EXPECT_TRUE(finished) << "drain() + wait() outlasted the grace by 2 s";
+}
+
+TEST_F(ServeServerTest, ThreadCountDoesNotGrowWithConnections) {
+  TempDir dir("threads");
+  Server server(base_config(dir));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  const std::size_t idle = count_threads();
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int i = 0; i < 50; ++i) {
+    clients.push_back(std::make_unique<Client>(server.config().socket_path));
+    // A round trip: the connection is established server-side.
+    const auto h = clients.back()->call(R"({"id": 1, "method": "health"})");
+    ASSERT_TRUE(h.has_value());
+    ASSERT_TRUE(h->bool_or("ok", false));
+  }
+  EXPECT_EQ(count_threads(), idle)
+      << "50 idle connections changed the thread count";
 
   server.drain();
   server.wait();
