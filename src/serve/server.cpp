@@ -26,6 +26,10 @@ namespace {
 /// this plus the output of its in-flight requests, and pins no worker.
 constexpr std::size_t kMaxUnsentBytes = 64u << 10;
 
+/// How long the loop leaves the listening socket unpolled after accept4
+/// fails for want of descriptors or memory (see accept_all).
+constexpr std::chrono::milliseconds kAcceptBackoff{100};
+
 constexpr std::array<double, 10> kLatencyBucketsUs = {
     100.0,     250.0,     1'000.0,    5'000.0,     25'000.0,
     100'000.0, 500'000.0, 1'000'000.0, 5'000'000.0, 30'000'000.0};
@@ -192,8 +196,10 @@ void Server::close_fds() noexcept {
 
 void Server::run_loop() {
   std::vector<Outgoing> frames;
+  // The wake pipe, the listening socket, then one slot per connection in
+  // conns_ order (fd -1 while it waits for nothing); accepts add at the end.
   std::vector<pollfd> fds;
-  std::vector<Conn*> polled;  // polled[i] owns fds[i + 2]
+  std::vector<pollfd> next;
   Clock::time_point flush_until = Clock::time_point::max();
   for (;;) {
     // closing_ before the outbox: once it reads true, every worker frame
@@ -219,21 +225,22 @@ void Server::run_loop() {
     }
 
     Clock::time_point wake = flush_until;
-    fds.assign({{wake_pipe_[0], POLLIN, 0},
-                {draining() ? -1 : listen_fd_, POLLIN, 0}});
-    polled.clear();
+    const bool backoff = now < accept_after_;
+    if (backoff) wake = std::min(wake, accept_after_);
+    next.assign({{wake_pipe_[0], POLLIN, 0},
+                 {draining() || backoff ? -1 : listen_fd_, POLLIN, 0}});
+    std::size_t slot = 2;
     for (auto it = conns_.begin(); it != conns_.end();) {
+      const short revents = slot < fds.size() ? fds[slot++].revents : 0;
       short events = 0;
-      if (!tend(it->second, now, closing, &events, &wake)) {
+      if (!tend(it->second, revents, now, closing, &events, &wake)) {
         it = close_conn(it);
         continue;
       }
-      if (events != 0) {
-        fds.push_back({it->second.fd, events, 0});
-        polled.push_back(&it->second);
-      }
+      next.push_back({events != 0 ? it->second.fd : -1, events, 0});
       ++it;
     }
+    fds.swap(next);
     if (closing && (conns_.empty() || now >= flush_until)) break;
 
     int timeout_ms = -1;
@@ -249,26 +256,6 @@ void Server::run_loop() {
       }
     }
     if (fds[1].revents != 0) accept_all();
-    for (std::size_t i = 0; i < polled.size(); ++i) {
-      const pollfd& pfd = fds[i + 2];
-      if ((pfd.events & POLLIN) == 0 ||
-          (pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-        continue;  // POLLOUT alone: the next tend() writes
-      }
-      Conn& conn = *polled[i];
-      // Chaos may clamp the read to a few bytes — exactly the adversarial
-      // delivery pattern the decoder must be indifferent to.
-      char buf[16384];
-      const ssize_t n = ::read(conn.fd, buf, chaos_read_clamp(sizeof buf));
-      if (n > 0) {
-        conn.last_active = Clock::now();
-        // A poisoned stream shows in decoder.poisoned() at the next tend().
-        (void)conn.decoder.feed(
-            std::string_view(buf, static_cast<std::size_t>(n)));
-      } else if (n == 0 || (errno != EINTR && errno != EAGAIN)) {
-        conn.eof = true;
-      }
-    }
   }
   for (auto it = conns_.begin(); it != conns_.end();) it = close_conn(it);
 }
@@ -279,7 +266,10 @@ void Server::accept_all() {
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // EAGAIN: the backlog is empty
+      // EMFILE, ENFILE, ENOBUFS or ENOMEM leave the connection in the
+      // backlog and the listening socket readable: back off, do not spin.
+      if (errno != EAGAIN) accept_after_ = Clock::now() + kAcceptBackoff;
+      return;
     }
     server_metrics().connections.add();
     const std::uint64_t id = ++conn_counter_;
@@ -302,42 +292,55 @@ Server::ConnMap::iterator Server::close_conn(ConnMap::iterator it) {
   return conns_.erase(it);
 }
 
-bool Server::tend(Conn& conn, Clock::time_point now, bool closing,
-                  short* events, Clock::time_point* wake) {
+bool Server::tend(Conn& conn, short revents, Clock::time_point now,
+                  bool closing, short* events, Clock::time_point* wake) {
   // Stops reading while the peer leaves more than kMaxUnsentBytes unread:
   // a client that never reads pins memory up to that bound, not a worker.
   const auto reading = [&conn] {
     return !conn.eof && !conn.cut && conn.unsent() <= kMaxUnsentBytes;
   };
-  if (!closing) {
-    while (reading()) {
-      const std::optional<std::string> payload = conn.decoder.next();
-      if (!payload.has_value()) break;
-      serve_frame(conn, *payload);
-    }
-    if (!conn.eof && conn.decoder.poisoned()) {
-      server_metrics().poisoned_streams.add();
+  if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0 && reading()) {
+    // Chaos may clamp the read to a few bytes — exactly the adversarial
+    // delivery pattern the decoder must be indifferent to.
+    char buf[16384];
+    const ssize_t n = ::read(conn.fd, buf, chaos_read_clamp(sizeof buf));
+    if (n > 0) {
+      conn.last_active = now;
+      // A poisoned stream shows in decoder.poisoned() below.
+      (void)conn.decoder.feed(
+          std::string_view(buf, static_cast<std::size_t>(n)));
+    } else if (n == 0 || (errno != EINTR && errno != EAGAIN)) {
       conn.eof = true;
     }
   }
-
-  // Writes what the socket takes now; a write error closes the connection.
-  while (conn.unsent() > 0) {
-    const ssize_t n =
-        ::send(conn.fd, conn.out.data() + conn.out_sent,
-               chaos_write_chunk(conn.unsent()), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno != EAGAIN) return false;
-      break;
+  // Writes what the socket takes before each frame is decoded, so a reply
+  // leaves at once and a drained backlog resumes decoding the frames that
+  // are already buffered. A write error closes the connection.
+  for (;;) {
+    while (conn.unsent() > 0) {
+      const ssize_t n =
+          ::send(conn.fd, conn.out.data() + conn.out_sent,
+                 chaos_write_chunk(conn.unsent()), MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && errno != EAGAIN) return false;
+      if (n < 0) break;
+      conn.out_sent += static_cast<std::size_t>(n);
+      conn.last_active = now;
     }
-    conn.out_sent += static_cast<std::size_t>(n);
+    if (closing || !reading()) break;
+    const std::optional<std::string> payload = conn.decoder.next();
+    if (!payload.has_value()) break;
+    serve_frame(conn, *payload);
   }
   if (conn.out_sent > conn.out.size() / 2) {  // drop the written prefix
     conn.out.erase(0, conn.out_sent);
     conn.out_sent = 0;
   }
   if (conn.unsent() > 0) *events = POLLOUT;
+  if (!closing && !conn.eof && conn.decoder.poisoned()) {
+    server_metrics().poisoned_streams.add();
+    conn.eof = true;
+  }
 
   if (closing || conn.cut) return conn.unsent() > 0;
   if (conn.eof) return conn.unsent() > 0 || conn.inflight > 0;
@@ -359,7 +362,7 @@ bool Server::tend(Conn& conn, Clock::time_point now, bool closing,
     conn.frame_deadline.reset();
   }
   if (config_.idle_timeout_ms > 0 && !conn.decoder.mid_frame() &&
-      conn.inflight == 0) {
+      conn.inflight == 0 && conn.unsent() == 0) {
     const Clock::time_point idle_at =
         conn.last_active + std::chrono::milliseconds(config_.idle_timeout_ms);
     if (now >= idle_at) {

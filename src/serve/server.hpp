@@ -63,9 +63,10 @@ struct ServerConfig {
   /// or the connection is closed — the slow-loris defence (a client may
   /// idle between frames forever, but never mid-frame). 0 disables.
   std::int64_t read_deadline_ms = 10'000;
-  /// Closes connections idle (no partial frame, nothing in flight) longer
-  /// than this. 0 (default) keeps the historical behaviour: idle
-  /// connections live until the peer hangs up or the daemon drains.
+  /// Closes connections idle (no partial frame, nothing in flight or
+  /// unsent) longer than this. 0 (default) keeps the historical
+  /// behaviour: idle connections live until the peer hangs up or the
+  /// daemon drains.
   std::int64_t idle_timeout_ms = 0;
   /// Per-connection cap on queued + running requests; pipelining past it
   /// is rejected with `overloaded` before touching the admission queue.
@@ -147,8 +148,8 @@ class Server {
 
   void run_loop();
   void accept_all();
-  bool tend(Conn& conn, Clock::time_point now, bool closing, short* events,
-            Clock::time_point* wake);
+  bool tend(Conn& conn, short revents, Clock::time_point now, bool closing,
+            short* events, Clock::time_point* wake);
   ConnMap::iterator close_conn(ConnMap::iterator it);
   void serve_frame(Conn& conn, const std::string& payload);
   void handle_control(Conn& conn, const Request& request);
@@ -173,8 +174,9 @@ class Server {
   std::atomic<bool> started_{false};
   std::atomic<std::uint64_t> in_flight_{0};
 
-  ConnMap conns_;                   ///< loop thread only
-  std::uint64_t conn_counter_ = 0;  ///< loop thread only
+  ConnMap conns_;                     ///< loop thread only
+  std::uint64_t conn_counter_ = 0;    ///< loop thread only
+  Clock::time_point accept_after_{};  ///< loop thread only: accept back-off
 
   std::mutex outbox_mutex_;
   std::vector<Outgoing> outbox_;

@@ -54,26 +54,27 @@ const ServiceMetrics& service_metrics() {
   return m;
 }
 
-HandlerResult ok_result(std::string result_json) {
+HandlerResult ok_result(const std::string& result_json) {
   HandlerResult out;
   out.ok = true;
-  out.result_json = std::move(result_json);
+  out.result_json = result_json;
   return out;
 }
 
-HandlerResult failure(ErrorCode code, std::string message) {
+HandlerResult bad_request(std::string message) {
   return HandlerResult{.ok = false,
                        .result_json = {},
-                       .code = code,
+                       .code = ErrorCode::kBadRequest,
                        .message = std::move(message)};
 }
 
-HandlerResult bad_request(std::string message) {
-  return failure(ErrorCode::kBadRequest, std::move(message));
-}
-
-HandlerResult cancelled_result(const std::string& where) {
-  return failure(ErrorCode::kCancelled, "cancelled during " + where);
+HandlerResult cancelled_result(const runtime::CancelToken& cancel,
+                               std::string where) {
+  (void)cancel;
+  return HandlerResult{.ok = false,
+                       .result_json = {},
+                       .code = ErrorCode::kCancelled,
+                       .message = "cancelled during " + std::move(where)};
 }
 
 /// Validated query parameters; the digest must cover everything that
@@ -161,11 +162,17 @@ std::mutex& campaign_digest_mutex(std::uint64_t digest) {
   return *slot;
 }
 
+char hex_digit(std::uint64_t v) {
+  return "0123456789abcdef"[v & 0xF];
+}
+
 std::string digest_hex(std::uint64_t digest) {
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(digest));
-  return hex;
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    out[static_cast<std::size_t>(i)] = hex_digit(digest);
+    digest >>= 4;
+  }
+  return out;
 }
 
 }  // namespace
@@ -193,9 +200,15 @@ HandlerResult Service::handle(const Request& request,
     return bad_request("method '" + request.method +
                        "' is not a queueable method");
   } catch (const std::exception& e) {
-    return failure(ErrorCode::kInternal, e.what());
+    return HandlerResult{.ok = false,
+                         .result_json = {},
+                         .code = ErrorCode::kInternal,
+                         .message = e.what()};
   } catch (...) {
-    return failure(ErrorCode::kInternal, "unknown exception");
+    return HandlerResult{.ok = false,
+                         .result_json = {},
+                         .code = ErrorCode::kInternal,
+                         .message = "unknown exception"};
   }
 }
 
@@ -216,7 +229,7 @@ HandlerResult Service::handle_query(const JsonValue& params,
     cache_hit = false;
     service_metrics().corner_refills.add();
     obs::TraceSpan refill_span("serve.corner_refill", key);
-    if (cancel.cancelled()) return cancelled_result("corner refill");
+    if (cancel.cancelled()) return cancelled_result(cancel, "corner refill");
     AgedCorner fresh;
     if (q->years > 0.0) {
       const BtiModel model = BtiModel::calibrated(tech_);
@@ -225,7 +238,7 @@ HandlerResult Service::handle_query(const JsonValue& params,
       fresh.delay_scales = scenario.delay_scales_at(q->years);
       fresh.mean_dvth_v = scenario.mean_dvth_at(q->years);
     }
-    if (cancel.cancelled()) return cancelled_result("corner refill");
+    if (cancel.cancelled()) return cancelled_result(cancel, "corner refill");
     Rng rng(q->workload_seed);
     const auto patterns = uniform_patterns(rng, q->width, q->ops);
     fresh.trace = compute_op_trace(
@@ -234,7 +247,7 @@ HandlerResult Service::handle_query(const JsonValue& params,
     if (cache_ != nullptr) cache_->put(key, fresh);
     corner = std::move(fresh);
   }
-  if (cancel.cancelled()) return cancelled_result("query replay");
+  if (cancel.cancelled()) return cancelled_result(cancel, "query replay");
 
   VlSystemConfig cfg;
   cfg.period_ps =
@@ -412,9 +425,12 @@ HandlerResult Service::handle_campaign(const Request& request,
     stats = campaign.run(patterns, run_options);
   } catch (const runtime::RunError& e) {
     if (cancel.cancelled() || report.interrupted()) {
-      return cancelled_result("campaign");
+      return cancelled_result(cancel, "campaign");
     }
-    return failure(ErrorCode::kInternal, e.what());
+    return HandlerResult{.ok = false,
+                         .result_json = {},
+                         .code = ErrorCode::kInternal,
+                         .message = e.what()};
   }
 
   // Response bytes must be identical whether the campaign was computed in
@@ -469,7 +485,7 @@ HandlerResult Service::handle_work(const JsonValue& params,
       mix ^= mix << 17;
       ++iters;
     }
-    if (cancel.cancelled()) return cancelled_result("work spin");
+    if (cancel.cancelled()) return cancelled_result(cancel, "work spin");
   }
   JsonWriter json;
   json.begin_object();

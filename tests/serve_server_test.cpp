@@ -2,13 +2,15 @@
 // (src/serve/server.hpp): control-plane availability under load, admission
 // rejections with retry hints, per-request deadlines, drain semantics,
 // campaign determinism across calls, and the event loop's promises — a
-// client that never reads pins no worker and cannot hold up a drain, and
-// connections cost no threads.
+// client that never reads pins no worker and cannot hold up a drain,
+// replies past the unsent-output bound keep flowing, connections cost no
+// threads, and running out of descriptors does not spin the loop.
 
 #include "src/serve/server.hpp"
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -20,8 +22,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <future>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -50,21 +54,21 @@ class TempDir {
   fs::path path_;
 };
 
+bool connect_to(int fd, const std::string& socket_path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s",
+                socket_path.c_str());
+  return ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof addr) == 0;
+}
+
 /// Minimal blocking client: one connection, frame-per-call.
 class Client {
  public:
   explicit Client(const std::string& socket_path) {
     fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s",
-                  socket_path.c_str());
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
+    if (fd_ >= 0 && !connect_to(fd_, socket_path)) close();
   }
   ~Client() { close(); }
   Client(const Client&) = delete;
@@ -135,6 +139,86 @@ bool pipeline_until_blocked(int fd) {
     if (::poll(&pfd, 1, 300) == 0) return true;
   }
   return false;
+}
+
+bool send_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// `count` pipelined `metrics` requests with ids 1..count, as one buffer.
+std::string metrics_burst(std::size_t count) {
+  std::string burst;
+  for (std::size_t id = 1; id <= count; ++id) {
+    burst += encode_frame(R"({"id": )" + std::to_string(id) +
+                          R"(, "method": "metrics"})");
+  }
+  return burst;
+}
+
+/// Reads up to `count` frames with plain reads (a chaos-clamped read would
+/// take minutes over this much output). Stops early at EOF, at a read
+/// error, or when no byte arrives for `timeout_ms`.
+std::vector<std::string> read_frames(int fd, std::size_t count,
+                                     int timeout_ms) {
+  std::vector<std::string> frames;
+  FrameDecoder decoder;
+  std::vector<char> buf(64u << 10);
+  while (frames.size() < count) {
+    if (std::optional<std::string> frame = decoder.next()) {
+      frames.push_back(std::move(*frame));
+      continue;
+    }
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) != 1) break;
+    const ssize_t n = ::read(fd, buf.data(), buf.size());
+    if (n <= 0 ||
+        !decoder.feed(std::string_view(buf.data(),
+                                       static_cast<std::size_t>(n)))) {
+      break;
+    }
+  }
+  return frames;
+}
+
+std::vector<std::int64_t> ids_of(const std::vector<std::string>& frames) {
+  std::vector<std::int64_t> ids;
+  for (const std::string& frame : frames) {
+    const std::optional<JsonValue> reply = parse_json(frame);
+    ids.push_back(reply.has_value() ? reply->i64_or("id", -1) : -1);
+  }
+  return ids;
+}
+
+/// Bytes a fresh Unix stream socket takes, in `chunk`-byte writes, before
+/// its send side blocks.
+std::size_t socket_capacity(std::size_t chunk) {
+  int sv[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv) != 0) return 0;
+  const std::string bytes(chunk, 'x');
+  std::size_t total = 0;
+  for (;;) {
+    const ssize_t n = ::send(sv[0], bytes.data(), chunk, 0);
+    if (n <= 0) break;
+    total += static_cast<std::size_t>(n);
+  }
+  ::close(sv[0]);
+  ::close(sv[1]);
+  return total;
+}
+
+double cpu_ms() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  const auto ms = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e3 +
+           static_cast<double>(tv.tv_usec) / 1e3;
+  };
+  return ms(ru.ru_utime) + ms(ru.ru_stime);
 }
 
 std::size_t count_threads() {
@@ -575,6 +659,98 @@ TEST_F(ServeServerTest, ThreadCountDoesNotGrowWithConnections) {
   }
   EXPECT_EQ(count_threads(), idle)
       << "50 idle connections changed the thread count";
+
+  server.drain();
+  server.wait();
+}
+
+TEST_F(ServeServerTest, PipelinedRepliesPastTheUnsentBoundAllArrive) {
+  TempDir dir("burst");
+  ServerConfig config = base_config(dir);
+  config.read_deadline_ms = 0;  // no deadline wake-up to hide a stall
+  Server server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Client client(server.config().socket_path);
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(send_all(client.fd(), metrics_burst(1)));
+  const std::vector<std::string> sample = read_frames(client.fd(), 1, 2000);
+  ASSERT_EQ(sample.size(), 1u);
+  // One write of requests whose replies pass the loop's 64 KiB unsent
+  // bound many times over: every reply arrives, none waits for a timer.
+  const std::size_t count = (512u << 10) / sample[0].size() + 1;
+  ASSERT_TRUE(send_all(client.fd(), metrics_burst(count)));
+  std::vector<std::int64_t> want(count);
+  std::iota(want.begin(), want.end(), 1);
+  EXPECT_EQ(ids_of(read_frames(client.fd(), count, 1000)), want);
+
+  server.drain();
+  server.wait();
+}
+
+TEST_F(ServeServerTest, IdleTimeoutWaitsForUnsentOutput) {
+  TempDir dir("idleunsent");
+  ServerConfig config = base_config(dir);
+  config.idle_timeout_ms = 200;
+  config.read_deadline_ms = 0;  // isolate the idle path
+  Server server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Client client(server.config().socket_path);
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(send_all(client.fd(), metrics_burst(1)));
+  const std::vector<std::string> sample = read_frames(client.fd(), 1, 2000);
+  ASSERT_EQ(sample.size(), 1u);
+  // Replies that overflow the socket by about half the loop's 64 KiB
+  // bound: every request is decoded, and the overflow waits unsent while
+  // the client reads nothing for three idle windows.
+  const std::size_t chunk = sample[0].size() + 4;
+  const std::size_t count =
+      (socket_capacity(chunk) + (32u << 10)) / chunk + 1;
+  ASSERT_TRUE(send_all(client.fd(), metrics_burst(count)));
+  std::this_thread::sleep_for(milliseconds(3 * config.idle_timeout_ms));
+  EXPECT_EQ(read_frames(client.fd(), count, 1000).size(), count)
+      << "the idle timer closed a connection with replies still unsent";
+
+  server.drain();
+  server.wait();
+}
+
+TEST_F(ServeServerTest, AcceptBacksOffWhileOutOfDescriptors) {
+  TempDir dir("emfile");
+  Server server(base_config(dir));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // With the descriptor limit at the client's socket and every free
+  // descriptor below it taken, the loop's accept4 fails with EMFILE and
+  // the connection stays in the backlog.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(fd) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> fillers;
+  for (int f = ::dup(fd); f >= 0; f = ::dup(fd)) fillers.push_back(f);
+  const bool connected = connect_to(fd, server.config().socket_path);
+  const double before = cpu_ms();
+  std::this_thread::sleep_for(milliseconds(500));
+  const double used = cpu_ms() - before;
+  for (const int f : fillers) ::close(f);
+  ::setrlimit(RLIMIT_NOFILE, &saved);
+  ASSERT_TRUE(connected);
+  EXPECT_LT(used, 150.0) << "the loop spun on a backlog it could not accept";
+
+  // Once descriptors free up, the back-off ends and the connection is
+  // served.
+  ASSERT_TRUE(write_frame_fd(fd, R"({"id": 1, "method": "health"})"));
+  pollfd pfd{fd, POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 2000), 1) << "no reply once descriptors freed";
+  ::close(fd);
 
   server.drain();
   server.wait();
