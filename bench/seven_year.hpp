@@ -74,7 +74,8 @@ inline void run_seven_year_figure(const char* fig, int width,
     return row;
   };
 
-  runtime::RunnerConfig runner_config = runtime::RunnerConfig::from_env();
+  runtime::RunnerConfig runner_config{
+      .chaos = runtime::ChaosPolicy::from_env()};
   std::optional<runtime::CheckpointStore> store;
   // str_var treats an empty value as unset, so AGINGSIM_CHECKPOINT_DIR=""
   // means "no checkpoints" instead of "checkpoint into the current dir".

@@ -128,26 +128,6 @@ std::vector<NetId> kogge_stone_carries(NetlistBuilder& nb,
   return c;
 }
 
-AdderNetlist build_kogge_stone_adder(int width) {
-  check_adder_width(width);
-  NetlistBuilder nb;
-  const auto a = nb.input_bus("a", width);
-  const auto b = nb.input_bus("b", width);
-  std::vector<NetId> g, p;
-  make_gp(nb, a, b, g, p);
-  const auto c = kogge_stone_carries(nb, g, p, nb.zero());
-  std::vector<NetId> sum;
-  sum.reserve(static_cast<std::size_t>(width));
-  for (int i = 0; i < width; ++i) {
-    sum.push_back(nb.xor2(p[static_cast<std::size_t>(i)],
-                          c[static_cast<std::size_t>(i)]));
-  }
-  nb.output_bus("s", sum);
-  nb.netlist().mark_output(c[static_cast<std::size_t>(width)], "cout");
-  nb.netlist().validate();
-  return AdderNetlist{std::move(nb.netlist()), width, 0, width, false};
-}
-
 AdderNetlist build_variable_latency_rca(int width, int first_probe,
                                         int probe_bits) {
   check_adder_width(width);

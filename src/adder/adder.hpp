@@ -33,11 +33,6 @@ AdderNetlist build_ripple_carry_adder(int width);
 /// group-carry stage — a ~3x depth win over the RCA at moderate cost.
 AdderNetlist build_carry_lookahead_adder(int width);
 
-/// Kogge-Stone parallel-prefix adder: O(log width) depth carry network.
-/// The fastest adder in the library; also used internally as the final
-/// carry-propagate stage of the Wallace-tree multiplier.
-AdderNetlist build_kogge_stone_adder(int width);
-
 /// The paper's Fig. 4: a ripple-carry adder plus hold logic.
 ///
 /// The hold function ANDs the XORs of `probe_bits` consecutive operand bit
@@ -53,10 +48,10 @@ AdderNetlist build_variable_latency_rca(int width, int first_probe,
 /// Golden reference (mod 2^width sum plus carry-out in bit `width`).
 std::uint64_t reference_add(std::uint64_t a, std::uint64_t b, int width);
 
-/// Builds a Kogge-Stone parallel-prefix carry network over per-bit
-/// generate/propagate signals; returns carries c[0..width] with c[0] = cin.
-/// Reused by build_kogge_stone_adder and the Wallace-tree multiplier's
-/// final carry-propagate stage.
+/// Builds a Kogge-Stone parallel-prefix carry network (O(log width) depth)
+/// over per-bit generate/propagate signals; returns carries c[0..width]
+/// with c[0] = cin. The Wallace-tree multiplier's final carry-propagate
+/// stage.
 std::vector<NetId> kogge_stone_carries(NetlistBuilder& nb,
                                        std::span<const NetId> g,
                                        std::span<const NetId> p, NetId cin);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/core/aging_indicator.hpp"
@@ -35,6 +36,11 @@ struct AhlConfig {
   double storm_error_threshold = 0.30;
   int storm_calm_windows = 2;
 };
+
+/// Base skip number the campaign front-ends (agingrun, agingd) use for a
+/// `width`-bit multiplier: the paper's Skip-7, or width - 1 below 8 bits,
+/// where Skip-7 is out of range or never issues a one-cycle operation.
+constexpr int default_skip(int width) { return std::min(7, width - 1); }
 
 /// The AHL circuit: two judging blocks (Skip-k and Skip-(k+1)), an aging
 /// indicator and the selecting MUX. Decides, per input pattern, whether the

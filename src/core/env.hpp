@@ -15,9 +15,6 @@
 //  - values above an explicit ceiling are clamped (with the same
 //    once-only warning) rather than rejected, so "AGINGSIM_THREADS=9999"
 //    degrades to the 256-lane maximum instead of to a surprise default.
-//
-// The serving daemon's AGINGSIM_SERVE_* defaults (tools/agingd,
-// docs/SERVING.md) go through these same parsers; flags override env.
 
 #include <limits>
 #include <optional>
@@ -50,7 +47,7 @@ std::optional<long> long_var(
     long clamp_max = std::numeric_limits<long>::max());
 
 /// long_var with a fallback for the unset/rejected cases — the shape most
-/// call sites want: AGINGSIM_MAX_RETRIES, AGINGSIM_DEADLINE_MS, ...
+/// call sites want: AGINGSIM_BENCH_OPS, AGINGSIM_TRACE_CAPACITY, ...
 long long_or(const char* name, long fallback, long min_value,
              long clamp_max = std::numeric_limits<long>::max());
 

@@ -19,6 +19,23 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// above rounding noise and below any physical margin.
 constexpr double kEpsPs = 1e-6;
 
+/// Repair iterations (each pass re-runs the full min/max multi-corner STA
+/// before deciding the next insertion). The pass count bounds work on
+/// unrepairable designs; a clean exit happens as soon as the min side is
+/// clean. Upstream (phase-B) repair inserts one chain per pass, so wide
+/// multipliers legitimately take O(outputs x chain-length) passes — 16-bit
+/// designs converge around a thousand.
+constexpr int kRepairMaxPasses = 4000;
+/// Total delay-buffer budget across the whole repair.
+constexpr int kRepairMaxBuffers = 100000;
+/// Planning guard for the *setup* side of every insertion: a buffer
+/// inserted fresh (delay scale 1.0 in every corner) will itself age, so the
+/// slack checks charge each new buffer `delay * kNewBufferMaxScale` against
+/// the setup limits. The min (hold) side deliberately credits only the
+/// fresh delay — aging slows buffers, so fresh is the conservative bound
+/// for earliest arrivals.
+constexpr double kNewBufferMaxScale = 1.2;
+
 /// One setup-limit endpoint class for the slack checks: a set of endpoint
 /// output nets that share one max-arrival ceiling.
 struct EndpointClass {
@@ -119,8 +136,7 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
     throw std::invalid_argument(
         "repair_hold: the buffer cell has a non-positive delay");
   }
-  const double d_buf_guard =
-      d_buf * std::max(1.0, config.new_buffer_max_scale);
+  const double d_buf_guard = d_buf * kNewBufferMaxScale;
 
   HoldRepairResult res;
   res.period_ps = period;
@@ -140,17 +156,10 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
   // New buffers are absent from any extracted aging scenario, so the two
   // planes model them asymmetrically: scale 1.0 in the hold/min corners
   // (aging only slows a gate, so fresh buffers bound the earliest arrival
-  // from below) and the `new_buffer_max_scale` guard in the setup/max
-  // corners, bounding whatever scale a later re-extraction assigns them.
-  // With a rebuild_corners callback the overlays always carry true scales
-  // and one corner set serves both planes.
-  std::vector<StaCorner> corners = config.rebuild_corners
-                                       ? config.rebuild_corners(netlist)
-                                       : aging_corners(netlist, timing);
-  const double guard_scale = std::max(1.0, config.new_buffer_max_scale);
-  const bool dual_planes = !config.rebuild_corners && guard_scale > 1.0;
-  std::vector<StaCorner> setup_corners =
-      dual_planes ? corners : std::vector<StaCorner>{};
+  // from below) and the kNewBufferMaxScale guard in the setup/max corners,
+  // bounding whatever scale a later re-extraction assigns them.
+  std::vector<StaCorner> corners = aging_corners(netlist, timing);
+  std::vector<StaCorner> setup_corners = corners;
 
   std::vector<int> attributed(n_out, 0);
   std::vector<double> before_min(n_out, 0.0), before_max(n_out, 0.0);
@@ -177,13 +186,11 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
     }
   };
 
-  for (int pass = 0; pass < config.max_passes; ++pass) {
+  for (int pass = 0; pass < kRepairMaxPasses; ++pass) {
     obs::TraceSpan span("lint.repair_pass", static_cast<std::uint64_t>(pass));
     const StaEngine engine(netlist, tech);
     const std::vector<CornerTiming> sta = engine.run(corners);
-    const std::vector<CornerTiming> setup_sta =
-        dual_planes ? engine.run(setup_corners) : std::vector<CornerTiming>{};
-    const std::vector<CornerTiming>& sta_max = dual_planes ? setup_sta : sta;
+    const std::vector<CornerTiming> sta_max = engine.run(setup_corners);
     collect_worst(sta, sta_max);
     if (!recorded_before) {
       before_min = worst_min;
@@ -203,7 +210,7 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
     }
     if (violating.empty()) break;
     res.passes = pass + 1;
-    if (res.buffers_inserted >= config.max_buffers) {
+    if (res.buffers_inserted >= kRepairMaxBuffers) {
       stuck = true;
       break;
     }
@@ -220,24 +227,17 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
       if (static_cast<double>(needed) * d_buf_guard > headroom + kEpsPs) {
         continue;
       }
-      if (res.buffers_inserted + needed > config.max_buffers) continue;
+      if (res.buffers_inserted + needed > kRepairMaxBuffers) continue;
       const std::size_t prior = netlist.num_gates();
       NetlistSurgeon(netlist).insert_output_buffer(i, needed);
-      if (!config.rebuild_corners) {
-        splice_overlays(corners, std::string::npos, needed, 1.0, prior);
-        if (dual_planes) {
-          splice_overlays(setup_corners, std::string::npos, needed,
-                          guard_scale, prior);
-        }
-      }
+      splice_overlays(corners, std::string::npos, needed, 1.0, prior);
+      splice_overlays(setup_corners, std::string::npos, needed,
+                      kNewBufferMaxScale, prior);
       attributed[i] += needed;
       res.buffers_inserted += needed;
       padded = true;
     }
-    if (padded) {
-      if (config.rebuild_corners) corners = config.rebuild_corners(netlist);
-      continue;
-    }
+    if (padded) continue;
 
     // Phase B: one upstream insertion on a violating output's min-critical
     // path, at the edge with the largest worst-corner setup slack. One edge
@@ -263,13 +263,11 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
       }
     }
     // Setup slack is always judged in the guard-scaled plane.
-    const std::vector<StaCorner>& max_corners =
-        dual_planes ? setup_corners : corners;
-    std::vector<std::vector<StaEngine::Downstream>> down(max_corners.size());
-    for (std::size_t ci = 0; ci < max_corners.size(); ++ci) {
+    std::vector<std::vector<StaEngine::Downstream>> down(setup_corners.size());
+    for (std::size_t ci = 0; ci < setup_corners.size(); ++ci) {
       for (const EndpointClass& ec : classes) {
         down[ci].push_back(ec.any
-                               ? engine.downstream(max_corners[ci], ec.mask)
+                               ? engine.downstream(setup_corners[ci], ec.mask)
                                : StaEngine::Downstream{});
       }
     }
@@ -316,10 +314,10 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
         const auto [in, g] = edges[e];
         const Gate& gt = netlist.gate(g);
         double cap = kInf;
-        for (std::size_t ci = 0; ci < max_corners.size(); ++ci) {
+        for (std::size_t ci = 0; ci < setup_corners.size(); ++ci) {
           const CornerTiming& c = sta_max[ci];
           const double dg =
-              tech.delay(gt.kind) * corner_scale(max_corners[ci], g);
+              tech.delay(gt.kind) * corner_scale(setup_corners[ci], g);
           for (std::size_t k = 0; k < classes.size(); ++k) {
             if (!classes[k].any) continue;
             const double dn = down[ci][k].max_ps[gt.out];
@@ -343,19 +341,13 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
           std::max(1, static_cast<int>(std::ceil(deficit / d_buf)));
       const int count =
           std::min({best_cap, needed,
-                    config.max_buffers - res.buffers_inserted});
+                    kRepairMaxBuffers - res.buffers_inserted});
       if (count <= 0) continue;
       const auto [in, g] = edges[best_edge];
       const std::size_t prior = netlist.num_gates();
       NetlistSurgeon(netlist).insert_buffer(in, g, count);
-      if (config.rebuild_corners) {
-        corners = config.rebuild_corners(netlist);
-      } else {
-        splice_overlays(corners, g, count, 1.0, prior);
-        if (dual_planes) {
-          splice_overlays(setup_corners, g, count, guard_scale, prior);
-        }
-      }
+      splice_overlays(corners, g, count, 1.0, prior);
+      splice_overlays(setup_corners, g, count, kNewBufferMaxScale, prior);
       attributed[i] += count;
       res.buffers_inserted += count;
       inserted = true;
@@ -372,9 +364,7 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
   // Final verdicts from a fresh full analysis of the repaired netlist.
   const StaEngine engine(netlist, tech);
   const std::vector<CornerTiming> sta = engine.run(corners);
-  const std::vector<CornerTiming> setup_sta =
-      dual_planes ? engine.run(setup_corners) : std::vector<CornerTiming>{};
-  const std::vector<CornerTiming>& sta_max = dual_planes ? setup_sta : sta;
+  const std::vector<CornerTiming> sta_max = engine.run(setup_corners);
   collect_worst(sta, sta_max);
   if (!recorded_before) {
     before_min = worst_min;
@@ -409,10 +399,8 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
   }
   (void)stuck;  // `stuck` only shortens the loop; verdicts come from the STA
 
-  if (config.verify_equivalence) {
-    res.equivalence = check_logic_equivalence(
-        original, netlist, tech, config.equiv_vectors, config.equiv_seed);
-  }
+  res.equivalence = check_logic_equivalence(
+      original, netlist, tech, config.equiv_vectors, config.equiv_seed);
   return res;
 }
 

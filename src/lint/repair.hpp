@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -12,36 +11,12 @@
 
 namespace agingsim::lint {
 
-/// Tuning knobs for `repair_hold`.
+/// The logic-equivalence proof `repair_hold` runs after repair (repaired
+/// vs. original netlist, exact per-lane value comparison through the batch
+/// timing kernel); 0 vectors skips it.
 struct HoldRepairConfig {
-  /// Repair iterations (each pass re-runs the full min/max multi-corner STA
-  /// before deciding the next insertion). The pass count bounds work on
-  /// unrepairable designs; a clean exit happens as soon as the min side is
-  /// clean. Upstream (phase-B) repair inserts one chain per pass, so wide
-  /// multipliers legitimately take O(outputs x chain-length) passes — 16-bit
-  /// designs converge around a thousand.
-  int max_passes = 4000;
-  /// Total delay-buffer budget across the whole repair.
-  int max_buffers = 100000;
-  /// Planning guard for the *setup* side of every insertion: a buffer
-  /// inserted fresh (delay scale 1.0 in every corner) will itself age, so
-  /// the slack checks charge each new buffer `delay * new_buffer_max_scale`
-  /// against the setup limits. The min (hold) side deliberately credits only
-  /// the fresh delay — aging slows buffers, so fresh is the conservative
-  /// bound for earliest arrivals.
-  double new_buffer_max_scale = 1.2;
-  /// Re-prove logic equivalence (repaired vs. original netlist, exact
-  /// per-lane value comparison through the batch timing kernel) after repair.
-  bool verify_equivalence = true;
   std::size_t equiv_vectors = 256;
   std::uint64_t equiv_seed = 0x401DFACEULL;
-  /// Optional: rebuild the STA corner overlays on the evolving netlist after
-  /// each mutating pass (e.g. re-extract an aging scenario so inserted
-  /// buffers get real stress-derived scales). Default (unset): the pass
-  /// splices unit-scale entries for inserted buffers into the initial
-  /// corners, which together with `new_buffer_max_scale` is conservative on
-  /// both planes. Must return overlays sized for the netlist it is given.
-  std::function<std::vector<StaCorner>(const Netlist&)> rebuild_corners;
 };
 
 /// Per-primary-output before/after summary of one repair run. Arrival

@@ -8,6 +8,11 @@
 namespace agingsim::mc {
 namespace {
 
+/// The emitted failure surface's period axis, as fractions of the
+/// population's min and max delay.
+constexpr double kSurfaceLoFrac = 0.95;
+constexpr double kSurfaceHiFrac = 1.05;
+
 /// Ascending per-trial values of one metric at one evaluation year.
 std::vector<double> metric_at_year(const McArchResult& arch,
                                    std::size_t num_years,
@@ -131,8 +136,8 @@ void write_mc_json(JsonWriter& json, const McCampaignConfig& config,
     // The deliverable surface: failure probability after the full aging
     // horizon (the last configured year) vs candidate clock period.
     const FailureSurface surface = failure_surface(
-        arch, num_years, num_years - 1, options.surface_lo_frac,
-        options.surface_hi_frac, options.surface_points);
+        arch, num_years, num_years - 1, kSurfaceLoFrac, kSurfaceHiFrac,
+        options.surface_points);
     json.key("failure_surface").begin_object();
     json.key("years").value(config.years.back());
     json.key("period_ps").begin_array();

@@ -52,8 +52,6 @@ FailureSurface failure_surface(const McArchResult& arch,
 
 /// Surface shape knobs carried by the JSON emitter.
 struct McReportOptions {
-  double surface_lo_frac = 0.95;  ///< x the population's min delay
-  double surface_hi_frac = 1.05;  ///< x the population's max delay
   int surface_points = 29;
 };
 

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <thread>
 
-#include "src/core/env.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 
@@ -161,16 +160,6 @@ void DeadlineTimer::loop() {
   }
 }
 
-RunnerConfig RunnerConfig::from_env() {
-  RunnerConfig config;
-  config.chaos = ChaosPolicy::from_env();
-  config.max_retries = static_cast<int>(
-      env::long_or("AGINGSIM_MAX_RETRIES", config.max_retries, 0));
-  config.deadline = std::chrono::milliseconds(env::long_or(
-      "AGINGSIM_DEADLINE_MS", static_cast<long>(config.deadline.count()), 0));
-  return config;
-}
-
 std::string RunReport::summary() const {
   char buf[192];
   std::snprintf(buf, sizeof buf,
@@ -186,19 +175,15 @@ RobustRunner::RobustRunner(RunnerConfig config) : config_(config) {
     throw RunError(ErrorCategory::kPermanent,
                    "RobustRunner: max_retries must be >= 0");
   }
-  if (!(config_.backoff_growth >= 1.0)) {
-    throw RunError(ErrorCategory::kPermanent,
-                   "RobustRunner: backoff_growth must be >= 1");
-  }
 }
 
 std::chrono::milliseconds RobustRunner::backoff_delay(
     const RunnerConfig& config, int retry_index) {
   const double ms =
       static_cast<double>(config.backoff_base.count()) *
-      std::pow(config.backoff_growth, static_cast<double>(retry_index - 1));
+      std::pow(kBackoffGrowth, static_cast<double>(retry_index - 1));
   const double capped =
-      std::min(ms, static_cast<double>(config.backoff_cap.count()));
+      std::min(ms, static_cast<double>(kBackoffCap.count()));
   return std::chrono::milliseconds(static_cast<long long>(capped));
 }
 

@@ -115,15 +115,17 @@ class DeadlineTimer {
   std::thread thread_;
 };
 
+/// Backoff before retry k (1-based): backoff_base * kBackoffGrowth^(k-1),
+/// capped at kBackoffCap.
+inline constexpr double kBackoffGrowth = 2.0;
+inline constexpr std::chrono::milliseconds kBackoffCap{2000};
+
 struct RunnerConfig {
   /// Extra attempts after the first for retryable failures (0 = fail fast).
   int max_retries = 3;
   /// Per-attempt deadline; 0 disables it.
   std::chrono::milliseconds deadline{0};
-  /// Backoff before retry k (1-based): base * growth^(k-1), capped.
   std::chrono::milliseconds backoff_base{25};
-  double backoff_growth = 2.0;
-  std::chrono::milliseconds backoff_cap{2000};
   ChaosPolicy chaos{};
   /// Optional resume/persist store (not owned). Call load() before run().
   CheckpointStore* checkpoints = nullptr;
@@ -138,11 +140,6 @@ struct RunnerConfig {
   /// (tools/agingrun) and the serving daemon's drain/deadline paths
   /// (docs/SERVING.md) stop a campaign without losing work.
   const CancelToken* stop = nullptr;
-
-  /// Config with chaos from AGINGSIM_CHAOS plus AGINGSIM_MAX_RETRIES and
-  /// AGINGSIM_DEADLINE_MS overrides — how the bench binaries opt in
-  /// without growing flag parsers.
-  static RunnerConfig from_env();
 };
 
 enum class UnitState {

@@ -9,8 +9,8 @@ int degradation_tier(const AdmissionConfig& config, std::size_t depth) {
   if (config.capacity == 0) return 2;
   const double occupancy =
       static_cast<double>(depth) / static_cast<double>(config.capacity);
-  if (occupancy >= config.shed_batch_frac) return 2;
-  if (occupancy >= config.shed_refill_frac) return 1;
+  if (occupancy >= kShedBatchFrac) return 2;
+  if (occupancy >= kShedRefillFrac) return 1;
   return 0;
 }
 
@@ -24,8 +24,7 @@ AdmissionDecision admit(const AdmissionConfig& config, Priority priority,
     const double drain_ms =
         static_cast<double>(depth) * std::max(avg_service_ms, 0.0);
     const auto ms = static_cast<std::int64_t>(std::ceil(drain_ms));
-    return std::clamp(ms, config.retry_after_min_ms,
-                      config.retry_after_max_ms);
+    return std::clamp(ms, kRetryAfterMinMs, kRetryAfterMaxMs);
   };
   const auto reject = [&](ErrorCode reason) {
     return AdmissionDecision{.admitted = false,

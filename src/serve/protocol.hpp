@@ -70,10 +70,10 @@ struct Request {
   Priority priority = Priority::kNormal;
   /// Total budget from admission to response; 0 = server default.
   std::int64_t deadline_ms = 0;
-  /// Fairness identity for quota/DRR accounting. Optional: empty means the
-  /// server falls back to the connection's synthetic identity. Validated
-  /// to 1..64 chars of [A-Za-z0-9._-] so identities are safe to echo into
-  /// status JSON and logs.
+  /// Fairness identity for quota and round-robin accounting. Optional:
+  /// empty means the server falls back to the connection's synthetic
+  /// identity. Validated to 1..64 chars of [A-Za-z0-9._-] so identities
+  /// are safe to echo into status JSON and logs.
   std::string client_id;
   JsonValue params;  ///< object (possibly empty)
 };

@@ -419,7 +419,7 @@ void Server::serve_frame(Conn& conn, const std::string& payload) {
                     request->id, ErrorCode::kOverloaded,
                     "per-connection in-flight cap (" + std::to_string(cap) +
                         ") reached; wait for responses before pipelining more",
-                    queue_.config().retry_after_min_ms));
+                    kRetryAfterMinMs));
     return;
   }
   dispatch_queueable(conn, std::move(*request));

@@ -1,6 +1,5 @@
 #include "src/serve/service.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -41,6 +40,15 @@ const TechLibrary& service_tech() {
 constexpr std::uint64_t kStressSeed = 0x26F1;
 constexpr std::size_t kStressPatterns = 1000;
 constexpr std::uint64_t kWorkloadSeed = 0xA61A5;
+
+// Hard parameter ceilings. A serving daemon cannot trust request sizes: an
+// ops count of 10^9 or a 10^6-trial campaign would occupy a worker for
+// hours, which is indistinguishable from an outage for everyone queued
+// behind it. Out-of-range params are rejected as bad_request.
+constexpr std::size_t kMaxOps = 200000;
+constexpr int kMaxTrials = 4096;
+constexpr std::int64_t kMaxSpinUs = 10'000'000;
+constexpr double kMaxYears = 50.0;
 
 struct ServiceMetrics {
   const obs::Counter& queries = obs::counter("serve.queries");
@@ -91,8 +99,7 @@ struct QueryParams {
   std::uint64_t workload_seed = kWorkloadSeed;
 };
 
-std::optional<QueryParams> parse_query_params(const ServiceLimits& limits,
-                                              const JsonValue& params,
+std::optional<QueryParams> parse_query_params(const JsonValue& params,
                                               std::string* error) {
   const auto reject = [&](const std::string& message) {
     if (error != nullptr) *error = message;
@@ -110,14 +117,12 @@ std::optional<QueryParams> parse_query_params(const ServiceLimits& limits,
   if (width < 2 || width > 32) return reject("width must be in [2, 32]");
   q.width = static_cast<int>(width);
   q.years = params.num_or("years", 0.0);
-  if (!(q.years >= 0.0) || q.years > limits.max_years) {
-    return reject("years must be in [0, " + std::to_string(limits.max_years) +
-                  "]");
+  if (!(q.years >= 0.0) || q.years > kMaxYears) {
+    return reject("years must be in [0, " + std::to_string(kMaxYears) + "]");
   }
   const std::int64_t ops = params.i64_or("ops", 2000);
-  if (ops < 1 || static_cast<std::size_t>(ops) > limits.max_ops) {
-    return reject("ops must be in [1, " + std::to_string(limits.max_ops) +
-                  "]");
+  if (ops < 1 || static_cast<std::size_t>(ops) > kMaxOps) {
+    return reject("ops must be in [1, " + std::to_string(kMaxOps) + "]");
   }
   q.ops = static_cast<std::size_t>(ops);
   q.period_frac = params.num_or("period_frac", 0.58);
@@ -182,7 +187,7 @@ Service::Service(ServiceConfig config, AgedStateCache* cache)
 
 std::optional<std::uint64_t> Service::query_cache_key(
     const JsonValue& params) const {
-  const auto q = parse_query_params(config_.limits, params, nullptr);
+  const auto q = parse_query_params(params, nullptr);
   if (!q.has_value()) return std::nullopt;
   return query_corner_digest(*q);
 }
@@ -216,7 +221,7 @@ HandlerResult Service::handle_query(const JsonValue& params,
                                     const runtime::CancelToken& cancel) {
   service_metrics().queries.add();
   std::string error;
-  const auto q = parse_query_params(config_.limits, params, &error);
+  const auto q = parse_query_params(params, &error);
   if (!q.has_value()) return bad_request(error);
 
   const std::uint64_t key = query_corner_digest(*q);
@@ -287,14 +292,12 @@ HandlerResult Service::handle_campaign(const Request& request,
   const std::int64_t width = params.i64_or("width", 16);
   if (width < 2 || width > 32) return reject("width must be in [2, 32]");
   const std::int64_t trials = params.i64_or("trials", 32);
-  if (trials < 1 || trials > config_.limits.max_trials) {
-    return reject("trials must be in [1, " +
-                  std::to_string(config_.limits.max_trials) + "]");
+  if (trials < 1 || trials > kMaxTrials) {
+    return reject("trials must be in [1, " + std::to_string(kMaxTrials) + "]");
   }
   const std::int64_t ops = params.i64_or("ops", 1000);
-  if (ops < 1 || static_cast<std::size_t>(ops) > config_.limits.max_ops) {
-    return reject("ops must be in [1, " +
-                  std::to_string(config_.limits.max_ops) + "]");
+  if (ops < 1 || static_cast<std::size_t>(ops) > kMaxOps) {
+    return reject("ops must be in [1, " + std::to_string(kMaxOps) + "]");
   }
   const std::int64_t sites = params.i64_or("sites", 2);
   if (sites < 1 || sites > 64) return reject("sites must be in [1, 64]");
@@ -346,7 +349,7 @@ HandlerResult Service::handle_campaign(const Request& request,
   VlSystemConfig cfg;
   cfg.period_ps = period_frac * crit;
   cfg.ahl.width = static_cast<int>(width);
-  cfg.ahl.skip = std::min(7, static_cast<int>(width) - 1);
+  cfg.ahl.skip = default_skip(static_cast<int>(width));
   cfg.razor.metastability_window_ps = 5.0;
   cfg.razor.edge_escape_prob = 0.5;
 
@@ -465,9 +468,9 @@ HandlerResult Service::handle_work(const JsonValue& params,
                                    const runtime::CancelToken& cancel) {
   service_metrics().work.add();
   const std::int64_t spin_us = params.i64_or("spin_us", 1000);
-  if (spin_us < 0 || spin_us > config_.limits.max_spin_us) {
-    return bad_request("spin_us must be in [0, " +
-                       std::to_string(config_.limits.max_spin_us) + "]");
+  if (spin_us < 0 || spin_us > kMaxSpinUs) {
+    return bad_request("spin_us must be in [0, " + std::to_string(kMaxSpinUs) +
+                       "]");
   }
   // Calibrated busy work, mutated-style (SNIPPETS.md snippet 3): occupy a
   // worker for a precise duration so load tests can dial in a known

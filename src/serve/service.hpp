@@ -18,19 +18,7 @@
 
 namespace agingsim::serve {
 
-/// Hard parameter ceilings. A serving daemon cannot trust request sizes:
-/// an ops count of 10^9 or a 10^6-trial campaign would occupy a worker for
-/// hours, which is indistinguishable from an outage for everyone queued
-/// behind it. Out-of-range params are rejected as bad_request.
-struct ServiceLimits {
-  std::size_t max_ops = 200000;
-  int max_trials = 4096;
-  std::int64_t max_spin_us = 10'000'000;
-  double max_years = 50.0;
-};
-
 struct ServiceConfig {
-  ServiceLimits limits{};
   /// Campaign checkpoint root; one subdirectory per config digest. Empty
   /// disables checkpointing (campaigns lose crash-safety, nothing else).
   std::string checkpoint_root;

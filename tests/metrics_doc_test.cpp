@@ -1,6 +1,8 @@
-// Keeps docs/OBSERVABILITY.md's metric table complete: runs every
-// instrumented subsystem once, snapshots the metrics registry, and fails
-// when a registered name is missing from the table.
+// Keeps docs/OBSERVABILITY.md's tables complete: the metric table (runs
+// every instrumented subsystem once, snapshots the metrics registry, and
+// fails when a registered name is missing from the table) and the
+// environment-variable table (must list exactly the AGINGSIM_* names the
+// sources quote).
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -8,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -92,6 +95,56 @@ std::set<std::string> documented_metrics(const std::string& doc) {
       std::istringstream alts(name.substr(open + 1, close - open - 1));
       for (std::string alt; std::getline(alts, alt, ',');) {
         names.insert(prefix + "." + head + trim(alt) + tail);
+      }
+    }
+  }
+  return names;
+}
+
+const fs::path kSourceDir = AGINGSIM_SOURCE_DIR;
+
+/// The whole of the file at `path`, or "" when it cannot be read.
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Variable names of the "Environment variables (complete table)" rows.
+std::set<std::string> documented_env_vars(const std::string& doc) {
+  std::set<std::string> names;
+  const auto begin = doc.find("## Environment variables (complete table)");
+  if (begin == std::string::npos) return names;
+  std::istringstream lines(doc.substr(begin, doc.find("\n## ", begin) - begin));
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("| `AGINGSIM_", 0) != 0) continue;
+    names.insert(line.substr(3, line.find('`', 3) - 3));
+  }
+  return names;
+}
+
+/// Every quoted "AGINGSIM_..." literal in the files under src/, tools/ and
+/// bench/: the variables the programs read, or set for a child.
+std::set<std::string> env_vars_in_sources() {
+  std::set<std::string> names;
+  const std::string quoted = "\"AGINGSIM_";
+  for (const char* dir : {"src", "tools", "bench"}) {
+    for (const auto& entry :
+         fs::recursive_directory_iterator(kSourceDir / dir)) {
+      if (!entry.is_regular_file()) continue;
+      const std::string text = read_file(entry.path());
+      for (auto pos = text.find(quoted); pos != std::string::npos;
+           pos = text.find(quoted, pos + 1)) {
+        auto end = pos + quoted.size();
+        while (end < text.size() &&
+               (std::isupper(static_cast<unsigned char>(text[end])) ||
+                std::isdigit(static_cast<unsigned char>(text[end])) ||
+                text[end] == '_')) {
+          ++end;
+        }
+        if (end > pos + quoted.size()) {
+          names.insert(text.substr(pos + 1, end - pos - 1));
+        }
       }
     }
   }
@@ -193,11 +246,8 @@ TEST(MetricsDocTest, EveryRegisteredMetricIsInObservabilityTable) {
   fs::remove_all(dir);
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
 
-  std::ifstream in(std::string(AGINGSIM_SOURCE_DIR) +
-                   "/docs/OBSERVABILITY.md");
-  ASSERT_TRUE(in) << "docs/OBSERVABILITY.md not found";
-  const std::string doc((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
+  const std::string doc = read_file(kSourceDir / "docs" / "OBSERVABILITY.md");
+  ASSERT_FALSE(doc.empty()) << "docs/OBSERVABILITY.md not found";
   const std::set<std::string> documented = documented_metrics(doc);
 
   std::set<std::string> registered;
@@ -221,6 +271,25 @@ TEST(MetricsDocTest, EveryRegisteredMetricIsInObservabilityTable) {
     EXPECT_TRUE(documented.count(name) == 1)
         << name << " is registered but missing from the metric table of "
         << "docs/OBSERVABILITY.md";
+  }
+}
+
+TEST(MetricsDocTest, EnvTableListsExactlyTheVariablesTheSourcesQuote) {
+  const std::string doc = read_file(kSourceDir / "docs" / "OBSERVABILITY.md");
+  ASSERT_FALSE(doc.empty()) << "docs/OBSERVABILITY.md not found";
+  const std::set<std::string> documented = documented_env_vars(doc);
+  const std::set<std::string> quoted = env_vars_in_sources();
+  ASSERT_FALSE(quoted.empty())
+      << "no AGINGSIM_* literal found under " << kSourceDir;
+  for (const std::string& name : quoted) {
+    EXPECT_EQ(documented.count(name), 1u)
+        << name << " is quoted under src/, tools/ or bench/ but missing "
+        << "from the environment table of docs/OBSERVABILITY.md";
+  }
+  for (const std::string& name : documented) {
+    EXPECT_EQ(quoted.count(name), 1u)
+        << name << " is in the environment table of docs/OBSERVABILITY.md "
+        << "but nothing under src/, tools/ or bench/ quotes it";
   }
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,8 +17,6 @@ namespace {
 AdmissionConfig small_config() {
   AdmissionConfig c;
   c.capacity = 10;
-  c.shed_refill_frac = 0.5;
-  c.shed_batch_frac = 0.8;
   return c;
 }
 
@@ -65,7 +65,7 @@ TEST(ServeAdmission, FullQueueRejectsEverything) {
     const AdmissionDecision d = admit(c, p, false, c.capacity, 1.0);
     EXPECT_FALSE(d.admitted);
     EXPECT_EQ(d.reason, ErrorCode::kOverloaded);
-    EXPECT_GE(d.retry_after_ms, c.retry_after_min_ms);
+    EXPECT_GE(d.retry_after_ms, kRetryAfterMinMs);
   }
 }
 
@@ -75,9 +75,9 @@ TEST(ServeAdmission, RetryAfterScalesWithBacklogAndClamps) {
     return admit(c, Priority::kNormal, false, c.capacity, avg_ms)
         .retry_after_ms;
   };
-  EXPECT_EQ(hint(0.0), c.retry_after_min_ms);     // no estimate yet: floor
-  EXPECT_GE(hint(50.0), hint(5.0));               // slower service: longer
-  EXPECT_EQ(hint(1e9), c.retry_after_max_ms);     // clamped at the ceiling
+  EXPECT_EQ(hint(0.0), kRetryAfterMinMs);  // no estimate yet: floor
+  EXPECT_GE(hint(50.0), hint(5.0));        // slower service: longer
+  EXPECT_EQ(hint(1e9), kRetryAfterMaxMs);  // clamped at the ceiling
 }
 
 TEST(ServeAdmission, QueueNormalPopsBeforeBatch) {
@@ -136,8 +136,8 @@ TEST(ServeAdmission, TierBoundariesAreInclusive) {
   // Exactly 50% and exactly 80% occupancy land *in* the higher tier: the
   // thresholds are >=, not >.
   const AdmissionConfig c = small_config();  // capacity 10
-  EXPECT_EQ(degradation_tier(c, 5), 1);      // 5/10 == shed_refill_frac
-  EXPECT_EQ(degradation_tier(c, 8), 2);      // 8/10 == shed_batch_frac
+  EXPECT_EQ(degradation_tier(c, 5), 1);      // 5/10 == kShedRefillFrac
+  EXPECT_EQ(degradation_tier(c, 8), 2);      // 8/10 == kShedBatchFrac
   EXPECT_FALSE(admit(c, Priority::kNormal, true, 5, 1.0).admitted);
   EXPECT_FALSE(admit(c, Priority::kBatch, false, 8, 1.0).admitted);
   // One below each threshold stays in the lower tier.
@@ -156,10 +156,10 @@ TEST(ServeAdmission, TierBoundariesWithOddCapacity) {
 }
 
 TEST(ServeAdmission, RetryAfterClampEdges) {
-  // The clamp bounds are [10 ms, 2 s] by default, hit exactly.
+  // The clamp bounds are [10 ms, 2 s], hit exactly.
   const AdmissionConfig c = small_config();
-  EXPECT_EQ(c.retry_after_min_ms, 10);
-  EXPECT_EQ(c.retry_after_max_ms, 2000);
+  EXPECT_EQ(kRetryAfterMinMs, 10);
+  EXPECT_EQ(kRetryAfterMaxMs, 2000);
   // depth * avg below the floor: the floor stands.
   EXPECT_EQ(admit(c, Priority::kNormal, false, c.capacity, 0.5)
                 .retry_after_ms,
@@ -182,7 +182,7 @@ TEST(ServeAdmission, NormalDrainsBeforeBatchAcrossClients) {
   EXPECT_TRUE(q.try_push(200, Priority::kBatch, false, "b").admitted);
   EXPECT_TRUE(q.try_push(1, Priority::kNormal, false, "b").admitted);
   EXPECT_TRUE(q.try_push(2, Priority::kNormal, false, "a").admitted);
-  EXPECT_EQ(q.pop().value(), 1);    // normal lane first (b, then a: DRR
+  EXPECT_EQ(q.pop().value(), 1);    // normal lane first (b, then a: the
   EXPECT_EQ(q.pop().value(), 2);    // rotation is arrival order)
   EXPECT_EQ(q.pop().value(), 100);  // then batch
   EXPECT_EQ(q.pop().value(), 200);
@@ -209,8 +209,8 @@ TEST(ServeAdmission, TokenBucketRejectsPastBurst) {
       q.try_push(3, Priority::kNormal, false, "a", t0);
   EXPECT_FALSE(d.admitted);
   EXPECT_EQ(d.reason, ErrorCode::kQuotaExceeded);
-  EXPECT_GE(d.retry_after_ms, q.config().retry_after_min_ms);
-  EXPECT_LE(d.retry_after_ms, q.config().retry_after_max_ms);
+  EXPECT_GE(d.retry_after_ms, kRetryAfterMinMs);
+  EXPECT_LE(d.retry_after_ms, kRetryAfterMaxMs);
   // Other clients are untouched by a's empty bucket.
   EXPECT_TRUE(q.try_push(9, Priority::kNormal, false, "b", t0).admitted);
 }
@@ -265,7 +265,7 @@ TEST(ServeAdmission, QuotaDisabledByDefault) {
 
 TEST(ServeAdmission, DeficitRoundRobinInterleavesClients) {
   // A floods 3 requests before B lands 1: the pop order alternates per
-  // request (quantum 1) instead of draining A first.
+  // request instead of draining A first.
   AdmissionQueue<int> q(small_config());
   EXPECT_TRUE(q.try_push(11, Priority::kNormal, false, "a").admitted);
   EXPECT_TRUE(q.try_push(12, Priority::kNormal, false, "a").admitted);
@@ -275,25 +275,6 @@ TEST(ServeAdmission, DeficitRoundRobinInterleavesClients) {
   EXPECT_EQ(q.pop().value(), 21);  // b's turn despite a's backlog
   EXPECT_EQ(q.pop().value(), 12);
   EXPECT_EQ(q.pop().value(), 13);
-}
-
-TEST(ServeAdmission, DrrQuantumGrantsRuns) {
-  AdmissionConfig c = small_config();
-  c.fairness.drr_quantum = 2;
-  AdmissionQueue<int> q(c);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(q.try_push(10 + i, Priority::kNormal, false, "a").admitted);
-    EXPECT_TRUE(q.try_push(20 + i, Priority::kNormal, false, "b").admitted);
-  }
-  // Two per turn: a,a,b,b,a,a,b,b.
-  EXPECT_EQ(q.pop().value(), 10);
-  EXPECT_EQ(q.pop().value(), 11);
-  EXPECT_EQ(q.pop().value(), 20);
-  EXPECT_EQ(q.pop().value(), 21);
-  EXPECT_EQ(q.pop().value(), 12);
-  EXPECT_EQ(q.pop().value(), 13);
-  EXPECT_EQ(q.pop().value(), 22);
-  EXPECT_EQ(q.pop().value(), 23);
 }
 
 TEST(ServeAdmission, ClientSnapshotsTrackOutcomes) {
@@ -319,44 +300,51 @@ TEST(ServeAdmission, ClientSnapshotsTrackOutcomes) {
 }
 
 TEST(ServeAdmission, IdleClientsEvictedPastCap) {
-  AdmissionConfig c = small_config();
-  c.fairness.max_clients = 2;
-  AdmissionQueue<int> q(c);
+  AdmissionQueue<int> q(small_config());
   const QClock::time_point t0 = QClock::now();
-  EXPECT_TRUE(q.try_push(1, Priority::kNormal, false, "a", t0).admitted);
-  EXPECT_TRUE(q.try_push(
-                   2, Priority::kNormal, false, "b",
-                   t0 + std::chrono::seconds(1))
+  // kMaxClients identities, each seen one second after the last, none
+  // with anything left queued.
+  for (std::size_t i = 0; i < kMaxClients; ++i) {
+    EXPECT_TRUE(q.try_push(static_cast<int>(i), Priority::kNormal, false,
+                           std::to_string(i), t0 + std::chrono::seconds(i))
+                    .admitted);
+    (void)q.pop();
+  }
+  EXPECT_EQ(q.clients().size(), kMaxClients);
+  // One more identity: the least recently seen ("0") is evicted, the map
+  // stays at the cap.
+  EXPECT_TRUE(q.try_push(-1, Priority::kNormal, false, "new",
+                         t0 + std::chrono::seconds(kMaxClients))
                   .admitted);
-  (void)q.pop();
-  (void)q.pop();
-  // A third identity arrives with both queues empty: the least recently
-  // seen ("a") is evicted, the map stays at the cap.
-  EXPECT_TRUE(q.try_push(
-                   3, Priority::kNormal, false, "c",
-                   t0 + std::chrono::seconds(2))
-                  .admitted);
-  const std::vector<ClientSnapshot> snap = q.clients();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].id, "b");
-  EXPECT_EQ(snap[1].id, "c");
+  std::set<std::string> ids;
+  for (const ClientSnapshot& c : q.clients()) ids.insert(c.id);
+  EXPECT_EQ(ids.size(), kMaxClients);
+  EXPECT_EQ(ids.count("0"), 0u);
+  EXPECT_EQ(ids.count("1"), 1u);
+  EXPECT_EQ(ids.count("new"), 1u);
 }
 
 TEST(ServeAdmission, QueuedClientsSurviveEviction) {
   AdmissionConfig c = small_config();
-  c.fairness.max_clients = 1;
+  c.capacity = kMaxClients + 1;
   AdmissionQueue<int> q(c);
   const QClock::time_point t0 = QClock::now();
-  EXPECT_TRUE(q.try_push(1, Priority::kNormal, false, "a", t0).admitted);
-  // "a" still has a queued job, so it cannot be evicted; "b" is admitted
-  // anyway (max_clients is a soft cap bounded by capacity).
-  EXPECT_TRUE(q.try_push(
-                   2, Priority::kNormal, false, "b",
-                   t0 + std::chrono::seconds(1))
+  for (std::size_t i = 0; i < kMaxClients; ++i) {
+    EXPECT_TRUE(q.try_push(static_cast<int>(i), Priority::kNormal, false,
+                           std::to_string(i), t0 + std::chrono::seconds(i))
+                    .admitted);
+  }
+  // Every remembered client still has a queued job, so none can be
+  // evicted; one more identity is admitted anyway (kMaxClients is a soft
+  // cap bounded by capacity).
+  EXPECT_TRUE(q.try_push(-1, Priority::kNormal, false, "new",
+                         t0 + std::chrono::seconds(kMaxClients))
                   .admitted);
-  EXPECT_EQ(q.clients().size(), 2u);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
+  EXPECT_EQ(q.clients().size(), kMaxClients + 1);
+  for (std::size_t i = 0; i < kMaxClients; ++i) {
+    EXPECT_EQ(q.pop().value(), static_cast<int>(i));
+  }
+  EXPECT_EQ(q.pop().value(), -1);
 }
 
 }  // namespace

@@ -434,7 +434,7 @@ TEST_F(ServeServerTest, OverloadRejectsWithRetryAfterWhileHealthAnswers) {
   EXPECT_FALSE(reply->bool_or("ok", true));
   EXPECT_EQ(error_code_of(*reply), "overloaded");
   EXPECT_GE(reply->find("error")->i64_or("retry_after_ms", 0),
-            config.admission.retry_after_min_ms);
+            kRetryAfterMinMs);
 
   // Control plane still answers while the data plane is saturated.
   Client health(config.socket_path);

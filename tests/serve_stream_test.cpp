@@ -350,7 +350,7 @@ TEST(ServeStream, QuotaRejectsFloodWithRetryHint) {
   EXPECT_FALSE(rejected->bool_or("ok", true));
   EXPECT_EQ(error_code_of(*rejected), "quota_exceeded");
   EXPECT_GE(rejected->find("error")->i64_or("retry_after_ms", 0),
-            config.admission.retry_after_min_ms);
+            kRetryAfterMinMs);
 
   // A different identity on the same connection still has a full bucket.
   const auto other = client.call(

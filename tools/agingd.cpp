@@ -24,7 +24,6 @@
 #include <string>
 
 #include "src/core/cli.hpp"
-#include "src/core/env.hpp"
 #include "src/obs/artifacts.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -36,7 +35,7 @@ namespace {
 using namespace agingsim;
 
 struct Options {
-  serve::ServerConfig server;
+  serve::ServerConfig server{.socket_path = "./agingd.sock"};
   std::string trace_path;
   std::string metrics_path;
   bool quiet = false;
@@ -44,34 +43,26 @@ struct Options {
 
 void print_usage(std::ostream& os) {
   os << "usage: agingd [options]\n"
-        "  --socket PATH        Unix socket path"
-        " [$AGINGSIM_SERVE_SOCKET or ./agingd.sock]\n"
-        "  --workers N          worker threads [$AGINGSIM_SERVE_WORKERS or"
-        " 4]\n"
-        "  --queue N            admission queue capacity"
-        " [$AGINGSIM_SERVE_QUEUE or 64]\n"
+        "  --socket PATH        Unix socket path [./agingd.sock]\n"
+        "  --workers N          worker threads [4]\n"
+        "  --queue N            admission queue capacity [64]\n"
         "  --deadline-ms N      default per-request deadline, 0 = none"
-        " [$AGINGSIM_SERVE_DEADLINE_MS or 30000]\n"
+        " [30000]\n"
         "  --drain-grace-ms N   drain grace before cancelling in-flight"
         " work [5000]\n"
-        "  --cache-mb N         aged-state cache budget in MiB"
-        " [$AGINGSIM_SERVE_CACHE_MB or 64]\n"
+        "  --cache-mb N         aged-state cache budget in MiB [64]\n"
         "  --quota-rate R       per-client token-bucket refill req/s, 0 ="
-        " quotas off [$AGINGSIM_SERVE_QUOTA_RATE or 0]\n"
-        "  --quota-burst B      per-client token-bucket capacity"
-        " [$AGINGSIM_SERVE_QUOTA_BURST or 32]\n"
+        " quotas off [0]\n"
+        "  --quota-burst B      per-client token-bucket capacity [32]\n"
         "  --read-deadline-ms N close a connection whose frame stays"
         " incomplete this long, 0 = off\n"
-        "                       [$AGINGSIM_SERVE_READ_DEADLINE_MS or 10000]\n"
+        "                       [10000]\n"
         "  --idle-timeout-ms N  close connections idle this long (no partial"
         " frame, nothing in\n"
-        "                       flight), 0 = never"
-        " [$AGINGSIM_SERVE_IDLE_TIMEOUT_MS or 0]\n"
+        "                       flight), 0 = never [0]\n"
         "  --max-inflight N     per-connection cap on queued+running"
-        " requests, 0 = off\n"
-        "                       [$AGINGSIM_SERVE_MAX_INFLIGHT or 32]\n"
-        "  --checkpoint-dir D   campaign checkpoint root"
-        " [$AGINGSIM_SERVE_CHECKPOINT_DIR or none]\n"
+        " requests, 0 = off [32]\n"
+        "  --checkpoint-dir D   campaign checkpoint root [none]\n"
         "  --kernel NAME        step kernel for query/campaign traces:\n"
         "                       dense|sparse|batch [$AGINGSIM_KERNEL or"
         " batch]\n"
@@ -83,32 +74,6 @@ void print_usage(std::ostream& os) {
 
 Options parse_args(int argc, char** argv) {
   Options opt;
-  // Env defaults first; flags override below.
-  opt.server.socket_path =
-      env::str_var("AGINGSIM_SERVE_SOCKET").value_or("./agingd.sock");
-  opt.server.workers =
-      static_cast<int>(env::long_or("AGINGSIM_SERVE_WORKERS", 4, 1, 256));
-  opt.server.admission.capacity = static_cast<std::size_t>(
-      env::long_or("AGINGSIM_SERVE_QUEUE", 64, 1, 1 << 20));
-  opt.server.default_deadline_ms =
-      env::long_or("AGINGSIM_SERVE_DEADLINE_MS", 30'000, 0);
-  opt.server.cache_budget_bytes =
-      static_cast<std::size_t>(
-          env::long_or("AGINGSIM_SERVE_CACHE_MB", 64, 0, 1 << 20))
-      << 20;
-  opt.server.service.checkpoint_root =
-      env::str_var("AGINGSIM_SERVE_CHECKPOINT_DIR").value_or("");
-  opt.server.admission.fairness.quota_rate_per_s =
-      env::double_or("AGINGSIM_SERVE_QUOTA_RATE", 0.0, 0.0);
-  opt.server.admission.fairness.quota_burst =
-      env::double_or("AGINGSIM_SERVE_QUOTA_BURST", 32.0, 1.0);
-  opt.server.read_deadline_ms =
-      env::long_or("AGINGSIM_SERVE_READ_DEADLINE_MS", 10'000, 0);
-  opt.server.idle_timeout_ms =
-      env::long_or("AGINGSIM_SERVE_IDLE_TIMEOUT_MS", 0, 0);
-  opt.server.max_inflight_per_conn = static_cast<std::uint32_t>(
-      env::long_or("AGINGSIM_SERVE_MAX_INFLIGHT", 32, 0, 1 << 20));
-
   cli::FlagReader args("agingd", print_usage);
   args.text("--socket", opt.server.socket_path);
   args.integer("--workers", opt.server.workers, 1);

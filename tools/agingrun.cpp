@@ -208,14 +208,14 @@ int run_tool(const Options& opt) {
   // (handled in src/obs/artifacts.cpp) remain usable alongside the flags.
   if (!opt.trace_path.empty()) obs::set_trace_enabled(true);
   if (!opt.metrics_path.empty()) obs::set_metrics_enabled(true);
-  runtime::RunnerConfig runner_config = runtime::RunnerConfig::from_env();
+  runtime::RunnerConfig runner_config;
   runtime::CancelToken stop;
   const runtime::SignalWatch signal_watch([&stop] { stop.cancel(); });
   runner_config.stop = &stop;
   runner_config.max_retries = opt.max_retries;
   runner_config.deadline = std::chrono::milliseconds(opt.deadline_ms);
   runner_config.backoff_base = std::chrono::milliseconds(opt.backoff_ms);
-  if (opt.chaos) runner_config.chaos = *opt.chaos;
+  runner_config.chaos = opt.chaos.value_or(runtime::ChaosPolicy::from_env());
 
   const TechLibrary& lib = bench::tech();
 
@@ -305,7 +305,7 @@ int run_tool(const Options& opt) {
       VlSystemConfig cfg;
       cfg.period_ps = opt.period_frac * crit;
       cfg.ahl.width = opt.width;
-      cfg.ahl.skip = 7;
+      cfg.ahl.skip = default_skip(opt.width);
       cfg.razor.metastability_window_ps = 5.0;
       cfg.razor.edge_escape_prob = 0.5;
 
@@ -352,8 +352,8 @@ int run_tool(const Options& opt) {
       if (!attach_store(digest.value())) return 3;
       runtime::RobustRunner runner(runner_config);
       const std::vector<RunStats> points =
-          bench::sweep_periods(mult, trace, periods, 7, true, 0.0, nullptr,
-                               &runner, &report);
+          bench::sweep_periods(mult, trace, periods, default_skip(opt.width),
+                               true, 0.0, nullptr, &runner, &report);
 
       json.key("points").begin_array();
       for (std::size_t i = 0; i < points.size(); ++i) {
