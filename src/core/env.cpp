@@ -122,18 +122,4 @@ std::optional<std::size_t> choice_var(const char* name,
   return std::nullopt;
 }
 
-double double_or(const char* name, double fallback, double min_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const auto parsed = parse_double(raw);
-  if (!parsed.has_value() || *parsed < min_value) {
-    char what[96];
-    std::snprintf(what, sizeof what, "ignored (want finite number >= %g)",
-                  min_value);
-    warn_once(name, raw, what);
-    return fallback;
-  }
-  return *parsed;
-}
-
 }  // namespace agingsim::env

@@ -63,8 +63,4 @@ std::optional<std::string> str_var(const char* name);
 std::optional<std::size_t> choice_var(const char* name,
                                       std::span<const char* const> choices);
 
-/// Reads `name` as a strict finite double >= min_value, with the same
-/// warn-once-and-fall-back contract as long_or.
-double double_or(const char* name, double fallback, double min_value);
-
 }  // namespace agingsim::env

@@ -6,11 +6,11 @@
 // profile, evaluating per-gate delay scales at the requested year, and
 // replaying the canonical workload into a gate-level trace costs orders of
 // magnitude more than scoring that trace through the architectural policy.
-// The daemon therefore caches the (delay scales, mean dVth, op trace) of
-// each aged corner keyed by its configuration digest (runtime::Digest of
-// arch/width/years/workload — the same fingerprint discipline as the
-// checkpoint store), so repeat queries against a warm corner do only the
-// cheap replay.
+// The daemon therefore caches what a replay needs of each aged corner —
+// mean dVth, critical path, op trace — keyed by its configuration digest
+// (runtime::Digest of arch/width/years/workload — the same fingerprint
+// discipline as the checkpoint store), so repeat queries against a warm
+// corner do only the cheap replay.
 //
 // Eviction is by byte budget, not entry count: one 32-bit corner at 100k
 // ops holds ~8 MB of trace, so counting entries would make the budget
@@ -29,15 +29,18 @@
 
 namespace agingsim::serve {
 
-/// Cached state of one aged corner.
+/// Cached state of one aged corner. A replay sees the aged gates only
+/// through `critical_path_ps` and `trace`, so the per-gate delay scales
+/// stay with the refill that computes them.
 struct AgedCorner {
-  std::vector<double> delay_scales;  ///< per-gate aging multipliers
   double mean_dvth_v = 0.0;
+  /// STA critical path of the aged gates; the replay's period is a
+  /// fraction of it.
+  double critical_path_ps = 0.0;
   std::vector<OpTrace> trace;  ///< canonical workload through the aged gates
 
   std::size_t byte_size() const noexcept {
-    return sizeof(AgedCorner) + delay_scales.size() * sizeof(double) +
-           trace.size() * sizeof(OpTrace);
+    return sizeof(AgedCorner) + trace.size() * sizeof(OpTrace);
   }
 };
 

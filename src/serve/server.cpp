@@ -30,9 +30,13 @@ constexpr std::size_t kMaxUnsentBytes = 64u << 10;
 /// fails for want of descriptors or memory (see accept_all).
 constexpr std::chrono::milliseconds kAcceptBackoff{100};
 
-constexpr std::array<double, 10> kLatencyBucketsUs = {
-    100.0,     250.0,     1'000.0,    5'000.0,     25'000.0,
-    100'000.0, 500'000.0, 1'000'000.0, 5'000'000.0, 30'000'000.0};
+/// Bucket bounds of serve.request_us and serve.queue_wait_us. A hot query
+/// and its queue wait take well under a millisecond, so five bounds sit
+/// below 1 ms.
+constexpr std::array<double, 13> kLatencyBucketsUs = {
+    25.0,        50.0,        100.0,       250.0,     500.0,
+    1'000.0,     5'000.0,     25'000.0,    100'000.0, 500'000.0,
+    1'000'000.0, 5'000'000.0, 30'000'000.0};
 
 struct ServerMetrics {
   const obs::Counter& connections =

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "src/aging/bti.hpp"
 #include "src/aging/scenario.hpp"
@@ -114,7 +115,9 @@ std::optional<QueryParams> parse_query_params(const JsonValue& params,
   }
   q.arch = *arch;
   const std::int64_t width = params.i64_or("width", 16);
-  if (width < 2 || width > 32) return reject("width must be in [2, 32]");
+  if (width < Service::kMinWidth || width > Service::kMaxWidth) {
+    return reject("width must be in [2, 32]");
+  }
   q.width = static_cast<int>(width);
   q.years = params.num_or("years", 0.0);
   if (!(q.years >= 0.0) || q.years > kMaxYears) {
@@ -129,7 +132,7 @@ std::optional<QueryParams> parse_query_params(const JsonValue& params,
   if (!(q.period_frac > 0.0) || q.period_frac > 4.0) {
     return reject("period_frac must be in (0, 4]");
   }
-  const std::int64_t skip = params.i64_or("skip", 7);
+  const std::int64_t skip = params.i64_or("skip", default_skip(q.width));
   if (skip < 1 || skip >= width) return reject("skip must be in [1, width)");
   q.skip = static_cast<int>(skip);
   q.adaptive = params.bool_or("adaptive", true);
@@ -185,6 +188,19 @@ std::string digest_hex(std::uint64_t digest) {
 Service::Service(ServiceConfig config, AgedStateCache* cache)
     : config_(std::move(config)), cache_(cache), tech_(service_tech()) {}
 
+const Service::Circuit& Service::circuit(MultiplierArch arch, int width) {
+  CircuitSlot& slot =
+      circuits_.at(static_cast<std::size_t>(arch) *
+                       (kMaxWidth - kMinWidth + 1) +
+                   static_cast<std::size_t>(width - kMinWidth));
+  std::call_once(slot.built, [&] {
+    MultiplierNetlist mult = build_multiplier(arch, width);
+    const double crit = critical_path_ps(mult, tech_);
+    slot.circuit.emplace(Circuit{std::move(mult), crit});
+  });
+  return *slot.circuit;
+}
+
 std::optional<std::uint64_t> Service::query_cache_key(
     const JsonValue& params) const {
   const auto q = parse_query_params(params, nullptr);
@@ -225,7 +241,7 @@ HandlerResult Service::handle_query(const JsonValue& params,
   if (!q.has_value()) return bad_request(error);
 
   const std::uint64_t key = query_corner_digest(*q);
-  const MultiplierNetlist mult = build_multiplier(q->arch, q->width);
+  const Circuit& circuit = this->circuit(q->arch, q->width);
 
   bool cache_hit = true;
   std::optional<AgedCorner> corner =
@@ -236,31 +252,34 @@ HandlerResult Service::handle_query(const JsonValue& params,
     obs::TraceSpan refill_span("serve.corner_refill", key);
     if (cancel.cancelled()) return cancelled_result(cancel, "corner refill");
     AgedCorner fresh;
+    fresh.critical_path_ps = circuit.fresh_critical_path_ps;
+    std::vector<double> delay_scales;  // empty: the fresh circuit
     if (q->years > 0.0) {
       const BtiModel model = BtiModel::calibrated(tech_);
-      const AgingScenario scenario(mult.netlist, tech_, model, kStressSeed,
-                                   kStressPatterns);
-      fresh.delay_scales = scenario.delay_scales_at(q->years);
+      const AgingScenario scenario(circuit.mult.netlist, tech_, model,
+                                   kStressSeed, kStressPatterns);
+      delay_scales = scenario.delay_scales_at(q->years);
       fresh.mean_dvth_v = scenario.mean_dvth_at(q->years);
+      fresh.critical_path_ps =
+          critical_path_ps(circuit.mult, tech_, delay_scales);
     }
     if (cancel.cancelled()) return cancelled_result(cancel, "corner refill");
     Rng rng(q->workload_seed);
     const auto patterns = uniform_patterns(rng, q->width, q->ops);
     fresh.trace = compute_op_trace(
-        mult, tech_, patterns,
-        TraceOptions{.gate_delay_scale = fresh.delay_scales});
+        circuit.mult, tech_, patterns,
+        TraceOptions{.gate_delay_scale = delay_scales});
     if (cache_ != nullptr) cache_->put(key, fresh);
     corner = std::move(fresh);
   }
   if (cancel.cancelled()) return cancelled_result(cancel, "query replay");
 
   VlSystemConfig cfg;
-  cfg.period_ps =
-      q->period_frac * critical_path_ps(mult, tech_, corner->delay_scales);
+  cfg.period_ps = q->period_frac * corner->critical_path_ps;
   cfg.ahl.width = q->width;
   cfg.ahl.skip = q->skip;
   cfg.ahl.adaptive = q->adaptive;
-  VariableLatencySystem sys(mult, tech_, cfg);
+  VariableLatencySystem sys(circuit.mult, tech_, cfg);
   const RunStats stats = sys.run(corner->trace, corner->mean_dvth_v);
 
   JsonWriter json;
@@ -290,7 +309,9 @@ HandlerResult Service::handle_campaign(const Request& request,
     return reject("arch must be am|cb|rb");
   }
   const std::int64_t width = params.i64_or("width", 16);
-  if (width < 2 || width > 32) return reject("width must be in [2, 32]");
+  if (width < kMinWidth || width > kMaxWidth) {
+    return reject("width must be in [2, 32]");
+  }
   const std::int64_t trials = params.i64_or("trials", 32);
   if (trials < 1 || trials > kMaxTrials) {
     return reject("trials must be in [1, " + std::to_string(kMaxTrials) + "]");
@@ -338,16 +359,14 @@ HandlerResult Service::handle_campaign(const Request& request,
     cursor_units = static_cast<std::uint64_t>(index);
   }
 
-  const MultiplierNetlist mult =
-      build_multiplier(*arch, static_cast<int>(width));
-  const double crit = critical_path_ps(mult, tech_);
+  const Circuit& circuit = this->circuit(*arch, static_cast<int>(width));
   Rng rng(kWorkloadSeed);
   const auto patterns =
       uniform_patterns(rng, static_cast<int>(width),
                        static_cast<std::size_t>(ops));
 
   VlSystemConfig cfg;
-  cfg.period_ps = period_frac * crit;
+  cfg.period_ps = period_frac * circuit.fresh_critical_path_ps;
   cfg.ahl.width = static_cast<int>(width);
   cfg.ahl.skip = default_skip(static_cast<int>(width));
   cfg.razor.metastability_window_ps = 5.0;
@@ -359,7 +378,7 @@ HandlerResult Service::handle_campaign(const Request& request,
   cc.sites_per_trial = static_cast<int>(sites);
   cc.delay_factor = delay_factor;
   cc.seed = seed;
-  const FaultCampaign campaign(mult, tech_, cfg, cc);
+  const FaultCampaign campaign(circuit.mult, tech_, cfg, cc);
 
   runtime::RunnerConfig runner_config = config_.runner;
   runner_config.stop = &cancel;

@@ -6,11 +6,14 @@
 // and scheduling and calls into here. Split this way the whole method
 // surface is testable in-process.
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
 
+#include "src/multiplier/multiplier.hpp"
 #include "src/netlist/techlib.hpp"
 #include "src/runtime/robust_runner.hpp"
 #include "src/serve/cache.hpp"
@@ -39,8 +42,14 @@ struct HandlerResult {
   std::string message;
 };
 
+/// Shared by every worker: the multipliers that requests name are built
+/// once and then read `const` (circuit()).
 class Service {
  public:
+  /// The multiplier widths a query or campaign may name.
+  static constexpr int kMinWidth = 2;
+  static constexpr int kMaxWidth = 32;
+
   Service(ServiceConfig config, AgedStateCache* cache);
 
   /// Delivers one streaming progress frame payload (a complete JSON
@@ -66,6 +75,22 @@ class Service {
   const ServiceConfig& config() const noexcept { return config_; }
 
  private:
+  /// One multiplier and its fresh critical path, immutable once built.
+  struct Circuit {
+    MultiplierNetlist mult;
+    double fresh_critical_path_ps = 0.0;
+  };
+  struct CircuitSlot {
+    std::once_flag built;
+    std::optional<Circuit> circuit;
+  };
+
+  /// The circuit of `arch` (am, cb or rb) at `width` in [kMinWidth,
+  /// kMaxWidth], built on first use and kept for the Service's lifetime.
+  /// The table is bounded by that parameter space (93 slots), not by
+  /// traffic, so it sits outside the cache budget.
+  const Circuit& circuit(MultiplierArch arch, int width);
+
   HandlerResult handle_query(const JsonValue& params,
                              const runtime::CancelToken& cancel);
   HandlerResult handle_campaign(const Request& request,
@@ -77,6 +102,7 @@ class Service {
   ServiceConfig config_;
   AgedStateCache* cache_;
   const TechLibrary& tech_;
+  std::array<CircuitSlot, 3 * (kMaxWidth - kMinWidth + 1)> circuits_;
 };
 
 }  // namespace agingsim::serve

@@ -142,29 +142,6 @@ TEST(EnvVarTest, ChoiceVarMatchesExactlyOrFallsBack) {
   }
 }
 
-TEST(EnvVarTest, DoubleOrParsesStrictlyAndEnforcesMinimum) {
-  {
-    ScopedEnv scoped("AGINGSIM_ENV_TEST_DBL", "2.5");
-    EXPECT_DOUBLE_EQ(env::double_or("AGINGSIM_ENV_TEST_DBL", 0.0, 0.0), 2.5);
-  }
-  {
-    ScopedEnv scoped("AGINGSIM_ENV_TEST_DBL2", "2.5ps");  // trailing garbage
-    EXPECT_DOUBLE_EQ(env::double_or("AGINGSIM_ENV_TEST_DBL2", 7.0, 0.0), 7.0);
-  }
-  {
-    ScopedEnv scoped("AGINGSIM_ENV_TEST_DBL3", "-1.0");  // below minimum
-    EXPECT_DOUBLE_EQ(env::double_or("AGINGSIM_ENV_TEST_DBL3", 7.0, 0.0), 7.0);
-  }
-  {
-    ScopedEnv scoped("AGINGSIM_ENV_TEST_DBL4", "inf");  // non-finite
-    EXPECT_DOUBLE_EQ(env::double_or("AGINGSIM_ENV_TEST_DBL4", 7.0, 0.0), 7.0);
-  }
-  {
-    ScopedEnv scoped("AGINGSIM_ENV_TEST_DBL5", nullptr);
-    EXPECT_DOUBLE_EQ(env::double_or("AGINGSIM_ENV_TEST_DBL5", 7.0, 0.0), 7.0);
-  }
-}
-
 TEST(EnvVarTest, BenchOpsUsesStrictParsing) {
   {
     ScopedEnv scoped("AGINGSIM_BENCH_OPS", "250");

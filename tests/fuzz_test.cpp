@@ -617,10 +617,6 @@ TEST(FuzzTest, EnvParsersFollowTheDocumentedGrammar) {
               ? std::optional<long>(std::min(*ref_l, 64L))
               : std::nullopt;
       EXPECT_EQ(env::long_var(kVar, 1, 64), want_long) << "'" << text << "'";
-      const double want_double =
-          ref.has_value() && *ref >= 0.0 ? *ref : 0.25;
-      EXPECT_EQ(env::double_or(kVar, 0.25, 0.0), want_double)
-          << "'" << text << "'";
       const std::optional<std::size_t> choice =
           env::choice_var(kVar, kChoices);
       EXPECT_TRUE(choice.has_value() ? text == kChoices[*choice]

@@ -11,13 +11,13 @@ namespace agingsim::serve {
 namespace {
 
 // A corner whose byte_size() lands near `approx_bytes` (sizeof(AgedCorner)
-// plus the delay-scale payload).
+// plus the trace payload).
 AgedCorner corner_of_bytes(std::size_t approx_bytes, double tag) {
   AgedCorner c;
   c.mean_dvth_v = tag;
   const std::size_t base = sizeof(AgedCorner);
   const std::size_t payload = approx_bytes > base ? approx_bytes - base : 0;
-  c.delay_scales.assign(payload / sizeof(double), tag);
+  c.trace.assign(payload / sizeof(OpTrace), OpTrace{.delay_ps = tag});
   return c;
 }
 
@@ -110,7 +110,7 @@ TEST(ServeCache, GetCopiesOutSoEvictionCannotInvalidate) {
   cache.put(2, corner_of_bytes(7000, 2.0));
   EXPECT_FALSE(cache.contains(1));
   EXPECT_DOUBLE_EQ(copy->mean_dvth_v, 1.5);
-  EXPECT_FALSE(copy->delay_scales.empty());
+  EXPECT_FALSE(copy->trace.empty());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // End-to-end tests of the agingd server over a real Unix-domain socket
 // (src/serve/server.hpp): control-plane availability under load, admission
 // rejections with retry hints, per-request deadlines, drain semantics,
-// campaign determinism across calls, and the event loop's promises — a
+// campaign determinism across calls, identical query replies across
+// concurrent clients, and the event loop's promises — a
 // client that never reads pins no worker and cannot hold up a drain,
 // replies past the unsent-output bound keep flowing, connections cost no
 // threads, and running out of descriptors does not spin the loop.
@@ -338,6 +339,69 @@ TEST_F(ServeServerTest, QueryCacheMissThenHit) {
   // The aged corner is the same either way.
   EXPECT_EQ(miss->find("result")->str_or("corner_digest", "a"),
             hit->find("result")->str_or("corner_digest", "b"));
+
+  server.drain();
+  server.wait();
+}
+
+/// A reply with its "cache_hit" line cut out.
+std::string without_cache_hit(std::string reply) {
+  const std::size_t at = reply.find("\"cache_hit\"");
+  if (at == std::string::npos) return reply;
+  const std::size_t line = reply.rfind('\n', at);
+  reply.erase(line, reply.find('\n', at) - line);
+  return reply;
+}
+
+TEST_F(ServeServerTest, ConcurrentQueriesGetIdenticalRepliesPerKey) {
+  TempDir dir("concurrent");
+  ServerConfig config = base_config(dir);
+  config.workers = 4;
+  config.admission.capacity = 64;
+  Server server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // Four circuits, two of them aged. A request's id names its key, so the
+  // replies for one key may differ only in "cache_hit". Every client walks
+  // the keys in the same order, so the workers meet on each circuit's
+  // first use and on each corner's refill.
+  const std::vector<std::string> keys = {
+      R"("arch": "am", "width": 8)",
+      R"("arch": "cb", "width": 8, "years": 2)",
+      R"("arch": "rb", "width": 8, "years": 2)",
+      R"("arch": "cb", "width": 4)"};
+  constexpr std::size_t kClients = 8;
+  constexpr int kRounds = 2;
+  std::vector<std::vector<std::vector<std::string>>> replies(
+      kClients, std::vector<std::vector<std::string>>(keys.size()));
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Client client(server.config().socket_path);
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+          const auto reply = client.call_raw(
+              R"({"id": )" + std::to_string(k) +
+              R"(, "method": "query", "params": {)" + keys[k] +
+              R"(, "ops": 200}})");
+          replies[c][k].push_back(reply.value_or("no reply"));
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    SCOPED_TRACE(keys[k]);
+    const std::string want = without_cache_hit(replies[0][k][0]);
+    EXPECT_NE(want.find("\"ok\": true"), std::string::npos) << want;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      for (const std::string& reply : replies[c][k]) {
+        EXPECT_EQ(without_cache_hit(reply), want) << "client " << c;
+      }
+    }
+  }
 
   server.drain();
   server.wait();
