@@ -1,9 +1,10 @@
 // Micro-benchmarks for the simulation substrate itself, reported as JSON on
 // stdout: netlist construction, static timing, per-pattern step-kernel
 // throughput (dense sweep vs sparse event-driven, with the evaluated-gate
-// fraction that explains the gap), the architectural policy replay, and
-// parallel sweep scaling across thread counts. This is the repo's perf
-// trajectory baseline — run it before and after touching the hot paths.
+// fraction that explains the gap), the corner-parallel kernel's 32-lane
+// pass, the architectural policy replay, and parallel sweep scaling across
+// thread counts. This is the repo's perf trajectory baseline — run it
+// before and after touching the hot paths.
 //
 // Knobs: AGINGSIM_BENCH_OPS caps the per-config operation count (CI smoke
 // uses 500); thread scaling always measures explicit 1/2/4-lane pools, so
@@ -19,7 +20,9 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "src/aging/variation.hpp"
 #include "src/report/json.hpp"
+#include "src/sim/corner_sim.hpp"
 
 using namespace agingsim;
 using namespace agingsim::bench;
@@ -90,8 +93,8 @@ KernelNumbers run_batch(const MultiplierNetlist& m,
     std::fill(words.begin(), words.end(), 0);
     for (int l = 0; l < lanes; ++l) {
       const OperandPattern& p = patterns[chunk + static_cast<std::size_t>(l)];
-      sim.load_bus_lane(words, p.a, m.width, m.a_first_input, l);
-      sim.load_bus_lane(words, p.b, m.width, m.b_first_input, l);
+      load_bus_lane(words, p.a, m.width, m.a_first_input, l);
+      load_bus_lane(words, p.b, m.width, m.b_first_input, l);
     }
     sim.step_word(words, lanes);
     for (int l = 0; l < lanes; ++l) {
@@ -110,6 +113,30 @@ KernelNumbers run_batch(const MultiplierNetlist& m,
                       : 1.0;
   out.checksum = checksum;
   return out;
+}
+
+/// One 32-lane corner pass over `patterns`, word by word with the packing
+/// included (what an MC seed block or a fault-campaign lane group pays).
+/// Returns the largest settle of any lane, a check that every round
+/// settled alike.
+double run_corner_pass(CornerTimingSim& sim, const MultiplierNetlist& m,
+                       std::span<const OperandPattern> patterns) {
+  std::vector<std::uint64_t> words(m.netlist.num_inputs());
+  double max_settle = 0.0;
+  sim.power_up(kCornerLanes);
+  for (std::size_t first = 0; first < patterns.size(); first += kBatchLanes) {
+    const int count = static_cast<int>(
+        std::min<std::size_t>(kBatchLanes, patterns.size() - first));
+    for (int p = 0; p < count; ++p) {
+      const OperandPattern& pat = patterns[first + static_cast<std::size_t>(p)];
+      load_bus_lane(words, pat.a, m.width, m.a_first_input, p);
+      load_bus_lane(words, pat.b, m.width, m.b_first_input, p);
+    }
+    for (const double settle : sim.step_word(words, count)) {
+      max_settle = std::max(max_settle, settle);
+    }
+  }
+  return max_settle;
 }
 
 }  // namespace
@@ -240,6 +267,50 @@ static int bench_body() {
                           : 0.0);
       json.key("speedup_vs_serial").value(ms > 0.0 ? best_ms[0] / ms : 0.0);
       json.key("identical_to_serial").value(results[k] == results[0]);
+      json.end_object();
+    }
+    json.end_array();
+  }
+
+  // --- Corner kernel ----------------------------------------------------
+  // One 32-lane pass on CB16, each lane its own lognormal delay table, on
+  // the two streams above: microseconds per pattern. Best of 3 rounds,
+  // each round timing both streams, so drift on a shared host hits both
+  // rows alike.
+  {
+    const MultiplierNetlist m = build_column_bypass_multiplier(16);
+    CornerTimingSim sim(m.netlist, tech());
+    for (int l = 0; l < kCornerLanes; ++l) {
+      sim.set_lane_scales(
+          l, process_variation_scales(m.netlist, 0.05,
+                                      0xC0 + static_cast<std::uint64_t>(l)));
+    }
+    const std::size_t pass_ops = std::min<std::size_t>(ops, 4000);
+    Rng uniform_rng(1), tap_rng(2);
+    const struct {
+      const char* label;
+      std::vector<OperandPattern> patterns;
+    } streams[] = {{"uniform", uniform_patterns(uniform_rng, 16, pass_ops)},
+                   {"fir_tap", fir_tap_patterns(tap_rng, 16, pass_ops)}};
+    double best_ms[2] = {1e300, 1e300};
+    double max_settle[2] = {0.0, 0.0};
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t k = 0; k < 2; ++k) {
+        best_ms[k] = std::min(best_ms[k], time_best_ms(1, [&] {
+          max_settle[k] = run_corner_pass(sim, m, streams[k].patterns);
+        }));
+      }
+    }
+    json.key("corner_kernel").begin_array();
+    for (std::size_t k = 0; k < 2; ++k) {
+      json.begin_object();
+      json.key("multiplier").value("CB16");
+      json.key("workload").value(streams[k].label);
+      json.key("lanes").value(kCornerLanes);
+      json.key("patterns").value(static_cast<std::uint64_t>(pass_ops));
+      json.key("us_per_pattern")
+          .value(1000.0 * best_ms[k] / static_cast<double>(pass_ops));
+      json.key("max_settle_ps").value(max_settle[k]);
       json.end_object();
     }
     json.end_array();

@@ -63,7 +63,7 @@ StressProfile estimate_stress(const Netlist& netlist, std::uint64_t seed,
         ip1[k] = plane1[ins[k]];
       }
       const detail::WordPlanes out = detail::eval_word(
-          gate.kind, ip0, ip1, kept[gate.out], lanes, lane_mask);
+          gate.kind, ip0, ip1, kept[gate.out], lane_mask);
       plane0[gate.out] = out.p0;
       plane1[gate.out] = out.p1;
       kept[gate.out] = detail::lane_logic(out.p0, out.p1, lanes - 1);

@@ -1,5 +1,6 @@
 #include "src/aging/variation.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -117,13 +118,19 @@ std::vector<double> stochastic_aging_scales(std::span<const double> base,
                                             std::uint64_t seed) {
   check_sigma("stochastic_aging_scales", sigma);
   std::vector<double> out(base.begin(), base.end());
-  if (sigma == 0.0) return out;
+  // A fresh gate keeps 1.0 and draws are per call, so an all-fresh table
+  // needs no draw. A table with any aged gate draws for every gate, so
+  // each gate keeps its draw index.
+  const bool fresh = std::all_of(out.begin(), out.end(),
+                                 [](double s) { return s == 1.0; });
+  if (sigma == 0.0 || fresh) return out;
   GaussianSampler gauss(seed);
   for (double& s : out) {
     // Jitter the degradation (s - 1), not the whole scale: a fresh gate
-    // stays exactly at 1 and the jitter magnitude tracks how aged the
-    // gate actually is.
-    s = 1.0 + (s - 1.0) * std::exp(sigma * gauss.next());
+    // stays exactly at 1 (even where exp(sigma * z) overflows) and the
+    // jitter magnitude tracks how aged the gate actually is.
+    const double jitter = std::exp(sigma * gauss.next());
+    if (s != 1.0) s = 1.0 + (s - 1.0) * jitter;
   }
   return out;
 }

@@ -62,9 +62,10 @@ std::vector<double> correlated_variation_scales(
 ///
 /// modelling device-to-device spread around the deterministic reaction-
 /// diffusion trajectory (median-preserving: the median die ages exactly
-/// like the nominal model). A fresh overlay (base == 1) is unchanged; the
-/// per-gate draws depend only on `seed`, so one seed gives a device its
-/// aging "trait" consistently across evaluation years.
+/// like the nominal model). A fresh gate (base == 1) stays exactly 1 at
+/// any sigma, and an all-fresh overlay draws nothing; the per-gate draws
+/// depend only on `seed`, so one seed gives a device its aging "trait"
+/// consistently across evaluation years.
 std::vector<double> stochastic_aging_scales(std::span<const double> base,
                                             double sigma, std::uint64_t seed);
 

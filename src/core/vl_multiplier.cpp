@@ -63,8 +63,8 @@ std::vector<OpTrace> compute_op_trace_batch(
     std::fill(words.begin(), words.end(), 0);
     for (int l = 0; l < lanes; ++l) {
       const OperandPattern& pat = patterns[chunk + static_cast<std::size_t>(l)];
-      sim.load_bus_lane(words, pat.a, mult.width, mult.a_first_input, l);
-      sim.load_bus_lane(words, pat.b, mult.width, mult.b_first_input, l);
+      load_bus_lane(words, pat.a, mult.width, mult.a_first_input, l);
+      load_bus_lane(words, pat.b, mult.width, mult.b_first_input, l);
     }
     const std::int64_t base = sim.steps();
     const std::span<const StepResult> results = sim.step_word(words, lanes);

@@ -195,19 +195,26 @@ std::vector<RunStats> FaultCampaign::score_lanes(
   const VariableLatencySystem system(mult, *tech_, system_);
   std::vector<VariableLatencySystem::Replay> replays(
       static_cast<std::size_t>(lanes), VariableLatencySystem::Replay(system));
-  std::vector<Logic> inputs(mult.netlist.num_inputs(), Logic::kZero);
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    load_bus(inputs, patterns[i].a, mult.width, mult.a_first_input);
-    load_bus(inputs, patterns[i].b, mult.width, mult.b_first_input);
-    const std::span<const double> settle = sim.step(inputs);
+  std::vector<std::uint64_t> words(mult.netlist.num_inputs());
+  for (std::size_t first = 0; first < patterns.size(); first += kBatchLanes) {
+    const int count = static_cast<int>(
+        std::min<std::size_t>(kBatchLanes, patterns.size() - first));
+    for (int p = 0; p < count; ++p) {
+      const OperandPattern& pat = patterns[first + static_cast<std::size_t>(p)];
+      load_bus_lane(words, pat.a, mult.width, mult.a_first_input, p);
+      load_bus_lane(words, pat.b, mult.width, mult.b_first_input, p);
+    }
+    const std::span<const double> settle = sim.step_word(words, count);
     // A delay outlier moves no value, so each lane's op is the fault-free
     // op with the lane's delay; a persistent fault is active on every op
     // (FaultOverlay::active_at).
-    OpTrace op = clean[i];
-    op.fault_active = true;
-    for (int l = 0; l < lanes; ++l) {
-      op.delay_ps = settle[static_cast<std::size_t>(l)];
-      replays[static_cast<std::size_t>(l)].step(op);
+    for (int p = 0; p < count; ++p) {
+      OpTrace op = clean[first + static_cast<std::size_t>(p)];
+      op.fault_active = true;
+      for (int l = 0; l < lanes; ++l) {
+        op.delay_ps = settle[static_cast<std::size_t>(p * kCornerLanes + l)];
+        replays[static_cast<std::size_t>(l)].step(op);
+      }
     }
   }
   std::vector<RunStats> stats;

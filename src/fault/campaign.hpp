@@ -132,9 +132,10 @@ struct CampaignRunOptions {
 /// Delay-outlier trials on the batch kernel (the default) skip the
 /// per-trial trace: a delay outlier changes no logic value, so trials share
 /// one fault-free trace and differ only in delays. They are scored
-/// kCornerLanes at a time in the lanes of one CornerTimingSim sweep, each
-/// lane's delay table carrying the aging scales times its trial's fault
-/// factors, and each lane's settles replayed op by op
+/// kCornerLanes at a time in the lanes of one CornerTimingSim, which
+/// settles the ops kBatchLanes at a time with one value sweep per word;
+/// each lane's delay table carries the aging scales times its trial's fault
+/// factors, and each lane's settles are replayed op by op
 /// (VariableLatencySystem::Replay). Trial t rides lane t / G of group t % G,
 /// G = ceil(trials / kCornerLanes); the first unit of a group to run scores
 /// the whole group. Results, payloads and checkpoints are bit-identical to

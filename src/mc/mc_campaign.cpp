@@ -196,7 +196,7 @@ std::vector<McTrialRecord> McCampaign::score_corners(
   const std::size_t cells = static_cast<std::size_t>(last - first) * years;
   std::vector<McTrialRecord> records(cells);
   CornerTimingSim sim(mult.netlist, *tech_);
-  std::vector<Logic> inputs(mult.netlist.num_inputs(), Logic::kZero);
+  std::vector<std::uint64_t> words(mult.netlist.num_inputs());
 
   // Cell c = (trial - first) * years + y rides in lane c % kCornerLanes of
   // pass c / kCornerLanes — records order. A die whose years straddle two
@@ -223,17 +223,29 @@ std::vector<McTrialRecord> McCampaign::score_corners(
     sim.power_up(lanes);
     std::array<double, kCornerLanes> max_delay{};
     std::array<std::uint64_t, kCornerLanes> violations{};
-    for (std::size_t i = 0; i < patterns_.size(); ++i) {
-      const OperandPattern& pat = patterns_[i];
-      load_bus(inputs, pat.a, mult.width, mult.a_first_input);
-      load_bus(inputs, pat.b, mult.width, mult.b_first_input);
-      const std::span<const double> settle = sim.step(inputs);
-      check_golden_product(i, pat.a, pat.b,
-                           reference_multiply(pat.a, pat.b, mult.width),
-                           sim.output_bits());
-      for (int l = 0; l < kCornerLanes; ++l) {
-        max_delay[l] = std::max(max_delay[l], settle[l]);
-        violations[l] += settle[l] > arch.period_ps ? 1u : 0u;
+    for (std::size_t first = 0; first < patterns_.size();
+         first += kBatchLanes) {
+      const int count = static_cast<int>(
+          std::min<std::size_t>(kBatchLanes, patterns_.size() - first));
+      for (int p = 0; p < count; ++p) {
+        const OperandPattern& pat =
+            patterns_[first + static_cast<std::size_t>(p)];
+        load_bus_lane(words, pat.a, mult.width, mult.a_first_input, p);
+        load_bus_lane(words, pat.b, mult.width, mult.b_first_input, p);
+      }
+      const std::span<const double> settle = sim.step_word(words, count);
+      for (int p = 0; p < count; ++p) {
+        const std::size_t i = first + static_cast<std::size_t>(p);
+        const OperandPattern& pat = patterns_[i];
+        check_golden_product(i, pat.a, pat.b,
+                             reference_multiply(pat.a, pat.b, mult.width),
+                             sim.output_bits(p));
+        const double* lane_settle =
+            settle.data() + static_cast<std::size_t>(p) * kCornerLanes;
+        for (int l = 0; l < kCornerLanes; ++l) {
+          max_delay[l] = std::max(max_delay[l], lane_settle[l]);
+          violations[l] += lane_settle[l] > arch.period_ps ? 1u : 0u;
+        }
       }
     }
     for (int l = 0; l < lanes; ++l) {

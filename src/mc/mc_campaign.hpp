@@ -71,11 +71,12 @@ struct McCampaignConfig {
   /// CampaignRunOptions) resolves through AGINGSIM_KERNEL to batch unless
   /// the variable names a scalar kernel. kBatch packs a block's (trial,
   /// year) cells into the lanes of a CornerTimingSim: one value sweep per
-  /// operation times 32 delay tables. kDense/kSparse replay every cell
-  /// through its own compute_op_trace, the reference the corner path is
-  /// tested against. All are bit-identical, so this is excluded from the
-  /// config digest (a campaign checkpointed under one kernel resumes
-  /// byte-identically under another).
+  /// 64 operations, then the changed gates timed over 32 delay tables.
+  /// kDense/kSparse replay every cell through its own compute_op_trace,
+  /// the reference the corner path is tested against. All are
+  /// bit-identical, so this is excluded from the config digest (a campaign
+  /// checkpointed under one kernel resumes byte-identically under
+  /// another).
   SimKernel kernel = SimKernel::kAuto;
 };
 
@@ -171,7 +172,8 @@ class McCampaign {
                                           SimKernel kernel) const;
 
   /// Same records, the (trial, year) cells packed kCornerLanes at a time
-  /// into the lanes of one CornerTimingSim sweep per operation.
+  /// into the lanes of one CornerTimingSim, which takes the operations
+  /// kBatchLanes at a time (one value sweep per word).
   std::vector<McTrialRecord> score_corners(std::size_t arch_index,
                                            std::uint64_t first,
                                            std::uint64_t last) const;

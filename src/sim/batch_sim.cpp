@@ -337,28 +337,6 @@ std::uint64_t BatchTimingSim::output_bits(int lane) const {
   return bits;
 }
 
-void BatchTimingSim::load_bus_lane(std::span<std::uint64_t> input_bits,
-                                   std::uint64_t value, int width,
-                                   int first_input, int lane) const {
-  if (lane < 0 || lane >= kBatchLanes) {
-    throw std::invalid_argument(
-        "BatchTimingSim::load_bus_lane: lane out of range");
-  }
-  if (!bus_fits(first_input, width,
-                std::min(netlist_->num_inputs(), input_bits.size()))) {
-    throw std::invalid_argument(
-        "BatchTimingSim::load_bus_lane: bus out of range");
-  }
-  const std::uint64_t lane_bit = std::uint64_t{1} << lane;
-  for (int i = 0; i < width; ++i) {
-    if (((value >> i) & 1u) != 0) {
-      input_bits[static_cast<std::size_t>(first_input + i)] |= lane_bit;
-    } else {
-      input_bits[static_cast<std::size_t>(first_input + i)] &= ~lane_bit;
-    }
-  }
-}
-
 const char* BatchTimingSim::lane_backend() noexcept {
   return use_avx2_sweep() ? "avx2" : "generic";
 }

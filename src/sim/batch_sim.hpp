@@ -57,10 +57,10 @@
 
 namespace agingsim {
 
-/// Lanes per word. The SWAR baseline packs 64 patterns per uint64_t; the
-/// AVX2 backend (runtime-dispatched, see batch_sim.cpp) vectorizes the
-/// per-lane density/arrival recurrences over the same 64-lane words.
-inline constexpr int kBatchLanes = 64;
+// Lanes per word: kBatchLanes (timing_sim.hpp). The SWAR baseline packs
+// 64 patterns per uint64_t; the AVX2 backend (runtime-dispatched, see
+// batch_sim.cpp) vectorizes the per-lane density/arrival recurrences over
+// the same 64-lane words.
 
 /// Cumulative counters for one BatchTimingSim (mirrored into the process
 /// sim.batch.* metrics when obs is enabled).
@@ -143,10 +143,11 @@ class BatchTimingSim {
 
   /// Evaluates lanes [0, lanes) in one sweep. `input_bits` holds one word
   /// per primary input (in input order): bit l is the value that input
-  /// takes on lane l. All input lanes are known 0/1 — operands come from
-  /// registers, exactly like load_bus patterns. Returns one
-  /// StepResult per lane, each exactly what the corresponding scalar
-  /// step() would have returned; the span is valid until the next call.
+  /// takes on lane l (load_bus_lane packs them). All input lanes are
+  /// known 0/1 — operands come from registers, exactly like load_bus
+  /// patterns. Returns one StepResult per lane, each exactly what the
+  /// corresponding scalar step() would have returned; the span is valid
+  /// until the next call.
   /// A word always costs a full 64-lane sweep, however few lanes it uses.
   std::span<const StepResult> step_word(
       std::span<const std::uint64_t> input_bits, int lanes = kBatchLanes);
@@ -157,13 +158,6 @@ class BatchTimingSim {
   /// Primary outputs of lane `lane` of the last word, packed LSB-first.
   /// Throws std::logic_error like TimingSim::output_bits on X/Z outputs.
   std::uint64_t output_bits(int lane) const;
-
-  /// Packs an unsigned value's bit `i` into `input_bits[first_input + i]`
-  /// at lane `lane` (the word analogue of load_bus). Throws
-  /// std::invalid_argument on a lane outside [0, 64) or a bus outside the
-  /// primary inputs.
-  void load_bus_lane(std::span<std::uint64_t> input_bits, std::uint64_t value,
-                     int width, int first_input, int lane) const;
 
   const BatchStats& stats() const noexcept { return stats_; }
   const Netlist& netlist() const noexcept { return *netlist_; }

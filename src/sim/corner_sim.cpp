@@ -7,14 +7,16 @@
 
 #include "src/netlist/cell.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/sim/word_eval.hpp"
 
 namespace agingsim {
 namespace {
 
 constexpr int kLanes = kCornerLanes;
 
-// Accumulated per step, never per gate (the SimMetrics discipline).
-// Lane utilization is lanes / (steps * kCornerLanes).
+// Accumulated per word, never per gate (the SimMetrics discipline): steps
+// counts patterns, lanes counts pattern-lanes, so lane utilization is
+// lanes / (steps * kCornerLanes).
 struct CornerMetrics {
   const obs::Counter& steps = obs::counter("sim.corner.steps");
   const obs::Counter& lanes = obs::counter("sim.corner.lanes");
@@ -25,39 +27,8 @@ const CornerMetrics& corner_metrics() {
   return m;
 }
 
-constexpr std::array<double, kLanes> filled(double v) {
-  std::array<double, kLanes> a{};
-  for (double& x : a) x = v;
-  return a;
-}
-
 // The arrivals of a stable net or a primary input.
-alignas(64) constexpr std::array<double, kLanes> kZeroLanes = filled(0.0);
-
-/// eval_cell tabulated: row kind * 256, column in0 | in1 << 2 | in2 << 4 |
-/// prev << 6 over the 2-bit Logic codes (inputs past the kind's arity are
-/// ignored). The value sweep looks gates up here instead of branching
-/// through the cell switch for every gate of every step.
-const std::vector<Logic>& eval_table() {
-  static const std::vector<Logic> table = [] {
-    std::vector<Logic> t(std::size_t(kNumCellKinds) * 256);
-    for (int kind = 0; kind < kNumCellKinds; ++kind) {
-      const auto k = static_cast<CellKind>(kind);
-      const auto arity = static_cast<std::size_t>(cell_traits(k).num_inputs);
-      for (unsigned idx = 0; idx < 256; ++idx) {
-        const std::array<Logic, 3> ins = {static_cast<Logic>(idx & 3),
-                                          static_cast<Logic>((idx >> 2) & 3),
-                                          static_cast<Logic>((idx >> 4) & 3)};
-        t[std::size_t(kind) * 256 + idx] =
-            eval_cell(k, {ins.data(), arity}, static_cast<Logic>(idx >> 6));
-      }
-    }
-    return t;
-  }();
-  return table;
-}
-
-inline unsigned code(Logic v) { return static_cast<unsigned>(v); }
+alignas(64) constexpr std::array<double, kLanes> kZeroLanes{};
 
 /// A kind whose output settles at its earliest controlling input when it
 /// takes `out` (TimingSim::evaluate_gate's ctrl_makes_out).
@@ -183,9 +154,14 @@ CornerTimingSim::CornerTimingSim(const Netlist& netlist,
     }
   }
   arrival_.assign(std::size_t(slots) * kLanes, 0.0);
+  planes_.assign(nets + 1, {0, ~std::uint64_t{0}});  // X until driven
   value_.assign(nets + 1, Logic::kX);
   changed_.assign(nets + 1, 0);
+  input_changed_.resize(netlist.num_inputs());
+  active_.resize(gates);
+  active_changed_.resize(gates);
   changed_gates_.resize(gates);
+  settle_.resize(std::size_t(kBatchLanes) * kLanes);
 }
 
 void CornerTimingSim::set_lane_scales(int lane, std::span<const double> scale,
@@ -227,6 +203,7 @@ void CornerTimingSim::power_up(int lanes) {
         "CornerTimingSim::power_up: lanes must be in [1, 32]");
   }
   lanes_ = lanes;
+  patterns_ = 0;
   std::fill(value_.begin(), value_.end(), Logic::kX);
 }
 
@@ -236,101 +213,145 @@ const double* CornerTimingSim::arrival_lanes(NetId net) const noexcept {
   return arrival_.data() + std::size_t(s) * kLanes;
 }
 
-std::span<const double> CornerTimingSim::step(
-    std::span<const Logic> input_values) {
+std::span<const double> CornerTimingSim::step_word(
+    std::span<const std::uint64_t> input_bits, int patterns) {
   const Netlist& nl = *netlist_;
-  if (input_values.size() != nl.num_inputs()) {
-    throw std::invalid_argument("CornerTimingSim::step: wrong input count");
+  if (input_bits.size() != nl.num_inputs()) {
+    throw std::invalid_argument(
+        "CornerTimingSim::step_word: wrong input count");
   }
+  if (patterns < 1 || patterns > kBatchLanes) {
+    throw std::invalid_argument(
+        "CornerTimingSim::step_word: patterns must be in [1, 64]");
+  }
+  const std::uint64_t mask = patterns == kBatchLanes
+                                 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << patterns) - 1;
+
+  // Values of every pattern: one sweep in ascending gate id (a topological
+  // order) from the values the last word left, the dense kernel's sweep
+  // run 64 patterns wide. value_ still holds that state here.
   const auto input_nets = nl.input_nets();
   for (std::size_t i = 0; i < input_nets.size(); ++i) {
     const NetId net = input_nets[i];
-    // A changed input arrives at t = 0 in every lane.
-    changed_[net] = input_values[i] != value_[net];
-    value_[net] = input_values[i];
+    const std::uint64_t bits = input_bits[i] & mask;
+    planes_[net] = {bits, 0};
+    input_changed_[i] = detail::lane_edges(bits, 0, value_[net], mask).changed;
   }
-
-  // Values: every gate in ascending id (a topological order) from the
-  // all-X power-up, the dense kernel's sweep. Values do not depend on
-  // delays, so the gates that changed are only listed here, branch-free,
-  // and timed below.
-  const std::vector<Logic>& table = eval_table();
-  std::size_t num_changed = 0;
+  // Values do not depend on delays, so the gates that changed on some
+  // pattern are only listed here, branch-free, and timed below.
+  std::size_t num_active = 0;
   const GateId gates = static_cast<GateId>(sweep_.size());
   for (GateId g = 0; g < gates; ++g) {
     const SweepGate& sg = sweep_[g];
-    const unsigned prev = code(value_[sg.out]);
-    const unsigned column = code(value_[sg.in[0]]) |
-                            code(value_[sg.in[1]]) << 2 |
-                            code(value_[sg.in[2]]) << 4 | prev << 6;
-    const Logic next = table[static_cast<unsigned>(sg.kind) * 256 + column];
-    const bool changed = code(next) != prev;
-    value_[sg.out] = next;
-    changed_[sg.out] = changed;
-    changed_gates_[num_changed] = g;
-    num_changed += changed;
+    const std::uint64_t ip0[3] = {planes_[sg.in[0]].p0, planes_[sg.in[1]].p0,
+                                  planes_[sg.in[2]].p0};
+    const std::uint64_t ip1[3] = {planes_[sg.in[0]].p1, planes_[sg.in[1]].p1,
+                                  planes_[sg.in[2]].p1};
+    const Logic carried = value_[sg.out];
+    const detail::WordPlanes w =
+        detail::eval_word(sg.kind, ip0, ip1, carried, mask);
+    const detail::NetLanes out{w.p0 & mask, w.p1 & mask};
+    planes_[sg.out] = out;
+    const std::uint64_t changed =
+        detail::lane_edges(out.p0, out.p1, carried, mask).changed;
+    active_[num_active] = g;
+    active_changed_[num_active] = changed;
+    num_active += changed != 0;
   }
 
-  // Arrivals of the changed gates, still in ascending id, so every fanin
-  // arrival is final when a gate reads it: TimingSim::evaluate_gate's
-  // sensitized arrival, folded over the inputs that can move it.
-  for (std::size_t i = 0; i < num_changed; ++i) {
-    const GateId g = changed_gates_[i];
-    const SweepGate& sg = sweep_[g];
-    const std::int32_t slot = slot_[sg.out];
-    if (slot < 0) continue;  // nothing reads this arrival
-    double* out = arrival_.data() + std::size_t(slot) * kLanes;
-    const double* delay = delay_ps_.data() + std::size_t(g) * kLanes;
-    const Controlled ctrl = controlled(sg.kind);
-    std::array<const double*, 3> p;
-    int n = 0;
-    if (ctrl.has && value_[sg.out] == ctrl.out) {
-      // First-wins minimum over the inputs holding the controlling value
-      // (the scalar -1 sentinel only ever yields the first of them:
-      // arrivals are never negative). One that arrived at 0.0 decides it.
-      for (std::size_t k = 0; k < 3; ++k) {
-        if (value_[sg.in[k]] != ctrl.in) continue;
-        const double* a = arrival_lanes(sg.in[k]);
-        if (a == kZeroLanes.data()) {
-          n = 0;
-          break;
+  for (int p = 0; p < patterns; ++p) {
+    // A changed input arrives at t = 0 in every lane.
+    for (std::size_t i = 0; i < input_nets.size(); ++i) {
+      value_[input_nets[i]] =
+          logic_from_bool(((input_bits[i] >> p) & 1u) != 0);
+      changed_[input_nets[i]] =
+          static_cast<std::uint8_t>((input_changed_[i] >> p) & 1u);
+    }
+    std::size_t num_changed = 0;
+    for (std::size_t a = 0; a < num_active; ++a) {
+      changed_gates_[num_changed] = active_[a];
+      num_changed += (active_changed_[a] >> p) & 1u;
+    }
+
+    // Arrivals of the changed gates, still in ascending id, so every fanin
+    // arrival is final when a gate reads it: TimingSim::evaluate_gate's
+    // sensitized arrival, folded over the inputs that can move it.
+    for (std::size_t i = 0; i < num_changed; ++i) {
+      const GateId g = changed_gates_[i];
+      const SweepGate& sg = sweep_[g];
+      value_[sg.out] =
+          detail::lane_logic(planes_[sg.out].p0, planes_[sg.out].p1, p);
+      changed_[sg.out] = 1;
+      const std::int32_t slot = slot_[sg.out];
+      if (slot < 0) continue;  // nothing reads this arrival
+      double* out = arrival_.data() + std::size_t(slot) * kLanes;
+      const double* delay = delay_ps_.data() + std::size_t(g) * kLanes;
+      const Controlled ctrl = controlled(sg.kind);
+      std::array<const double*, 3> in;
+      int n = 0;
+      if (ctrl.has && value_[sg.out] == ctrl.out) {
+        // First-wins minimum over the inputs holding the controlling value
+        // (the scalar -1 sentinel only ever yields the first of them:
+        // arrivals are never negative). One that arrived at 0.0 decides it.
+        for (std::size_t k = 0; k < 3; ++k) {
+          if (value_[sg.in[k]] != ctrl.in) continue;
+          const double* a = arrival_lanes(sg.in[k]);
+          if (a == kZeroLanes.data()) {
+            n = 0;
+            break;
+          }
+          in[n++] = a;
         }
-        p[n++] = a;
+        fold_lanes<true>(out, in, n, delay);
+        continue;
       }
-      fold_lanes<true>(out, p, n, delay);
-      continue;
+      // Latest changed input, from 0.0: an unchanged input (0.0) leaves the
+      // maximum as it is. A mux skips its unselected data input and counts
+      // its select only when it changed; a tbuf that changed was enabled
+      // and takes both of its inputs.
+      const int skip = sg.kind != CellKind::kMux2          ? -1
+                       : value_[sg.in[2]] == Logic::kOne ? 0
+                                                         : 1;
+      for (int k = 0; k < 3; ++k) {
+        const double* a = arrival_lanes(sg.in[k]);
+        if (k != skip && a != kZeroLanes.data()) in[n++] = a;
+      }
+      fold_lanes<false>(out, in, n, delay);
     }
-    // Latest changed input, from 0.0: an unchanged input (0.0) leaves the
-    // maximum as it is. A mux skips its unselected data input and counts
-    // its select only when it changed; a tbuf that changed was enabled
-    // and takes both of its inputs.
-    const int skip = sg.kind != CellKind::kMux2          ? -1
-                     : value_[sg.in[2]] == Logic::kOne ? 0
-                                                       : 1;
-    for (int k = 0; k < 3; ++k) {
-      const double* a = arrival_lanes(sg.in[k]);
-      if (k != skip && a != kZeroLanes.data()) p[n++] = a;
-    }
-    fold_lanes<false>(out, p, n, delay);
-  }
 
-  std::fill_n(settle_, kLanes, 0.0);
-  for (const NetId out : nl.output_nets()) {
-    if (changed_[out] == 0) continue;
-    const double* a = arrival_lanes(out);
-    for (int l = 0; l < kLanes; ++l) {
-      settle_[l] = fold<false>(settle_[l], a[l]);
+    double* settle = settle_.data() + std::size_t(p) * kLanes;
+    std::fill_n(settle, kLanes, 0.0);
+    for (const NetId out : nl.output_nets()) {
+      if (changed_[out] == 0) continue;
+      const double* a = arrival_lanes(out);
+      for (int l = 0; l < kLanes; ++l) {
+        settle[l] = fold<false>(settle[l], a[l]);
+      }
+    }
+    for (std::size_t i = 0; i < num_changed; ++i) {
+      changed_[sweep_[changed_gates_[i]].out] = 0;
     }
   }
+  patterns_ = patterns;
   if (obs::metrics_enabled()) {
     const CornerMetrics& m = corner_metrics();
-    m.steps.add();
-    m.lanes.add(static_cast<std::uint64_t>(lanes_));
+    m.steps.add(static_cast<std::uint64_t>(patterns));
+    m.lanes.add(static_cast<std::uint64_t>(patterns) *
+                static_cast<std::uint64_t>(lanes_));
   }
-  return {settle_, static_cast<std::size_t>(kLanes)};
+  return {settle_.data(), std::size_t(patterns) * kLanes};
 }
 
-std::uint64_t CornerTimingSim::output_bits() const {
+Logic CornerTimingSim::lane_value(NetId net, int pattern) const {
+  if (pattern < 0 || pattern >= patterns_) {
+    throw std::out_of_range(
+        "CornerTimingSim::lane_value: pattern out of range");
+  }
+  return detail::lane_logic(planes_[net].p0, planes_[net].p1, pattern);
+}
+
+std::uint64_t CornerTimingSim::output_bits(int pattern) const {
   const auto outs = netlist_->output_nets();
   if (outs.size() > 64) {
     throw std::logic_error(
@@ -338,7 +359,7 @@ std::uint64_t CornerTimingSim::output_bits() const {
   }
   std::uint64_t bits = 0;
   for (std::size_t i = 0; i < outs.size(); ++i) {
-    const Logic v = value_[outs[i]];
+    const Logic v = lane_value(outs[i], pattern);
     if (!is_known(v)) {
       throw std::logic_error("CornerTimingSim::output_bits: output " +
                              netlist_->output_name(i) + " is unknown");

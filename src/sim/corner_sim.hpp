@@ -5,12 +5,14 @@
 //
 // The batch kernel packs *patterns* into lanes; this one packs *delay
 // tables*. Process variation, aging and delay-outlier faults change only
-// gate delays, so every corner sees the same values, the same switching and the same products;
-// only arrivals differ. One CornerTimingSim therefore settles one operand
-// pattern per step with a single scalar value sweep (eval_cell in ascending
-// gate id, from the all-X power-up state, exactly the dense kernel's
-// sweep), then computes the sensitized arrival of each gate whose value
-// changed once per lane, each lane being one delay table.
+// gate delays, so every corner sees the same values, the same switching
+// and the same products; only arrivals differ. One CornerTimingSim
+// therefore settles up to 64 operand patterns per step_word call. One
+// eval_word sweep (word_eval.hpp, the batch kernel's value model) settles
+// every net on every pattern, from the values the previous word left.
+// The change masks then list, pattern by pattern, the gates whose value
+// changed, and only those are timed, once per lane, each lane being one
+// delay table.
 //
 // EXACTNESS: a lane's arrival recurrence is TimingSim::evaluate_gate's,
 // statement for statement — first-wins minimum over controlling inputs,
@@ -23,8 +25,8 @@
 //
 // Arrivals live in live-range slots, not per net: ascending gate id is the
 // evaluation order, so a net's arrival is needed only from its driver to
-// its last consumer (primary outputs: to the end of the step). The 16-bit
-// multipliers keep ~260 of their 1 400-2 400 nets live at once.
+// its last consumer (primary outputs: to the end of the pattern). The
+// 16-bit multipliers keep ~260 of their 1 400-2 400 nets live at once.
 
 #include <cstdint>
 #include <span>
@@ -35,6 +37,7 @@
 #include "src/netlist/logic.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/netlist/techlib.hpp"
+#include "src/sim/batch_sim.hpp"
 
 namespace agingsim {
 
@@ -58,24 +61,33 @@ class CornerTimingSim {
   void set_lane_scales(int lane, std::span<const double> scale,
                        const FaultOverlay* faults = nullptr);
 
-  /// Returns every net to the all-X power-up state; the following steps
+  /// Returns every net to the all-X power-up state; the following words
   /// settle lanes [0, lanes).
   void power_up(int lanes);
 
-  /// Applies one input pattern (one value per primary input) to every
-  /// lane and settles the netlist. Returns each lane's output settle time
-  /// (ps): the latest arrival among primary outputs that changed, 0 if
-  /// none did — StepResult::output_settle_ps of the scalar kernel. The span
-  /// has kCornerLanes entries (lanes past power_up's count are
-  /// unspecified) and is valid until the next call.
-  std::span<const double> step(std::span<const Logic> input_values);
+  /// Applies `patterns` input patterns, in order, to every lane and
+  /// settles the netlist after each. `input_bits` holds one word per
+  /// primary input (in input order): bit p is the value that input takes
+  /// on pattern p, a known 0/1 like a load_bus pattern. Returns
+  /// patterns x kCornerLanes settle times (ps), pattern-major: entry
+  /// p * kCornerLanes + l is lane l's output settle on pattern p, the
+  /// latest arrival among primary outputs that changed, 0 if none did —
+  /// StepResult::output_settle_ps of the scalar kernel. Lanes past
+  /// power_up's count are unspecified. The span is valid until the next
+  /// call.
+  std::span<const double> step_word(std::span<const std::uint64_t> input_bits,
+                                    int patterns = kBatchLanes);
 
-  /// Net values are shared by every lane.
-  Logic value(NetId net) const noexcept { return value_[net]; }
+  /// Value of `net` after pattern `pattern` of the last word; net values
+  /// are shared by every lane. Throws std::out_of_range on a pattern the
+  /// last word did not hold.
+  Logic lane_value(NetId net, int pattern) const;
 
-  /// Packs the primary outputs LSB-first. Throws std::logic_error on an
-  /// X/Z output or more than 64 outputs, like TimingSim::output_bits.
-  std::uint64_t output_bits() const;
+  /// Packs the primary outputs after pattern `pattern` of the last word
+  /// LSB-first. Throws std::out_of_range on a pattern the last word did not
+  /// hold (before any word, every pattern), and std::logic_error on an X/Z
+  /// output or more than 64 outputs, like TimingSim::output_bits.
+  std::uint64_t output_bits(int pattern) const;
 
   /// Arrival slots the live-range allocation needs (the peak number of
   /// simultaneously live gate-driven nets).
@@ -84,9 +96,9 @@ class CornerTimingSim {
   }
 
  private:
-  /// Lane array holding `net`'s arrivals this step: its slot when it
-  /// changed and a gate drives it, otherwise all zeros (a stable net, or a
-  /// primary input, arrives at t = 0).
+  /// Lane array holding `net`'s arrivals on the current pattern: its slot
+  /// when it changed and a gate drives it, otherwise all zeros (a stable
+  /// net, or a primary input, arrives at t = 0).
   const double* arrival_lanes(NetId net) const noexcept;
 
   /// One gate as both sweeps read it: inputs padded to three with a net
@@ -103,11 +115,20 @@ class CornerTimingSim {
   std::vector<double> delay_ps_;       // gate x kCornerLanes
   std::vector<std::int32_t> slot_;     // per net + pad, -1 = never read
   std::vector<double> arrival_;        // slot x kCornerLanes
-  std::vector<Logic> value_;           // per net, plus the X pad
-  std::vector<std::uint8_t> changed_;  // per net + pad: changed this step
-  std::vector<GateId> changed_gates_;  // this step's, ascending
+  std::vector<detail::NetLanes> planes_;  // per net + pad: the last word
+  /// Per net + pad: the value on the current pattern. Between words it is
+  /// the value after the last pattern, the state the next word starts from.
+  std::vector<Logic> value_;
+  std::vector<std::uint8_t> changed_;  // per net + pad: changed this pattern
+  std::vector<std::uint64_t> input_changed_;  // per input: patterns it changed
+  /// The gates whose value changed on some pattern of the word, ascending,
+  /// and the patterns each changed on.
+  std::vector<GateId> active_;
+  std::vector<std::uint64_t> active_changed_;
+  std::vector<GateId> changed_gates_;  // the current pattern's, ascending
+  std::vector<double> settle_;         // kBatchLanes x kCornerLanes
   int lanes_ = kCornerLanes;
-  alignas(64) double settle_[kCornerLanes] = {};
+  int patterns_ = 0;                   // patterns of the last word
 };
 
 }  // namespace agingsim

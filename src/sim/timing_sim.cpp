@@ -131,6 +131,21 @@ void load_bus(std::span<Logic> pattern_buffer, std::uint64_t value, int width,
   }
 }
 
+void load_bus_lane(std::span<std::uint64_t> input_bits, std::uint64_t value,
+                   int width, int first_input, int lane) {
+  if (lane < 0 || lane >= kBatchLanes) {
+    throw std::invalid_argument("load_bus_lane: lane out of range");
+  }
+  if (!bus_fits(first_input, width, input_bits.size())) {
+    throw std::invalid_argument("load_bus_lane: bus out of range");
+  }
+  const std::uint64_t lane_bit = std::uint64_t{1} << lane;
+  for (int i = 0; i < width; ++i) {
+    std::uint64_t& bits = input_bits[static_cast<std::size_t>(first_input + i)];
+    bits = ((value >> i) & 1u) != 0 ? bits | lane_bit : bits & ~lane_bit;
+  }
+}
+
 template <bool kOverlay, bool kTransient>
 bool TimingSim::evaluate_gate(GateId g, StepResult& result) {
   const Netlist& nl = *netlist_;

@@ -36,6 +36,18 @@ bool bus_fits(int first_input, int width, std::size_t inputs) noexcept;
 void load_bus(std::span<Logic> pattern_buffer, std::uint64_t value, int width,
               int first_input);
 
+/// Patterns per word: bit p of a uint64_t input word is pattern p's value.
+/// The batch kernel settles one pattern per lane of a word, the corner
+/// kernel one word of patterns per step_word call.
+inline constexpr int kBatchLanes = 64;
+
+/// load_bus for one lane of a word of patterns: sets bit `lane` of
+/// `input_bits[first_input + i]` to the value's bit i. Throws
+/// std::invalid_argument on a lane outside [0, kBatchLanes) or a bus that
+/// does not fit `input_bits` (bus_fits).
+void load_bus_lane(std::span<std::uint64_t> input_bits, std::uint64_t value,
+                   int width, int first_input, int lane);
+
 /// Outcome of applying one input pattern.
 struct StepResult {
   /// Time (ps) at which the last *primary output* settles, i.e. the path

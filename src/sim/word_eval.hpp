@@ -2,9 +2,9 @@
 
 // Value-plane evaluation of one gate over the 64 lanes of a word — the
 // single word-parallel statement of the cell semantics in cell.cpp
-// (eval_cell). Two sweeps call it: the batch timing kernel
-// (batch_sweep.inl) and the values-only stress extraction
-// (aging/stress.cpp).
+// (eval_cell). Three sweeps call it: the batch timing kernel
+// (batch_sweep.inl), the corner-parallel kernel (corner_sim.cpp) and the
+// values-only stress extraction (aging/stress.cpp).
 //
 // Bit-plane encoding: lane l of plane0/plane1 carries the two bits of the
 // Logic code (kZero=00, kOne=01, kX=10, kZ=11; plane0 = low bit). So:
@@ -51,15 +51,35 @@ inline LaneEdges lane_edges(std::uint64_t p0, std::uint64_t p1, Logic carried,
   return {changed, changed & ~p1 & ~prev1};
 }
 
+/// The bus keeper over a word: every lane outside `driven` takes the value
+/// of the nearest `driven` lane below it, or `kept` when there is none.
+/// `p0`/`p1` carry the driven lanes' values and are 0 elsewhere. Each
+/// doubling step hands a value on to the undriven lanes `s` above a lane
+/// that has one, so after shifts 1, 2, ..., 32 every lane has looked 63
+/// lanes down.
+inline WordPlanes keeper_fill(std::uint64_t driven, std::uint64_t p0,
+                              std::uint64_t p1, Logic kept) {
+  for (int s = 1; s < 64; s <<= 1) {
+    const std::uint64_t take = ~driven & (driven << s);
+    p0 |= (p0 << s) & take;
+    p1 |= (p1 << s) & take;
+    driven |= take;
+  }
+  const auto c = static_cast<std::uint64_t>(kept);
+  return {p0 | ((c & 1u) != 0 ? ~driven : 0),
+          p1 | ((c >> 1) != 0 ? ~driven : 0)};
+}
+
 /// eval_cell over every lane of a word. `ip0`/`ip1` hold one plane word per
 /// gate input. `kept` is the gate's output value after the previous word's
-/// last lane: the bus-keeper state a disabled Tbuf holds, chained lane by
-/// lane through lanes [0, lanes). A Tbuf inverts the lanes in `tbuf_flip`
-/// (logic_not, a transient strike) inside that chain, so a later disabled
-/// lane keeps the inverted value; other kinds ignore it. Lanes at or above
-/// `lanes` are unspecified — callers mask them with `lane_mask`.
+/// last lane: the bus-keeper state a disabled Tbuf holds until a lane
+/// drives it. A Tbuf inverts the lanes in `tbuf_flip` (logic_not, a
+/// transient strike) before the keeper carries them on, so a later
+/// disabled lane keeps the inverted value; other kinds ignore it. A Tbuf's
+/// lanes outside `lane_mask` are 0 in both planes; other kinds leave them
+/// unspecified, and callers mask them.
 inline WordPlanes eval_word(CellKind kind, const std::uint64_t* ip0,
-                            const std::uint64_t* ip1, Logic kept, int lanes,
+                            const std::uint64_t* ip1, Logic kept,
                             std::uint64_t lane_mask,
                             std::uint64_t tbuf_flip = 0) {
   std::uint64_t o0 = 0, o1 = 0;
@@ -144,25 +164,24 @@ inline WordPlanes eval_word(CellKind kind, const std::uint64_t* ip0,
       break;
     }
     case CellKind::kTbuf: {
-      // Keeper chain is inherently serial across lanes; tri-state counts
-      // are small, so a 64-step scalar loop is fine.
-      Logic cur = kept;
-      for (int l = 0; l < lanes; ++l) {
-        const Logic dcode = lane_logic(ip0[0], ip1[0], l);
-        const Logic en = lane_logic(ip0[1], ip1[1], l);
-        Logic v;
-        if (en == Logic::kOne) {
-          v = is_known(dcode) ? dcode : Logic::kX;
-        } else if (en == Logic::kZero) {
-          v = cur;  // bus keeper (Z stays Z until driven)
-        } else {
-          v = Logic::kX;
-        }
-        if (((tbuf_flip >> l) & 1u) != 0) v = logic_not(v);
-        o0 |= (static_cast<std::uint64_t>(v) & 1u) << l;
-        o1 |= ((static_cast<std::uint64_t>(v) >> 1) & 1u) << l;
-        cur = v;
+      // An enable of 1 drives d (X when d is unknown); an unknown enable
+      // drives X; an enable of 0 keeps the value below. A strike pins its
+      // lane to the inverse of what the keeper left there, then the lanes
+      // above it refill from the pinned value, lowest strike first.
+      const std::uint64_t en_one = ip0[1] & ~ip1[1];
+      std::uint64_t driven = ip0[1] | ip1[1];
+      std::uint64_t d0 = en_one & ip0[0] & ~ip1[0];
+      std::uint64_t d1 = driven & ~(en_one & ~ip1[0]);
+      WordPlanes w = keeper_fill(driven, d0, d1, kept);
+      for (std::uint64_t f = tbuf_flip & lane_mask; f != 0; f &= f - 1) {
+        const std::uint64_t lane = f & -f;
+        d0 = (d0 & ~lane) | (~w.p0 & ~w.p1 & lane);  // logic_not: Z -> X
+        d1 = (d1 & ~lane) | (w.p1 & lane);
+        driven |= lane;
+        w = keeper_fill(driven, d0, d1, kept);
       }
+      o0 = w.p0 & lane_mask;
+      o1 = w.p1 & lane_mask;
       break;
     }
     case CellKind::kTie0:

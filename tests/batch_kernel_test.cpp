@@ -174,10 +174,8 @@ TEST(BatchKernelTest, SkipsWordIdleGates) {
     std::fill(words.begin(), words.end(), 0);
     for (int l = 0; l < kBatchLanes; ++l) {
       // Sparse multiplicand: most bypass selects stay 0 across the word.
-      batch.load_bus_lane(words, rng.next_bits(4), m.width, m.a_first_input,
-                          l);
-      batch.load_bus_lane(words, rng.next_bits(16), m.width, m.b_first_input,
-                          l);
+      load_bus_lane(words, rng.next_bits(4), m.width, m.a_first_input, l);
+      load_bus_lane(words, rng.next_bits(16), m.width, m.b_first_input, l);
     }
     batch.step_word(words);
   }
@@ -397,15 +395,13 @@ TEST(BatchKernelTest, LiveRangeSlotsFollowLiveNetsNotTheNetlist) {
 
 TEST(BatchKernelTest, LoadBusLaneRejectsLaneOutsideTheWord) {
   const MultiplierNetlist m = build_array_multiplier(4);
-  const BatchTimingSim sim(m.netlist, test_tech());
   std::vector<std::uint64_t> words(m.netlist.num_inputs(), 0);
-  EXPECT_THROW(sim.load_bus_lane(words, 5, m.width, m.a_first_input, -1),
+  EXPECT_THROW(load_bus_lane(words, 5, m.width, m.a_first_input, -1),
                std::invalid_argument);
-  EXPECT_THROW(
-      sim.load_bus_lane(words, 5, m.width, m.a_first_input, kBatchLanes),
-      std::invalid_argument);
+  EXPECT_THROW(load_bus_lane(words, 5, m.width, m.a_first_input, kBatchLanes),
+               std::invalid_argument);
   EXPECT_EQ(words, std::vector<std::uint64_t>(words.size(), 0));
-  sim.load_bus_lane(words, 5, m.width, m.a_first_input, kBatchLanes - 1);
+  load_bus_lane(words, 5, m.width, m.a_first_input, kBatchLanes - 1);
   EXPECT_EQ(words[static_cast<std::size_t>(m.a_first_input)],
             std::uint64_t{1} << (kBatchLanes - 1));
 }
@@ -414,10 +410,9 @@ TEST(BatchKernelTest, LoadBusLaneRejectsNegativeFirstInput) {
   // first_input + width stays within the inputs, so only the sign of
   // first_input shows the bus starts before input 0.
   const MultiplierNetlist m = build_array_multiplier(4);
-  const BatchTimingSim sim(m.netlist, test_tech());
   std::vector<std::uint64_t> words(m.netlist.num_inputs(), 0);
-  EXPECT_THROW(sim.load_bus_lane(words, 3, 2, -1, 0), std::invalid_argument);
-  EXPECT_THROW(sim.load_bus_lane(words, 3, m.width, -m.width, 0),
+  EXPECT_THROW(load_bus_lane(words, 3, 2, -1, 0), std::invalid_argument);
+  EXPECT_THROW(load_bus_lane(words, 3, m.width, -m.width, 0),
                std::invalid_argument);
   EXPECT_EQ(words, std::vector<std::uint64_t>(words.size(), 0));
 }
@@ -442,9 +437,9 @@ TEST(BatchKernelTest, OverlayAndAgingSwapsMidRunStayIdentical) {
       for (int l = 0; l < kBatchLanes; ++l) {
         a_ops[static_cast<std::size_t>(l)] = rng.next_bits(m.width);
         b_ops[static_cast<std::size_t>(l)] = rng.next_bits(m.width);
-        batch.load_bus_lane(words, a_ops[static_cast<std::size_t>(l)],
+        load_bus_lane(words, a_ops[static_cast<std::size_t>(l)],
                             m.width, m.a_first_input, l);
-        batch.load_bus_lane(words, b_ops[static_cast<std::size_t>(l)],
+        load_bus_lane(words, b_ops[static_cast<std::size_t>(l)],
                             m.width, m.b_first_input, l);
       }
       const std::span<const StepResult> res = batch.step_word(words);

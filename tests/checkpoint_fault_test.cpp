@@ -18,6 +18,7 @@
 
 #include "src/runtime/checkpoint.hpp"
 #include "src/runtime/run_error.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace agingsim::runtime {
 namespace {
@@ -66,9 +67,9 @@ int faulty_sync(int fd) {
 class CheckpointFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           (std::string("agingsim_ckpt_fault_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = temp_path(
+        std::string("ckpt_fault_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     g_bytes_until_failure = -1;
     g_failure_errno = ENOSPC;

@@ -13,6 +13,7 @@
 
 #include "src/runtime/run_error.hpp"
 #include "src/runtime/serial.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace agingsim::runtime {
 namespace {
@@ -77,13 +78,9 @@ constexpr std::size_t kHeaderBytes = 40;  // a record's header, before the paylo
 class CheckpointStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("agingsim_ckpt_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()
-                               ->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+    dir_ = temp_path(
+        std::string("ckpt_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

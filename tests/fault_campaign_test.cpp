@@ -18,6 +18,7 @@
 #include "src/sim/corner_sim.hpp"
 #include "src/workload/patterns.hpp"
 #include "tests/killed_store.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace agingsim {
 namespace {
@@ -299,8 +300,7 @@ TEST_P(TrialLaneTest, LanesMatchTheReferenceKernelsExactly) {
   const double dvth = scenario.mean_dvth_at(7.0);
   // Four 40-op indicator windows, so a storm can engage and recover.
   const std::span<const OperandPattern> ops(patterns_->data(), 160);
-  const fs::path dir = fs::temp_directory_path() /
-                       ("agingsim_trial_lanes_" + std::to_string(trials));
+  const fs::path dir = temp_path("trial_lanes_" + std::to_string(trials));
 
   std::uint64_t uncovered = 0, escaped = 0, storms = 0;
   for (const LaneCase c : {LaneCase{false, 1, 8.0, false},
@@ -381,9 +381,8 @@ class TrialLaneResumeTest : public FaultCampaignTest {
   }
   // One directory per test: ctest runs the tests concurrently.
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           (std::string("agingsim_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = temp_path(
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

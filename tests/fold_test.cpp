@@ -14,6 +14,7 @@
 
 #include "src/runtime/checkpoint.hpp"
 #include "src/runtime/serial.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace agingsim::runtime {
 namespace {
@@ -98,7 +99,7 @@ TEST(FoldTest, ProgressIsTypedAndInUnitOrder) {
 }
 
 TEST(FoldTest, RestoredUnitsFoldLikeComputedOnes) {
-  const fs::path dir = fs::temp_directory_path() / "agingsim_fold_test";
+  const fs::path dir = temp_path("fold_test");
   fs::remove_all(dir);
   {
     CheckpointStore store(dir, 0xF01D);

@@ -43,6 +43,7 @@
 #include "src/sim/sta.hpp"
 #include "src/sim/timing_sim.hpp"
 #include "src/workload/rng.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace agingsim {
 namespace {
@@ -742,8 +743,7 @@ TEST(FuzzTest, PersistedDecodersDecodeOrThrowCorrupt) {
 
 TEST(FuzzTest, DamagedCheckpointFilesAreDiscarded) {
   namespace fs = std::filesystem;
-  const fs::path root =
-      fs::temp_directory_path() / "agingsim_fuzz_checkpoint_files";
+  const fs::path root = temp_path("fuzz_checkpoint_files");
   fs::remove_all(root);
   constexpr std::uint64_t kDigest = 0xF022C4EC;
   constexpr std::size_t kHeaderBytes = 40;

@@ -24,6 +24,7 @@
 #include "src/runtime/robust_runner.hpp"
 #include "src/runtime/run_error.hpp"
 #include "tests/killed_store.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace agingsim::mc {
 namespace {
@@ -98,8 +99,7 @@ TEST(McCampaignTest, RobustRunnerMatchesPlainPath) {
 }
 
 TEST(McCampaignTest, KillAndResumeIsByteIdentical) {
-  const fs::path dir =
-      fs::temp_directory_path() / "agingsim_mc_resume_test";
+  const fs::path dir = temp_path("mc_resume_test");
   fs::remove_all(dir);
   const McCampaign campaign(bench::tech(), small_config());
   const std::uint64_t digest = campaign.config_digest();

@@ -31,6 +31,7 @@
 #include "src/serve/chaos.hpp"
 #include "src/serve/server.hpp"
 #include "src/serve/service.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace agingsim {
 namespace {
@@ -235,8 +236,7 @@ void touch_every_subsystem(const fs::path& dir) {
 }
 
 TEST(MetricsDocTest, EveryRegisteredMetricIsInObservabilityTable) {
-  const fs::path dir = fs::temp_directory_path() /
-                       ("agingsim_metrics_doc_" + std::to_string(::getpid()));
+  const fs::path dir = temp_path("metrics_doc");
   fs::remove_all(dir);
   fs::create_directories(dir);
   // Some sites register their handles only while recording is on.

@@ -18,6 +18,7 @@
 #include "src/runtime/checkpoint.hpp"
 #include "src/runtime/robust_runner.hpp"
 #include "tests/killed_store.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace agingsim {
 namespace {
@@ -156,8 +157,7 @@ TEST(ParallelDeterminismTest, BatchKernelCampaignIsIdenticalAcrossThreads) {
 // thread count, since neither is part of the config digest.
 TEST(ParallelDeterminismTest, BatchCampaignResumesIdenticallyAfterKill) {
   namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "agingsim_batch_resume_test";
+  const fs::path dir = temp_path("batch_resume_test");
   fs::remove_all(dir);
 
   const MultiplierNetlist m = build_column_bypass_multiplier(16);

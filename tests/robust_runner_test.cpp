@@ -19,6 +19,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/runtime/serial.hpp"
 #include "src/runtime/stats_codec.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace agingsim::runtime {
 namespace {
@@ -31,20 +32,6 @@ RunnerConfig fast_config() {
   config.backoff_base = milliseconds(1);
   return config;
 }
-
-class TempDir {
- public:
-  explicit TempDir(const char* tag)
-      : path_(fs::temp_directory_path() /
-              (std::string("agingsim_runner_test_") + tag)) {
-    fs::remove_all(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
 
 TEST(RobustRunnerTest, PayloadsComeBackInUnitOrder) {
   RobustRunner runner(fast_config());
@@ -207,7 +194,7 @@ TEST(RobustRunnerTest, InvalidConfigIsRejected) {
 }
 
 TEST(RobustRunnerTest, ResumeRestoresEveryUnitWithoutRecomputing) {
-  TempDir dir("full_resume");
+  TempDir dir("runner_full_resume");
   const auto task = [](std::uint64_t unit, const CancelToken&) {
     return "unit " + std::to_string(unit) + " data";
   };
@@ -239,7 +226,7 @@ TEST(RobustRunnerTest, ResumeRestoresEveryUnitWithoutRecomputing) {
 }
 
 TEST(RobustRunnerTest, PartialResumeComputesOnlyMissingUnits) {
-  TempDir dir("partial_resume");
+  TempDir dir("runner_partial_resume");
   CheckpointStore store(dir.path(), 1);
   store.persist(1, "restored-1");
   store.persist(3, "restored-3");
@@ -335,7 +322,7 @@ TEST_F(RuntimeIntegrationTest, CampaignRunnerPathMatchesPlainPath) {
 }
 
 TEST_F(RuntimeIntegrationTest, CampaignResumeReproducesStatsExactly) {
-  TempDir dir("campaign_resume");
+  TempDir dir("runner_campaign_resume");
   const FaultCampaign campaign(mult_, bench::tech(), system_,
                                campaign_config_);
   const std::uint64_t digest = campaign.config_digest(pats_);
@@ -648,7 +635,7 @@ TEST(RobustRunnerTest, PreCancelledStopTokenSkipsEveryUnit) {
 }
 
 TEST(RobustRunnerTest, MidRunStopSkipsTheRemainderAndKeepsCompletedWork) {
-  TempDir dir("midrun_stop");
+  TempDir dir("runner_midrun_stop");
   std::optional<CheckpointStore> store(std::in_place, dir.path(), 0x51u);
   store->load();
   RunnerConfig config = fast_config();
@@ -748,7 +735,7 @@ TEST(RobustRunnerTest, ProgressFiresInStrictUnitOrderWithPayloads) {
 }
 
 TEST(RobustRunnerTest, ProgressReplaysRestoredUnitsOnResume) {
-  TempDir dir("progress_resume");
+  TempDir dir("runner_progress_resume");
   CheckpointStore store(dir.path(), 0xABu);
   store.persist(0, "restored-0");
   store.persist(1, "restored-1");

@@ -25,6 +25,7 @@
 #include "src/serve/json.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/serve/server.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace agingsim::serve {
 namespace {
@@ -53,21 +54,6 @@ class EnvVar {
 
  private:
   const char* name_;
-};
-
-class TempDir {
- public:
-  explicit TempDir(const char* tag)
-      : path_(fs::temp_directory_path() /
-              (std::string("agingsim_chaos_test_") + tag)) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
 };
 
 int connect_unix(const std::string& path) {
@@ -182,7 +168,7 @@ TEST(ServeChaos, LossFreeChaosRoundTripsThroughTheServer) {
   cfg.byte_reads = true;
   const ChaosGuard guard(cfg);
 
-  TempDir dir("lossfree");
+  TempDir dir("chaos_lossfree");
   Server server(chaos_server_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -235,7 +221,7 @@ TEST(ServeChaos, DropWriteAbortsTheFrameMidWrite) {
 }
 
 TEST(ServeChaos, ServerDisconnectCutsOneFrameAndClosesOnlyItsConnection) {
-  TempDir dir("cut");
+  TempDir dir("chaos_cut");
   Server server(chaos_server_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -278,7 +264,7 @@ TEST(ServeChaos, ServerDisconnectCutsOneFrameAndClosesOnlyItsConnection) {
 // --- server defences against hostile sockets -------------------------------
 
 TEST(ServeChaos, SlowLorisMidFrameStallIsClosedAtTheReadDeadline) {
-  TempDir dir("loris");
+  TempDir dir("chaos_loris");
   ServerConfig config = chaos_server_config(dir);
   config.read_deadline_ms = 150;
   Server server(config);
@@ -313,7 +299,7 @@ TEST(ServeChaos, SlowLorisMidFrameStallIsClosedAtTheReadDeadline) {
 }
 
 TEST(ServeChaos, IdleConnectionsAreClosedWhenTimeoutConfigured) {
-  TempDir dir("idle");
+  TempDir dir("chaos_idle");
   ServerConfig config = chaos_server_config(dir);
   config.idle_timeout_ms = 100;
   config.read_deadline_ms = 0;  // isolate the idle path
@@ -338,7 +324,7 @@ TEST(ServeChaos, IdleConnectionsAreClosedWhenTimeoutConfigured) {
 }
 
 TEST(ServeChaos, IdleTimeoutCountsFromTheLastReply) {
-  TempDir dir("idlereply");
+  TempDir dir("chaos_idlereply");
   ServerConfig config = chaos_server_config(dir);
   config.idle_timeout_ms = 100;
   config.read_deadline_ms = 0;  // isolate the idle path
@@ -366,7 +352,7 @@ TEST(ServeChaos, IdleTimeoutCountsFromTheLastReply) {
 }
 
 TEST(ServeChaos, InFlightCapRejectsPipeliningPastTheLimit) {
-  TempDir dir("inflight");
+  TempDir dir("chaos_inflight");
   ServerConfig config = chaos_server_config(dir);
   config.max_inflight_per_conn = 1;
   Server server(config);
@@ -427,7 +413,7 @@ TEST(ServeChaos, InFlightCapRejectsPipeliningPastTheLimit) {
 }
 
 TEST(ServeChaos, PoisonedStreamClosesOnlyThatConnection) {
-  TempDir dir("poison");
+  TempDir dir("chaos_poison");
   Server server(chaos_server_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;

@@ -32,6 +32,7 @@
 
 #include "src/serve/json.hpp"
 #include "src/serve/protocol.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace agingsim::serve {
 namespace {
@@ -39,21 +40,6 @@ namespace {
 namespace fs = std::filesystem;
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
-
-class TempDir {
- public:
-  explicit TempDir(const char* tag)
-      : path_(fs::temp_directory_path() /
-              (std::string("agingsim_serve_test_") + tag)) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
 
 bool connect_to(int fd, const std::string& socket_path) {
   sockaddr_un addr{};
@@ -259,7 +245,7 @@ class ServeServerTest : public ::testing::Test {
 };
 
 TEST_F(ServeServerTest, ControlPlaneAnswersInline) {
-  TempDir dir("control");
+  TempDir dir("serve_control");
   Server server(base_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -289,7 +275,7 @@ TEST_F(ServeServerTest, ControlPlaneAnswersInline) {
 }
 
 TEST_F(ServeServerTest, WorkRoundTripAndBadRequestKeepsConnectionAlive) {
-  TempDir dir("work");
+  TempDir dir("serve_work");
   Server server(base_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -318,7 +304,7 @@ TEST_F(ServeServerTest, WorkRoundTripAndBadRequestKeepsConnectionAlive) {
 }
 
 TEST_F(ServeServerTest, QueryCacheMissThenHit) {
-  TempDir dir("query");
+  TempDir dir("serve_query");
   Server server(base_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -354,7 +340,7 @@ std::string without_cache_hit(std::string reply) {
 }
 
 TEST_F(ServeServerTest, ConcurrentQueriesGetIdenticalRepliesPerKey) {
-  TempDir dir("concurrent");
+  TempDir dir("serve_concurrent");
   ServerConfig config = base_config(dir);
   config.workers = 4;
   config.admission.capacity = 64;
@@ -408,7 +394,7 @@ TEST_F(ServeServerTest, ConcurrentQueriesGetIdenticalRepliesPerKey) {
 }
 
 TEST_F(ServeServerTest, EarlyDisconnectDoesNotCorruptOtherConnections) {
-  TempDir dir("discon");
+  TempDir dir("serve_discon");
   Server server(base_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -449,7 +435,7 @@ TEST_F(ServeServerTest, EarlyDisconnectDoesNotCorruptOtherConnections) {
 }
 
 TEST_F(ServeServerTest, FailedStartLeaksNoFileDescriptors) {
-  TempDir dir("startfail");
+  TempDir dir("serve_startfail");
   ServerConfig config = base_config(dir);
   // bind() fails: the parent directory does not exist.
   config.socket_path = (dir.path() / "missing" / "agingd.sock").string();
@@ -471,7 +457,7 @@ TEST_F(ServeServerTest, FailedStartLeaksNoFileDescriptors) {
 }
 
 TEST_F(ServeServerTest, OverloadRejectsWithRetryAfterWhileHealthAnswers) {
-  TempDir dir("overload");
+  TempDir dir("serve_overload");
   ServerConfig config = base_config(dir);
   config.admission.capacity = 2;
   Server server(config);
@@ -517,7 +503,7 @@ TEST_F(ServeServerTest, OverloadRejectsWithRetryAfterWhileHealthAnswers) {
 }
 
 TEST_F(ServeServerTest, Tier1ShedsCacheRefillQueries) {
-  TempDir dir("tier1");
+  TempDir dir("serve_tier1");
   ServerConfig config = base_config(dir);
   config.admission.capacity = 4;  // tier 1 at depth >= 2
   Server server(config);
@@ -552,7 +538,7 @@ TEST_F(ServeServerTest, Tier1ShedsCacheRefillQueries) {
 }
 
 TEST_F(ServeServerTest, DeadlineCancelsSlowWorkAsTimeout) {
-  TempDir dir("deadline");
+  TempDir dir("serve_deadline");
   Server server(base_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -574,7 +560,7 @@ TEST_F(ServeServerTest, DeadlineCancelsSlowWorkAsTimeout) {
 }
 
 TEST_F(ServeServerTest, DrainRejectsNewWorkThenJoinsCleanly) {
-  TempDir dir("drain");
+  TempDir dir("serve_drain");
   Server server(base_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -605,7 +591,7 @@ TEST_F(ServeServerTest, DrainRejectsNewWorkThenJoinsCleanly) {
 }
 
 TEST_F(ServeServerTest, ShutdownMethodDrainsTheServer) {
-  TempDir dir("shutdown");
+  TempDir dir("serve_shutdown");
   Server server(base_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -619,7 +605,7 @@ TEST_F(ServeServerTest, ShutdownMethodDrainsTheServer) {
 }
 
 TEST_F(ServeServerTest, CampaignResponsesAreDeterministicAcrossCalls) {
-  TempDir dir("campaign");
+  TempDir dir("serve_campaign");
   Server server(base_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -654,7 +640,7 @@ TEST_F(ServeServerTest, CampaignResponsesAreDeterministicAcrossCalls) {
 }
 
 TEST_F(ServeServerTest, NeverReadingClientPinsNoWorker) {
-  TempDir dir("hog");
+  TempDir dir("serve_hog");
   Server server(base_config(dir));  // one worker
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -684,7 +670,7 @@ TEST_F(ServeServerTest, NeverReadingClientPinsNoWorker) {
 }
 
 TEST_F(ServeServerTest, DrainFinishesDespiteANeverReadingClient) {
-  TempDir dir("hogdrain");
+  TempDir dir("serve_hogdrain");
   Server server(base_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -707,7 +693,7 @@ TEST_F(ServeServerTest, DrainFinishesDespiteANeverReadingClient) {
 }
 
 TEST_F(ServeServerTest, ThreadCountDoesNotGrowWithConnections) {
-  TempDir dir("threads");
+  TempDir dir("serve_threads");
   Server server(base_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -729,7 +715,7 @@ TEST_F(ServeServerTest, ThreadCountDoesNotGrowWithConnections) {
 }
 
 TEST_F(ServeServerTest, PipelinedRepliesPastTheUnsentBoundAllArrive) {
-  TempDir dir("burst");
+  TempDir dir("serve_burst");
   ServerConfig config = base_config(dir);
   config.read_deadline_ms = 0;  // no deadline wake-up to hide a stall
   Server server(config);
@@ -754,7 +740,7 @@ TEST_F(ServeServerTest, PipelinedRepliesPastTheUnsentBoundAllArrive) {
 }
 
 TEST_F(ServeServerTest, IdleTimeoutWaitsForUnsentOutput) {
-  TempDir dir("idleunsent");
+  TempDir dir("serve_idleunsent");
   ServerConfig config = base_config(dir);
   config.idle_timeout_ms = 200;
   config.read_deadline_ms = 0;  // isolate the idle path
@@ -783,7 +769,7 @@ TEST_F(ServeServerTest, IdleTimeoutWaitsForUnsentOutput) {
 }
 
 TEST_F(ServeServerTest, AcceptBacksOffWhileOutOfDescriptors) {
-  TempDir dir("emfile");
+  TempDir dir("serve_emfile");
   Server server(base_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;

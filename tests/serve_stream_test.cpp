@@ -20,26 +20,12 @@
 #include "src/serve/json.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/serve/server.hpp"
+#include "tests/temp_dir.hpp"
 
 namespace agingsim::serve {
 namespace {
 
 namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  explicit TempDir(const char* tag)
-      : path_(fs::temp_directory_path() /
-              (std::string("agingsim_stream_test_") + tag)) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
 
 class Client {
  public:
@@ -119,7 +105,7 @@ std::string campaign_request(std::uint64_t id, const std::string& extra) {
 }
 
 TEST(ServeStream, FramesAscendTheFrontierAndFinalCarriesCursor) {
-  TempDir dir("frames");
+  TempDir dir("stream_frames");
   Server server(stream_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -163,7 +149,7 @@ TEST(ServeStream, FramesAscendTheFrontierAndFinalCarriesCursor) {
 }
 
 TEST(ServeStream, StreamEveryThinsFramesButNeverTheLast) {
-  TempDir dir("every");
+  TempDir dir("stream_every");
   Server server(stream_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -182,7 +168,7 @@ TEST(ServeStream, StreamEveryThinsFramesButNeverTheLast) {
 }
 
 TEST(ServeStream, ResumeCursorStreamsOnlyTheTailByteIdentically) {
-  TempDir dir("resume");
+  TempDir dir("stream_resume");
   Server server(stream_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -234,7 +220,7 @@ TEST(ServeStream, ResumeCursorStreamsOnlyTheTailByteIdentically) {
 }
 
 TEST(ServeStream, CursorValidationRejectsBadInput) {
-  TempDir dir("badcursor");
+  TempDir dir("stream_badcursor");
   Server server(stream_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -265,7 +251,7 @@ TEST(ServeStream, CursorValidationRejectsBadInput) {
 }
 
 TEST(ServeStream, UnstreamedCampaignStillReturnsACursor) {
-  TempDir dir("nostream");
+  TempDir dir("stream_nostream");
   Server server(stream_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -285,7 +271,7 @@ TEST(ServeStream, UnstreamedCampaignStillReturnsACursor) {
 // --- per-client fairness over the wire -------------------------------------
 
 TEST(ServeStream, ClientIdentityShowsUpInStatus) {
-  TempDir dir("clients");
+  TempDir dir("stream_clients");
   Server server(stream_config(dir));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -326,7 +312,7 @@ TEST(ServeStream, ClientIdentityShowsUpInStatus) {
 }
 
 TEST(ServeStream, QuotaRejectsFloodWithRetryHint) {
-  TempDir dir("quota");
+  TempDir dir("stream_quota");
   ServerConfig config = stream_config(dir);
   config.admission.fairness.quota_rate_per_s = 0.001;  // no practical refill
   config.admission.fairness.quota_burst = 2.0;

@@ -130,6 +130,59 @@ TEST(VariationTest, StochasticAgingPreservesFreshGates) {
   }
 }
 
+TEST(VariationTest, StochasticAgingFreshTableIsReturnedUnchanged) {
+  // An all-fresh table (a year-0 die) comes back as it is at any sigma.
+  const std::vector<double> fresh(300, 1.0);
+  for (const double sigma : {0.0, 0.05, 0.25, 1.0, 3.0}) {
+    for (const std::uint64_t seed : {1u, 9u, 0xFEEDu}) {
+      EXPECT_EQ(stochastic_aging_scales(fresh, sigma, seed), fresh)
+          << "sigma " << sigma << " seed " << seed;
+    }
+  }
+  EXPECT_TRUE(stochastic_aging_scales({}, 0.25, 9).empty());
+}
+
+TEST(VariationTest, StochasticAgingFreshGatesStayOneWhereExpOverflows) {
+  // At sigma 1000, exp(sigma * z) overflows for most draws; a fresh gate
+  // is 1.0 whether its table is all fresh or holds aged gates.
+  const double sigma = 1000.0;
+  std::vector<double> mixed(64, 1.0);
+  for (std::size_t g = 0; g < mixed.size(); g += 4) mixed[g] = 1.05;
+  const auto jittered = stochastic_aging_scales(mixed, sigma, 7);
+  ASSERT_EQ(jittered.size(), mixed.size());
+  bool overflowed = false;
+  for (std::size_t g = 0; g < mixed.size(); ++g) {
+    if (mixed[g] == 1.0) {
+      EXPECT_EQ(jittered[g], 1.0) << "gate " << g;
+    } else {
+      overflowed = overflowed || std::isinf(jittered[g]);
+    }
+  }
+  EXPECT_TRUE(overflowed) << "premise: some aged gate's jitter overflows";
+  const std::vector<double> fresh(64, 1.0);
+  EXPECT_EQ(stochastic_aging_scales(fresh, sigma, 7), fresh);
+}
+
+TEST(VariationTest, StochasticAgingOneAgedGateKeepsItsDraw) {
+  // A table with one aged gate among fresh ones jitters that gate exactly
+  // as an all-aged table does: fresh gates still consume their draws, so
+  // each gate's draw index is its gate id.
+  std::vector<double> aged(48);
+  for (std::size_t g = 0; g < aged.size(); ++g) {
+    aged[g] = 1.0 + 0.003 * static_cast<double>(g + 1);
+  }
+  const auto all = stochastic_aging_scales(aged, 0.3, 41);
+  for (const std::size_t g : {0u, 1u, 17u, 47u}) {
+    std::vector<double> one(aged.size(), 1.0);
+    one[g] = aged[g];
+    const auto jittered = stochastic_aging_scales(one, 0.3, 41);
+    for (std::size_t k = 0; k < one.size(); ++k) {
+      EXPECT_EQ(jittered[k], k == g ? all[g] : 1.0) << "aged " << g
+                                                    << " gate " << k;
+    }
+  }
+}
+
 TEST(VariationTest, StochasticAgingSeedIsAPerDieTrait) {
   // One seed = one die: doubling every gate's degradation doubles the
   // jittered degradation exactly, so a fast-aging die at year 1 is the
