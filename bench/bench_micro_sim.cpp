@@ -179,7 +179,9 @@ static int bench_body() {
   // Two operand streams per architecture: i.i.d. uniform (worst case for
   // sparsity — nearly every gate glitches) and a FIR-tap stream (fixed
   // coefficient x band-limited signal — the bypassing architectures' actual
-  // use case, where most of the array freezes).
+  // use case, where most of the array freezes). Each row is the best of 3
+  // rounds, and each round times the three kernels in turn, so drift within
+  // a row hits all three alike. Every round's product checksum must agree.
   json.key("kernel").begin_array();
   for (const auto arch : {MultiplierArch::kArray, MultiplierArch::kColumnBypass,
                           MultiplierArch::kRowBypass}) {
@@ -191,11 +193,24 @@ static int bench_body() {
     } streams[] = {{"uniform", uniform_patterns(uniform_rng, 16, ops)},
                    {"fir_tap", fir_tap_patterns(tap_rng, 16, ops)}};
     for (const auto& stream : streams) {
-      const KernelNumbers dense =
-          run_kernel(m, TimingSim::Mode::kDense, stream.patterns);
-      const KernelNumbers sparse =
-          run_kernel(m, TimingSim::Mode::kSparse, stream.patterns);
-      const KernelNumbers batch = run_batch(m, stream.patterns);
+      KernelNumbers best[3];  // dense, sparse, batch
+      bool identical = true;
+      for (int round = 0; round < 3; ++round) {
+        const KernelNumbers got[3] = {
+            run_kernel(m, TimingSim::Mode::kDense, stream.patterns),
+            run_kernel(m, TimingSim::Mode::kSparse, stream.patterns),
+            run_batch(m, stream.patterns)};
+        for (std::size_t k = 0; k < 3; ++k) {
+          identical = identical && got[k].checksum == got[0].checksum &&
+                      (round == 0 || got[k].checksum == best[k].checksum);
+          if (round == 0 || got[k].steps_per_sec > best[k].steps_per_sec) {
+            best[k] = got[k];
+          }
+        }
+      }
+      const KernelNumbers& dense = best[0];
+      const KernelNumbers& sparse = best[1];
+      const KernelNumbers& batch = best[2];
       json.begin_object();
       json.key("multiplier").value(std::string(arch_name(arch)) + "16");
       json.key("workload").value(stream.label);
@@ -216,9 +231,7 @@ static int bench_body() {
           .value(sparse.evaluated_fraction);
       json.key("batch_evaluated_word_fraction")
           .value(batch.evaluated_fraction);
-      json.key("products_identical")
-          .value(dense.checksum == sparse.checksum &&
-                 sparse.checksum == batch.checksum);
+      json.key("products_identical").value(identical);
       json.end_object();
     }
   }

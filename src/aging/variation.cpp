@@ -39,7 +39,7 @@ class GaussianSampler {
 };
 
 void check_sigma(const char* who, double sigma) {
-  if (sigma < 0.0) {
+  if (!(sigma >= 0.0)) {
     throw std::invalid_argument(std::string(who) + ": sigma must be >= 0");
   }
 }

@@ -47,6 +47,12 @@ struct VariationModel {
   double sigma_die = 0.03;     ///< die-to-die mean-shift sigma
 };
 
+/// Largest lognormal sigma the tools accept. A 53-bit uniform keeps every
+/// normal draw within |z| ~ 8.6, so three sigma terms of at most 10 keep
+/// exp()'s argument below ~260, far from its overflow at ~709.8; the
+/// library itself takes any finite sigma >= 0.
+inline constexpr double kMaxSigma = 10.0;
+
 /// Samples one die's correlated overlay. `die_z` overrides the die-level
 /// normal draw (the Monte-Carlo engine's stratified-sampling hook); the
 /// draw is consumed from the stream either way, so stratified and plain

@@ -49,28 +49,19 @@ void LintReport::write_json(JsonWriter& writer) const {
   writer.end_object();
 }
 
-LintEngine::LintEngine() {
-  register_structural_rules(registry_);
-  register_timing_rules(registry_);
-  register_consistency_rules(registry_);
-}
-
-LintEngine::LintEngine(RuleRegistry registry)
-    : registry_(std::move(registry)) {}
-
-LintReport LintEngine::run(const LintContext& ctx) const {
+LintReport run(const LintContext& ctx, std::span<const Rule> rules) {
   if (ctx.netlist == nullptr) {
-    throw std::invalid_argument("LintEngine::run: context has no netlist");
+    throw std::invalid_argument("lint::run: context has no netlist");
   }
   LintReport report;
   std::uint64_t index = 0;
-  for (const auto& rule : registry_.rules()) {
+  for (const Rule& rule : rules) {
     obs::TraceSpan span("lint.rule", index++);
     try {
-      rule->run(ctx, report.diagnostics);
+      rule.run(ctx, rule.id, report.diagnostics);
     } catch (const std::exception& e) {
       report.diagnostics.push_back(
-          Diagnostic{Severity::kError, std::string(rule->id()),
+          Diagnostic{Severity::kError, std::string(rule.id),
                      std::string("rule aborted with exception: ") + e.what(),
                      kNoGate, kInvalidNet});
     }

@@ -12,7 +12,7 @@ class JsonWriter;
 
 namespace agingsim::lint {
 
-/// Result of one LintEngine::run: every diagnostic from every rule, sorted
+/// Result of one lint::run: every diagnostic from every rule, sorted
 /// most severe first (stable within a severity, i.e. in rule order).
 struct LintReport {
   std::vector<Diagnostic> diagnostics;
@@ -35,24 +35,13 @@ struct LintReport {
   void write_json(JsonWriter& writer) const;
 };
 
-/// Runs a rule registry over a lint context. A rule that throws does not
-/// abort the run: the exception is converted into an error diagnostic under
-/// the rule's own id (so a crash in analysis code is itself a finding, and
-/// the fuzz suite's "never crashes" guarantee holds engine-wide).
-class LintEngine {
- public:
-  /// All built-in rule families (structural, timing, consistency).
-  LintEngine();
-  /// A custom rule set.
-  explicit LintEngine(RuleRegistry registry);
-
-  const RuleRegistry& registry() const noexcept { return registry_; }
-
-  /// Throws std::invalid_argument when `ctx.netlist` is null.
-  LintReport run(const LintContext& ctx) const;
-
- private:
-  RuleRegistry registry_;
-};
+/// Runs `rules` over a lint context, one `lint.rule` span per rule. A rule
+/// that throws does not abort the run: the exception is converted into an
+/// error diagnostic under the rule's own id (so a crash in analysis code is
+/// itself a finding, and the fuzz suite's "never crashes" guarantee holds
+/// for the whole run). Throws std::invalid_argument when `ctx.netlist` is
+/// null.
+LintReport run(const LintContext& ctx,
+               std::span<const Rule> rules = all_rules());
 
 }  // namespace agingsim::lint

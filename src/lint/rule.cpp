@@ -1,8 +1,5 @@
 #include "src/lint/rule.hpp"
 
-#include <stdexcept>
-#include <string>
-
 namespace agingsim::lint {
 
 std::string_view category_name(RuleCategory category) noexcept {
@@ -14,20 +11,21 @@ std::string_view category_name(RuleCategory category) noexcept {
   return "?";
 }
 
-void RuleRegistry::add(std::unique_ptr<Rule> rule) {
-  if (rule == nullptr) {
-    throw std::invalid_argument("RuleRegistry::add: null rule");
-  }
-  if (find(rule->id()) != nullptr) {
-    throw std::invalid_argument("RuleRegistry::add: duplicate rule id " +
-                                std::string(rule->id()));
-  }
-  rules_.push_back(std::move(rule));
+std::span<const Rule> all_rules() {
+  static const std::vector<Rule> rules = [] {
+    std::vector<Rule> all;
+    for (const std::span<const Rule> family :
+         {structural_rules(), timing_rules(), consistency_rules()}) {
+      all.insert(all.end(), family.begin(), family.end());
+    }
+    return all;
+  }();
+  return rules;
 }
 
-const Rule* RuleRegistry::find(std::string_view id) const noexcept {
-  for (const auto& rule : rules_) {
-    if (rule->id() == id) return rule.get();
+const Rule* find_rule(std::string_view id) {
+  for (const Rule& rule : all_rules()) {
+    if (rule.id == id) return &rule;
   }
   return nullptr;
 }

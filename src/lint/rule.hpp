@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -80,44 +79,33 @@ enum class RuleCategory { kStructural = 0, kTiming = 1, kConsistency = 2 };
 
 std::string_view category_name(RuleCategory category) noexcept;
 
-/// One static-analysis rule. Rules are stateless: `run` inspects the
-/// context and appends any findings to `out`. Rules must never crash on a
-/// corrupted netlist — flagging the corruption is their job (the lint fuzz
-/// suite feeds them deliberately broken structures).
-class Rule {
- public:
-  virtual ~Rule() = default;
+/// One static-analysis rule: a row of its family's constant table. `run`
+/// inspects the context and appends any findings to `out`, each under `id`.
+/// Rules are stateless and must never crash on a corrupted netlist —
+/// flagging the corruption is their job (the lint fuzz suite feeds them
+/// deliberately broken structures).
+struct Rule {
   /// Stable id, e.g. "structural.pin-arity"; used in reports and filters.
-  virtual std::string_view id() const noexcept = 0;
-  virtual RuleCategory category() const noexcept = 0;
+  std::string_view id;
+  RuleCategory category = RuleCategory::kStructural;
   /// One-line human description of what the rule proves or flags.
-  virtual std::string_view description() const noexcept = 0;
-  virtual void run(const LintContext& ctx,
-                   std::vector<Diagnostic>& out) const = 0;
+  std::string_view description;
+  void (*run)(const LintContext& ctx, std::string_view id,
+              std::vector<Diagnostic>& out) = nullptr;
 };
 
-/// Ordered collection of rules. Registration order is execution (and
-/// report) order; ids must be unique.
-class RuleRegistry {
- public:
-  /// Throws std::invalid_argument on a duplicate rule id.
-  void add(std::unique_ptr<Rule> rule);
-  std::span<const std::unique_ptr<Rule>> rules() const noexcept {
-    return rules_;
-  }
-  /// nullptr when no rule has this id.
-  const Rule* find(std::string_view id) const noexcept;
+/// The built-in rule families, one table each. Table order is execution
+/// (and report) order.
+std::span<const Rule> structural_rules() noexcept;
+std::span<const Rule> timing_rules() noexcept;
+std::span<const Rule> consistency_rules() noexcept;
 
- private:
-  std::vector<std::unique_ptr<Rule>> rules_;
-};
+/// Every built-in rule: the structural, then the timing, then the
+/// consistency rows. Ids are unique.
+std::span<const Rule> all_rules();
 
-/// Built-in rule families. LintEngine registers all three; callers needing
-/// a subset (e.g. Netlist::validate's structural-only pass) can compose
-/// their own registry.
-void register_structural_rules(RuleRegistry& registry);
-void register_timing_rules(RuleRegistry& registry);
-void register_consistency_rules(RuleRegistry& registry);
+/// The built-in rule with this id; nullptr when there is none.
+const Rule* find_rule(std::string_view id);
 
 /// The STA corners a TimingContext describes: one per sweep year, each
 /// carrying that year's per-gate aging overlay (or no overlay when the

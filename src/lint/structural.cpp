@@ -74,250 +74,181 @@ void emit(std::vector<Diagnostic>& out, Severity severity,
 // (simulators index it directly); any inconsistency means gates read or
 // write the wrong nets.
 // ---------------------------------------------------------------------------
-class NetDriverRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "structural.net-driver";
+void check_net_driver(const LintContext& ctx, std::string_view id,
+                      std::vector<Diagnostic>& out) {
+  const Netlist& nl = *ctx.netlist;
+  if (nl.num_nets() != nl.num_inputs() + nl.num_gates()) {
+    emit(out, Severity::kError, id,
+         "net/driver bookkeeping mismatch: " + std::to_string(nl.num_nets()) +
+             " nets != " + std::to_string(nl.num_inputs()) + " inputs + " +
+             std::to_string(nl.num_gates()) + " gates");
   }
-  RuleCategory category() const noexcept override {
-    return RuleCategory::kStructural;
-  }
-  std::string_view description() const noexcept override {
-    return "every net has exactly one driver and the driver table matches "
-           "the gate list";
-  }
-  void run(const LintContext& ctx, std::vector<Diagnostic>& out) const override {
-    const Netlist& nl = *ctx.netlist;
-    if (nl.num_nets() != nl.num_inputs() + nl.num_gates()) {
-      emit(out, Severity::kError, id(),
-           "net/driver bookkeeping mismatch: " + std::to_string(nl.num_nets()) +
-               " nets != " + std::to_string(nl.num_inputs()) + " inputs + " +
-               std::to_string(nl.num_gates()) + " gates");
-    }
-    for (NetId n = 0; n < nl.num_nets(); ++n) {
-      const std::int32_t d = nl.driver_of(n);
-      if (d < -1 || d >= static_cast<std::int32_t>(nl.num_gates())) {
-        emit(out, Severity::kError, id(),
-             describe_net(nl, n) + " names nonexistent driver gate " +
-                 std::to_string(d),
-             kNoGate, n);
-      } else if (d >= 0 && nl.gate(static_cast<GateId>(d)).out != n) {
-        emit(out, Severity::kError, id(),
-             describe_net(nl, n) + " claims driver " +
-                 describe_gate(nl, static_cast<GateId>(d)) +
-                 ", but that gate drives " +
-                 describe_net(nl, nl.gate(static_cast<GateId>(d)).out) +
-                 " (duplicated or stolen driver)",
-             static_cast<GateId>(d), n);
-      }
-    }
-    for (NetId in : nl.input_nets()) {
-      if (in < nl.num_nets() && nl.driver_of(in) != -1) {
-        emit(out, Severity::kError, id(),
-             "primary input " + describe_net(nl, in) +
-                 " has a gate driver (driver " +
-                 std::to_string(nl.driver_of(in)) + ")",
-             kNoGate, in);
-      }
-    }
-    for (GateId g = 0; g < nl.num_gates(); ++g) {
-      const NetId o = nl.gate(g).out;
-      if (o >= nl.num_nets()) {
-        emit(out, Severity::kError, id(),
-             describe_gate(nl, g) + " drives nonexistent " +
-                 describe_net(nl, o),
-             g, o);
-      } else if (nl.driver_of(o) != static_cast<std::int32_t>(g)) {
-        emit(out, Severity::kError, id(),
-             describe_gate(nl, g) + " believes it drives " +
-                 describe_net(nl, o) + ", whose registered driver is gate " +
-                 std::to_string(nl.driver_of(o)),
-             g, o);
-      }
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    const std::int32_t d = nl.driver_of(n);
+    if (d < -1 || d >= static_cast<std::int32_t>(nl.num_gates())) {
+      emit(out, Severity::kError, id,
+           describe_net(nl, n) + " names nonexistent driver gate " +
+               std::to_string(d),
+           kNoGate, n);
+    } else if (d >= 0 && nl.gate(static_cast<GateId>(d)).out != n) {
+      emit(out, Severity::kError, id,
+           describe_net(nl, n) + " claims driver " +
+               describe_gate(nl, static_cast<GateId>(d)) +
+               ", but that gate drives " +
+               describe_net(nl, nl.gate(static_cast<GateId>(d)).out) +
+               " (duplicated or stolen driver)",
+           static_cast<GateId>(d), n);
     }
   }
-};
+  for (NetId in : nl.input_nets()) {
+    if (in < nl.num_nets() && nl.driver_of(in) != -1) {
+      emit(out, Severity::kError, id,
+           "primary input " + describe_net(nl, in) +
+               " has a gate driver (driver " +
+               std::to_string(nl.driver_of(in)) + ")",
+           kNoGate, in);
+    }
+  }
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    const NetId o = nl.gate(g).out;
+    if (o >= nl.num_nets()) {
+      emit(out, Severity::kError, id,
+           describe_gate(nl, g) + " drives nonexistent " +
+               describe_net(nl, o),
+           g, o);
+    } else if (nl.driver_of(o) != static_cast<std::int32_t>(g)) {
+      emit(out, Severity::kError, id,
+           describe_gate(nl, g) + " believes it drives " +
+               describe_net(nl, o) + ", whose registered driver is gate " +
+               std::to_string(nl.driver_of(o)),
+           g, o);
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // structural.cell-kind — a gate whose kind is outside the cell library
 // cannot be evaluated (traits/delay lookups would read out of bounds).
 // ---------------------------------------------------------------------------
-class CellKindRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "structural.cell-kind";
-  }
-  RuleCategory category() const noexcept override {
-    return RuleCategory::kStructural;
-  }
-  std::string_view description() const noexcept override {
-    return "every gate's cell kind is a valid library cell";
-  }
-  void run(const LintContext& ctx, std::vector<Diagnostic>& out) const override {
-    const Netlist& nl = *ctx.netlist;
-    for (GateId g = 0; g < nl.num_gates(); ++g) {
-      if (!kind_valid(nl.gate(g))) {
-        emit(out, Severity::kError, id(),
-             "gate " + std::to_string(g) + " has invalid cell kind " +
-                 std::to_string(static_cast<int>(nl.gate(g).kind)),
-             g);
-      }
+void check_cell_kind(const LintContext& ctx, std::string_view id,
+                     std::vector<Diagnostic>& out) {
+  const Netlist& nl = *ctx.netlist;
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    if (!kind_valid(nl.gate(g))) {
+      emit(out, Severity::kError, id,
+           "gate " + std::to_string(g) + " has invalid cell kind " +
+               std::to_string(static_cast<int>(nl.gate(g).kind)),
+           g);
     }
   }
-};
+}
 
 // ---------------------------------------------------------------------------
 // structural.pin-arity — pin windows must match the cell's arity and point
 // at existing nets; a dropped or rewired pin changes the computed function.
 // ---------------------------------------------------------------------------
-class PinArityRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "structural.pin-arity";
-  }
-  RuleCategory category() const noexcept override {
-    return RuleCategory::kStructural;
-  }
-  std::string_view description() const noexcept override {
-    return "every gate has its cell's pin count and all pins name existing "
-           "nets";
-  }
-  void run(const LintContext& ctx, std::vector<Diagnostic>& out) const override {
-    const Netlist& nl = *ctx.netlist;
-    for (GateId g = 0; g < nl.num_gates(); ++g) {
-      const Gate& gt = nl.gate(g);
-      if (!pins_in_bounds(nl, gt)) {
-        emit(out, Severity::kError, id(),
-             describe_gate(nl, g) + " pin window [" +
-                 std::to_string(gt.in_begin) + ", " +
-                 std::to_string(gt.in_begin + gt.in_count) +
-                 ") exceeds the pin array (" + std::to_string(nl.num_pins()) +
-                 " pins)",
-             g);
-        continue;
-      }
-      if (kind_valid(gt) &&
-          gt.in_count != cell_traits(gt.kind).num_inputs) {
-        emit(out, Severity::kError, id(),
-             describe_gate(nl, g) + " has " + std::to_string(gt.in_count) +
-                 " pins, cell expects " +
-                 std::to_string(cell_traits(gt.kind).num_inputs),
-             g);
-      }
-      for (NetId in : nl.gate_inputs(g)) {
-        if (in >= nl.num_nets()) {
-          emit(out, Severity::kError, id(),
-               describe_gate(nl, g) + " reads nonexistent " +
-                   describe_net(nl, in),
-               g, in);
-        }
+void check_pin_arity(const LintContext& ctx, std::string_view id,
+                     std::vector<Diagnostic>& out) {
+  const Netlist& nl = *ctx.netlist;
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    const Gate& gt = nl.gate(g);
+    if (!pins_in_bounds(nl, gt)) {
+      emit(out, Severity::kError, id,
+           describe_gate(nl, g) + " pin window [" +
+               std::to_string(gt.in_begin) + ", " +
+               std::to_string(gt.in_begin + gt.in_count) +
+               ") exceeds the pin array (" + std::to_string(nl.num_pins()) +
+               " pins)",
+           g);
+      continue;
+    }
+    if (kind_valid(gt) &&
+        gt.in_count != cell_traits(gt.kind).num_inputs) {
+      emit(out, Severity::kError, id,
+           describe_gate(nl, g) + " has " + std::to_string(gt.in_count) +
+               " pins, cell expects " +
+               std::to_string(cell_traits(gt.kind).num_inputs),
+           g);
+    }
+    for (NetId in : nl.gate_inputs(g)) {
+      if (in >= nl.num_nets()) {
+        emit(out, Severity::kError, id,
+             describe_gate(nl, g) + " reads nonexistent " +
+                 describe_net(nl, in),
+             g, in);
       }
     }
   }
-};
+}
 
 // ---------------------------------------------------------------------------
 // structural.topo-order — gate ids must be a topological order (inputs
 // strictly earlier than outputs); the simulators' single forward pass and
 // the acyclicity guarantee both rest on it.
 // ---------------------------------------------------------------------------
-class TopoOrderRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "structural.topo-order";
-  }
-  RuleCategory category() const noexcept override {
-    return RuleCategory::kStructural;
-  }
-  std::string_view description() const noexcept override {
-    return "every gate input is topologically earlier than its output "
-           "(acyclicity)";
-  }
-  void run(const LintContext& ctx, std::vector<Diagnostic>& out) const override {
-    const Netlist& nl = *ctx.netlist;
-    for (GateId g = 0; g < nl.num_gates(); ++g) {
-      const Gate& gt = nl.gate(g);
-      if (!pins_in_bounds(nl, gt)) continue;  // pin-arity reports this
-      for (NetId in : nl.gate_inputs(g)) {
-        if (in < nl.num_nets() && in >= gt.out) {
-          emit(out, Severity::kError, id(),
-               describe_gate(nl, g) + " reads " + describe_net(nl, in) +
-                   ", which is not earlier than its output " +
-                   describe_net(nl, gt.out) +
-                   " (cycle or forward reference)",
-               g, in);
-        }
+void check_topo_order(const LintContext& ctx, std::string_view id,
+                      std::vector<Diagnostic>& out) {
+  const Netlist& nl = *ctx.netlist;
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    const Gate& gt = nl.gate(g);
+    if (!pins_in_bounds(nl, gt)) continue;  // pin-arity reports this
+    for (NetId in : nl.gate_inputs(g)) {
+      if (in < nl.num_nets() && in >= gt.out) {
+        emit(out, Severity::kError, id,
+             describe_gate(nl, g) + " reads " + describe_net(nl, in) +
+                 ", which is not earlier than its output " +
+                 describe_net(nl, gt.out) +
+                 " (cycle or forward reference)",
+             g, in);
       }
     }
   }
-};
+}
 
 // ---------------------------------------------------------------------------
 // structural.output-dangling / structural.output-duplicate — the primary
 // output table is what Razor banks, golden checks and output_bits() read.
 // ---------------------------------------------------------------------------
-class OutputDanglingRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "structural.output-dangling";
-  }
-  RuleCategory category() const noexcept override {
-    return RuleCategory::kStructural;
-  }
-  std::string_view description() const noexcept override {
-    return "every registered primary output names an existing net";
-  }
-  void run(const LintContext& ctx, std::vector<Diagnostic>& out) const override {
-    const Netlist& nl = *ctx.netlist;
-    for (std::size_t i = 0; i < nl.num_outputs(); ++i) {
-      const NetId o = nl.output_nets()[i];
-      if (o >= nl.num_nets()) {
-        emit(out, Severity::kError, id(),
-             "primary output " + nl.output_name(i) + " (index " +
-                 std::to_string(i) + ") names nonexistent net " +
-                 std::to_string(o),
-             kNoGate, o);
-      }
+void check_output_dangling(const LintContext& ctx, std::string_view id,
+                           std::vector<Diagnostic>& out) {
+  const Netlist& nl = *ctx.netlist;
+  for (std::size_t i = 0; i < nl.num_outputs(); ++i) {
+    const NetId o = nl.output_nets()[i];
+    if (o >= nl.num_nets()) {
+      emit(out, Severity::kError, id,
+           "primary output " + nl.output_name(i) + " (index " +
+               std::to_string(i) + ") names nonexistent net " +
+               std::to_string(o),
+           kNoGate, o);
     }
   }
-};
+}
 
-class OutputDuplicateRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "structural.output-duplicate";
-  }
-  RuleCategory category() const noexcept override {
-    return RuleCategory::kStructural;
-  }
-  std::string_view description() const noexcept override {
-    return "no net or name is registered as a primary output twice";
-  }
-  void run(const LintContext& ctx, std::vector<Diagnostic>& out) const override {
-    const Netlist& nl = *ctx.netlist;
-    std::unordered_map<NetId, std::size_t> first_by_net;
-    std::unordered_map<std::string, std::size_t> first_by_name;
-    for (std::size_t i = 0; i < nl.num_outputs(); ++i) {
-      const NetId o = nl.output_nets()[i];
-      if (auto [it, inserted] = first_by_net.try_emplace(o, i); !inserted) {
-        emit(out, Severity::kError, id(),
-             describe_net(nl, o) + " is registered as both output " +
-                 nl.output_name(it->second) + " and output " +
-                 nl.output_name(i),
-             kNoGate, o);
-      }
-      if (auto [it, inserted] = first_by_name.try_emplace(nl.output_name(i), i);
-          !inserted) {
-        emit(out, Severity::kError, id(),
-             "output name " + nl.output_name(i) +
-                 " is registered twice (indices " +
-                 std::to_string(it->second) + " and " + std::to_string(i) +
-                 ")",
-             kNoGate, o < nl.num_nets() ? o : kInvalidNet);
-      }
+void check_output_duplicate(const LintContext& ctx, std::string_view id,
+                            std::vector<Diagnostic>& out) {
+  const Netlist& nl = *ctx.netlist;
+  std::unordered_map<NetId, std::size_t> first_by_net;
+  std::unordered_map<std::string, std::size_t> first_by_name;
+  for (std::size_t i = 0; i < nl.num_outputs(); ++i) {
+    const NetId o = nl.output_nets()[i];
+    if (auto [it, inserted] = first_by_net.try_emplace(o, i); !inserted) {
+      emit(out, Severity::kError, id,
+           describe_net(nl, o) + " is registered as both output " +
+               nl.output_name(it->second) + " and output " +
+               nl.output_name(i),
+           kNoGate, o);
+    }
+    if (auto [it, inserted] = first_by_name.try_emplace(nl.output_name(i), i);
+        !inserted) {
+      emit(out, Severity::kError, id,
+           "output name " + nl.output_name(i) +
+               " is registered twice (indices " +
+               std::to_string(it->second) + " and " + std::to_string(i) +
+               ")",
+           kNoGate, o < nl.num_nets() ? o : kInvalidNet);
     }
   }
-};
+}
 
 // ---------------------------------------------------------------------------
 // structural.fanout-free-net / structural.unobservable-gate /
@@ -325,100 +256,65 @@ class OutputDuplicateRule final : public Rule {
 // errors: generators legitimately leave dead carries (the Wallace tree's
 // folded columns), but each one is wasted area/power worth knowing about.
 // ---------------------------------------------------------------------------
-class FanoutFreeNetRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "structural.fanout-free-net";
-  }
-  RuleCategory category() const noexcept override {
-    return RuleCategory::kStructural;
-  }
-  std::string_view description() const noexcept override {
-    return "gate-driven nets that feed nothing and are not outputs (dead "
-           "logic, wasted area)";
-  }
-  void run(const LintContext& ctx, std::vector<Diagnostic>& out) const override {
-    const Netlist& nl = *ctx.netlist;
-    if (!graph_walk_safe(nl)) return;
-    const auto consumers = consumer_counts(nl);
-    const auto is_output = output_net_mask(nl);
-    for (GateId g = 0; g < nl.num_gates(); ++g) {
-      const NetId o = nl.gate(g).out;
-      if (consumers[o] == 0 && !is_output[o]) {
-        emit(out, Severity::kWarning, id(),
-             describe_gate(nl, g) + " drives " + describe_net(nl, o) +
-                 ", which has no consumers and is not a primary output",
-             g, o);
-      }
+void check_fanout_free_net(const LintContext& ctx, std::string_view id,
+                           std::vector<Diagnostic>& out) {
+  const Netlist& nl = *ctx.netlist;
+  if (!graph_walk_safe(nl)) return;
+  const auto consumers = consumer_counts(nl);
+  const auto is_output = output_net_mask(nl);
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    const NetId o = nl.gate(g).out;
+    if (consumers[o] == 0 && !is_output[o]) {
+      emit(out, Severity::kWarning, id,
+           describe_gate(nl, g) + " drives " + describe_net(nl, o) +
+               ", which has no consumers and is not a primary output",
+           g, o);
     }
   }
-};
+}
 
-class UnobservableGateRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "structural.unobservable-gate";
+void check_unobservable_gate(const LintContext& ctx, std::string_view id,
+                             std::vector<Diagnostic>& out) {
+  const Netlist& nl = *ctx.netlist;
+  if (!graph_walk_safe(nl)) return;
+  // Reverse reachability in one backward pass: gate ids are topological,
+  // so scanning gates in descending id order propagates observability
+  // from the outputs through every path.
+  std::vector<std::uint8_t> observable = output_net_mask(nl);
+  for (std::size_t gi = nl.num_gates(); gi-- > 0;) {
+    const GateId g = static_cast<GateId>(gi);
+    if (!observable[nl.gate(g).out]) continue;
+    for (NetId in : nl.gate_inputs(g)) observable[in] = 1;
   }
-  RuleCategory category() const noexcept override {
-    return RuleCategory::kStructural;
-  }
-  std::string_view description() const noexcept override {
-    return "gates with consumers but no path to any primary output";
-  }
-  void run(const LintContext& ctx, std::vector<Diagnostic>& out) const override {
-    const Netlist& nl = *ctx.netlist;
-    if (!graph_walk_safe(nl)) return;
-    // Reverse reachability in one backward pass: gate ids are topological,
-    // so scanning gates in descending id order propagates observability
-    // from the outputs through every path.
-    std::vector<std::uint8_t> observable = output_net_mask(nl);
-    for (std::size_t gi = nl.num_gates(); gi-- > 0;) {
-      const GateId g = static_cast<GateId>(gi);
-      if (!observable[nl.gate(g).out]) continue;
-      for (NetId in : nl.gate_inputs(g)) observable[in] = 1;
-    }
-    const auto consumers = consumer_counts(nl);
-    for (GateId g = 0; g < nl.num_gates(); ++g) {
-      const NetId o = nl.gate(g).out;
-      // Zero-consumer dead ends are fanout-free-net findings; this rule
-      // flags the cones feeding them.
-      if (!observable[o] && consumers[o] != 0) {
-        emit(out, Severity::kWarning, id(),
-             describe_gate(nl, g) + " drives " + describe_net(nl, o) +
-                 ", which reaches no primary output",
-             g, o);
-      }
+  const auto consumers = consumer_counts(nl);
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    const NetId o = nl.gate(g).out;
+    // Zero-consumer dead ends are fanout-free-net findings; this rule
+    // flags the cones feeding them.
+    if (!observable[o] && consumers[o] != 0) {
+      emit(out, Severity::kWarning, id,
+           describe_gate(nl, g) + " drives " + describe_net(nl, o) +
+               ", which reaches no primary output",
+           g, o);
     }
   }
-};
+}
 
-class UnusedInputRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "structural.unused-input";
-  }
-  RuleCategory category() const noexcept override {
-    return RuleCategory::kStructural;
-  }
-  std::string_view description() const noexcept override {
-    return "primary inputs nothing reads (operand bit dropped by a "
-           "generator)";
-  }
-  void run(const LintContext& ctx, std::vector<Diagnostic>& out) const override {
-    const Netlist& nl = *ctx.netlist;
-    if (!graph_walk_safe(nl)) return;
-    const auto consumers = consumer_counts(nl);
-    const auto is_output = output_net_mask(nl);
-    for (NetId in : nl.input_nets()) {
-      if (consumers[in] == 0 && !is_output[in]) {
-        emit(out, Severity::kWarning, id(),
-             "primary input " + describe_net(nl, in) +
-                 " is read by nothing and is not an output",
-             kNoGate, in);
-      }
+void check_unused_input(const LintContext& ctx, std::string_view id,
+                        std::vector<Diagnostic>& out) {
+  const Netlist& nl = *ctx.netlist;
+  if (!graph_walk_safe(nl)) return;
+  const auto consumers = consumer_counts(nl);
+  const auto is_output = output_net_mask(nl);
+  for (NetId in : nl.input_nets()) {
+    if (consumers[in] == 0 && !is_output[in]) {
+      emit(out, Severity::kWarning, id,
+           "primary input " + describe_net(nl, in) +
+               " is read by nothing and is not an output",
+           kNoGate, in);
     }
   }
-};
+}
 
 // ---------------------------------------------------------------------------
 // structural.bypass-exclusivity — the bypass machinery of the column-/row-
@@ -428,70 +324,83 @@ class UnusedInputRule final : public Rule {
 // and a miswired bypass looks exactly like this), and a tri-state buffer
 // gated by its own data pin can never hold independent state.
 // ---------------------------------------------------------------------------
-class BypassExclusivityRule final : public Rule {
- public:
-  std::string_view id() const noexcept override {
-    return "structural.bypass-exclusivity";
-  }
-  RuleCategory category() const noexcept override {
-    return RuleCategory::kStructural;
-  }
-  std::string_view description() const noexcept override {
-    return "bypass MUX/tri-state pins are mutually exclusive (no aliased "
-           "data or select pins)";
-  }
-  void run(const LintContext& ctx, std::vector<Diagnostic>& out) const override {
-    const Netlist& nl = *ctx.netlist;
-    for (GateId g = 0; g < nl.num_gates(); ++g) {
-      const Gate& gt = nl.gate(g);
-      if (!kind_valid(gt) || !pins_in_bounds(nl, gt)) continue;
-      const auto in = nl.gate_inputs(g);
-      if (gt.kind == CellKind::kMux2 && in.size() == 3) {
-        if (in[0] == in[1]) {
-          emit(out, Severity::kWarning, id(),
-               describe_gate(nl, g) + " selects between aliased data pins (" +
-                   describe_net(nl, in[0]) +
-                   " twice): select-independent, miswired or unfolded bypass",
-               g, in[0]);
-        } else if (in[2] == in[0] || in[2] == in[1]) {
-          emit(out, Severity::kWarning, id(),
-               describe_gate(nl, g) + " select pin " + describe_net(nl, in[2]) +
-                   " aliases a data pin",
-               g, in[2]);
-        }
-      }
-      if (gt.kind == CellKind::kTbuf && in.size() == 2 && in[0] == in[1]) {
-        emit(out, Severity::kWarning, id(),
-             describe_gate(nl, g) + " enable pin aliases its data pin (" +
-                 describe_net(nl, in[0]) + "): keeper can never isolate",
+void check_bypass_exclusivity(const LintContext& ctx, std::string_view id,
+                              std::vector<Diagnostic>& out) {
+  const Netlist& nl = *ctx.netlist;
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    const Gate& gt = nl.gate(g);
+    if (!kind_valid(gt) || !pins_in_bounds(nl, gt)) continue;
+    const auto in = nl.gate_inputs(g);
+    if (gt.kind == CellKind::kMux2 && in.size() == 3) {
+      if (in[0] == in[1]) {
+        emit(out, Severity::kWarning, id,
+             describe_gate(nl, g) + " selects between aliased data pins (" +
+                 describe_net(nl, in[0]) +
+                 " twice): select-independent, miswired or unfolded bypass",
              g, in[0]);
+      } else if (in[2] == in[0] || in[2] == in[1]) {
+        emit(out, Severity::kWarning, id,
+             describe_gate(nl, g) + " select pin " + describe_net(nl, in[2]) +
+                 " aliases a data pin",
+             g, in[2]);
       }
     }
+    if (gt.kind == CellKind::kTbuf && in.size() == 2 && in[0] == in[1]) {
+      emit(out, Severity::kWarning, id,
+           describe_gate(nl, g) + " enable pin aliases its data pin (" +
+               describe_net(nl, in[0]) + "): keeper can never isolate",
+           g, in[0]);
+    }
   }
+}
+
+constexpr Rule kStructuralRules[] = {
+    {"structural.net-driver", RuleCategory::kStructural,
+     "every net has exactly one driver and the driver table matches "
+     "the gate list",
+     check_net_driver},
+    {"structural.cell-kind", RuleCategory::kStructural,
+     "every gate's cell kind is a valid library cell", check_cell_kind},
+    {"structural.pin-arity", RuleCategory::kStructural,
+     "every gate has its cell's pin count and all pins name existing "
+     "nets",
+     check_pin_arity},
+    {"structural.topo-order", RuleCategory::kStructural,
+     "every gate input is topologically earlier than its output "
+     "(acyclicity)",
+     check_topo_order},
+    {"structural.output-dangling", RuleCategory::kStructural,
+     "every registered primary output names an existing net",
+     check_output_dangling},
+    {"structural.output-duplicate", RuleCategory::kStructural,
+     "no net or name is registered as a primary output twice",
+     check_output_duplicate},
+    {"structural.fanout-free-net", RuleCategory::kStructural,
+     "gate-driven nets that feed nothing and are not outputs (dead "
+     "logic, wasted area)",
+     check_fanout_free_net},
+    {"structural.unobservable-gate", RuleCategory::kStructural,
+     "gates with consumers but no path to any primary output",
+     check_unobservable_gate},
+    {"structural.unused-input", RuleCategory::kStructural,
+     "primary inputs nothing reads (operand bit dropped by a "
+     "generator)",
+     check_unused_input},
+    {"structural.bypass-exclusivity", RuleCategory::kStructural,
+     "bypass MUX/tri-state pins are mutually exclusive (no aliased "
+     "data or select pins)",
+     check_bypass_exclusivity},
 };
 
 }  // namespace
 
-void register_structural_rules(RuleRegistry& registry) {
-  registry.add(std::make_unique<NetDriverRule>());
-  registry.add(std::make_unique<CellKindRule>());
-  registry.add(std::make_unique<PinArityRule>());
-  registry.add(std::make_unique<TopoOrderRule>());
-  registry.add(std::make_unique<OutputDanglingRule>());
-  registry.add(std::make_unique<OutputDuplicateRule>());
-  registry.add(std::make_unique<FanoutFreeNetRule>());
-  registry.add(std::make_unique<UnobservableGateRule>());
-  registry.add(std::make_unique<UnusedInputRule>());
-  registry.add(std::make_unique<BypassExclusivityRule>());
-}
+std::span<const Rule> structural_rules() noexcept { return kStructuralRules; }
 
 std::vector<Diagnostic> structural_diagnostics(const Netlist& netlist) {
-  RuleRegistry registry;
-  register_structural_rules(registry);
   LintContext ctx;
   ctx.netlist = &netlist;
   std::vector<Diagnostic> out;
-  for (const auto& rule : registry.rules()) rule->run(ctx, out);
+  for (const Rule& rule : kStructuralRules) rule.run(ctx, rule.id, out);
   return out;
 }
 

@@ -6,11 +6,11 @@
 
 namespace agingsim::lint {
 
-/// Runs the structural rule family over `netlist` and returns every
-/// diagnostic. This is the engine-less entry point `Netlist::validate()`
-/// delegates to, so construction-time validation and the `aginglint` CLI
-/// agree on what "structurally sound" means. Never throws and never reads
-/// out of bounds, whatever the corruption.
+/// Runs the structural rows over `netlist` and returns every diagnostic.
+/// `Netlist::validate()` delegates to it, so construction-time validation
+/// and the `aginglint` CLI agree on what "structurally sound" means. Unlike
+/// lint::run it records no `lint.rule` span: every multiplier build calls
+/// it. Never throws and never reads out of bounds, whatever the corruption.
 std::vector<Diagnostic> structural_diagnostics(const Netlist& netlist);
 
 }  // namespace agingsim::lint

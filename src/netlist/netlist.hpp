@@ -126,7 +126,7 @@ class Netlist {
   /// std::logic_error aggregating *every* error-severity diagnostic (pin
   /// arity, driver-table consistency, topological order, dangling or
   /// duplicate outputs, ...), each carrying gate/net names. Warnings (dead
-  /// logic, aliased bypass pins) do not throw — run the LintEngine for the
+  /// logic, aliased bypass pins) do not throw — run lint::run for the
   /// full report.
   void validate() const;
 

@@ -503,16 +503,23 @@ std::string Server::status_json() const {
 }
 
 void Server::dispatch_queueable(Conn& conn, Request request) {
-  // Tier-1 classification: a query that would miss the aged-state cache
-  // triggers an expensive aging recompute, so under pressure those are
-  // shed while cache hits keep flowing.
+  // A query is parsed here, once: malformed params are answered at the
+  // door, never queued. Tier-1 classification: a query that would miss the
+  // aged-state cache triggers an expensive aging recompute, so under
+  // pressure those are shed while cache hits keep flowing.
+  Job job;
   bool needs_refill = false;
   if (request.method == "query") {
-    const auto key = service_.query_cache_key(request.params);
-    needs_refill = key.has_value() && !cache_.contains(*key);
+    std::string error;
+    job.query = Service::parse_query_params(request.params, error);
+    if (!job.query.has_value()) {
+      server_metrics().bad_request.add();
+      reply(conn, error_response(request.id, ErrorCode::kBadRequest, error));
+      return;
+    }
+    needs_refill = !cache_.contains(job.query->corner_key);
   }
 
-  Job job;
   job.request = std::move(request);
   job.client = job.request.client_id.empty() ? conn.peer_id
                                              : job.request.client_id;
@@ -580,8 +587,10 @@ void Server::worker_loop() {
             if (sent) server_metrics().stream_frames.add();
             return sent;
           };
-      HandlerResult result = service_.handle(job->request, *job->token,
-                                             emitter);
+      HandlerResult result =
+          job->query.has_value()
+              ? service_.handle(job->request, *job->query, *job->token)
+              : service_.handle(job->request, *job->token, emitter);
       const auto finished = Clock::now();
       if (result.ok) {
         server_metrics().completed.add();

@@ -139,6 +139,7 @@ class Server {
 
   struct Job {
     Request request;
+    std::optional<QueryParams> query;  ///< a query's params, parsed once
     std::string client;  ///< resolved fairness identity
     std::uint64_t conn = 0;
     std::shared_ptr<runtime::CancelToken> token;

@@ -86,60 +86,6 @@ HandlerResult cancelled_result(const runtime::CancelToken& cancel,
                        .message = "cancelled during " + std::move(where)};
 }
 
-/// Validated query parameters; the digest must cover everything that
-/// determines the cached corner's bytes.
-struct QueryParams {
-  MultiplierArch arch = MultiplierArch::kColumnBypass;
-  std::string arch_name = "cb";
-  int width = 16;
-  double years = 0.0;
-  std::size_t ops = 2000;
-  double period_frac = 0.58;
-  int skip = 7;
-  bool adaptive = true;
-  std::uint64_t workload_seed = kWorkloadSeed;
-};
-
-std::optional<QueryParams> parse_query_params(const JsonValue& params,
-                                              std::string* error) {
-  const auto reject = [&](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return std::nullopt;
-  };
-  QueryParams q;
-  q.arch_name = params.str_or("arch", "cb");
-  // The service models AM, CB and RB; no Wallace tree.
-  const auto arch = parse_arch(q.arch_name);
-  if (!arch || *arch == MultiplierArch::kWallaceTree) {
-    return reject("arch must be am|cb|rb");
-  }
-  q.arch = *arch;
-  const std::int64_t width = params.i64_or("width", 16);
-  if (width < Service::kMinWidth || width > Service::kMaxWidth) {
-    return reject("width must be in [2, 32]");
-  }
-  q.width = static_cast<int>(width);
-  q.years = params.num_or("years", 0.0);
-  if (!(q.years >= 0.0) || q.years > kMaxYears) {
-    return reject("years must be in [0, " + std::to_string(kMaxYears) + "]");
-  }
-  const std::int64_t ops = params.i64_or("ops", 2000);
-  if (ops < 1 || static_cast<std::size_t>(ops) > kMaxOps) {
-    return reject("ops must be in [1, " + std::to_string(kMaxOps) + "]");
-  }
-  q.ops = static_cast<std::size_t>(ops);
-  q.period_frac = params.num_or("period_frac", 0.58);
-  if (!(q.period_frac > 0.0) || q.period_frac > 4.0) {
-    return reject("period_frac must be in (0, 4]");
-  }
-  const std::int64_t skip = params.i64_or("skip", default_skip(q.width));
-  if (skip < 1 || skip >= width) return reject("skip must be in [1, width)");
-  q.skip = static_cast<int>(skip);
-  q.adaptive = params.bool_or("adaptive", true);
-  q.workload_seed = params.u64_or("seed", kWorkloadSeed);
-  return q;
-}
-
 std::uint64_t query_corner_digest(const QueryParams& q) {
   runtime::Digest digest;
   digest.mix(std::string_view("serve-query-corner/v1"))
@@ -174,6 +120,26 @@ char hex_digit(std::uint64_t v) {
   return "0123456789abcdef"[v & 0xF];
 }
 
+/// Runs one request handler inside the `serve.handle` span; an exception
+/// becomes an `internal` error.
+template <typename Handler>
+HandlerResult guarded(std::uint64_t request_id, Handler&& handler) noexcept {
+  try {
+    obs::TraceSpan span("serve.handle", request_id);
+    return handler();
+  } catch (const std::exception& e) {
+    return HandlerResult{.ok = false,
+                         .result_json = {},
+                         .code = ErrorCode::kInternal,
+                         .message = e.what()};
+  } catch (...) {
+    return HandlerResult{.ok = false,
+                         .result_json = {},
+                         .code = ErrorCode::kInternal,
+                         .message = "unknown exception"};
+  }
+}
+
 std::string digest_hex(std::uint64_t digest) {
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
@@ -201,47 +167,75 @@ const Service::Circuit& Service::circuit(MultiplierArch arch, int width) {
   return *slot.circuit;
 }
 
-std::optional<std::uint64_t> Service::query_cache_key(
-    const JsonValue& params) const {
-  const auto q = parse_query_params(params, nullptr);
-  if (!q.has_value()) return std::nullopt;
-  return query_corner_digest(*q);
+std::optional<QueryParams> Service::parse_query_params(
+    const JsonValue& params, std::string& error) {
+  const auto reject = [&](const std::string& message) {
+    error = message;
+    return std::nullopt;
+  };
+  QueryParams q;
+  q.arch_name = params.str_or("arch", "cb");
+  // The service models AM, CB and RB; no Wallace tree.
+  const auto arch = parse_arch(q.arch_name);
+  if (!arch || *arch == MultiplierArch::kWallaceTree) {
+    return reject("arch must be am|cb|rb");
+  }
+  q.arch = *arch;
+  const std::int64_t width = params.i64_or("width", 16);
+  if (width < kMinWidth || width > kMaxWidth) {
+    return reject("width must be in [2, 32]");
+  }
+  q.width = static_cast<int>(width);
+  q.years = params.num_or("years", 0.0);
+  if (!(q.years >= 0.0) || q.years > kMaxYears) {
+    return reject("years must be in [0, " + std::to_string(kMaxYears) + "]");
+  }
+  const std::int64_t ops = params.i64_or("ops", 2000);
+  if (ops < 1 || static_cast<std::size_t>(ops) > kMaxOps) {
+    return reject("ops must be in [1, " + std::to_string(kMaxOps) + "]");
+  }
+  q.ops = static_cast<std::size_t>(ops);
+  q.period_frac = params.num_or("period_frac", 0.58);
+  if (!(q.period_frac > 0.0) || q.period_frac > 4.0) {
+    return reject("period_frac must be in (0, 4]");
+  }
+  const std::int64_t skip = params.i64_or("skip", default_skip(q.width));
+  if (skip < 1 || skip >= width) return reject("skip must be in [1, width)");
+  q.skip = static_cast<int>(skip);
+  q.adaptive = params.bool_or("adaptive", true);
+  q.workload_seed = params.u64_or("seed", kWorkloadSeed);
+  q.corner_key = query_corner_digest(q);
+  return q;
 }
 
 HandlerResult Service::handle(const Request& request,
                               const runtime::CancelToken& cancel,
                               const StreamEmitter& emit) noexcept {
-  try {
-    obs::TraceSpan span("serve.handle", request.id);
-    if (request.method == "query") return handle_query(request.params, cancel);
+  return guarded(request.id, [&] {
+    if (request.method == "query") {
+      std::string error;
+      const auto q = parse_query_params(request.params, error);
+      return q.has_value() ? handle_query(*q, cancel) : bad_request(error);
+    }
     if (request.method == "campaign") {
       return handle_campaign(request, cancel, emit);
     }
     if (request.method == "work") return handle_work(request.params, cancel);
     return bad_request("method '" + request.method +
                        "' is not a queueable method");
-  } catch (const std::exception& e) {
-    return HandlerResult{.ok = false,
-                         .result_json = {},
-                         .code = ErrorCode::kInternal,
-                         .message = e.what()};
-  } catch (...) {
-    return HandlerResult{.ok = false,
-                         .result_json = {},
-                         .code = ErrorCode::kInternal,
-                         .message = "unknown exception"};
-  }
+  });
 }
 
-HandlerResult Service::handle_query(const JsonValue& params,
+HandlerResult Service::handle(const Request& request, const QueryParams& query,
+                              const runtime::CancelToken& cancel) noexcept {
+  return guarded(request.id, [&] { return handle_query(query, cancel); });
+}
+
+HandlerResult Service::handle_query(const QueryParams& q,
                                     const runtime::CancelToken& cancel) {
   service_metrics().queries.add();
-  std::string error;
-  const auto q = parse_query_params(params, &error);
-  if (!q.has_value()) return bad_request(error);
-
-  const std::uint64_t key = query_corner_digest(*q);
-  const Circuit& circuit = this->circuit(q->arch, q->width);
+  const std::uint64_t key = q.corner_key;
+  const Circuit& circuit = this->circuit(q.arch, q.width);
 
   bool cache_hit = true;
   std::optional<AgedCorner> corner =
@@ -254,18 +248,18 @@ HandlerResult Service::handle_query(const JsonValue& params,
     AgedCorner fresh;
     fresh.critical_path_ps = circuit.fresh_critical_path_ps;
     std::vector<double> delay_scales;  // empty: the fresh circuit
-    if (q->years > 0.0) {
+    if (q.years > 0.0) {
       const BtiModel model = BtiModel::calibrated(tech_);
       const AgingScenario scenario(circuit.mult.netlist, tech_, model,
                                    kStressSeed, kStressPatterns);
-      delay_scales = scenario.delay_scales_at(q->years);
-      fresh.mean_dvth_v = scenario.mean_dvth_at(q->years);
+      delay_scales = scenario.delay_scales_at(q.years);
+      fresh.mean_dvth_v = scenario.mean_dvth_at(q.years);
       fresh.critical_path_ps =
           critical_path_ps(circuit.mult, tech_, delay_scales);
     }
     if (cancel.cancelled()) return cancelled_result(cancel, "corner refill");
-    Rng rng(q->workload_seed);
-    const auto patterns = uniform_patterns(rng, q->width, q->ops);
+    Rng rng(q.workload_seed);
+    const auto patterns = uniform_patterns(rng, q.width, q.ops);
     fresh.trace = compute_op_trace(
         circuit.mult, tech_, patterns,
         TraceOptions{.gate_delay_scale = delay_scales});
@@ -275,18 +269,18 @@ HandlerResult Service::handle_query(const JsonValue& params,
   if (cancel.cancelled()) return cancelled_result(cancel, "query replay");
 
   VlSystemConfig cfg;
-  cfg.period_ps = q->period_frac * corner->critical_path_ps;
-  cfg.ahl.width = q->width;
-  cfg.ahl.skip = q->skip;
-  cfg.ahl.adaptive = q->adaptive;
+  cfg.period_ps = q.period_frac * corner->critical_path_ps;
+  cfg.ahl.width = q.width;
+  cfg.ahl.skip = q.skip;
+  cfg.ahl.adaptive = q.adaptive;
   VariableLatencySystem sys(circuit.mult, tech_, cfg);
   const RunStats stats = sys.run(corner->trace, corner->mean_dvth_v);
 
   JsonWriter json;
   json.begin_object();
-  json.key("arch").value(q->arch_name);
-  json.key("width").value(q->width);
-  json.key("years").value(q->years);
+  json.key("arch").value(q.arch_name);
+  json.key("width").value(q.width);
+  json.key("years").value(q.years);
   json.key("corner_digest").value(digest_hex(key));
   json.key("cache_hit").value(cache_hit);
   json.key("stats").begin_object();

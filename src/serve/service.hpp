@@ -42,6 +42,21 @@ struct HandlerResult {
   std::string message;
 };
 
+/// A query's validated params and the key of the aged corner they name.
+/// The key covers everything that determines the corner's bytes.
+struct QueryParams {
+  MultiplierArch arch = MultiplierArch::kColumnBypass;
+  std::string arch_name;
+  int width = 0;
+  double years = 0.0;
+  std::size_t ops = 0;
+  double period_frac = 0.0;
+  int skip = 0;
+  bool adaptive = true;
+  std::uint64_t workload_seed = 0;
+  std::uint64_t corner_key = 0;
+};
+
 /// Shared by every worker: the multipliers that requests name are built
 /// once and then read `const` (circuit()).
 class Service {
@@ -66,11 +81,17 @@ class Service {
   HandlerResult handle(const Request& request,
                        const runtime::CancelToken& cancel,
                        const StreamEmitter& emit = {}) noexcept;
+  /// Executes a query whose params parse_query_params already validated,
+  /// under the same span and error conversion as handle().
+  HandlerResult handle(const Request& request, const QueryParams& query,
+                       const runtime::CancelToken& cancel) noexcept;
 
-  /// Cache key of a query request, or nullopt when the params are invalid
-  /// (validation then happens in handle()). The admission path uses this
-  /// plus AgedStateCache::contains to classify a query as a cache refill.
-  std::optional<std::uint64_t> query_cache_key(const JsonValue& params) const;
+  /// Validates a query's params and digests its corner key. nullopt, with
+  /// the bad_request message in `error`, when a param is out of range. The
+  /// server parses each query once, on its event loop: the key classifies
+  /// the query as a cache refill, and the worker replays from the result.
+  static std::optional<QueryParams> parse_query_params(
+      const JsonValue& params, std::string& error);
 
   const ServiceConfig& config() const noexcept { return config_; }
 
@@ -91,7 +112,7 @@ class Service {
   /// traffic, so it sits outside the cache budget.
   const Circuit& circuit(MultiplierArch arch, int width);
 
-  HandlerResult handle_query(const JsonValue& params,
+  HandlerResult handle_query(const QueryParams& q,
                              const runtime::CancelToken& cancel);
   HandlerResult handle_campaign(const Request& request,
                                 const runtime::CancelToken& cancel,

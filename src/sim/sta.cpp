@@ -22,7 +22,7 @@ StaEngine::StaEngine(const Netlist& netlist, const TechLibrary& tech)
 
   // Validate up front so the sweeps below can index without checks. The
   // engine is reachable from lint rules running over deliberately corrupted
-  // netlists; throwing (which the LintEngine converts into an error
+  // netlists; throwing (which lint::run converts into an error
   // diagnostic) is the contract, crashing is not.
   base_delay_ps_.resize(num_gates);
   std::vector<std::int32_t> level(num_gates, 0);

@@ -59,7 +59,7 @@ struct CornerTiming {
 /// are bit-identical whether it runs alone or among others.
 ///
 /// Throws std::invalid_argument from the constructor when the netlist is
-/// structurally broken; lint rules rely on that (the LintEngine converts a
+/// structurally broken; lint rules rely on that (lint::run converts a
 /// throwing rule into an error diagnostic instead of crashing).
 class StaEngine {
  public:

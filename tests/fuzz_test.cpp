@@ -193,7 +193,7 @@ TEST(FuzzTest, DensityIsFiniteAndNonNegative) {
 std::size_t lint_errors(const Netlist& nl) {
   lint::LintContext ctx;
   ctx.netlist = &nl;
-  return lint::LintEngine().run(ctx).errors();
+  return lint::run(ctx).errors();
 }
 
 TEST(FuzzTest, LintFlagsEveryInjectedStructuralDefect) {
@@ -321,8 +321,7 @@ TEST(FuzzTest, LintEngineNeverCrashesOnRandomMutants) {
       }
     }
     lint::LintReport report;
-    ASSERT_NO_THROW(report = lint::LintEngine().run(
-                        lint::LintContext{.netlist = &nl}))
+    ASSERT_NO_THROW(report = lint::run(lint::LintContext{.netlist = &nl}))
         << "trial " << trial;
     // Whatever happened, the report must be internally consistent.
     EXPECT_EQ(report.errors() + report.warnings() + report.infos(),
@@ -359,7 +358,7 @@ TEST(FuzzTest, LintFlagsSeveredRazorTapOnRandomNetlists) {
     ctx.netlist = &nl;
     ctx.timing = &timing;
     lint::LintReport report;
-    ASSERT_NO_THROW(report = lint::LintEngine().run(ctx)) << trial;
+    ASSERT_NO_THROW(report = lint::run(ctx)) << trial;
     bool flagged = false;
     for (const auto& d : report.diagnostics) {
       if (d.rule == "timing.razor-coverage" &&

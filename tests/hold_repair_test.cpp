@@ -66,7 +66,7 @@ struct ShortPathFixture {
     lint::LintContext ctx;
     ctx.netlist = &nb.netlist();
     ctx.timing = &timing;
-    return lint::LintEngine().run(ctx);
+    return lint::run(ctx);
   }
 };
 
@@ -178,7 +178,7 @@ TEST(HoldRepairTest, WideSpanOutputRepairsUpstream) {
   lint::LintContext ctx;
   ctx.netlist = &nb.netlist();
   ctx.timing = &timing;
-  EXPECT_EQ(lint::LintEngine().run(ctx).errors(), 0u);
+  EXPECT_EQ(lint::run(ctx).errors(), 0u);
 }
 
 // With a one-cycle budget and a period chosen so min must equal max to the
@@ -241,7 +241,7 @@ TEST(HoldRepairTest, StockMultiplierRepairsToCleanAcrossAgedCorners) {
     ctx.netlist = &mult.netlist;
     ctx.multiplier = &mult;
     ctx.timing = &timing;
-    const lint::LintReport before = lint::LintEngine().run(ctx);
+    const lint::LintReport before = lint::run(ctx);
     EXPECT_FALSE(diags_for(before.diagnostics, "timing.hold-window",
                            lint::Severity::kError)
                      .empty());
@@ -271,7 +271,7 @@ TEST(HoldRepairTest, StockMultiplierRepairsToCleanAcrossAgedCorners) {
   ctx.netlist = &mult.netlist;
   ctx.multiplier = &mult;
   ctx.timing = &after_timing;
-  const lint::LintReport after = lint::LintEngine().run(ctx);
+  const lint::LintReport after = lint::run(ctx);
   EXPECT_EQ(after.errors(), 0u) << after.summary();
 }
 

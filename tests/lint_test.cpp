@@ -9,7 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/aging/prob_propagation.hpp"
@@ -28,7 +35,6 @@ namespace {
 
 using lint::Diagnostic;
 using lint::LintContext;
-using lint::LintEngine;
 using lint::LintReport;
 using lint::Severity;
 
@@ -245,8 +251,7 @@ class LintTimingTest : public ::testing::Test {
     lint::LintContext ctx;
     ctx.netlist = &mult_.netlist;
     ctx.timing = &timing;
-    LintEngine engine;
-    return engine.run(ctx);
+    return lint::run(ctx);
   }
 
   /// Primary-output index with the worst aged arrival.
@@ -346,8 +351,7 @@ TEST_F(LintTimingTest, ArrivalBeyondShadowWindowIsUndetectable) {
 TEST_F(LintTimingTest, TimingRulesSkipGracefullyWithoutContext) {
   lint::LintContext ctx;
   ctx.netlist = &mult_.netlist;
-  LintEngine engine;
-  const LintReport report = engine.run(ctx);
+  const LintReport report = lint::run(ctx);
   EXPECT_TRUE(report.clean()) << report.summary();
   const auto infos = diags_for(report.diagnostics, "timing.razor-coverage");
   ASSERT_EQ(infos.size(), 1u);
@@ -415,8 +419,7 @@ TEST(LintConsistencyTest, StockMultiplierMatchesGolden) {
   ctx.netlist = &mult.netlist;
   ctx.multiplier = &mult;
   ctx.consistency.vectors = 64;
-  LintEngine engine;
-  const LintReport report = engine.run(ctx);
+  const LintReport report = lint::run(ctx);
   EXPECT_TRUE(report.clean()) << report.summary();
   const auto infos =
       diags_for(report.diagnostics, "consistency.functional");
@@ -439,39 +442,108 @@ TEST(LintConsistencyTest, MiswiredGateRaisesFunctionalError) {
   ctx.netlist = &mult.netlist;
   ctx.multiplier = &mult;
   ctx.consistency.vectors = 64;
-  LintEngine engine;
-  const LintReport report = engine.run(ctx);
+  const LintReport report = lint::run(ctx);
   EXPECT_GE(errors_for(report.diagnostics, "consistency.functional"), 1u);
 }
 
 // ---------------------------------------------------------------------------
-// Engine / registry / report plumbing
+// Run loop / rule tables / report plumbing
 // ---------------------------------------------------------------------------
 
-TEST(LintEngineTest, RegistryRejectsDuplicateRuleIds) {
-  lint::RuleRegistry registry;
-  lint::register_structural_rules(registry);
-  EXPECT_THROW(lint::register_structural_rules(registry),
-               std::invalid_argument);
-  EXPECT_NE(registry.find("structural.pin-arity"), nullptr);
-  EXPECT_EQ(registry.find("no.such.rule"), nullptr);
+TEST(LintTableTest, AllRulesKeepUniqueIdsInFamilyOrder) {
+  const std::vector<std::string_view> expected{
+      "structural.net-driver",         "structural.cell-kind",
+      "structural.pin-arity",          "structural.topo-order",
+      "structural.output-dangling",    "structural.output-duplicate",
+      "structural.fanout-free-net",    "structural.unobservable-gate",
+      "structural.unused-input",       "structural.bypass-exclusivity",
+      "timing.razor-coverage",         "timing.shadow-window",
+      "timing.hold-count",             "timing.hold-window",
+      "consistency.functional"};
+  std::vector<std::string_view> ids;
+  for (const lint::Rule& rule : lint::all_rules()) {
+    ids.push_back(rule.id);
+    EXPECT_EQ(rule.id.substr(0, rule.id.find('.')),
+              lint::category_name(rule.category))
+        << rule.id;
+  }
+  EXPECT_EQ(ids, expected);  // the expected ids are unique
+  EXPECT_EQ(lint::structural_rules().size() + lint::timing_rules().size() +
+                lint::consistency_rules().size(),
+            ids.size());
+
+  const lint::Rule* pin_arity = lint::find_rule("structural.pin-arity");
+  ASSERT_NE(pin_arity, nullptr);
+  EXPECT_EQ(pin_arity->id, "structural.pin-arity");
+  EXPECT_EQ(lint::find_rule("no.such.rule"), nullptr);
+}
+
+TEST(LintTableTest, ThrowingRowBecomesOneErrorAndLaterRowsRun) {
+  const lint::Rule rows[] = {
+      {"test.throws", lint::RuleCategory::kStructural, "always throws",
+       [](const LintContext&, std::string_view, std::vector<Diagnostic>&) {
+         throw std::runtime_error("boom");
+       }},
+      {"test.after", lint::RuleCategory::kStructural, "records that it ran",
+       [](const LintContext&, std::string_view id,
+          std::vector<Diagnostic>& out) {
+         out.push_back(Diagnostic{Severity::kInfo, std::string(id), "ran",
+                                  lint::kNoGate, kInvalidNet});
+       }},
+  };
+  const Netlist nl = small_clean_netlist();
+  lint::LintContext ctx;
+  ctx.netlist = &nl;
+  const LintReport report = lint::run(ctx, rows);
+  ASSERT_EQ(report.diagnostics.size(), 2u);
+  const auto thrown = diags_for(report.diagnostics, "test.throws");
+  ASSERT_EQ(thrown.size(), 1u);
+  EXPECT_EQ(thrown[0].severity, Severity::kError);
+  EXPECT_EQ(thrown[0].message, "rule aborted with exception: boom");
+  EXPECT_EQ(thrown[0].gate, lint::kNoGate);
+  EXPECT_EQ(thrown[0].net, kInvalidNet);
+  EXPECT_EQ(diags_for(report.diagnostics, "test.after").size(), 1u);
+}
+
+// docs/LINT.md's catalog lists exactly the table's ids, each under the
+// heading of its family ("### Structural", "### Timing safety", ...).
+TEST(LintTableTest, DocCatalogListsEveryRuleUnderItsFamily) {
+  std::ifstream in(std::filesystem::path(AGINGSIM_SOURCE_DIR) / "docs" /
+                   "LINT.md");
+  const std::string doc{std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>()};
+  const auto begin = doc.find("## Rule catalog");
+  ASSERT_NE(begin, std::string::npos) << "docs/LINT.md has no rule catalog";
+  std::istringstream lines(doc.substr(begin, doc.find("\n## ", begin) - begin));
+  std::vector<std::pair<std::string, std::string>> documented;
+  std::string family;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("### ", 0) == 0) {
+      family = line.substr(4, line.find(' ', 4) - 4);
+      std::transform(family.begin(), family.end(), family.begin(),
+                     [](unsigned char c) { return std::tolower(c); });
+    } else if (line.rfind("| `", 0) == 0) {
+      documented.emplace_back(family, line.substr(3, line.find('`', 3) - 3));
+    }
+  }
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (const lint::Rule& rule : lint::all_rules()) {
+    rows.emplace_back(lint::category_name(rule.category), rule.id);
+  }
+  EXPECT_EQ(documented, rows);
 }
 
 TEST(LintEngineTest, RunWithoutNetlistThrows) {
-  LintEngine engine;
-  EXPECT_THROW(engine.run(lint::LintContext{}), std::invalid_argument);
+  EXPECT_THROW(lint::run(lint::LintContext{}), std::invalid_argument);
 }
 
 TEST(LintEngineTest, ReportSortsErrorsFirstAndCountsBySeverity) {
   Netlist nl = small_clean_netlist();
   nl.add_gate(CellKind::kInv, {NetId{0}});  // warning: dead gate
   NetlistSurgeon(nl).set_gate_kind(0, CellKind::kCount);  // error
-  lint::RuleRegistry registry;
-  lint::register_structural_rules(registry);
-  LintEngine engine(std::move(registry));
   lint::LintContext ctx;
   ctx.netlist = &nl;
-  const LintReport report = engine.run(ctx);
+  const LintReport report = lint::run(ctx, lint::structural_rules());
   ASSERT_GE(report.errors(), 1u);
   ASSERT_GE(report.warnings(), 1u);
   EXPECT_FALSE(report.clean());
@@ -483,12 +555,9 @@ TEST(LintEngineTest, ReportSortsErrorsFirstAndCountsBySeverity) {
 TEST(LintEngineTest, JsonReportCarriesCountsAndAnchors) {
   Netlist nl = small_clean_netlist();
   NetlistSurgeon(nl).set_gate_kind(0, CellKind::kCount);
-  lint::RuleRegistry registry;
-  lint::register_structural_rules(registry);
-  LintEngine engine(std::move(registry));
   lint::LintContext ctx;
   ctx.netlist = &nl;
-  const LintReport report = engine.run(ctx);
+  const LintReport report = lint::run(ctx, lint::structural_rules());
   JsonWriter writer;
   report.write_json(writer);
   const std::string json = writer.str();
@@ -523,8 +592,7 @@ TEST_P(StockArchitectureLintTest, LintsErrorFree) {
   ctx.multiplier = &mult;
   ctx.timing = &timing;
   ctx.consistency.vectors = 32;
-  LintEngine engine;
-  const LintReport report = engine.run(ctx);
+  const LintReport report = lint::run(ctx);
   EXPECT_TRUE(report.clean()) << report.summary();
   // Sanity: the full rule set actually ran (one proved-info per timing
   // rule plus the consistency proof).

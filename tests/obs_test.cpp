@@ -363,7 +363,7 @@ TEST(ObsTraceTest, LibraryLayersRecordTheirSpans) {
   lint::LintContext ctx;
   ctx.netlist = &mult.netlist;
   ctx.timing = &timing;
-  lint::LintEngine().run(ctx);
+  lint::run(ctx);
   Netlist repaired = mult.netlist;
   lint::repair_hold(repaired, tech, timing);
   obs::set_trace_enabled(false);
@@ -375,6 +375,22 @@ TEST(ObsTraceTest, LibraryLayersRecordTheirSpans) {
     quoted.append(name).push_back('"');
     EXPECT_NE(json.find(quoted), std::string::npos) << name;
   }
+}
+
+// Every multiplier build runs Netlist::validate, which calls the structural
+// rules directly: a traced build records no lint.rule span.
+TEST(ObsTraceTest, MultiplierBuildRecordsNoLintSpans) {
+  ObsQuiesce quiesce;
+  obs::set_trace_enabled(true);
+  obs::reset_trace();
+  const MultiplierNetlist mult =
+      build_multiplier(MultiplierArch::kColumnBypass, 4);
+  mult.netlist.validate();
+  obs::set_trace_enabled(false);
+
+  const std::string json = obs::trace_json();
+  EXPECT_NE(json.find("\"netlist.generate\""), std::string::npos);
+  EXPECT_EQ(json.find("\"lint.rule\""), std::string::npos);
 }
 
 }  // namespace

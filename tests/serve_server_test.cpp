@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -30,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/metrics.hpp"
 #include "src/serve/json.hpp"
 #include "src/serve/protocol.hpp"
 #include "tests/temp_dir.hpp"
@@ -391,6 +393,43 @@ TEST_F(ServeServerTest, ConcurrentQueriesGetIdenticalRepliesPerKey) {
 
   server.drain();
   server.wait();
+}
+
+TEST_F(ServeServerTest, MalformedQueryIsAnsweredAtTheDoor) {
+  TempDir dir("serve_badquery");
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::reset_metrics();
+  Server server(base_config(dir));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Client client(server.config().socket_path);
+  const auto reply = client.call_raw(
+      R"({"id": 4, "method": "query", "params": {"width": 99}})");
+  // The bytes a worker sent when malformed queries were still queued.
+  EXPECT_EQ(reply.value_or("no reply"),
+            "{\"id\": 4, \"ok\": false, \"error\": {\n"
+            "  \"code\": \"bad_request\",\n"
+            "  \"message\": \"width must be in [2, 32]\"\n"
+            "}}");
+  const auto valid = client.call(
+      R"({"id": 5, "method": "query", "params": {"width": 4, "ops": 50}})");
+  ASSERT_TRUE(valid.has_value());
+  EXPECT_TRUE(valid->bool_or("ok", false));
+  server.drain();
+  server.wait();
+
+  std::map<std::string, std::uint64_t> counts;
+  for (const obs::MetricValue& m : obs::metrics_snapshot()) {
+    counts[m.name] = m.value;
+  }
+  obs::set_metrics_enabled(metrics_were_on);
+  EXPECT_EQ(counts["serve.bad_request"], 1u);
+  EXPECT_EQ(counts["serve.accepted"], 1u);
+  EXPECT_EQ(counts["serve.queries"], 1u);
+  EXPECT_EQ(counts["serve.completed"], 1u);
+  EXPECT_EQ(counts["serve.failed"], 0u);
 }
 
 TEST_F(ServeServerTest, EarlyDisconnectDoesNotCorruptOtherConnections) {

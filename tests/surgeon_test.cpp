@@ -43,9 +43,8 @@ struct FullAdder {
 std::size_t structural_errors(const Netlist& nl) {
   lint::LintContext ctx;
   ctx.netlist = &nl;
-  const lint::LintEngine engine;
   std::size_t n = 0;
-  for (const lint::Diagnostic& d : engine.run(ctx).diagnostics) {
+  for (const lint::Diagnostic& d : lint::run(ctx).diagnostics) {
     if (d.severity == lint::Severity::kError) ++n;
   }
   return n;

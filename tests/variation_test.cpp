@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/core/vl_multiplier.hpp"
 #include "src/multiplier/multiplier.hpp"
@@ -79,6 +80,23 @@ TEST(VariationTest, RejectsNegativeSigma) {
       correlated_variation_scales(m.netlist, {.grid_levels = 0}, 1),
       std::invalid_argument);
   EXPECT_THROW(stochastic_aging_scales(std::vector<double>{1.1}, -0.1, 1),
+               std::invalid_argument);
+}
+
+TEST(VariationTest, RejectsNanSigma) {
+  const auto m = build_array_multiplier(4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(process_variation_scales(m.netlist, nan, 1),
+               std::invalid_argument);
+  EXPECT_THROW(correlated_variation_scales(m.netlist, {.sigma_random = nan}, 1),
+               std::invalid_argument);
+  EXPECT_THROW(correlated_variation_scales(m.netlist, {.sigma_grid = nan}, 1),
+               std::invalid_argument);
+  EXPECT_THROW(correlated_variation_scales(m.netlist, {.sigma_die = nan}, 1),
+               std::invalid_argument);
+  EXPECT_THROW(stochastic_aging_scales(std::vector<double>{1.1}, nan, 1),
+               std::invalid_argument);
+  EXPECT_THROW(stochastic_aging_scales(std::vector<double>{1.0}, nan, 1),
                std::invalid_argument);
 }
 

@@ -1,6 +1,6 @@
 // aginglint — rule-based netlist lint & static timing-safety analyzer.
 //
-// Lints generated multiplier netlists with the src/lint/ engine: structural
+// Lints generated multiplier netlists with the src/lint/ rules: structural
 // rules (driver table, pin arity, dead logic, bypass-pin exclusivity),
 // timing-safety rules (Razor coverage, AHL hold-count sufficiency and —
 // with --hold — min-corner shadow-window hold analysis over the aged sweep,
@@ -95,12 +95,11 @@ void print_usage(std::ostream& os) {
 }
 
 int list_rules() {
-  const lint::LintEngine engine;
   std::printf("%-32s %-12s %s\n", "rule", "category", "description");
-  for (const auto& rule : engine.registry().rules()) {
-    std::printf("%-32s %-12s %s\n", std::string(rule->id()).c_str(),
-                std::string(lint::category_name(rule->category())).c_str(),
-                std::string(rule->description()).c_str());
+  for (const lint::Rule& rule : lint::all_rules()) {
+    std::printf("%-32s %-12s %s\n", std::string(rule.id).c_str(),
+                std::string(lint::category_name(rule.category)).c_str(),
+                std::string(rule.description).c_str());
   }
   return 0;
 }
@@ -215,8 +214,7 @@ TargetResult lint_target(const Options& opt, const TechLibrary& tech,
     ctx.timing = &t;
     ctx.consistency.vectors = opt.vectors;
     ctx.consistency.seed = opt.seed;
-    const lint::LintEngine engine;
-    return engine.run(ctx);
+    return lint::run(ctx);
   };
 
   result.report = run_lint(aging);

@@ -165,10 +165,10 @@ Options parse_args(int argc, char** argv) {
   args.integer("--block", opt.block, 1);
   args.years("--years", opt.years);
   args.integer("--strata", opt.strata, 1);
-  args.number("--sigma-random", opt.sigma_random, 0.0);
-  args.number("--sigma-grid", opt.sigma_grid, 0.0);
-  args.number("--sigma-die", opt.sigma_die, 0.0);
-  args.number("--sigma-aging", opt.sigma_aging, 0.0);
+  args.number("--sigma-random", opt.sigma_random, 0.0, kMaxSigma);
+  args.number("--sigma-grid", opt.sigma_grid, 0.0, kMaxSigma);
+  args.number("--sigma-die", opt.sigma_die, 0.0, kMaxSigma);
+  args.number("--sigma-aging", opt.sigma_aging, 0.0, kMaxSigma);
   args.integer("--surface-points", opt.surface_points, 1);
   args.text("--checkpoint-dir", opt.checkpoint_dir);
   args.on("--resume", opt.resume);
