@@ -53,12 +53,15 @@ LintReport run(const LintContext& ctx, std::span<const Rule> rules) {
   if (ctx.netlist == nullptr) {
     throw std::invalid_argument("lint::run: context has no netlist");
   }
+  SharedSta sta;
+  LintContext run_ctx = ctx;
+  run_ctx.sta = &sta;
   LintReport report;
   std::uint64_t index = 0;
   for (const Rule& rule : rules) {
     obs::TraceSpan span("lint.rule", index++);
     try {
-      rule.run(ctx, rule.id, report.diagnostics);
+      rule.run(run_ctx, rule.id, report.diagnostics);
     } catch (const std::exception& e) {
       report.diagnostics.push_back(
           Diagnostic{Severity::kError, std::string(rule.id),

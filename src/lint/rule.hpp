@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -62,6 +63,13 @@ struct ConsistencyContext {
   std::uint64_t seed = 0x11A7C0DEULL;
 };
 
+/// The multi-corner min/max STA that the timing rules share, so setup and
+/// hold verdicts come from identical arrival planes. lint::run makes one,
+/// empty, per call, and the first timing rule that reads it fills it. An
+/// analysis that throws leaves it empty, so each rule that reaches it
+/// throws the same error and reports it under its own id.
+using SharedSta = std::optional<std::vector<CornerTiming>>;
+
 /// Everything a rule may look at. Only `netlist` is mandatory; rules whose
 /// prerequisites are missing report an info diagnostic saying why they did
 /// not run instead of failing.
@@ -73,6 +81,8 @@ struct LintContext {
   /// Enables the timing-safety rules.
   const TimingContext* timing = nullptr;
   ConsistencyContext consistency{};
+  /// Set by lint::run, one per call; the timing rules read it.
+  SharedSta* sta = nullptr;
 };
 
 enum class RuleCategory { kStructural = 0, kTiming = 1, kConsistency = 2 };

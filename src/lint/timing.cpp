@@ -47,14 +47,14 @@ bool timing_ready(const LintContext& ctx, std::string_view rule_id,
   return true;
 }
 
-/// One multi-corner min/max pass over the whole sweep. Every timing rule
-/// reads the same result, so setup and hold verdicts are provably computed
-/// from identical arrival planes.
-std::vector<CornerTiming> sweep_sta(const Netlist& nl,
-                                    const TimingContext& timing) {
-  const StaEngine engine(nl, *timing.tech);
-  const std::vector<StaCorner> corners = aging_corners(nl, timing);
-  return engine.run(corners);
+/// The analysis every timing rule reads (see SharedSta).
+const std::vector<CornerTiming>& shared_sta(const LintContext& ctx) {
+  SharedSta& sta = *ctx.sta;
+  if (!sta.has_value()) {
+    const StaEngine engine(*ctx.netlist, *ctx.timing->tech);
+    sta = engine.run(aging_corners(*ctx.netlist, *ctx.timing));
+  }
+  return *sta;
 }
 
 // ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ void check_razor_coverage(const LintContext& ctx, std::string_view id,
   if (!timing_ready(ctx, id, out)) return;
   const Netlist& nl = *ctx.netlist;
   const TimingContext& timing = *ctx.timing;
-  const std::vector<CornerTiming> sta = sweep_sta(nl, timing);
+  const std::vector<CornerTiming>& sta = shared_sta(ctx);
 
   std::size_t can_exceed = 0;
   std::size_t uncovered = 0;
@@ -125,7 +125,7 @@ void check_shadow_window(const LintContext& ctx, std::string_view id,
   if (!timing_ready(ctx, id, out)) return;
   const Netlist& nl = *ctx.netlist;
   const TimingContext& timing = *ctx.timing;
-  const std::vector<CornerTiming> sta = sweep_sta(nl, timing);
+  const std::vector<CornerTiming>& sta = shared_sta(ctx);
   const double window_ps =
       timing.period_ps * (1.0 + timing.razor.shadow_window_cycles);
 
@@ -168,10 +168,9 @@ void check_shadow_window(const LintContext& ctx, std::string_view id,
 void check_hold_count(const LintContext& ctx, std::string_view id,
                       std::vector<Diagnostic>& out) {
   if (!timing_ready(ctx, id, out)) return;
-  const Netlist& nl = *ctx.netlist;
   const TimingContext& timing = *ctx.timing;
   const double budget_ps = timing.period_ps * timing.max_hold_cycles;
-  const std::vector<CornerTiming> sta = sweep_sta(nl, timing);
+  const std::vector<CornerTiming>& sta = shared_sta(ctx);
 
   const CornerTiming* first_bad = nullptr;
   const CornerTiming* worst = nullptr;
@@ -237,7 +236,7 @@ void check_hold_window(const LintContext& ctx, std::string_view id,
         kNoGate, kInvalidNet});
     return;
   }
-  const std::vector<CornerTiming> sta = sweep_sta(nl, timing);
+  const std::vector<CornerTiming>& sta = shared_sta(ctx);
   const double window_ps =
       timing.period_ps * timing.razor.shadow_window_cycles;
   const double required_ps = window_ps + timing.hold_margin_ps;

@@ -62,8 +62,8 @@ enum class ErrorCode {
 
 std::string_view error_code_name(ErrorCode code) noexcept;
 
-/// One decoded request. `params` stays a JsonValue — each handler knows
-/// its own schema; protocol-level validation covers only the envelope.
+/// One decoded request. `params` stays a JsonValue: protocol-level
+/// validation covers only the envelope, and Service::parse the params.
 struct Request {
   std::uint64_t id = 0;
   std::string method;

@@ -416,17 +416,7 @@ void Server::serve_frame(Conn& conn, const std::string& payload) {
     handle_control(conn, *request);
     return;
   }
-  const std::uint32_t cap = config_.max_inflight_per_conn;
-  if (cap != 0 && conn.inflight >= cap) {
-    server_metrics().rejected_inflight_cap.add();
-    reply(conn, error_response(
-                    request->id, ErrorCode::kOverloaded,
-                    "per-connection in-flight cap (" + std::to_string(cap) +
-                        ") reached; wait for responses before pipelining more",
-                    kRetryAfterMinMs));
-    return;
-  }
-  dispatch_queueable(conn, std::move(*request));
+  dispatch_queueable(conn, *request);
 }
 
 void Server::handle_control(Conn& conn, const Request& request) {
@@ -502,48 +492,57 @@ std::string Server::status_json() const {
   return json.str();
 }
 
-void Server::dispatch_queueable(Conn& conn, Request request) {
-  // A query is parsed here, once: malformed params are answered at the
-  // door, never queued. Tier-1 classification: a query that would miss the
-  // aged-state cache triggers an expensive aging recompute, so under
-  // pressure those are shed while cache hits keep flowing.
-  Job job;
-  bool needs_refill = false;
-  if (request.method == "query") {
-    std::string error;
-    job.query = Service::parse_query_params(request.params, error);
-    if (!job.query.has_value()) {
-      server_metrics().bad_request.add();
-      reply(conn, error_response(request.id, ErrorCode::kBadRequest, error));
-      return;
-    }
-    needs_refill = !cache_.contains(job.query->corner_key);
+void Server::dispatch_queueable(Conn& conn, const Request& request) {
+  // Every queueable request is parsed here, once, before any admission
+  // check: malformed params are answered at the door and never take a
+  // queue slot, a quota token or a worker, nor get a retry hint. Tier-1
+  // classification: a query that would miss the aged-state cache triggers
+  // an expensive aging recompute, so under pressure those are shed while
+  // cache hits keep flowing.
+  std::string error;
+  std::optional<RequestParams> params = Service::parse(request, error);
+  if (!params.has_value()) {
+    server_metrics().bad_request.add();
+    reply(conn, error_response(request.id, ErrorCode::kBadRequest, error));
+    return;
   }
+  const std::uint32_t cap = config_.max_inflight_per_conn;
+  if (cap != 0 && conn.inflight >= cap) {
+    server_metrics().rejected_inflight_cap.add();
+    reply(conn, error_response(
+                    request.id, ErrorCode::kOverloaded,
+                    "per-connection in-flight cap (" + std::to_string(cap) +
+                        ") reached; wait for responses before pipelining more",
+                    kRetryAfterMinMs));
+    return;
+  }
+  const auto* query = std::get_if<QueryParams>(&*params);
+  const bool needs_refill =
+      query != nullptr && !cache_.contains(query->corner_key);
 
-  job.request = std::move(request);
-  job.client = job.request.client_id.empty() ? conn.peer_id
-                                             : job.request.client_id;
+  Job job;
+  job.id = request.id;
+  job.params = std::move(*params);
+  job.client = request.client_id.empty() ? conn.peer_id : request.client_id;
   job.conn = conn.id;
   job.token = std::make_shared<runtime::CancelToken>();
   job.enqueued = Clock::now();
-  const std::int64_t deadline_ms = job.request.deadline_ms > 0
-                                       ? job.request.deadline_ms
+  const std::int64_t deadline_ms = request.deadline_ms > 0
+                                       ? request.deadline_ms
                                        : config_.default_deadline_ms;
   job.deadline = deadline_ms > 0
                      ? job.enqueued + std::chrono::milliseconds(deadline_ms)
                      : Clock::time_point::max();
 
-  const std::uint64_t id = job.request.id;
-  const Priority priority = job.request.priority;
   const std::string client = job.client;
   auto token = job.token;
   const auto deadline = job.deadline;
   const AdmissionDecision decision =
-      queue_.try_push(std::move(job), priority, needs_refill, client);
+      queue_.try_push(std::move(job), request.priority, needs_refill, client);
   if (!decision.admitted) {
     count_rejection(decision.reason);
     reply(conn, error_response(
-                    id, decision.reason,
+                    request.id, decision.reason,
                     std::string("rejected: ") +
                         std::string(error_code_name(decision.reason)),
                     decision.retry_after_ms));
@@ -573,7 +572,7 @@ void Server::worker_loop() {
       (timed_out ? server_metrics().timed_out : server_metrics().cancelled)
           .add();
       response = error_response(
-          job->request.id,
+          job->id,
           timed_out ? ErrorCode::kTimeout : ErrorCode::kCancelled,
           timed_out ? "deadline expired while queued" : "cancelled by drain");
     } else {
@@ -588,13 +587,11 @@ void Server::worker_loop() {
             return sent;
           };
       HandlerResult result =
-          job->query.has_value()
-              ? service_.handle(job->request, *job->query, *job->token)
-              : service_.handle(job->request, *job->token, emitter);
+          service_.handle(job->id, job->params, *job->token, emitter);
       const auto finished = Clock::now();
       if (result.ok) {
         server_metrics().completed.add();
-        response = ok_response(job->request.id, result.result_json);
+        response = ok_response(job->id, result.result_json);
       } else {
         server_metrics().failed.add();
         ErrorCode code = result.code;
@@ -610,7 +607,7 @@ void Server::worker_loop() {
             break;
           default: break;
         }
-        response = error_response(job->request.id, code, result.message);
+        response = error_response(job->id, code, result.message);
       }
     }
     const auto done = Clock::now();

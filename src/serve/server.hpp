@@ -68,9 +68,9 @@ struct ServerConfig {
   /// behaviour: idle connections live until the peer hangs up or the
   /// daemon drains.
   std::int64_t idle_timeout_ms = 0;
-  /// Per-connection cap on queued + running requests; pipelining past it
-  /// is rejected with `overloaded` before touching the admission queue.
-  /// 0 disables.
+  /// Per-connection cap on queued + running requests; a valid request
+  /// pipelined past it is rejected with `overloaded` before touching the
+  /// admission queue. 0 disables.
   std::uint32_t max_inflight_per_conn = 32;
   ServiceConfig service{};
 };
@@ -98,7 +98,6 @@ class Server {
     return draining_.load(std::memory_order_acquire);
   }
   const ServerConfig& config() const noexcept { return config_; }
-  AgedStateCache& cache() noexcept { return cache_; }
   std::size_t queue_depth() const { return queue_.depth(); }
   std::uint64_t in_flight() const noexcept {
     return in_flight_.load(std::memory_order_acquire);
@@ -138,9 +137,9 @@ class Server {
   };
 
   struct Job {
-    Request request;
-    std::optional<QueryParams> query;  ///< a query's params, parsed once
-    std::string client;  ///< resolved fairness identity
+    std::uint64_t id = 0;  ///< the request's id
+    RequestParams params;  ///< validated at the door
+    std::string client;    ///< resolved fairness identity
     std::uint64_t conn = 0;
     std::shared_ptr<runtime::CancelToken> token;
     Clock::time_point enqueued;
@@ -154,7 +153,7 @@ class Server {
   ConnMap::iterator close_conn(ConnMap::iterator it);
   void serve_frame(Conn& conn, const std::string& payload);
   void handle_control(Conn& conn, const Request& request);
-  void dispatch_queueable(Conn& conn, Request request);
+  void dispatch_queueable(Conn& conn, const Request& request);
   void reply(Conn& conn, std::string_view payload);
   bool post(std::uint64_t conn, std::string payload, bool final);
   void worker_loop();

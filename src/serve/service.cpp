@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -70,20 +71,15 @@ HandlerResult ok_result(const std::string& result_json) {
   return out;
 }
 
-HandlerResult bad_request(std::string message) {
+HandlerResult failure(ErrorCode code, std::string message) {
   return HandlerResult{.ok = false,
                        .result_json = {},
-                       .code = ErrorCode::kBadRequest,
+                       .code = code,
                        .message = std::move(message)};
 }
 
-HandlerResult cancelled_result(const runtime::CancelToken& cancel,
-                               std::string where) {
-  (void)cancel;
-  return HandlerResult{.ok = false,
-                       .result_json = {},
-                       .code = ErrorCode::kCancelled,
-                       .message = "cancelled during " + std::move(where)};
+HandlerResult cancelled_during(const char* where) {
+  return failure(ErrorCode::kCancelled, std::string("cancelled during ") + where);
 }
 
 std::uint64_t query_corner_digest(const QueryParams& q) {
@@ -120,26 +116,6 @@ char hex_digit(std::uint64_t v) {
   return "0123456789abcdef"[v & 0xF];
 }
 
-/// Runs one request handler inside the `serve.handle` span; an exception
-/// becomes an `internal` error.
-template <typename Handler>
-HandlerResult guarded(std::uint64_t request_id, Handler&& handler) noexcept {
-  try {
-    obs::TraceSpan span("serve.handle", request_id);
-    return handler();
-  } catch (const std::exception& e) {
-    return HandlerResult{.ok = false,
-                         .result_json = {},
-                         .code = ErrorCode::kInternal,
-                         .message = e.what()};
-  } catch (...) {
-    return HandlerResult{.ok = false,
-                         .result_json = {},
-                         .code = ErrorCode::kInternal,
-                         .message = "unknown exception"};
-  }
-}
-
 std::string digest_hex(std::uint64_t digest) {
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
@@ -147,6 +123,127 @@ std::string digest_hex(std::uint64_t digest) {
     digest >>= 4;
   }
   return out;
+}
+
+/// Sets the bad_request message of a failed check.
+bool fail(std::string& error, std::string message) {
+  error = std::move(message);
+  return false;
+}
+
+// Each check reads one param, or its default when absent, into `out`; a
+// value out of range fills `error` and returns false.
+
+template <typename T>
+bool read_int(const JsonValue& params, std::string_view key,
+              std::int64_t fallback, std::int64_t lo, std::int64_t hi,
+              T& out, std::string& error) {
+  const std::int64_t value = params.i64_or(key, fallback);
+  if (value < lo || value > hi) {
+    return fail(error, std::string(key) + " must be in [" +
+                           std::to_string(lo) + ", " + std::to_string(hi) +
+                           "]");
+  }
+  out = static_cast<T>(value);
+  return true;
+}
+
+// The checks that queries and campaigns share, each written once.
+
+bool read_circuit(const JsonValue& params, CircuitParams& out,
+                  std::string& error) {
+  out.arch_name = params.str_or("arch", "cb");
+  // The service models AM, CB and RB; no Wallace tree.
+  const auto arch = parse_arch(out.arch_name);
+  if (!arch || *arch == MultiplierArch::kWallaceTree) {
+    return fail(error, "arch must be am|cb|rb");
+  }
+  out.arch = *arch;
+  return read_int(params, "width", 16, Service::kMinWidth, Service::kMaxWidth,
+                  out.width, error);
+}
+
+bool read_ops(const JsonValue& params, std::int64_t fallback,
+              std::size_t& out, std::string& error) {
+  return read_int(params, "ops", fallback, 1, kMaxOps, out, error);
+}
+
+bool read_period_frac(const JsonValue& params, double& out,
+                      std::string& error) {
+  out = params.num_or("period_frac", 0.58);
+  if (!(out > 0.0) || out > 4.0) {
+    return fail(error, "period_frac must be in (0, 4]");
+  }
+  return true;
+}
+
+// A method's params are checked in a fixed order, so a request with several
+// bad params always gets the first one's message.
+
+bool parse_query(const JsonValue& params, QueryParams& q,
+                 std::string& error) {
+  if (!read_circuit(params, q, error)) return false;
+  q.years = params.num_or("years", 0.0);
+  if (!(q.years >= 0.0) || q.years > kMaxYears) {
+    return fail(error,
+                "years must be in [0, " + std::to_string(kMaxYears) + "]");
+  }
+  if (!read_ops(params, 2000, q.ops, error) ||
+      !read_period_frac(params, q.period_frac, error)) {
+    return false;
+  }
+  const std::int64_t skip = params.i64_or("skip", default_skip(q.width));
+  if (skip < 1 || skip >= q.width) {
+    return fail(error, "skip must be in [1, width)");
+  }
+  q.skip = static_cast<int>(skip);
+  q.adaptive = params.bool_or("adaptive", true);
+  q.workload_seed = params.u64_or("seed", kWorkloadSeed);
+  q.corner_key = query_corner_digest(q);
+  return true;
+}
+
+bool parse_campaign(const JsonValue& params, CampaignParams& c,
+                    std::string& error) {
+  FaultCampaignConfig& f = c.faults;
+  if (!read_circuit(params, c, error) ||
+      !read_int(params, "trials", 32, 1, kMaxTrials, f.trials, error) ||
+      !read_ops(params, 1000, c.ops, error) ||
+      !read_int(params, "sites", 2, 1, 64, f.sites_per_trial, error)) {
+    return false;
+  }
+  c.kind_name = params.str_or("kind", "delay");
+  const auto kind = parse_fault_kind(c.kind_name);
+  if (!kind.has_value()) {
+    return fail(error, "kind must be stuck0|stuck1|transient|delay");
+  }
+  f.kind = *kind;
+  f.delay_factor = params.num_or("delay_factor", 8.0);
+  if (!(f.delay_factor > 0.0)) return fail(error, "delay_factor must be > 0");
+  if (!read_period_frac(params, c.period_frac, error)) return false;
+  f.seed = params.u64_or("seed", 0xFA17);
+  c.checkpoint = params.bool_or("checkpoint", true);
+
+  // Streaming + resume (docs/SERVING.md). The cursor's unit_index counts
+  // finished work units (unit 0 = baseline), so valid values span
+  // [0, trials + 1].
+  c.stream = params.bool_or("stream", false);
+  c.stream_every = params.i64_or("stream_every", 1);
+  if (c.stream_every < 1) return fail(error, "stream_every must be >= 1");
+  if (const JsonValue* rc = params.find("resume_cursor")) {
+    if (!rc->is_object()) return fail(error, "resume_cursor must be an object");
+    c.cursor_digest = rc->str_or("digest", "");
+    if (c.cursor_digest.empty()) {
+      return fail(error, "resume_cursor needs a string 'digest'");
+    }
+    const std::int64_t index = rc->i64_or("unit_index", -1);
+    if (index < 0 || index > f.trials + 1) {
+      return fail(error,
+                  "resume_cursor.unit_index must be in [0, trials + 1]");
+    }
+    c.cursor_units = static_cast<std::uint64_t>(index);
+  }
+  return true;
 }
 
 }  // namespace
@@ -167,68 +264,42 @@ const Service::Circuit& Service::circuit(MultiplierArch arch, int width) {
   return *slot.circuit;
 }
 
-std::optional<QueryParams> Service::parse_query_params(
-    const JsonValue& params, std::string& error) {
-  const auto reject = [&](const std::string& message) {
-    error = message;
-    return std::nullopt;
-  };
-  QueryParams q;
-  q.arch_name = params.str_or("arch", "cb");
-  // The service models AM, CB and RB; no Wallace tree.
-  const auto arch = parse_arch(q.arch_name);
-  if (!arch || *arch == MultiplierArch::kWallaceTree) {
-    return reject("arch must be am|cb|rb");
+std::optional<RequestParams> Service::parse(const Request& request,
+                                            std::string& error) {
+  RequestParams params;
+  bool ok = false;
+  if (request.method == "query") {
+    ok = parse_query(request.params, params.emplace<QueryParams>(), error);
+  } else if (request.method == "campaign") {
+    ok = parse_campaign(request.params, params.emplace<CampaignParams>(),
+                        error);
+  } else if (request.method == "work") {
+    ok = read_int(request.params, "spin_us", 1000, 0, kMaxSpinUs,
+                  params.emplace<WorkParams>().spin_us, error);
+  } else {
+    error = "method '" + request.method + "' is not a queueable method";
   }
-  q.arch = *arch;
-  const std::int64_t width = params.i64_or("width", 16);
-  if (width < kMinWidth || width > kMaxWidth) {
-    return reject("width must be in [2, 32]");
-  }
-  q.width = static_cast<int>(width);
-  q.years = params.num_or("years", 0.0);
-  if (!(q.years >= 0.0) || q.years > kMaxYears) {
-    return reject("years must be in [0, " + std::to_string(kMaxYears) + "]");
-  }
-  const std::int64_t ops = params.i64_or("ops", 2000);
-  if (ops < 1 || static_cast<std::size_t>(ops) > kMaxOps) {
-    return reject("ops must be in [1, " + std::to_string(kMaxOps) + "]");
-  }
-  q.ops = static_cast<std::size_t>(ops);
-  q.period_frac = params.num_or("period_frac", 0.58);
-  if (!(q.period_frac > 0.0) || q.period_frac > 4.0) {
-    return reject("period_frac must be in (0, 4]");
-  }
-  const std::int64_t skip = params.i64_or("skip", default_skip(q.width));
-  if (skip < 1 || skip >= width) return reject("skip must be in [1, width)");
-  q.skip = static_cast<int>(skip);
-  q.adaptive = params.bool_or("adaptive", true);
-  q.workload_seed = params.u64_or("seed", kWorkloadSeed);
-  q.corner_key = query_corner_digest(q);
-  return q;
+  if (!ok) return std::nullopt;
+  return params;
 }
 
-HandlerResult Service::handle(const Request& request,
+HandlerResult Service::handle(std::uint64_t id, const RequestParams& params,
                               const runtime::CancelToken& cancel,
                               const StreamEmitter& emit) noexcept {
-  return guarded(request.id, [&] {
-    if (request.method == "query") {
-      std::string error;
-      const auto q = parse_query_params(request.params, error);
-      return q.has_value() ? handle_query(*q, cancel) : bad_request(error);
+  try {
+    obs::TraceSpan span("serve.handle", id);
+    if (const auto* q = std::get_if<QueryParams>(&params)) {
+      return handle_query(*q, cancel);
     }
-    if (request.method == "campaign") {
-      return handle_campaign(request, cancel, emit);
+    if (const auto* c = std::get_if<CampaignParams>(&params)) {
+      return handle_campaign(id, *c, cancel, emit);
     }
-    if (request.method == "work") return handle_work(request.params, cancel);
-    return bad_request("method '" + request.method +
-                       "' is not a queueable method");
-  });
-}
-
-HandlerResult Service::handle(const Request& request, const QueryParams& query,
-                              const runtime::CancelToken& cancel) noexcept {
-  return guarded(request.id, [&] { return handle_query(query, cancel); });
+    return handle_work(std::get<WorkParams>(params), cancel);
+  } catch (const std::exception& e) {
+    return failure(ErrorCode::kInternal, e.what());
+  } catch (...) {
+    return failure(ErrorCode::kInternal, "unknown exception");
+  }
 }
 
 HandlerResult Service::handle_query(const QueryParams& q,
@@ -244,7 +315,7 @@ HandlerResult Service::handle_query(const QueryParams& q,
     cache_hit = false;
     service_metrics().corner_refills.add();
     obs::TraceSpan refill_span("serve.corner_refill", key);
-    if (cancel.cancelled()) return cancelled_result(cancel, "corner refill");
+    if (cancel.cancelled()) return cancelled_during("corner refill");
     AgedCorner fresh;
     fresh.critical_path_ps = circuit.fresh_critical_path_ps;
     std::vector<double> delay_scales;  // empty: the fresh circuit
@@ -257,7 +328,7 @@ HandlerResult Service::handle_query(const QueryParams& q,
       fresh.critical_path_ps =
           critical_path_ps(circuit.mult, tech_, delay_scales);
     }
-    if (cancel.cancelled()) return cancelled_result(cancel, "corner refill");
+    if (cancel.cancelled()) return cancelled_during("corner refill");
     Rng rng(q.workload_seed);
     const auto patterns = uniform_patterns(rng, q.width, q.ops);
     fresh.trace = compute_op_trace(
@@ -266,7 +337,7 @@ HandlerResult Service::handle_query(const QueryParams& q,
     if (cache_ != nullptr) cache_->put(key, fresh);
     corner = std::move(fresh);
   }
-  if (cancel.cancelled()) return cancelled_result(cancel, "query replay");
+  if (cancel.cancelled()) return cancelled_during("query replay");
 
   VlSystemConfig cfg;
   cfg.period_ps = q.period_frac * corner->critical_path_ps;
@@ -290,89 +361,23 @@ HandlerResult Service::handle_query(const QueryParams& q,
   return ok_result(json.str());
 }
 
-HandlerResult Service::handle_campaign(const Request& request,
+HandlerResult Service::handle_campaign(std::uint64_t id,
+                                       const CampaignParams& c,
                                        const runtime::CancelToken& cancel,
                                        const StreamEmitter& emit) {
-  const JsonValue& params = request.params;
   service_metrics().campaigns.add();
-  const auto reject = [](const std::string& m) { return bad_request(m); };
-
-  const std::string arch_name = params.str_or("arch", "cb");
-  const auto arch = parse_arch(arch_name);
-  if (!arch || *arch == MultiplierArch::kWallaceTree) {
-    return reject("arch must be am|cb|rb");
-  }
-  const std::int64_t width = params.i64_or("width", 16);
-  if (width < kMinWidth || width > kMaxWidth) {
-    return reject("width must be in [2, 32]");
-  }
-  const std::int64_t trials = params.i64_or("trials", 32);
-  if (trials < 1 || trials > kMaxTrials) {
-    return reject("trials must be in [1, " + std::to_string(kMaxTrials) + "]");
-  }
-  const std::int64_t ops = params.i64_or("ops", 1000);
-  if (ops < 1 || static_cast<std::size_t>(ops) > kMaxOps) {
-    return reject("ops must be in [1, " + std::to_string(kMaxOps) + "]");
-  }
-  const std::int64_t sites = params.i64_or("sites", 2);
-  if (sites < 1 || sites > 64) return reject("sites must be in [1, 64]");
-  const std::string kind_name = params.str_or("kind", "delay");
-  const auto kind = parse_fault_kind(kind_name);
-  if (!kind.has_value()) {
-    return reject("kind must be stuck0|stuck1|transient|delay");
-  }
-  const double delay_factor = params.num_or("delay_factor", 8.0);
-  if (!(delay_factor > 0.0)) return reject("delay_factor must be > 0");
-  const double period_frac = params.num_or("period_frac", 0.58);
-  if (!(period_frac > 0.0) || period_frac > 4.0) {
-    return reject("period_frac must be in (0, 4]");
-  }
-  const std::uint64_t seed = params.u64_or("seed", 0xFA17);
-  const bool checkpoint =
-      params.bool_or("checkpoint", !config_.checkpoint_root.empty());
-
-  // Streaming + resume (docs/SERVING.md). The cursor's unit_index counts
-  // finished work units (unit 0 = baseline), so valid values span
-  // [0, trials + 1]; its digest must match this campaign's — a cursor
-  // from a different configuration is a client bug, not a tail to skip.
-  const bool stream = params.bool_or("stream", false);
-  const std::int64_t stream_every = params.i64_or("stream_every", 1);
-  if (stream_every < 1) return reject("stream_every must be >= 1");
-  std::uint64_t cursor_units = 0;
-  std::string cursor_digest;
-  if (const JsonValue* rc = params.find("resume_cursor")) {
-    if (!rc->is_object()) return reject("resume_cursor must be an object");
-    cursor_digest = rc->str_or("digest", "");
-    if (cursor_digest.empty()) {
-      return reject("resume_cursor needs a string 'digest'");
-    }
-    const std::int64_t index = rc->i64_or("unit_index", -1);
-    if (index < 0 || index > trials + 1) {
-      return reject("resume_cursor.unit_index must be in [0, trials + 1]");
-    }
-    cursor_units = static_cast<std::uint64_t>(index);
-  }
-
-  const Circuit& circuit = this->circuit(*arch, static_cast<int>(width));
+  const Circuit& circuit = this->circuit(c.arch, c.width);
   Rng rng(kWorkloadSeed);
-  const auto patterns =
-      uniform_patterns(rng, static_cast<int>(width),
-                       static_cast<std::size_t>(ops));
+  const auto patterns = uniform_patterns(rng, c.width, c.ops);
 
   VlSystemConfig cfg;
-  cfg.period_ps = period_frac * circuit.fresh_critical_path_ps;
-  cfg.ahl.width = static_cast<int>(width);
-  cfg.ahl.skip = default_skip(static_cast<int>(width));
+  cfg.period_ps = c.period_frac * circuit.fresh_critical_path_ps;
+  cfg.ahl.width = c.width;
+  cfg.ahl.skip = default_skip(c.width);
   cfg.razor.metastability_window_ps = 5.0;
   cfg.razor.edge_escape_prob = 0.5;
 
-  FaultCampaignConfig cc;
-  cc.kind = *kind;
-  cc.trials = static_cast<int>(trials);
-  cc.sites_per_trial = static_cast<int>(sites);
-  cc.delay_factor = delay_factor;
-  cc.seed = seed;
-  const FaultCampaign campaign(circuit.mult, tech_, cfg, cc);
+  const FaultCampaign campaign(circuit.mult, tech_, cfg, c.faults);
 
   runtime::RunnerConfig runner_config = config_.runner;
   runner_config.stop = &cancel;
@@ -381,12 +386,15 @@ HandlerResult Service::handle_campaign(const Request& request,
   std::unique_lock<std::mutex> digest_lock;  // held through campaign.run
   std::optional<runtime::CheckpointStore> store;
   const std::uint64_t digest = campaign.config_digest(patterns);
-  if (!cursor_digest.empty() && cursor_digest != digest_hex(digest)) {
-    return reject("resume_cursor.digest '" + cursor_digest +
-                  "' does not match this campaign (" + digest_hex(digest) +
-                  ")");
+  // A cursor from a different configuration is a client bug, not a tail
+  // to skip.
+  if (!c.cursor_digest.empty() && c.cursor_digest != digest_hex(digest)) {
+    return failure(ErrorCode::kBadRequest,
+                   "resume_cursor.digest '" + c.cursor_digest +
+                       "' does not match this campaign (" +
+                       digest_hex(digest) + ")");
   }
-  if (checkpoint && !config_.checkpoint_root.empty()) {
+  if (c.checkpoint && !config_.checkpoint_root.empty()) {
     digest_lock = std::unique_lock(campaign_digest_mutex(digest));
     // Resume-by-default: the store is keyed by the campaign digest, so a
     // daemon restarted after SIGKILL finishes the remaining units and
@@ -417,12 +425,12 @@ HandlerResult Service::handle_campaign(const Request& request,
   // failed emit stops frames but never the campaign, whose units keep
   // checkpointing for the re-attach.
   bool client_gone = false;
-  if (stream && emit) {
+  if (c.stream && emit) {
     run_options.progress = [&](std::uint64_t units_done,
                                std::uint64_t units_total,
                                const FaultCampaignStats& partial) {
-      if (client_gone || units_done <= cursor_units) return;
-      if (units_done % static_cast<std::uint64_t>(stream_every) != 0 &&
+      if (client_gone || units_done <= c.cursor_units) return;
+      if (units_done % static_cast<std::uint64_t>(c.stream_every) != 0 &&
           units_done != units_total) {
         return;
       }
@@ -430,7 +438,7 @@ HandlerResult Service::handle_campaign(const Request& request,
       pj.begin_object();
       write_campaign_stats(pj, partial);
       pj.end_object();
-      if (!emit(stream_frame(request.id, units_done, units_done, units_total,
+      if (!emit(stream_frame(id, units_done, units_done, units_total,
                              pj.str()))) {
         client_gone = true;
       }
@@ -441,12 +449,9 @@ HandlerResult Service::handle_campaign(const Request& request,
     stats = campaign.run(patterns, run_options);
   } catch (const runtime::RunError& e) {
     if (cancel.cancelled() || report.interrupted()) {
-      return cancelled_result(cancel, "campaign");
+      return cancelled_during("campaign");
     }
-    return HandlerResult{.ok = false,
-                         .result_json = {},
-                         .code = ErrorCode::kInternal,
-                         .message = e.what()};
+    return failure(ErrorCode::kInternal, e.what());
   }
 
   // Response bytes must be identical whether the campaign was computed in
@@ -454,12 +459,12 @@ HandlerResult Service::handle_campaign(const Request& request,
   // content goes here — computed/restored splits live in the metrics.
   JsonWriter json;
   json.begin_object();
-  json.key("arch").value(arch_name);
-  json.key("width").value(static_cast<std::int64_t>(width));
-  json.key("kind").value(kind_name);
-  json.key("configured_trials").value(static_cast<std::int64_t>(trials));
-  json.key("sites_per_trial").value(static_cast<std::int64_t>(sites));
-  json.key("seed").value(seed);
+  json.key("arch").value(c.arch_name);
+  json.key("width").value(c.width);
+  json.key("kind").value(c.kind_name);
+  json.key("configured_trials").value(c.faults.trials);
+  json.key("sites_per_trial").value(c.faults.sites_per_trial);
+  json.key("seed").value(c.faults.seed);
   json.key("period_ps").value(cfg.period_ps);
   json.key("campaign_digest").value(digest_hex(digest));
   // Always present (streamed or not): where a future request would resume.
@@ -467,8 +472,7 @@ HandlerResult Service::handle_campaign(const Request& request,
   // it streams nothing and returns this same final response.
   json.key("resume_cursor").begin_object();
   json.key("digest").value(digest_hex(digest));
-  json.key("unit_index")
-      .value(static_cast<std::int64_t>(trials + 1));
+  json.key("unit_index").value(c.faults.trials + 1);
   json.end_object();
   json.key("stats").begin_object();
   write_campaign_stats(json, stats);
@@ -477,21 +481,16 @@ HandlerResult Service::handle_campaign(const Request& request,
   return ok_result(json.str());
 }
 
-HandlerResult Service::handle_work(const JsonValue& params,
+HandlerResult Service::handle_work(const WorkParams& w,
                                    const runtime::CancelToken& cancel) {
   service_metrics().work.add();
-  const std::int64_t spin_us = params.i64_or("spin_us", 1000);
-  if (spin_us < 0 || spin_us > kMaxSpinUs) {
-    return bad_request("spin_us must be in [0, " + std::to_string(kMaxSpinUs) +
-                       "]");
-  }
   // Calibrated busy work, mutated-style (SNIPPETS.md snippet 3): occupy a
   // worker for a precise duration so load tests can dial in a known
   // service time. Clock-paced rather than iteration-paced — the load
   // generator cares about service *time*, not instruction count.
   using Clock = std::chrono::steady_clock;
   const Clock::time_point deadline =
-      Clock::now() + std::chrono::microseconds(spin_us);
+      Clock::now() + std::chrono::microseconds(w.spin_us);
   std::uint64_t mix = 0x9E3779B97F4A7C15ULL;
   std::uint64_t iters = 0;
   while (Clock::now() < deadline) {
@@ -501,11 +500,11 @@ HandlerResult Service::handle_work(const JsonValue& params,
       mix ^= mix << 17;
       ++iters;
     }
-    if (cancel.cancelled()) return cancelled_result(cancel, "work spin");
+    if (cancel.cancelled()) return cancelled_during("work spin");
   }
   JsonWriter json;
   json.begin_object();
-  json.key("spun_us").value(spin_us);
+  json.key("spun_us").value(w.spin_us);
   json.key("iters").value(iters);
   // `mix` is consumed so the spin loop cannot be optimized away.
   json.key("mix_low_bit").value(static_cast<std::int64_t>(mix & 1));

@@ -12,7 +12,9 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <variant>
 
+#include "src/fault/campaign.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/netlist/techlib.hpp"
 #include "src/runtime/robust_runner.hpp"
@@ -42,12 +44,17 @@ struct HandlerResult {
   std::string message;
 };
 
-/// A query's validated params and the key of the aged corner they name.
-/// The key covers everything that determines the corner's bytes.
-struct QueryParams {
+/// The multiplier a query or campaign names: am, cb or rb, at a width in
+/// [Service::kMinWidth, Service::kMaxWidth].
+struct CircuitParams {
   MultiplierArch arch = MultiplierArch::kColumnBypass;
   std::string arch_name;
   int width = 0;
+};
+
+/// A query's validated params and the key of the aged corner they name.
+/// The key covers everything that determines the corner's bytes.
+struct QueryParams : CircuitParams {
   double years = 0.0;
   std::size_t ops = 0;
   double period_frac = 0.0;
@@ -56,6 +63,29 @@ struct QueryParams {
   std::uint64_t workload_seed = 0;
   std::uint64_t corner_key = 0;
 };
+
+/// A campaign's validated params. The resume cursor's digest is compared
+/// only when the campaign runs: the digest it must equal needs the circuit
+/// and the operand stream.
+struct CampaignParams : CircuitParams {
+  FaultCampaignConfig faults;
+  std::string kind_name;
+  std::size_t ops = 0;
+  double period_frac = 0.0;
+  bool checkpoint = true;  ///< false: no checkpoints, even with a root
+  bool stream = false;
+  std::int64_t stream_every = 1;
+  std::uint64_t cursor_units = 0;  ///< the resume cursor's unit_index
+  std::string cursor_digest;       ///< empty: no resume cursor
+};
+
+/// A work request's validated params.
+struct WorkParams {
+  std::int64_t spin_us = 0;
+};
+
+/// The validated params of one queueable request.
+using RequestParams = std::variant<QueryParams, CampaignParams, WorkParams>;
 
 /// Shared by every worker: the multipliers that requests name are built
 /// once and then read `const` (circuit()).
@@ -74,26 +104,24 @@ class Service {
   /// client re-attaches with its resume cursor.
   using StreamEmitter = std::function<bool(const std::string& payload)>;
 
-  /// Executes one queued (non-control) request. `cancel` is the request's
-  /// cancellation token: armed by the server's deadline watchdog and by
-  /// drain. `emit` (optional) enables streaming for campaigns that ask
-  /// for it. Never throws — failures come back as HandlerResult errors.
-  HandlerResult handle(const Request& request,
+  /// Validates the params of a queueable request (query, campaign or
+  /// work) and digests a query's corner key. nullopt, with the bad_request
+  /// message in `error`, for another method or a param out of range. The
+  /// server parses each request once, on its event loop, before admission:
+  /// a malformed request never takes a queue slot, a quota token or a
+  /// worker.
+  static std::optional<RequestParams> parse(const Request& request,
+                                            std::string& error);
+
+  /// Runs request `id` on the params parse() validated. `cancel` is the
+  /// request's cancellation token: armed by the server's deadline watchdog
+  /// and by drain. `emit` (optional) enables streaming for campaigns that
+  /// ask for it. Never throws — failures come back as HandlerResult
+  /// errors; the one bad_request is a campaign whose resume cursor carries
+  /// another campaign's digest.
+  HandlerResult handle(std::uint64_t id, const RequestParams& params,
                        const runtime::CancelToken& cancel,
                        const StreamEmitter& emit = {}) noexcept;
-  /// Executes a query whose params parse_query_params already validated,
-  /// under the same span and error conversion as handle().
-  HandlerResult handle(const Request& request, const QueryParams& query,
-                       const runtime::CancelToken& cancel) noexcept;
-
-  /// Validates a query's params and digests its corner key. nullopt, with
-  /// the bad_request message in `error`, when a param is out of range. The
-  /// server parses each query once, on its event loop: the key classifies
-  /// the query as a cache refill, and the worker replays from the result.
-  static std::optional<QueryParams> parse_query_params(
-      const JsonValue& params, std::string& error);
-
-  const ServiceConfig& config() const noexcept { return config_; }
 
  private:
   /// One multiplier and its fresh critical path, immutable once built.
@@ -114,10 +142,10 @@ class Service {
 
   HandlerResult handle_query(const QueryParams& q,
                              const runtime::CancelToken& cancel);
-  HandlerResult handle_campaign(const Request& request,
+  HandlerResult handle_campaign(std::uint64_t id, const CampaignParams& c,
                                 const runtime::CancelToken& cancel,
                                 const StreamEmitter& emit);
-  HandlerResult handle_work(const JsonValue& params,
+  HandlerResult handle_work(const WorkParams& w,
                             const runtime::CancelToken& cancel);
 
   ServiceConfig config_;

@@ -15,7 +15,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 StaEngine::StaEngine(const Netlist& netlist, const TechLibrary& tech)
-    : netlist_(&netlist), tech_(&tech) {
+    : netlist_(&netlist) {
   const std::size_t num_gates = netlist.num_gates();
   const std::size_t num_nets = netlist.num_nets();
   const std::size_t num_pins = netlist.num_pins();
@@ -25,8 +25,6 @@ StaEngine::StaEngine(const Netlist& netlist, const TechLibrary& tech)
   // netlists; throwing (which lint::run converts into an error
   // diagnostic) is the contract, crashing is not.
   base_delay_ps_.resize(num_gates);
-  std::vector<std::int32_t> level(num_gates, 0);
-  int depth = 0;
   for (GateId g = 0; g < num_gates; ++g) {
     const Gate& gate = netlist.gate(g);
     if (static_cast<int>(gate.kind) >= kNumCellKinds) {
@@ -41,45 +39,15 @@ StaEngine::StaEngine(const Netlist& netlist, const TechLibrary& tech)
       throw std::invalid_argument("StaEngine: gate " + std::to_string(g) +
                                   " drives a nonexistent net");
     }
-    std::int32_t lvl = 0;
     for (NetId in : netlist.gate_inputs(g)) {
       if (in >= num_nets || in >= gate.out) {
         throw std::invalid_argument(
             "StaEngine: gate " + std::to_string(g) +
             " reads a net that is not topologically earlier than its output");
       }
-      const std::int32_t d = netlist.driver_of(in);
-      if (d >= 0) lvl = std::max(lvl, level[static_cast<GateId>(d)] + 1);
     }
-    level[g] = lvl;
-    depth = std::max(depth, lvl + 1);
     base_delay_ps_[g] = tech.delay(gate.kind);
   }
-  num_levels_ = num_gates == 0 ? 0 : depth;
-
-  // Counting sort into level-major order: gates of level L are contiguous,
-  // ascending id within the level (the schedule a level-synchronous parallel
-  // traversal would hand to worker threads).
-  level_begin_.assign(static_cast<std::size_t>(num_levels_) + 1, 0);
-  for (GateId g = 0; g < num_gates; ++g) {
-    ++level_begin_[static_cast<std::size_t>(level[g]) + 1];
-  }
-  for (std::size_t l = 1; l < level_begin_.size(); ++l) {
-    level_begin_[l] += level_begin_[l - 1];
-  }
-  level_order_.resize(num_gates);
-  std::vector<std::uint32_t> cursor(level_begin_.begin(),
-                                    level_begin_.end() - 1);
-  for (GateId g = 0; g < num_gates; ++g) {
-    level_order_[cursor[static_cast<std::size_t>(level[g])]++] = g;
-  }
-}
-
-std::span<const GateId> StaEngine::level_gates(int lvl) const {
-  if (lvl < 0 || lvl >= num_levels_) return {};
-  return {level_order_.data() + level_begin_[static_cast<std::size_t>(lvl)],
-          level_begin_[static_cast<std::size_t>(lvl) + 1] -
-              level_begin_[static_cast<std::size_t>(lvl)]};
 }
 
 void StaEngine::check_corner(const StaCorner& corner) const {
@@ -102,7 +70,7 @@ CornerTiming StaEngine::forward(const StaCorner& corner) const {
   t.max_arrival_ps.assign(nl.num_nets(), 0.0);
   t.min_arrival_ps.assign(nl.num_nets(), 0.0);
   const bool scaled = !corner.gate_delay_scale.empty();
-  for (const GateId g : level_order_) {
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
     const Gate& gate = nl.gate(g);
     double in_min = kInf;
     double in_max = 0.0;
@@ -130,7 +98,7 @@ std::vector<CornerTiming> StaEngine::run(
     std::span<const StaCorner> corners) const {
   obs::TraceSpan span("sta.run", corners.size());
   for (const StaCorner& c : corners) check_corner(c);
-  // The corner loop is outermost: each walk of the schedule touches one
+  // The corner loop is outermost: each sweep of the gates touches one
   // corner's planes, so its working set stays contiguous.
   std::vector<CornerTiming> r;
   r.reserve(corners.size());
@@ -162,11 +130,11 @@ StaEngine::Downstream StaEngine::downstream(
     }
   }
   const bool scaled = !corner.gate_delay_scale.empty();
-  // Reverse level-major order: every consumer of a net has a strictly
-  // larger gate id and level, so its downstream bounds are final before the
-  // net's driver is visited.
-  for (std::size_t i = level_order_.size(); i-- > 0;) {
-    const GateId g = level_order_[i];
+  // Descending gate ids: every consumer of a net has a larger id than its
+  // driver, so the net's downstream bounds are final before the driver is
+  // visited.
+  for (std::size_t i = nl.num_gates(); i-- > 0;) {
+    const GateId g = static_cast<GateId>(i);
     const Gate& gate = nl.gate(g);
     const double dn_min = d.min_ps[gate.out];
     const double dn_max = d.max_ps[gate.out];

@@ -14,7 +14,7 @@ namespace agingsim {
 /// overlay (the aging overlay produced by src/aging/; empty means every gate
 /// runs at its nominal library delay). Corners compose fresh/aged silicon
 /// with any per-gate derating in one object, so one `StaEngine::run` call
-/// covers "fresh", "year-3.5", "year-7", ... against one level schedule.
+/// covers "fresh", "year-3.5", "year-7", ... in one sweep per corner.
 struct StaCorner {
   std::string name;
   /// One multiplier per gate, or empty for 1.0 everywhere.
@@ -47,15 +47,16 @@ struct CornerTiming {
   double earliest_output_ps = 0.0;
 };
 
-/// Levelized min/max static timing engine: the one timing entry point.
-/// Setup and hold are two planes of the same pass, not two analyses.
+/// Min/max static timing engine: the one timing entry point. Setup and
+/// hold are two planes of the same pass, not two analyses.
 ///
 /// Construction validates the netlist (cell kinds in the library, pin
-/// windows in bounds, topological net order) and builds a level schedule —
-/// gates grouped by topological level, level-major — plus a flat per-gate
-/// nominal-delay table. A `run` then walks that schedule once per corner,
-/// filling the corner's min and max arrival planes (separate flat arrays)
-/// in the same gate loop. Corners are independent, so a corner's planes
+/// windows in bounds, topological net order) and builds a flat per-gate
+/// nominal-delay table. A `run` then sweeps the gates once per corner in
+/// ascending id order — the topological order the simulator kernels rely
+/// on — filling the corner's min and max arrival planes (separate flat
+/// arrays) in the same gate loop. Min, max and + are exact in any
+/// topological order, and corners are independent, so a corner's planes
 /// are bit-identical whether it runs alone or among others.
 ///
 /// Throws std::invalid_argument from the constructor when the netlist is
@@ -87,22 +88,12 @@ class StaEngine {
   Downstream downstream(const StaCorner& corner,
                         std::span<const std::uint8_t> endpoint_net) const;
 
-  int num_levels() const noexcept { return num_levels_; }
-  /// Gates of one topological level, ascending gate id within the level.
-  std::span<const GateId> level_gates(int level) const;
-
-  const Netlist& netlist() const noexcept { return *netlist_; }
-
  private:
   void check_corner(const StaCorner& corner) const;
   CornerTiming forward(const StaCorner& corner) const;
 
   const Netlist* netlist_;
-  const TechLibrary* tech_;
-  std::vector<double> base_delay_ps_;   // per gate, nominal library delay
-  std::vector<GateId> level_order_;     // gates, level-major
-  std::vector<std::uint32_t> level_begin_;  // size num_levels_ + 1
-  int num_levels_ = 0;
+  std::vector<double> base_delay_ps_;  // per gate, nominal library delay
 };
 
 }  // namespace agingsim

@@ -22,6 +22,8 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/core/cli.hpp"
@@ -40,6 +42,7 @@
 #include "src/runtime/stats_codec.hpp"
 #include "src/serve/json.hpp"
 #include "src/serve/protocol.hpp"
+#include "src/serve/service.hpp"
 #include "src/sim/sta.hpp"
 #include "src/sim/timing_sim.hpp"
 #include "src/workload/rng.hpp"
@@ -945,6 +948,135 @@ TEST(FuzzTest, MutatedEnvelopesParseOrGetABadRequestBody) {
     ASSERT_NE(error, nullptr) << body;
     EXPECT_EQ(error->str_or("code", ""), "bad_request") << body;
   }
+}
+
+// agingd parses every queueable request's params on its event loop, before
+// admission (Service::parse). Mutated params of all three methods — keys
+// dropped or duplicated, values of a wrong JSON type, at a bound or one
+// past it, at a 64-bit extreme, or nested junk — must parse into params
+// whose every field lies in its documented range, or into a bad_request
+// message, and never throw.
+TEST(FuzzTest, MutatedParamsParseInRangeOrGetABadRequestMessage) {
+  using Members = std::vector<std::pair<std::string, std::string>>;
+  const std::pair<std::string_view, Members> seeds[] = {
+      {"query",
+       {{"arch", R"("cb")"}, {"width", "16"}, {"years", "3"},
+        {"ops", "2000"}, {"period_frac", "0.58"}, {"skip", "7"},
+        {"adaptive", "true"}, {"seed", "42"}}},
+      {"campaign",
+       {{"arch", R"("rb")"}, {"width", "8"}, {"trials", "32"},
+        {"ops", "1000"}, {"sites", "2"}, {"kind", R"("transient")"},
+        {"delay_factor", "8"}, {"period_frac", "0.58"}, {"seed", "64023"},
+        {"checkpoint", "false"}, {"stream", "true"}, {"stream_every", "4"},
+        {"resume_cursor", R"({"digest": "00ab", "unit_index": 3})"}}},
+      {"work", {{"spin_us", "1000"}}},
+  };
+  const std::string_view values[] = {
+      // Each documented bound and one past it.
+      "-1", "0", "1", "2", "6", "7", "8", "31", "32", "33", "50", "51", "63",
+      "64", "65", "4096", "4097", "200000", "200001", "10000000", "10000001",
+      "0.0", "-0.0", "4.0", "4.0000001", "50.0000001", "1e-300",
+      // 64-bit extremes and past them.
+      "9223372036854775807", "-9223372036854775808", "18446744073709551615",
+      "18446744073709551616", "1e308", "-1e308",
+      // Wrong types, names and nested junk.
+      "null", "true", "false", R"("")", R"("16")", R"("am")", R"("wt")",
+      R"("stuck1")", R"("bogus")", "[]", "[1, 2]", "{}",
+      R"({"a": [1, {"b": null}]})", R"([[[{"width": 8}]]])",
+      R"({"digest": 7, "unit_index": "2"})", R"({"digest": "00ab"})",
+      R"({"digest": "z", "unit_index": 33})"};
+  const auto any_value = [&](Rng& rng) {
+    return std::string(values[rng.next_below(std::size(values))]);
+  };
+  Rng rng(0xD00E);
+  std::size_t accepted = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const auto& [method, seed] = seeds[rng.next_below(std::size(seeds))];
+    Members members = seed;
+    for (std::uint64_t edits = 1 + rng.next_below(4); edits > 0; --edits) {
+      if (members.empty()) break;
+      const std::size_t at = rng.next_below(members.size());
+      switch (rng.next_below(3)) {
+        case 0: members.erase(members.begin() + static_cast<long>(at)); break;
+        case 1: {
+          auto copy = members[at];
+          if (rng.next_below(2) == 0) copy.second = any_value(rng);
+          members.insert(members.begin() + static_cast<long>(
+                                               rng.next_below(members.size())),
+                         std::move(copy));
+          break;
+        }
+        default: members[at].second = any_value(rng);
+      }
+    }
+    std::string text = "{";
+    for (const auto& [key, value] : members) {
+      if (text.size() > 1) text += ", ";
+      text += "\"" + key + "\": " + value;
+    }
+    text += "}";
+    serve::Request request;
+    request.method = std::string(method);
+    const std::optional<serve::JsonValue> doc = serve::parse_json(text);
+    ASSERT_TRUE(doc.has_value()) << text;
+    request.params = *doc;
+    std::string error;
+    std::optional<serve::RequestParams> parsed;
+    try {
+      parsed = serve::Service::parse(request, error);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << method << " " << text << " threw " << e.what();
+      continue;
+    }
+    if (!parsed.has_value()) {
+      EXPECT_FALSE(error.empty()) << method << " " << text;
+      continue;
+    }
+    ++accepted;
+    SCOPED_TRACE(std::string(method) + " " + text);
+    const auto expect_circuit = [](const serve::CircuitParams& c) {
+      EXPECT_EQ(parse_arch(c.arch_name), c.arch);
+      EXPECT_NE(c.arch, MultiplierArch::kWallaceTree);
+      EXPECT_GE(c.width, 2);
+      EXPECT_LE(c.width, 32);
+    };
+    if (const auto* q = std::get_if<serve::QueryParams>(&*parsed)) {
+      expect_circuit(*q);
+      EXPECT_GE(q->years, 0.0);
+      EXPECT_LE(q->years, 50.0);
+      EXPECT_GE(q->ops, 1u);
+      EXPECT_LE(q->ops, 200000u);
+      EXPECT_GT(q->period_frac, 0.0);
+      EXPECT_LE(q->period_frac, 4.0);
+      EXPECT_GE(q->skip, 1);
+      EXPECT_LT(q->skip, q->width);
+    } else if (const auto* c = std::get_if<serve::CampaignParams>(&*parsed)) {
+      expect_circuit(*c);
+      const FaultCampaignConfig& f = c->faults;
+      EXPECT_GE(f.trials, 1);
+      EXPECT_LE(f.trials, 4096);
+      EXPECT_GE(c->ops, 1u);
+      EXPECT_LE(c->ops, 200000u);
+      EXPECT_GE(f.sites_per_trial, 1);
+      EXPECT_LE(f.sites_per_trial, 64);
+      EXPECT_EQ(parse_fault_kind(c->kind_name), f.kind);
+      EXPECT_GT(f.delay_factor, 0.0);
+      EXPECT_GT(c->period_frac, 0.0);
+      EXPECT_LE(c->period_frac, 4.0);
+      EXPECT_GE(c->stream_every, 1);
+      EXPECT_LE(c->cursor_units, static_cast<std::uint64_t>(f.trials) + 1);
+      if (c->cursor_digest.empty()) {
+        EXPECT_EQ(c->cursor_units, 0u);
+      }
+    } else {
+      const auto& w = std::get<serve::WorkParams>(*parsed);
+      EXPECT_GE(w.spin_us, 0);
+      EXPECT_LE(w.spin_us, 10'000'000);
+    }
+  }
+  // The loop reaches both outcomes often.
+  EXPECT_GT(accepted, 2000u);
+  EXPECT_LT(accepted, 18000u);
 }
 
 }  // namespace

@@ -409,6 +409,36 @@ TEST_F(LintTimingTest, HoldMarginTightensTheWindowRule) {
             mult_.netlist.num_outputs());
 }
 
+// The timing rules share one analysis per lint::run. A netlist the STA
+// engine refuses still gets one error under each rule that reaches the
+// analysis, carrying the engine's message; hold-window reaches it only
+// with check_hold.
+TEST_F(LintTimingTest, RefusedNetlistFailsEveryTimingRuleThatReadsTheSta) {
+  Netlist broken = mult_.netlist;
+  NetlistSurgeon(broken).set_gate_kind(0, CellKind::kCount);
+  lint::TimingContext timing = safe_timing();
+  for (const bool hold : {false, true}) {
+    timing.check_hold = hold;
+    lint::LintContext ctx;
+    ctx.netlist = &broken;
+    ctx.timing = &timing;
+    const LintReport report = lint::run(ctx, lint::timing_rules());
+    for (const lint::Rule& rule : lint::timing_rules()) {
+      SCOPED_TRACE(std::string(rule.id) + (hold ? " with hold" : ""));
+      const auto diags = diags_for(report.diagnostics, rule.id);
+      ASSERT_EQ(diags.size(), 1u);
+      if (!hold && rule.id == "timing.hold-window") {
+        EXPECT_EQ(diags[0].severity, Severity::kInfo);
+        continue;
+      }
+      EXPECT_EQ(diags[0].severity, Severity::kError);
+      EXPECT_EQ(diags[0].message,
+                "rule aborted with exception: StaEngine: gate 0 has a cell "
+                "kind outside the library");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Consistency rule
 // ---------------------------------------------------------------------------

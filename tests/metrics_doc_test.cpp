@@ -191,7 +191,10 @@ void touch_every_subsystem(const fs::path& dir) {
   serve::Service service(serve::ServiceConfig{}, &cache);
   serve::Request query;
   query.method = "query";
-  service.handle(query, runtime::CancelToken{});
+  std::string parse_error;
+  const auto params = serve::Service::parse(query, parse_error);
+  ASSERT_TRUE(params.has_value()) << parse_error;
+  service.handle(query.id, *params, runtime::CancelToken{});
   serve::ServeChaosConfig chaos;
   chaos.rate = 1.0;
   chaos.torn_writes = chaos.byte_reads = chaos.stalls = chaos.disconnects =

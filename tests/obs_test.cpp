@@ -377,6 +377,35 @@ TEST(ObsTraceTest, LibraryLayersRecordTheirSpans) {
   }
 }
 
+// The four timing rules read one multi-corner analysis per lint::run call:
+// two traced runs with the hold rule on record two `sta.run` spans.
+TEST(ObsTraceTest, LintRunSharesOneStaRunAcrossTimingRules) {
+  ObsQuiesce quiesce;
+  const TechLibrary& tech = default_tech_library();
+  const MultiplierNetlist mult =
+      build_multiplier(MultiplierArch::kColumnBypass, 4);
+  lint::TimingContext timing;
+  timing.tech = &tech;
+  timing.period_ps = critical_path_ps(mult, tech) / timing.max_hold_cycles;
+  timing.check_hold = true;
+  lint::LintContext ctx;
+  ctx.netlist = &mult.netlist;
+  ctx.timing = &timing;
+  obs::set_trace_enabled(true);
+  obs::reset_trace();
+  lint::run(ctx);
+  lint::run(ctx);
+  obs::set_trace_enabled(false);
+
+  const std::string json = obs::trace_json();
+  std::size_t sta_runs = 0;
+  for (std::size_t at = json.find("\"sta.run\""); at != std::string::npos;
+       at = json.find("\"sta.run\"", at + 1)) {
+    ++sta_runs;
+  }
+  EXPECT_EQ(sta_runs, 2u);
+}
+
 // Every multiplier build runs Netlist::validate, which calls the structural
 // rules directly: a traced build records no lint.rule span.
 TEST(ObsTraceTest, MultiplierBuildRecordsNoLintSpans) {

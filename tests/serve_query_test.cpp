@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -25,11 +26,24 @@ namespace {
 
 constexpr const char* kArchs[] = {"am", "cb", "rb"};
 
-HandlerResult query(Service& service, const std::string& params) {
+Request query_request(const std::string& params) {
   Request request;
   request.method = "query";
   request.params = parse_json(params).value();
-  return service.handle(request, runtime::CancelToken{});
+  return request;
+}
+
+/// Parses and runs one query, the way a worker runs a request admitted at
+/// the door.
+HandlerResult query(Service& service, const std::string& params) {
+  std::string error;
+  const std::optional<RequestParams> parsed =
+      Service::parse(query_request(params), error);
+  if (!parsed.has_value()) {
+    ADD_FAILURE() << "query rejected at parse: " << error;
+    return HandlerResult{};
+  }
+  return service.handle(0, *parsed, runtime::CancelToken{});
 }
 
 std::string query_params(std::string_view arch, int width, double years) {
@@ -140,11 +154,13 @@ TEST(ServeQuery, SkipDefaultsBelowTheWidth) {
   EXPECT_EQ(stats_bytes(narrow.result_json), stats_bytes(same.result_json));
 
   for (const int skip : {0, 4, 5}) {
-    const HandlerResult bad = query(
-        service, R"({"arch": "cb", "width": 4, "ops": 100, "skip": )" +
-                     std::to_string(skip) + "}");
-    EXPECT_FALSE(bad.ok) << "skip " << skip;
-    EXPECT_EQ(bad.code, ErrorCode::kBadRequest) << "skip " << skip;
+    std::string error;
+    const std::optional<RequestParams> bad = Service::parse(
+        query_request(R"({"arch": "cb", "width": 4, "ops": 100, "skip": )" +
+                      std::to_string(skip) + "}"),
+        error);
+    EXPECT_FALSE(bad.has_value()) << "skip " << skip;
+    EXPECT_EQ(error, "skip must be in [1, width)") << "skip " << skip;
   }
 }
 

@@ -230,6 +230,24 @@ bool eventually(Pred pred) {
   return pred();
 }
 
+/// Every registered metric's value by name.
+std::map<std::string, std::uint64_t> counter_values() {
+  std::map<std::string, std::uint64_t> counts;
+  for (const obs::MetricValue& m : obs::metrics_snapshot()) {
+    counts[m.name] = m.value;
+  }
+  return counts;
+}
+
+/// The reply bytes of request `id` refused as bad_request with `message`.
+std::string bad_request_reply(int id, std::string_view message) {
+  return "{\"id\": " + std::to_string(id) +
+         ", \"ok\": false, \"error\": {\n"
+         "  \"code\": \"bad_request\",\n"
+         "  \"message\": \"" +
+         std::string(message) + "\"\n}}";
+}
+
 class ServeServerTest : public ::testing::Test {
  protected:
   ServerConfig base_config(const TempDir& dir) {
@@ -409,10 +427,7 @@ TEST_F(ServeServerTest, MalformedQueryIsAnsweredAtTheDoor) {
       R"({"id": 4, "method": "query", "params": {"width": 99}})");
   // The bytes a worker sent when malformed queries were still queued.
   EXPECT_EQ(reply.value_or("no reply"),
-            "{\"id\": 4, \"ok\": false, \"error\": {\n"
-            "  \"code\": \"bad_request\",\n"
-            "  \"message\": \"width must be in [2, 32]\"\n"
-            "}}");
+            bad_request_reply(4, "width must be in [2, 32]"));
   const auto valid = client.call(
       R"({"id": 5, "method": "query", "params": {"width": 4, "ops": 50}})");
   ASSERT_TRUE(valid.has_value());
@@ -420,16 +435,146 @@ TEST_F(ServeServerTest, MalformedQueryIsAnsweredAtTheDoor) {
   server.drain();
   server.wait();
 
-  std::map<std::string, std::uint64_t> counts;
-  for (const obs::MetricValue& m : obs::metrics_snapshot()) {
-    counts[m.name] = m.value;
-  }
+  std::map<std::string, std::uint64_t> counts = counter_values();
   obs::set_metrics_enabled(metrics_were_on);
   EXPECT_EQ(counts["serve.bad_request"], 1u);
   EXPECT_EQ(counts["serve.accepted"], 1u);
   EXPECT_EQ(counts["serve.queries"], 1u);
   EXPECT_EQ(counts["serve.completed"], 1u);
   EXPECT_EQ(counts["serve.failed"], 0u);
+}
+
+// Campaign and work params are checked at the door too: behind a tier-2
+// backlog that sheds valid campaigns, a malformed campaign or work request
+// is answered bad_request at once, with the bytes an idle daemon's worker
+// sent, and takes no queue slot.
+TEST_F(ServeServerTest, MalformedRequestsAreAnsweredAheadOfABacklog) {
+  TempDir dir("serve_door_backlog");
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::reset_metrics();
+  ServerConfig config = base_config(dir);
+  config.admission.capacity = 5;  // tier 2 at depth >= 4
+  Server server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // One spin runs and four wait; each lasts until the drain cancels it.
+  const std::string spin =
+      R"({"id": 1, "method": "work", "params": {"spin_us": 9000000}})";
+  std::vector<std::unique_ptr<Client>> busy;
+  for (int i = 0; i < 5; ++i) {
+    busy.push_back(std::make_unique<Client>(config.socket_path));
+    ASSERT_TRUE(busy.back()->send(spin));
+    ASSERT_TRUE(eventually([&] { return server.in_flight() == 1; }));
+  }
+  ASSERT_TRUE(eventually([&] { return server.queue_depth() == 4; }));
+  ASSERT_TRUE(eventually(
+      [] { return counter_values()["serve.work_requests"] == 1; }));
+
+  Client client(config.socket_path);
+  const auto shed = client.call(
+      R"({"id": 6, "method": "campaign", "params": {"width": 4}})");
+  ASSERT_TRUE(shed.has_value());
+  EXPECT_EQ(error_code_of(*shed), "shed_batch");
+  EXPECT_EQ(client
+                .call_raw(R"({"id": 7, "method": "campaign",
+                              "params": {"trials": 0}})")
+                .value_or("no reply"),
+            bad_request_reply(7, "trials must be in [1, 4096]"));
+  const steady_clock::time_point t0 = steady_clock::now();
+  EXPECT_EQ(client
+                .call_raw(R"({"id": 8, "method": "work",
+                              "params": {"spin_us": -1}})")
+                .value_or("no reply"),
+            bad_request_reply(8, "spin_us must be in [0, 10000000]"));
+  EXPECT_LT(steady_clock::now() - t0, milliseconds(1000))
+      << "the malformed work request waited for the backlog";
+  EXPECT_EQ(server.queue_depth(), 4u);
+
+  std::map<std::string, std::uint64_t> counts = counter_values();
+  server.drain();
+  server.wait();
+  obs::set_metrics_enabled(metrics_were_on);
+  EXPECT_EQ(counts["serve.bad_request"], 2u);
+  EXPECT_EQ(counts["serve.shed_batch"], 1u);
+  EXPECT_EQ(counts["serve.accepted"], 5u);
+  EXPECT_EQ(counts["serve.failed"], 0u);
+  EXPECT_EQ(counts["serve.campaigns"], 0u);
+  EXPECT_EQ(counts["serve.work_requests"], 1u);
+}
+
+// The door parse comes before the per-connection in-flight cap: past the
+// cap a malformed request still gets bad_request, not a retry hint.
+TEST_F(ServeServerTest, MalformedRequestPastTheInflightCapIsABadRequest) {
+  TempDir dir("serve_door_cap");
+  ServerConfig config = base_config(dir);
+  config.max_inflight_per_conn = 1;
+  Server server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Client client(config.socket_path);
+  ASSERT_TRUE(client.send(
+      R"({"id": 1, "method": "work", "params": {"spin_us": 9000000}})"));
+  ASSERT_TRUE(eventually([&] { return server.in_flight() == 1; }));
+  EXPECT_EQ(client
+                .call_raw(R"({"id": 2, "method": "campaign",
+                              "params": {"trials": 0}})")
+                .value_or("no reply"),
+            bad_request_reply(2, "trials must be in [1, 4096]"));
+  const auto capped = client.call(
+      R"({"id": 3, "method": "work", "params": {"spin_us": 0}})");
+  ASSERT_TRUE(capped.has_value());
+  EXPECT_EQ(error_code_of(*capped), "overloaded");
+  server.drain();
+  server.wait();
+}
+
+// A request refused at the door spends no quota token: with a one-token
+// bucket, malformed requests of all three methods leave the token to the
+// client's first valid request.
+TEST_F(ServeServerTest, MalformedRequestsSpendNoQuotaToken) {
+  TempDir dir("serve_door_quota");
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::reset_metrics();
+  ServerConfig config = base_config(dir);
+  config.admission.fairness.quota_rate_per_s = 0.001;
+  config.admission.fairness.quota_burst = 1.0;
+  Server server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Client client(config.socket_path);
+  for (const char* malformed : {R"("query", "params": {"width": 99})",
+                                R"("campaign", "params": {"trials": 0})",
+                                R"("work", "params": {"spin_us": -1})"}) {
+    const auto reply = client.call(R"({"id": 1, "client_id": "q", "method": )" +
+                                   std::string(malformed) + "}");
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(error_code_of(*reply), "bad_request") << malformed;
+  }
+  const std::string work =
+      R"({"id": 2, "client_id": "q", "method": "work",
+          "params": {"spin_us": 0}})";
+  const auto spent = client.call(work);
+  ASSERT_TRUE(spent.has_value());
+  EXPECT_TRUE(spent->bool_or("ok", false)) << error_code_of(*spent);
+  const auto refused = client.call(work);
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(error_code_of(*refused), "quota_exceeded");
+  server.drain();
+  server.wait();
+
+  std::map<std::string, std::uint64_t> counts = counter_values();
+  obs::set_metrics_enabled(metrics_were_on);
+  EXPECT_EQ(counts["serve.bad_request"], 3u);
+  EXPECT_EQ(counts["serve.rejected_quota"], 1u);
+  EXPECT_EQ(counts["serve.accepted"], 1u);
+  EXPECT_EQ(counts["serve.failed"], 0u);
+  EXPECT_EQ(counts["serve.campaigns"], 0u);
+  EXPECT_EQ(counts["serve.work_requests"], 1u);
 }
 
 TEST_F(ServeServerTest, EarlyDisconnectDoesNotCorruptOtherConnections) {

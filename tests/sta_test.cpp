@@ -271,7 +271,7 @@ TEST(StaEngineTest, MultiCornerSinglePass) {
 }
 
 // Reference max-only timing: one ascending-gate-id sweep, worst input
-// arrival + delay. The engine's level-major max plane must agree with this
+// arrival + delay. The engine's max plane must agree with this
 // *exactly* (operator==, no tolerance) — same pin visit order, same
 // arithmetic — on every generated multiplier.
 struct ReferenceTiming {
@@ -374,7 +374,7 @@ TEST(StaEngineTest, DownstreamGoldenOnFullAdder) {
       std::invalid_argument);
 }
 
-TEST(StaEngineTest, LevelScheduleGroupsGatesTopologically) {
+TEST(StaEngineTest, IdOrderSweepsSettleBothPlanes) {
   NetlistBuilder nb;
   const NetId a = nb.input("a");
   const NetId b = nb.input("b");
@@ -382,17 +382,27 @@ TEST(StaEngineTest, LevelScheduleGroupsGatesTopologically) {
   const NetId y = nb.inv(b);     // gate 1, level 0
   const NetId z = nb.and2(x, y); // gate 2, level 1
   nb.netlist().mark_output(z, "z");
-  const StaEngine engine(nb.netlist(), default_tech_library());
-  ASSERT_EQ(engine.num_levels(), 2);
-  const auto l0 = engine.level_gates(0);
-  const auto l1 = engine.level_gates(1);
-  ASSERT_EQ(l0.size(), 2u);
-  EXPECT_EQ(l0[0], 0u);
-  EXPECT_EQ(l0[1], 1u);
-  ASSERT_EQ(l1.size(), 1u);
-  EXPECT_EQ(l1[0], 2u);
-  EXPECT_TRUE(engine.level_gates(2).empty());
-  EXPECT_TRUE(engine.level_gates(-1).empty());
+  const TechLibrary& t = default_tech_library();
+  const StaEngine engine(nb.netlist(), t);
+  const double inv = t.delay(CellKind::kInv);
+  const double and2 = t.delay(CellKind::kAnd2);
+  // Gate 1 runs 3x slow, so z's earliest and latest arrivals differ.
+  const StaCorner skewed{"skewed", {1.0, 3.0, 1.0}};
+  const CornerTiming r = engine.run_corner(skewed);
+  EXPECT_EQ(r.min_arrival_ps,
+            (std::vector<double>{0.0, 0.0, inv, 3.0 * inv, inv + and2}));
+  EXPECT_EQ(r.max_arrival_ps,
+            (std::vector<double>{0.0, 0.0, inv, 3.0 * inv, 3.0 * inv + and2}));
+  EXPECT_EQ(r.critical_path_ps, 3.0 * inv + and2);
+  EXPECT_EQ(r.earliest_output_ps, inv + and2);
+
+  std::vector<std::uint8_t> endpoint(nb.netlist().num_nets(), 0);
+  endpoint[z] = 1;
+  const StaEngine::Downstream d = engine.downstream(skewed, endpoint);
+  const std::vector<double> to_z = {inv + and2, 3.0 * inv + and2, and2, and2,
+                                    0.0};
+  EXPECT_EQ(d.min_ps, to_z);
+  EXPECT_EQ(d.max_ps, to_z);
 }
 
 TEST(StaEngineTest, ConstructorRejectsCorruptNetlist) {
