@@ -22,10 +22,10 @@ struct StressProfile {
 
 /// Estimates signal probabilities by driving the netlist with `num_patterns`
 /// uniform random input vectors (seeded, reproducible), applied one after
-/// another from the all-X power-up state. Only logic values matter, so the
-/// patterns are evaluated 64 at a time, one bit lane each; the counts of
-/// ones are exactly those of a pattern-by-pattern TimingSim run, Tbuf
-/// keeper states included.
+/// another from the all-X power-up state. Only logic values matter, so a
+/// ValueSweep evaluates the patterns 64 at a time, one bit lane each; the
+/// counts of ones are exactly those of a pattern-by-pattern TimingSim run,
+/// Tbuf keeper states included.
 StressProfile estimate_stress(const Netlist& netlist, std::uint64_t seed,
                               std::size_t num_patterns);
 

@@ -84,7 +84,8 @@ void FlagReader::choice(std::string_view flag, std::string& out,
                         std::initializer_list<std::string_view> choices) {
   std::string what;
   for (const std::string_view c : choices) {
-    what += (what.empty() ? "" : "|") + std::string(c);
+    if (!what.empty()) what += '|';
+    what += c;
   }
   value(
       flag, out,

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/sim/sta.hpp"
+#include "src/sim/value_sweep.hpp"
 
 namespace agingsim {
 namespace {
@@ -25,70 +26,89 @@ std::string to_hex(std::uint64_t v) {
   return out;
 }
 
-/// Fills one OpTrace from per-op observables and the previous op's state.
-OpTrace make_op(std::uint64_t a, std::uint64_t b, std::uint64_t product,
-                int width, double delay_ps, double switched_cap_ff,
-                bool fault_active, bool first, std::uint64_t prev_a,
-                std::uint64_t prev_b, std::uint64_t prev_p) {
+/// Op `index` of a trace from its observables; `prev` is the op before it
+/// in the stream, null for op 0. Without a fault overlay a wrong product
+/// throws (check_golden_product).
+OpTrace make_op(std::size_t index, const OperandPattern& pat,
+                std::uint64_t product, int width, const StepResult& step,
+                bool fault_active, const OpTrace* prev,
+                const TraceOptions& options) {
   OpTrace op;
-  op.a = a;
-  op.b = b;
+  op.a = pat.a;
+  op.b = pat.b;
   op.product = product;
-  op.golden = reference_multiply(a, b, width);
+  op.golden = reference_multiply(pat.a, pat.b, width);
   op.correct = (op.product == op.golden);
   op.fault_active = fault_active;
-  op.delay_ps = delay_ps;
-  op.switched_cap_ff = switched_cap_ff;
-  op.in_toggles =
-      first ? 0 : std::popcount(a ^ prev_a) + std::popcount(b ^ prev_b);
-  op.out_toggles = first ? 0 : std::popcount(product ^ prev_p);
+  op.delay_ps = step.output_settle_ps;
+  op.switched_cap_ff = step.switched_cap_ff;
+  if (prev != nullptr) {
+    op.in_toggles =
+        std::popcount(pat.a ^ prev->a) + std::popcount(pat.b ^ prev->b);
+    op.out_toggles = std::popcount(product ^ prev->product);
+  }
+  if (options.faults == nullptr) {
+    check_golden_product(index, pat.a, pat.b, op.golden, op.product);
+  }
   return op;
 }
 
-std::vector<OpTrace> compute_op_trace_batch(
-    const MultiplierNetlist& mult, const TechLibrary& tech,
-    std::span<const OperandPattern> patterns, const TraceOptions& options) {
+/// Packs `word`'s patterns into lanes [0, word.size()) of one word per
+/// primary input.
+void load_word(std::vector<std::uint64_t>& words,
+               const MultiplierNetlist& mult,
+               std::span<const OperandPattern> word) {
+  std::fill(words.begin(), words.end(), 0);
+  for (std::size_t l = 0; l < word.size(); ++l) {
+    load_bus_lane(words, word[l].a, mult.width, mult.a_first_input,
+                  static_cast<int>(l));
+    load_bus_lane(words, word[l].b, mult.width, mult.b_first_input,
+                  static_cast<int>(l));
+  }
+}
+
+/// compute_op_trace_range on the batch kernel.
+void batch_range(const MultiplierNetlist& mult, const TechLibrary& tech,
+                 std::span<const OperandPattern> patterns, std::size_t first,
+                 std::span<OpTrace> out, const TraceOptions& options) {
   BatchTimingSim sim(mult.netlist, tech, options.gate_delay_scale);
   if (options.faults != nullptr) sim.set_fault_overlay(options.faults);
-
-  std::vector<OpTrace> trace;
-  trace.reserve(patterns.size());
-  std::vector<std::uint64_t> words(mult.netlist.input_nets().size());
-  std::uint64_t prev_a = 0, prev_b = 0, prev_p = 0;
-  bool first = true;
-  for (std::size_t chunk = 0; chunk < patterns.size();
-       chunk += static_cast<std::size_t>(kBatchLanes)) {
-    const int lanes = static_cast<int>(
-        std::min<std::size_t>(kBatchLanes, patterns.size() - chunk));
-    std::fill(words.begin(), words.end(), 0);
-    for (int l = 0; l < lanes; ++l) {
-      const OperandPattern& pat = patterns[chunk + static_cast<std::size_t>(l)];
-      load_bus_lane(words, pat.a, mult.width, mult.a_first_input, l);
-      load_bus_lane(words, pat.b, mult.width, mult.b_first_input, l);
+  std::vector<std::uint64_t> words(mult.netlist.num_inputs());
+  OpTrace before;  // the op before `first`, when there is one
+  if (first > 0) {
+    ValueSweep values(mult.netlist);
+    for (std::size_t done = 0; done < first; done += kBatchLanes) {
+      const auto word = patterns.subspan(
+          done, std::min<std::size_t>(kBatchLanes, first - done));
+      load_word(words, mult, word);
+      values.step_word(words, static_cast<int>(word.size()));
     }
+    sim.resume(values.values(), static_cast<std::int64_t>(first));
+    // Without faults that op's product is its golden one; the range that
+    // holds the op checks so.
+    before.a = patterns[first - 1].a;
+    before.b = patterns[first - 1].b;
+    before.product = reference_multiply(before.a, before.b, mult.width);
+  }
+  for (std::size_t done = 0; done < out.size(); done += kBatchLanes) {
+    const auto word = patterns.subspan(
+        first + done, std::min<std::size_t>(kBatchLanes, out.size() - done));
+    const int lanes = static_cast<int>(word.size());
+    load_word(words, mult, word);
     const std::int64_t base = sim.steps();
     const std::span<const StepResult> results = sim.step_word(words, lanes);
     for (int l = 0; l < lanes; ++l) {
-      const OperandPattern& pat = patterns[chunk + static_cast<std::size_t>(l)];
+      const std::size_t i = done + static_cast<std::size_t>(l);
       const bool fault_active =
           options.faults != nullptr && options.faults->active_at(base + l);
-      const OpTrace op = make_op(
-          pat.a, pat.b, sim.output_bits(l), mult.width,
-          results[static_cast<std::size_t>(l)].output_settle_ps,
-          results[static_cast<std::size_t>(l)].switched_cap_ff, fault_active,
-          first, prev_a, prev_b, prev_p);
-      if (options.faults == nullptr) {
-        check_golden_product(trace.size(), pat.a, pat.b, op.golden,
-                             op.product);
-      }
-      trace.push_back(op);
-      prev_a = pat.a;
-      prev_b = pat.b;
-      prev_p = op.product;
-      first = false;
+      const OpTrace* prev =
+          i > 0 ? &out[i - 1] : (first > 0 ? &before : nullptr);
+      out[i] = make_op(first + i, word[static_cast<std::size_t>(l)],
+                       sim.output_bits(l), mult.width,
+                       results[static_cast<std::size_t>(l)], fault_active,
+                       prev, options);
     }
   }
-  return trace;
 }
 
 }  // namespace
@@ -97,36 +117,41 @@ std::vector<OpTrace> compute_op_trace(const MultiplierNetlist& mult,
                                       const TechLibrary& tech,
                                       std::span<const OperandPattern> patterns,
                                       const TraceOptions& options) {
+  std::vector<OpTrace> trace(patterns.size());
+  compute_op_trace_range(mult, tech, patterns, 0, trace, options);
+  return trace;
+}
+
+void compute_op_trace_range(const MultiplierNetlist& mult,
+                            const TechLibrary& tech,
+                            std::span<const OperandPattern> patterns,
+                            std::size_t first, std::span<OpTrace> out,
+                            const TraceOptions& options) {
+  if (first > patterns.size() || out.size() > patterns.size() - first) {
+    throw std::invalid_argument(
+        "compute_op_trace_range: range past the end of the stream");
+  }
   const SimKernel kernel = resolve_kernel(options.kernel);
+  if (first > 0 && (kernel != SimKernel::kBatch || options.faults != nullptr)) {
+    throw std::invalid_argument(
+        "compute_op_trace_range: a range past op 0 needs the batch kernel "
+        "and no fault overlay");
+  }
   if (kernel == SimKernel::kBatch) {
-    return compute_op_trace_batch(mult, tech, patterns, options);
+    batch_range(mult, tech, patterns, first, out, options);
+    return;
   }
   MultiplierSim sim(mult, tech, options.gate_delay_scale);
   if (kernel == SimKernel::kDense) sim.set_mode(TimingSim::Mode::kDense);
   if (options.faults != nullptr) sim.set_fault_overlay(options.faults);
-  std::vector<OpTrace> trace;
-  trace.reserve(patterns.size());
-  std::uint64_t prev_a = 0, prev_b = 0, prev_p = 0;
-  bool first = true;
-  for (const OperandPattern& pat : patterns) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
     const std::int64_t cycle = sim.timing_sim().steps();
-    const StepResult step = sim.apply(pat.a, pat.b);
+    const StepResult step = sim.apply(patterns[i].a, patterns[i].b);
     const bool fault_active =
         options.faults != nullptr && options.faults->active_at(cycle);
-    const OpTrace op =
-        make_op(pat.a, pat.b, sim.product(), mult.width, step.output_settle_ps,
-                step.switched_cap_ff, fault_active, first, prev_a, prev_b,
-                prev_p);
-    if (options.faults == nullptr) {
-      check_golden_product(trace.size(), pat.a, pat.b, op.golden, op.product);
-    }
-    trace.push_back(op);
-    prev_a = pat.a;
-    prev_b = pat.b;
-    prev_p = op.product;
-    first = false;
+    out[i] = make_op(i, patterns[i], sim.product(), mult.width, step,
+                     fault_active, i > 0 ? &out[i - 1] : nullptr, options);
   }
-  return trace;
 }
 
 void check_golden_product(std::size_t index, std::uint64_t a, std::uint64_t b,

@@ -61,6 +61,19 @@ std::vector<OpTrace> compute_op_trace(const MultiplierNetlist& mult,
                                       std::span<const OperandPattern> patterns,
                                       const TraceOptions& options = {});
 
+/// Writes ops [first, first + out.size()) of compute_op_trace(mult, tech,
+/// patterns, options) to `out`, field for field; compute_op_trace is the
+/// range from op 0. A range that starts past op 0 reaches the state before
+/// its first op with a values-only sweep of the ops before it (ValueSweep)
+/// and times from there on the batch kernel, so it needs the batch kernel
+/// and no fault overlay. Throws std::invalid_argument when the range does
+/// not fit `patterns` or breaks that rule.
+void compute_op_trace_range(const MultiplierNetlist& mult,
+                            const TechLibrary& tech,
+                            std::span<const OperandPattern> patterns,
+                            std::size_t first, std::span<OpTrace> out,
+                            const TraceOptions& options = {});
+
 /// The trace oracle's golden check: throws std::logic_error carrying the
 /// pattern index, operands and expected/actual products when `product` is
 /// not `golden`. Shared by every fault-free trace path so the contract is

@@ -1,6 +1,8 @@
 #include "src/fault/campaign.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -23,6 +25,9 @@ struct CampaignMetrics {
   const obs::Counter& overlays = obs::counter("campaign.overlays_sampled");
   const obs::Counter& baselines = obs::counter("campaign.baseline_runs");
   const obs::Counter& trials = obs::counter("campaign.trials_completed");
+  // One per pool lane, so it follows the thread count.
+  const obs::Counter& trace_segments =
+      obs::counter("campaign.trace_segments", /*deterministic=*/false);
 };
 
 const CampaignMetrics& campaign_metrics() {
@@ -79,6 +84,78 @@ struct TrialAccumulator {
     }
     return out;
   }
+};
+
+/// A campaign's fault-free trace, computed on first use in word-aligned
+/// segments. A unit that needs it claims the lowest unclaimed segment and
+/// computes it, then the next, and waits only on segments that other
+/// units hold. A segment that throws goes back unclaimed and the error
+/// propagates to its unit. Restored units never ask for the trace.
+class SharedTrace {
+ public:
+  /// Writes ops [first, first + out.size()) of the trace.
+  using Compute = std::function<void(std::size_t first, std::span<OpTrace>)>;
+
+  /// `segments` is clamped to [1, words], the ops' 64-op words, which the
+  /// segments split as evenly as whole words allow.
+  SharedTrace(std::size_t ops, std::size_t segments, Compute compute)
+      : ops_(ops),
+        words_((ops + kBatchLanes - 1) / kBatchLanes),
+        state_(std::clamp<std::size_t>(segments, 1,
+                                       std::max<std::size_t>(words_, 1)),
+               State::kFree),
+        compute_(std::move(compute)) {}
+
+  std::span<const OpTrace> get() {
+    std::unique_lock lock(mutex_);
+    const auto free = [&] { return std::ranges::find(state_, State::kFree); };
+    while (done_ < state_.size()) {
+      // A segment another unit holds ends done or free again.
+      changed_.wait(lock, [&] {
+        return done_ == state_.size() || free() != state_.end();
+      });
+      const auto claimed = free();
+      if (claimed == state_.end()) break;
+      *claimed = State::kHeld;
+      const auto s = static_cast<std::size_t>(claimed - state_.begin());
+      lock.unlock();
+      try {
+        compute_segment(s);
+      } catch (...) {
+        lock.lock();
+        state_[s] = State::kFree;
+        changed_.notify_all();
+        throw;
+      }
+      lock.lock();
+      state_[s] = State::kDone;
+      ++done_;
+      changed_.notify_all();
+    }
+    return ops_;
+  }
+
+ private:
+  enum class State : std::uint8_t { kFree, kHeld, kDone };
+
+  void compute_segment(std::size_t s) {
+    obs::TraceSpan span("campaign.trace_segment", s);
+    campaign_metrics().trace_segments.add();
+    const auto op_of = [&](std::size_t seg) {
+      return std::min(ops_.size(),
+                      seg * words_ / state_.size() * kBatchLanes);
+    };
+    const std::size_t first = op_of(s);
+    compute_(first, std::span(ops_).subspan(first, op_of(s + 1) - first));
+  }
+
+  std::vector<OpTrace> ops_;
+  std::size_t words_;
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  std::vector<State> state_;  // per segment, guarded by mutex_
+  std::size_t done_ = 0;      // guarded by mutex_
+  Compute compute_;
 };
 
 /// The dense overlay of one trial's sites. Built only while that trial is
@@ -285,27 +362,30 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
   const std::size_t trials = sites.size();
 
   // The fault-free trace: the baseline replays it, and trial lanes take
-  // every OpTrace field but the delay from it. The first unit that needs
-  // it computes it; restored units never do.
-  std::mutex clean_mutex;
-  std::optional<std::vector<OpTrace>> clean;
-  const auto clean_trace = [&]() -> std::span<const OpTrace> {
-    std::lock_guard lock(clean_mutex);
-    if (!clean) {
-      clean = compute_op_trace(
-          *mult_, *tech_, patterns,
-          TraceOptions{.gate_delay_scale = gate_delay_scale,
-                       .kernel = options.kernel});
-    }
-    return *clean;
-  };
+  // every OpTrace field but the delay from it. On the batch kernel it is
+  // split into one segment per lane of the pool the units run on, each
+  // started from the state a values-only sweep of the ops before it
+  // leaves (compute_op_trace_range); the scalar reference kernels compute
+  // it in one.
+  const SimKernel kernel = resolve_kernel(options.kernel);
+  SharedTrace clean(
+      patterns.size(),
+      kernel == SimKernel::kBatch
+          ? static_cast<std::size_t>(runtime::execution_lanes(options.runner))
+          : 1,
+      [&](std::size_t first, std::span<OpTrace> out) {
+        compute_op_trace_range(
+            *mult_, *tech_, patterns, first, out,
+            TraceOptions{.gate_delay_scale = gate_delay_scale,
+                         .kernel = kernel});
+      });
 
   // Fault-free reference run: the throughput and error-rate baseline the
   // faulty runs are measured against.
   const auto run_baseline = [&] {
     obs::TraceSpan span("campaign.baseline");
     VariableLatencySystem system(*mult_, *tech_, system_);
-    auto stats = system.run(clean_trace(), mean_dvth_v);
+    auto stats = system.run(clean.get(), mean_dvth_v);
     campaign_metrics().baselines.add();
     return stats;
   };
@@ -315,7 +395,7 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
   // revisits one. A group is scored under its own mutex by the first of
   // its trials to run; a score that throws leaves it unscored for a retry.
   const bool lanes = config_.kind == FaultKind::kDelayOutlier &&
-                     resolve_kernel(options.kernel) == SimKernel::kBatch;
+                     kernel == SimKernel::kBatch;
   const std::size_t groups =
       lanes ? (trials + kCornerLanes - 1) / kCornerLanes : 0;
   struct LaneGroup {
@@ -331,7 +411,7 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
       LaneGroup& group = lane_groups[t % groups];
       std::lock_guard lock(group.mutex);
       if (group.stats.empty()) {
-        group.stats = score_lanes(patterns, clean_trace(), options, sites,
+        group.stats = score_lanes(patterns, clean.get(), options, sites,
                                   t % groups, groups);
       }
       stats = group.stats[t / groups];
@@ -342,7 +422,7 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
           *mult_, *tech_, patterns,
           TraceOptions{.gate_delay_scale = gate_delay_scale,
                        .faults = &overlay,
-                       .kernel = options.kernel});
+                       .kernel = kernel});
       VariableLatencySystem trial_system(*mult_, *tech_, system_);
       stats = trial_system.run(faulty_trace, mean_dvth_v);
     }

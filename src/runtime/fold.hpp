@@ -41,6 +41,16 @@ struct UnitFold {
   std::function<void(std::uint64_t unit, const T& value)> progress = {};
 };
 
+/// Execution lanes of the pool run_units runs the units of a fold with
+/// this `runner` and no pool of its own on: the runner's pool, else a
+/// one-shot pool's (exec::default_thread_count()).
+inline int execution_lanes(const RobustRunner* runner) {
+  const exec::ThreadPool* pool =
+      runner != nullptr ? runner->config().pool : nullptr;
+  return pool != nullptr ? pool->thread_count()
+                         : exec::default_thread_count();
+}
+
 template <class T>
 std::vector<std::optional<T>> run_units(std::size_t n,
                                         const UnitFold<T>& fold) {

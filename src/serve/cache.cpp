@@ -29,13 +29,13 @@ AgedStateCache::AgedStateCache(std::size_t budget_bytes)
   stats_.budget_bytes = budget_bytes;
 }
 
-std::optional<AgedCorner> AgedStateCache::get(std::uint64_t key) {
+std::shared_ptr<const AgedCorner> AgedStateCache::get(std::uint64_t key) {
   std::lock_guard lk(mutex_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
     cache_metrics().misses.add();
-    return std::nullopt;
+    return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   ++stats_.hits;
@@ -59,8 +59,9 @@ void AgedStateCache::evict_to_fit_locked(std::size_t incoming_bytes) {
   }
 }
 
-void AgedStateCache::put(std::uint64_t key, AgedCorner corner) {
-  const std::size_t bytes = corner.byte_size();
+void AgedStateCache::put(std::uint64_t key,
+                         std::shared_ptr<const AgedCorner> corner) {
+  const std::size_t bytes = corner->byte_size();
   std::lock_guard lk(mutex_);
   if (bytes > budget_bytes_) {
     ++stats_.rejected_oversize;

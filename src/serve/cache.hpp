@@ -17,11 +17,16 @@
 // meaningless. Least-recently-used corners evict first. A single entry
 // larger than the whole budget is simply not cached (get-compute-drop),
 // never wedged in by evicting everything else.
+//
+// Entries are immutable and shared: get() hands out a pointer to the
+// cached corner, not a copy, so a hot query copies no trace under the
+// cache's lock. An evicted corner leaves the budget at once but lives
+// until its last reader drops it.
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -55,15 +60,15 @@ struct CacheStats {
   std::size_t budget_bytes = 0;
 };
 
-/// Thread-safe byte-budgeted LRU. get() copies the entry out — the cache
-/// must never hand out references that an eviction on another thread could
-/// invalidate mid-query.
+/// Thread-safe byte-budgeted LRU. get() shares the entry out, so an
+/// eviction on another thread never invalidates a corner mid-query.
 class AgedStateCache {
  public:
   explicit AgedStateCache(std::size_t budget_bytes);
 
-  /// Copies out the corner and refreshes its recency; counts a hit/miss.
-  std::optional<AgedCorner> get(std::uint64_t key);
+  /// The corner (null on a miss); refreshes its recency and counts a
+  /// hit/miss.
+  std::shared_ptr<const AgedCorner> get(std::uint64_t key);
 
   /// True without touching recency or hit/miss counters — the admission
   /// path uses this to classify a query as a cache refill.
@@ -71,7 +76,7 @@ class AgedStateCache {
 
   /// Inserts (or replaces) and evicts LRU entries until the budget holds.
   /// Oversize entries are counted and dropped.
-  void put(std::uint64_t key, AgedCorner corner);
+  void put(std::uint64_t key, std::shared_ptr<const AgedCorner> corner);
 
   CacheStats stats() const;
   void clear();
@@ -79,7 +84,7 @@ class AgedStateCache {
  private:
   struct Entry {
     std::uint64_t key = 0;
-    AgedCorner corner;
+    std::shared_ptr<const AgedCorner> corner;
     std::size_t bytes = 0;
   };
 

@@ -309,33 +309,33 @@ HandlerResult Service::handle_query(const QueryParams& q,
   const Circuit& circuit = this->circuit(q.arch, q.width);
 
   bool cache_hit = true;
-  std::optional<AgedCorner> corner =
-      cache_ != nullptr ? cache_->get(key) : std::nullopt;
-  if (!corner.has_value()) {
+  std::shared_ptr<const AgedCorner> corner =
+      cache_ != nullptr ? cache_->get(key) : nullptr;
+  if (corner == nullptr) {
     cache_hit = false;
     service_metrics().corner_refills.add();
     obs::TraceSpan refill_span("serve.corner_refill", key);
     if (cancel.cancelled()) return cancelled_during("corner refill");
-    AgedCorner fresh;
-    fresh.critical_path_ps = circuit.fresh_critical_path_ps;
+    auto fresh = std::make_shared<AgedCorner>();
+    fresh->critical_path_ps = circuit.fresh_critical_path_ps;
     std::vector<double> delay_scales;  // empty: the fresh circuit
     if (q.years > 0.0) {
       const BtiModel model = BtiModel::calibrated(tech_);
       const AgingScenario scenario(circuit.mult.netlist, tech_, model,
                                    kStressSeed, kStressPatterns);
       delay_scales = scenario.delay_scales_at(q.years);
-      fresh.mean_dvth_v = scenario.mean_dvth_at(q.years);
-      fresh.critical_path_ps =
+      fresh->mean_dvth_v = scenario.mean_dvth_at(q.years);
+      fresh->critical_path_ps =
           critical_path_ps(circuit.mult, tech_, delay_scales);
     }
     if (cancel.cancelled()) return cancelled_during("corner refill");
     Rng rng(q.workload_seed);
     const auto patterns = uniform_patterns(rng, q.width, q.ops);
-    fresh.trace = compute_op_trace(
+    fresh->trace = compute_op_trace(
         circuit.mult, tech_, patterns,
         TraceOptions{.gate_delay_scale = delay_scales});
-    if (cache_ != nullptr) cache_->put(key, fresh);
     corner = std::move(fresh);
+    if (cache_ != nullptr) cache_->put(key, corner);
   }
   if (cancel.cancelled()) return cancelled_during("query replay");
 

@@ -187,6 +187,18 @@ void BatchTimingSim::set_aging(std::span<const double> gate_delay_scale) {
   force_all_ = true;
 }
 
+void BatchTimingSim::resume(std::span<const Logic> values,
+                            std::int64_t steps) {
+  if (values.size() != carried_.size()) {
+    throw std::invalid_argument(
+        "BatchTimingSim::resume: need one value per net");
+  }
+  std::copy(values.begin(), values.end(), carried_.begin());
+  std::fill(moved_.begin(), moved_.end(), std::uint8_t{0});
+  step_base_ = steps;
+  force_all_ = false;
+}
+
 void BatchTimingSim::set_fault_overlay(const FaultOverlay* overlay) {
   if (overlay != nullptr && overlay->num_gates() != netlist_->num_gates()) {
     throw std::invalid_argument(

@@ -141,6 +141,16 @@ class BatchTimingSim {
   /// steps() + l).
   std::int64_t steps() const noexcept { return step_base_; }
 
+  /// Continues from a settled state instead of the power-up: `values`
+  /// holds every net's value after `steps` fault-free patterns, as
+  /// ValueSweep::values() leaves them. Between words a simulator keeps
+  /// only those values (every other lane array is rewritten before it is
+  /// read), so the next word (pattern `steps` onward) evaluates the same
+  /// gates and returns the same results as one that stepped through those
+  /// patterns. Throws std::invalid_argument unless there is one value per
+  /// net.
+  void resume(std::span<const Logic> values, std::int64_t steps);
+
   /// Evaluates lanes [0, lanes) in one sweep. `input_bits` holds one word
   /// per primary input (in input order): bit l is the value that input
   /// takes on lane l (load_bus_lane packs them). All input lanes are

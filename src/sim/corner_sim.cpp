@@ -13,6 +13,8 @@ namespace agingsim {
 namespace {
 
 constexpr int kLanes = kCornerLanes;
+// Patterns per narrowing of a word's active set; 8 fits a uint8_t mask.
+constexpr int kBlock = 8;
 
 // Accumulated per word, never per gate (the SimMetrics discipline): steps
 // counts patterns, lanes counts pattern-lanes, so lane utilization is
@@ -100,11 +102,8 @@ CornerTimingSim::CornerTimingSim(const Netlist& netlist,
   const std::size_t gates = netlist.num_gates();
   const std::size_t nets = netlist.num_nets();
   cell_delay_ps_.resize(gates);
-  delay_ps_.resize(gates * kLanes);
   for (GateId g = 0; g < gates; ++g) {
     cell_delay_ps_[g] = tech.delay(netlist.gate(g).kind);
-    std::fill_n(delay_ps_.begin() + std::ptrdiff_t(g) * kLanes, kLanes,
-                cell_delay_ps_[g]);
   }
 
   // Value-sweep records. Inputs past a kind's arity read net `nets`, a pad
@@ -125,7 +124,9 @@ CornerTimingSim::CornerTimingSim(const Netlist& netlist,
   // driver and dies after its last consumer; primary outputs live to the
   // end of the step, and a net nobody reads gets no slot at all. An output
   // takes its slot before the gate's dying inputs release theirs, so a
-  // gate never writes the slot it is reading.
+  // gate never writes the slot it is reading. A gate fed only by primary
+  // inputs needs none either: every arrival rule folds its inputs' 0.0
+  // to 0.0, so it settles at 0.0 + delay, its delay row, in every lane.
   constexpr GateId kUnread = ~GateId{0};
   const GateId end_of_step = static_cast<GateId>(gates);
   std::vector<GateId> last_use(nets, kUnread);
@@ -133,33 +134,46 @@ CornerTimingSim::CornerTimingSim(const Netlist& netlist,
     for (const NetId in : netlist.gate_inputs(g)) last_use[in] = g;
   }
   for (const NetId out : netlist.output_nets()) last_use[out] = end_of_step;
-  slot_.assign(nets + 1, -1);
-  std::int32_t slots = 0;
-  std::vector<std::int32_t> free_slots;
+  first_slot_ = static_cast<std::int64_t>(gates) * kLanes;
+  row_.assign(nets + 1, -1);
+  std::int64_t slots = 0;
+  std::vector<std::int64_t> free_slots;
   for (GateId g = 0; g < gates; ++g) {
     const NetId out = netlist.gate(g).out;
+    const auto ins = netlist.gate_inputs(g);
+    const bool pi_fed = std::all_of(ins.begin(), ins.end(), [&](NetId in) {
+      return netlist.driver_of(in) < 0;
+    });
     if (last_use[out] != kUnread) {
-      if (free_slots.empty()) {
-        slot_[out] = slots++;
+      if (pi_fed) {
+        row_[out] = std::int64_t(g) * kLanes;
+      } else if (free_slots.empty()) {
+        row_[out] = first_slot_ + slots++ * kLanes;
       } else {
-        slot_[out] = free_slots.back();
+        row_[out] = free_slots.back();
         free_slots.pop_back();
       }
     }
-    for (const NetId in : netlist.gate_inputs(g)) {
-      if (last_use[in] == g && slot_[in] >= 0) {
-        free_slots.push_back(slot_[in]);
+    for (const NetId in : ins) {
+      if (last_use[in] == g && row_[in] >= first_slot_) {
+        free_slots.push_back(row_[in]);
         last_use[in] = end_of_step;  // released once, however many pins
       }
     }
   }
-  arrival_.assign(std::size_t(slots) * kLanes, 0.0);
+  rows_.assign(std::size_t(first_slot_ + slots * kLanes), 0.0);
+  for (GateId g = 0; g < gates; ++g) {
+    std::fill_n(rows_.begin() + std::ptrdiff_t(g) * kLanes, kLanes,
+                cell_delay_ps_[g]);
+  }
   planes_.assign(nets + 1, {0, ~std::uint64_t{0}});  // X until driven
   value_.assign(nets + 1, Logic::kX);
   changed_.assign(nets + 1, 0);
   input_changed_.resize(netlist.num_inputs());
   active_.resize(gates);
   active_changed_.resize(gates);
+  block_.resize(gates);
+  block_changed_.resize(gates);
   changed_gates_.resize(gates);
   settle_.resize(std::size_t(kBatchLanes) * kLanes);
 }
@@ -193,7 +207,7 @@ void CornerTimingSim::set_lane_scales(int lane, std::span<const double> scale,
     double d = cell_delay_ps_[g];
     if (!scale.empty()) d *= scale[g];
     if (faults != nullptr) d *= faults->delay_factor(static_cast<GateId>(g));
-    delay_ps_[g * kLanes + static_cast<std::size_t>(lane)] = d;
+    rows_[g * kLanes + static_cast<std::size_t>(lane)] = d;
   }
 }
 
@@ -208,9 +222,9 @@ void CornerTimingSim::power_up(int lanes) {
 }
 
 const double* CornerTimingSim::arrival_lanes(NetId net) const noexcept {
-  const std::int32_t s = slot_[net];
-  if (s < 0 || changed_[net] == 0) return kZeroLanes.data();
-  return arrival_.data() + std::size_t(s) * kLanes;
+  const std::int64_t row = row_[net];
+  if (row < 0 || changed_[net] == 0) return kZeroLanes.data();
+  return rows_.data() + row;
 }
 
 std::span<const double> CornerTimingSim::step_word(
@@ -260,6 +274,7 @@ std::span<const double> CornerTimingSim::step_word(
     num_active += changed != 0;
   }
 
+  std::size_t num_block = 0;
   for (int p = 0; p < patterns; ++p) {
     // A changed input arrives at t = 0 in every lane.
     for (std::size_t i = 0; i < input_nets.size(); ++i) {
@@ -268,10 +283,24 @@ std::span<const double> CornerTimingSim::step_word(
       changed_[input_nets[i]] =
           static_cast<std::uint8_t>((input_changed_[i] >> p) & 1u);
     }
+    // The word's active set narrowed, once per block of patterns, to the
+    // gates that change in the block, and that list to this pattern's.
+    // Both stay in ascending id.
+    const int in_block = p % kBlock;
+    if (in_block == 0) {
+      num_block = 0;
+      for (std::size_t a = 0; a < num_active; ++a) {
+        const auto bits =
+            static_cast<std::uint8_t>(active_changed_[a] >> p);
+        block_[num_block] = active_[a];
+        block_changed_[num_block] = bits;
+        num_block += bits != 0;
+      }
+    }
     std::size_t num_changed = 0;
-    for (std::size_t a = 0; a < num_active; ++a) {
-      changed_gates_[num_changed] = active_[a];
-      num_changed += (active_changed_[a] >> p) & 1u;
+    for (std::size_t b = 0; b < num_block; ++b) {
+      changed_gates_[num_changed] = block_[b];
+      num_changed += (block_changed_[b] >> in_block) & 1u;
     }
 
     // Arrivals of the changed gates, still in ascending id, so every fanin
@@ -283,10 +312,11 @@ std::span<const double> CornerTimingSim::step_word(
       value_[sg.out] =
           detail::lane_logic(planes_[sg.out].p0, planes_[sg.out].p1, p);
       changed_[sg.out] = 1;
-      const std::int32_t slot = slot_[sg.out];
-      if (slot < 0) continue;  // nothing reads this arrival
-      double* out = arrival_.data() + std::size_t(slot) * kLanes;
-      const double* delay = delay_ps_.data() + std::size_t(g) * kLanes;
+      // Nothing reads this arrival, or it is the gate's delay row.
+      const std::int64_t row = row_[sg.out];
+      if (row < first_slot_) continue;
+      double* out = rows_.data() + row;
+      const double* delay = rows_.data() + std::size_t(g) * kLanes;
       const Controlled ctrl = controlled(sg.kind);
       std::array<const double*, 3> in;
       int n = 0;

@@ -11,8 +11,8 @@
 // eval_word sweep (word_eval.hpp, the batch kernel's value model) settles
 // every net on every pattern, from the values the previous word left.
 // The change masks then list, pattern by pattern, the gates whose value
-// changed, and only those are timed, once per lane, each lane being one
-// delay table.
+// changed (narrowed first to each block of 8 patterns' gates), and only
+// those are timed, once per lane, each lane being one delay table.
 //
 // EXACTNESS: a lane's arrival recurrence is TimingSim::evaluate_gate's,
 // statement for statement — first-wins minimum over controlling inputs,
@@ -25,8 +25,10 @@
 //
 // Arrivals live in live-range slots, not per net: ascending gate id is the
 // evaluation order, so a net's arrival is needed only from its driver to
-// its last consumer (primary outputs: to the end of the pattern). The
-// 16-bit multipliers keep ~260 of their 1 400-2 400 nets live at once.
+// its last consumer (primary outputs: to the end of the pattern). A gate
+// fed only by primary inputs needs no slot: it settles at 0.0 + delay in
+// every lane, so its net reads the gate's delay row. The 16-bit
+// multipliers keep 47-62 slots for their 1 400-2 400 nets.
 
 #include <cstdint>
 #include <span>
@@ -90,15 +92,16 @@ class CornerTimingSim {
   std::uint64_t output_bits(int pattern) const;
 
   /// Arrival slots the live-range allocation needs (the peak number of
-  /// simultaneously live gate-driven nets).
+  /// simultaneously live nets driven by gates that read another gate).
   std::size_t num_slots() const noexcept {
-    return arrival_.size() / kCornerLanes;
+    return (rows_.size() - std::size_t(first_slot_)) / kCornerLanes;
   }
 
  private:
-  /// Lane array holding `net`'s arrivals on the current pattern: its slot
-  /// when it changed and a gate drives it, otherwise all zeros (a stable
-  /// net, or a primary input, arrives at t = 0).
+  /// Lane array holding `net`'s arrivals on the current pattern when it
+  /// changed: its slot, or its driver's delay row when only primary inputs
+  /// feed that gate. Otherwise all zeros (a stable net, or a primary
+  /// input, arrives at t = 0).
   const double* arrival_lanes(NetId net) const noexcept;
 
   /// One gate as both sweeps read it: inputs padded to three with a net
@@ -112,9 +115,13 @@ class CornerTimingSim {
   const Netlist* netlist_;
   std::vector<SweepGate> sweep_;       // per gate
   std::vector<double> cell_delay_ps_;  // per gate: tech.delay(kind)
-  std::vector<double> delay_ps_;       // gate x kCornerLanes
-  std::vector<std::int32_t> slot_;     // per net + pad, -1 = never read
-  std::vector<double> arrival_;        // slot x kCornerLanes
+  /// Rows of kCornerLanes: one delay row per gate, then the arrival slots
+  /// from `first_slot_` on.
+  std::vector<double> rows_;
+  std::int64_t first_slot_ = 0;
+  /// Per net + pad: the row in rows_ holding its arrivals, -1 when
+  /// nobody reads them.
+  std::vector<std::int64_t> row_;
   std::vector<detail::NetLanes> planes_;  // per net + pad: the last word
   /// Per net + pad: the value on the current pattern. Between words it is
   /// the value after the last pattern, the state the next word starts from.
@@ -125,6 +132,10 @@ class CornerTimingSim {
   /// and the patterns each changed on.
   std::vector<GateId> active_;
   std::vector<std::uint64_t> active_changed_;
+  /// The active gates that change in the current block of patterns, and
+  /// the block's patterns each changed on.
+  std::vector<GateId> block_;
+  std::vector<std::uint8_t> block_changed_;
   std::vector<GateId> changed_gates_;  // the current pattern's, ascending
   std::vector<double> settle_;         // kBatchLanes x kCornerLanes
   int lanes_ = kCornerLanes;

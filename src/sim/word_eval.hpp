@@ -4,7 +4,8 @@
 // single word-parallel statement of the cell semantics in cell.cpp
 // (eval_cell). Three sweeps call it: the batch timing kernel
 // (batch_sweep.inl), the corner-parallel kernel (corner_sim.cpp) and the
-// values-only stress extraction (aging/stress.cpp).
+// values-only ValueSweep (value_sweep.cpp), which stress extraction and
+// trace ranges share.
 //
 // Bit-plane encoding: lane l of plane0/plane1 carries the two bits of the
 // Logic code (kZero=00, kOne=01, kX=10, kZ=11; plane0 = low bit). So:

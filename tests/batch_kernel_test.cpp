@@ -18,6 +18,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/aging/scenario.hpp"
@@ -359,7 +360,9 @@ TEST(BatchKernelTest, EveryCellKindFedByPrimaryInputsMatchesScalar) {
     outs.push_back(nl.add_gate(CellKind::kMux2, {next, d, fed[i]}));
   }
   for (std::size_t i = 0; i < outs.size(); ++i) {
-    nl.mark_output(outs[i], "y" + std::to_string(i));
+    std::string name = "y";
+    name += std::to_string(i);
+    nl.mark_output(outs[i], std::move(name));
   }
   Rng rng(20261017);
   std::vector<std::uint64_t> ops(300);

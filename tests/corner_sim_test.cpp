@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <tuple>
 #include <vector>
 
@@ -244,7 +245,9 @@ TEST(CornerSimTest, EveryCellKindThroughKeeperXMatchesScalar) {
       a,  // a primary input that is also an output
   };
   for (std::size_t i = 0; i < outs.size(); ++i) {
-    nl.mark_output(outs[i], "y" + std::to_string(i));
+    std::string name = "y";
+    name += std::to_string(i);
+    nl.mark_output(outs[i], std::move(name));
   }
   Rng rng(20261017);
   std::vector<std::vector<Logic>> stream(300);

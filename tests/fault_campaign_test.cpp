@@ -3,15 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/aging/scenario.hpp"
 #include "src/core/vl_multiplier.hpp"
 #include "src/exec/thread_pool.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/runtime/checkpoint.hpp"
 #include "src/runtime/robust_runner.hpp"
 #include "src/runtime/stats_codec.hpp"
@@ -436,6 +441,118 @@ TEST_F(TrialLaneResumeTest, TransientOnAGroupsFirstUnitRetriesTheScore) {
       c, ops(), CampaignRunOptions{.kernel = SimKernel::kSparse}, dir_);
   EXPECT_TRUE(lanes.stats == sparse.stats);
   EXPECT_TRUE(lanes.payloads == sparse.payloads);
+}
+
+// The shared fault-free trace is computed in one word-aligned segment per
+// pool lane (docs/PERF.md "Fault-campaign trial lanes").
+
+/// Value of the process counter `name` (0 when never registered).
+std::uint64_t counter_value(std::string_view name) {
+  for (const obs::MetricValue& m : obs::metrics_snapshot()) {
+    if (m.name == name) return m.value;
+  }
+  return 0;
+}
+
+/// A 33-trial campaign over all 500 ops (8 words, so up to 8 segments),
+/// aged seven years.
+class TraceSegmentTest : public TrialLaneResumeTest {
+ protected:
+  static std::span<const OperandPattern> all_ops() { return *patterns_; }
+  static CampaignRunOptions aged_options() {
+    static const AgingScenario scenario(mult_->netlist, *tech_,
+                                        BtiModel::calibrated(*tech_), 0x7EA2,
+                                        1000);
+    static const std::vector<double> aged = scenario.delay_scales_at(7.0);
+    return {.gate_delay_scale = aged,
+            .mean_dvth_v = scenario.mean_dvth_at(7.0),
+            .kernel = SimKernel::kBatch};
+  }
+  void SetUp() override {
+    TrialLaneResumeTest::SetUp();
+    obs::set_metrics_enabled(true);
+    obs::reset_metrics();
+  }
+  void TearDown() override {
+    obs::set_metrics_enabled(false);
+    TrialLaneResumeTest::TearDown();
+  }
+};
+
+TEST_F(TraceSegmentTest, LanesMatchAcrossThreadCounts) {
+  std::optional<StoredRun> one;
+  for (const int threads : {1, 2, 3, 8}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    exec::ThreadPool pool(threads);
+    runtime::RunnerConfig rc;
+    rc.pool = &pool;
+    fs::remove_all(dir_);
+    obs::reset_metrics();
+    StoredRun run = run_stored(campaign(), all_ops(), aged_options(), dir_, rc);
+    // One segment per lane: with 3, a segment of 2 words and two of 3.
+    EXPECT_EQ(counter_value("campaign.trace_segments"),
+              static_cast<std::uint64_t>(threads));
+    EXPECT_EQ(run.report.computed, 34u);
+    if (!one) {
+      one = std::move(run);
+      continue;
+    }
+    EXPECT_TRUE(run.stats == one->stats);
+    EXPECT_TRUE(run.payloads == one->payloads);
+  }
+  // And the one-segment batch run is the per-trial sparse reference.
+  fs::remove_all(dir_);
+  CampaignRunOptions sparse = aged_options();
+  sparse.kernel = SimKernel::kSparse;
+  const StoredRun reference = run_stored(campaign(), all_ops(), sparse, dir_);
+  EXPECT_TRUE(reference.stats == one->stats);
+  EXPECT_TRUE(reference.payloads == one->payloads);
+}
+
+TEST_F(TraceSegmentTest, RestoredUnitsComputeNoSegment) {
+  exec::ThreadPool pool(4);
+  runtime::RunnerConfig rc;
+  rc.pool = &pool;
+  const StoredRun first = run_stored(campaign(), all_ops(), aged_options(),
+                                     dir_, rc);
+  EXPECT_EQ(counter_value("campaign.trace_segments"), 4u);
+  obs::reset_metrics();
+  const StoredRun again = run_stored(campaign(), all_ops(), aged_options(),
+                                     dir_, rc);
+  EXPECT_EQ(again.report.restored, 34u);
+  EXPECT_EQ(counter_value("campaign.trace_segments"), 0u);
+  EXPECT_TRUE(again.stats == first.stats);
+}
+
+TEST_F(TraceSegmentTest, AThrowingSegmentGoesBackUnclaimed) {
+  // Both operands load onto the A inputs, so the products are wrong and
+  // the golden check throws in every segment. Every unit needs the trace;
+  // each attempt claims a free segment, throws and frees it, so the run
+  // ends with every unit quarantined instead of waiting on a segment
+  // nobody holds.
+  MultiplierNetlist broken = *mult_;
+  broken.b_first_input = broken.a_first_input;
+  FaultCampaignConfig cc = campaign_config(FaultKind::kDelayOutlier, 1, 8.0);
+  cc.trials = 40;
+  const FaultCampaign campaign(broken, *tech_, system_config(), cc);
+  exec::ThreadPool pool(4);
+  runtime::RunnerConfig rc;
+  rc.pool = &pool;
+  rc.max_retries = 2;
+  rc.backoff_base = std::chrono::milliseconds(1);
+  runtime::RobustRunner runner(rc);
+  runtime::RunReport report;
+  EXPECT_THROW(campaign.run(all_ops(), {.kernel = SimKernel::kBatch,
+                                        .runner = &runner,
+                                        .report = &report}),
+               runtime::RunError);
+  EXPECT_EQ(report.quarantined, 41u);
+  for (const runtime::UnitOutcome& unit : report.units) {
+    EXPECT_NE(unit.error.find("netlist product mismatch"), std::string::npos)
+        << unit.error;
+  }
+  // Each attempt computed one segment, in turn, and none finished.
+  EXPECT_GE(counter_value("campaign.trace_segments"), 41u);
 }
 
 TEST_F(FaultCampaignTest, TraceHelpers) {

@@ -6,27 +6,29 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 
 namespace agingsim::serve {
 namespace {
 
 // A corner whose byte_size() lands near `approx_bytes` (sizeof(AgedCorner)
 // plus the trace payload).
-AgedCorner corner_of_bytes(std::size_t approx_bytes, double tag) {
-  AgedCorner c;
-  c.mean_dvth_v = tag;
+std::shared_ptr<const AgedCorner> corner_of_bytes(std::size_t approx_bytes,
+                                                  double tag) {
+  auto c = std::make_shared<AgedCorner>();
+  c->mean_dvth_v = tag;
   const std::size_t base = sizeof(AgedCorner);
   const std::size_t payload = approx_bytes > base ? approx_bytes - base : 0;
-  c.trace.assign(payload / sizeof(OpTrace), OpTrace{.delay_ps = tag});
+  c->trace.assign(payload / sizeof(OpTrace), OpTrace{.delay_ps = tag});
   return c;
 }
 
 TEST(ServeCache, MissThenHit) {
   AgedStateCache cache(1 << 20);
-  EXPECT_FALSE(cache.get(1).has_value());
+  EXPECT_EQ(cache.get(1), nullptr);
   cache.put(1, corner_of_bytes(1024, 0.5));
   const auto hit = cache.get(1);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_DOUBLE_EQ(hit->mean_dvth_v, 0.5);
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
@@ -57,7 +59,7 @@ TEST(ServeCache, EvictsLeastRecentlyUsedToBudget) {
   cache.put(1, corner_of_bytes(3000, 1.0));
   cache.put(2, corner_of_bytes(3000, 2.0));
   // Touch 1 so 2 becomes the LRU entry.
-  EXPECT_TRUE(cache.get(1).has_value());
+  EXPECT_NE(cache.get(1), nullptr);
   cache.put(3, corner_of_bytes(3000, 3.0));  // must evict 2, not 1
   EXPECT_TRUE(cache.contains(1));
   EXPECT_FALSE(cache.contains(2));
@@ -101,16 +103,23 @@ TEST(ServeCache, ClearResetsContentsButKeepsBudget) {
   EXPECT_EQ(s.budget_bytes, 4096u);
 }
 
-TEST(ServeCache, GetCopiesOutSoEvictionCannotInvalidate) {
+TEST(ServeCache, EvictedCornerStaysIntactWhileHeld) {
   AgedStateCache cache(8192);
-  cache.put(1, corner_of_bytes(3000, 1.5));
-  auto copy = cache.get(1);
-  ASSERT_TRUE(copy.has_value());
-  // Evict key 1 entirely; the copy must stay intact.
+  const auto stored = corner_of_bytes(3000, 1.5);
+  const std::size_t ops = stored->trace.size();
+  cache.put(1, stored);
+  // The budget counts the corner as it did when entries were copies.
+  EXPECT_EQ(cache.stats().bytes, stored->byte_size());
+  auto held = cache.get(1);
+  ASSERT_EQ(held, stored);  // shared, not copied
+  // Evict key 1 entirely: it leaves the budget, but the held corner must
+  // stay intact until its reader lets go.
   cache.put(2, corner_of_bytes(7000, 2.0));
   EXPECT_FALSE(cache.contains(1));
-  EXPECT_DOUBLE_EQ(copy->mean_dvth_v, 1.5);
-  EXPECT_FALSE(copy->trace.empty());
+  EXPECT_EQ(cache.stats().bytes, cache.get(2)->byte_size());
+  EXPECT_DOUBLE_EQ(held->mean_dvth_v, 1.5);
+  ASSERT_EQ(held->trace.size(), ops);
+  for (const OpTrace& op : held->trace) EXPECT_DOUBLE_EQ(op.delay_ps, 1.5);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <tuple>
 #include <vector>
 
@@ -149,7 +150,9 @@ TEST(StressSweepTest, EveryCellKindThroughKeeperXMatchesScalar) {
       nl.add_gate(CellKind::kTbuf, {b, x_en}),
   };
   for (std::size_t i = 0; i < outs.size(); ++i) {
-    nl.mark_output(outs[i], "y" + std::to_string(i));
+    std::string name = "y";
+    name += std::to_string(i);
+    nl.mark_output(outs[i], std::move(name));
   }
   expect_matches_scalar(nl, "cell kinds");
 }

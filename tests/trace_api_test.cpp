@@ -3,7 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "src/aging/bti.hpp"
+#include "src/aging/scenario.hpp"
 #include "src/core/vl_multiplier.hpp"
+#include "src/sim/value_sweep.hpp"
 #include "src/workload/patterns.hpp"
 
 namespace agingsim {
@@ -108,6 +121,130 @@ TEST(TraceApiTest, RunStatsEnergyBreakdownIsExhaustive) {
                   s.leakage_energy_fj,
               1e-9);
   EXPECT_DOUBLE_EQ(s.ahl_energy_fj, 0.0);  // fixed design has no AHL
+}
+
+// compute_op_trace_range: a range past op 0 starts from the values a
+// values-only sweep of the ops before it leaves, yet every op must equal
+// the whole trace's, field for field.
+
+/// The bypass Tbufs disabled after ops [0, n) of `patterns`.
+std::vector<GateId> disabled_tbufs(const MultiplierNetlist& m,
+                                   std::span<const OperandPattern> patterns,
+                                   std::size_t n) {
+  ValueSweep sweep(m.netlist);
+  std::vector<std::uint64_t> words(m.netlist.num_inputs());
+  for (std::size_t done = 0; done < n; done += kBatchLanes) {
+    const std::size_t lanes = std::min<std::size_t>(kBatchLanes, n - done);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const OperandPattern& p = patterns[done + l];
+      load_bus_lane(words, p.a, m.width, m.a_first_input, static_cast<int>(l));
+      load_bus_lane(words, p.b, m.width, m.b_first_input, static_cast<int>(l));
+    }
+    sweep.step_word(words, static_cast<int>(lanes));
+  }
+  std::vector<GateId> disabled;
+  for (GateId g = 0; g < m.netlist.num_gates(); ++g) {
+    if (m.netlist.gate(g).kind != CellKind::kTbuf) continue;
+    const NetId enable = m.netlist.gate_inputs(g)[1];
+    if (sweep.values()[enable] == Logic::kZero) disabled.push_back(g);
+  }
+  return disabled;
+}
+
+using ArchWidth = std::tuple<MultiplierArch, int>;
+
+class TraceRangeTest : public ::testing::TestWithParam<ArchWidth> {};
+
+TEST_P(TraceRangeTest, EveryRangeEqualsTheWholeTrace) {
+  const auto [arch, width] = GetParam();
+  const MultiplierNetlist m = build_multiplier(arch, width);
+  const TechLibrary& tech = default_tech_library();
+  const AgingScenario scenario(m.netlist, tech, BtiModel::calibrated(tech),
+                               0x7EA2, 1000);
+  const std::vector<double> aged = scenario.delay_scales_at(7.0);
+  Rng rng(20261020);
+  // Two FIR taps of 500 ops: each fixes one operand for its 500 ops, so a
+  // range that starts inside a tap starts with bypass keepers holding.
+  std::vector<OperandPattern> fir = fir_tap_patterns(rng, width, 500);
+  const auto tap = fir_tap_patterns(rng, width, 500);
+  fir.insert(fir.end(), tap.begin(), tap.end());
+  const auto uniform = uniform_patterns(rng, width, 1000);
+  // [first, last): on a word boundary (448 = 7 x 64) and off one, across
+  // the taps' seam, one op, and to the end of the stream.
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {448, 512}, {300, 777}, {499, 500}, {937, 1000}};
+
+  using Stream = std::pair<const char*, const std::vector<OperandPattern>*>;
+  for (const auto& [label, ops] :
+       {Stream{"fir_tap", &fir}, Stream{"uniform", &uniform}}) {
+    for (const bool is_aged : {false, true}) {
+      const TraceOptions options{
+          .gate_delay_scale = is_aged ? std::span<const double>(aged)
+                                      : std::span<const double>(),
+          .kernel = SimKernel::kBatch};
+      const auto whole = compute_op_trace(m, tech, *ops, options);
+      for (const auto& [first, last] : ranges) {
+        SCOPED_TRACE(testing::Message()
+                     << label << (is_aged ? ", 7 years" : ", fresh")
+                     << ", ops [" << first << ", " << last << ")");
+        std::vector<OpTrace> part(last - first);
+        compute_op_trace_range(m, tech, *ops, first, part, options);
+        for (std::size_t i = 0; i < part.size(); ++i) {
+          ASSERT_EQ(part[i], whole[first + i]) << "op " << first + i;
+        }
+      }
+    }
+  }
+
+  if (arch != MultiplierArch::kArray) {
+    // The premise: some Tbuf is disabled on the last op before the ranges
+    // at 300 and 937, which begin inside a tap, and on their first, so its
+    // keeper holds across the start.
+    for (const std::size_t first : {300, 937}) {
+      const auto before = disabled_tbufs(m, fir, first);
+      const auto after = disabled_tbufs(m, fir, first + 1);
+      EXPECT_TRUE(std::ranges::any_of(before, [&](GateId g) {
+        return std::ranges::find(after, g) != after.end();
+      })) << first;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ArchWidthSweep, TraceRangeTest,
+    ::testing::Combine(::testing::Values(MultiplierArch::kArray,
+                                         MultiplierArch::kColumnBypass,
+                                         MultiplierArch::kRowBypass),
+                       ::testing::Values(8, 16, 32)),
+    [](const ::testing::TestParamInfo<ArchWidth>& info) {
+      std::string name = arch_name(std::get<0>(info.param));
+      name += "_w";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
+    });
+
+TEST(TraceApiTest, RangePastOpZeroNeedsTheFaultFreeBatchKernel) {
+  const MultiplierNetlist m = build_column_bypass_multiplier(4);
+  const TechLibrary& t = default_tech_library();
+  Rng rng(7);
+  const auto pats = uniform_patterns(rng, 4, 100);
+  std::vector<OpTrace> out(10);
+  EXPECT_THROW(compute_op_trace_range(m, t, pats, 95, out),
+               std::invalid_argument);  // past the end
+  EXPECT_THROW(compute_op_trace_range(
+                   m, t, pats, 64, out,
+                   TraceOptions{.kernel = SimKernel::kSparse}),
+               std::invalid_argument);
+  const FaultOverlay overlay(m.netlist.num_gates());
+  EXPECT_THROW(compute_op_trace_range(
+                   m, t, pats, 64, out,
+                   TraceOptions{.faults = &overlay,
+                                .kernel = SimKernel::kBatch}),
+               std::invalid_argument);
+  // From op 0 every kernel and overlay runs, as compute_op_trace does.
+  compute_op_trace_range(m, t, pats, 0, out,
+                         TraceOptions{.kernel = SimKernel::kSparse});
+  EXPECT_EQ(out[9], compute_op_trace(m, t, pats)[9]);
 }
 
 }  // namespace
