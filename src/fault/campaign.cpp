@@ -99,7 +99,7 @@ class SharedTrace {
   /// `segments` is clamped to [1, words], the ops' 64-op words, which the
   /// segments split as evenly as whole words allow.
   SharedTrace(std::size_t ops, std::size_t segments, Compute compute)
-      : ops_(ops),
+      : size_(ops),
         words_((ops + kBatchLanes - 1) / kBatchLanes),
         state_(std::clamp<std::size_t>(segments, 1,
                                        std::max<std::size_t>(words_, 1)),
@@ -108,6 +108,9 @@ class SharedTrace {
 
   std::span<const OpTrace> get() {
     std::unique_lock lock(mutex_);
+    // Sized by the first unit that asks: a run whose units are all
+    // restored allocates nothing.
+    if (ops_.size() != size_) ops_.resize(size_);
     const auto free = [&] { return std::ranges::find(state_, State::kFree); };
     while (done_ < state_.size()) {
       // A segment another unit holds ends done or free again.
@@ -149,9 +152,10 @@ class SharedTrace {
     compute_(first, std::span(ops_).subspan(first, op_of(s + 1) - first));
   }
 
-  std::vector<OpTrace> ops_;
+  std::size_t size_;
   std::size_t words_;
   std::mutex mutex_;
+  std::vector<OpTrace> ops_;  // sized under mutex_; segments fill ranges
   std::condition_variable changed_;
   std::vector<State> state_;  // per segment, guarded by mutex_
   std::size_t done_ = 0;      // guarded by mutex_
