@@ -90,12 +90,7 @@ KernelNumbers run_batch(const MultiplierNetlist& m,
        chunk += static_cast<std::size_t>(kBatchLanes)) {
     const int lanes = static_cast<int>(
         std::min<std::size_t>(kBatchLanes, ops - chunk));
-    std::fill(words.begin(), words.end(), 0);
-    for (int l = 0; l < lanes; ++l) {
-      const OperandPattern& p = patterns[chunk + static_cast<std::size_t>(l)];
-      load_bus_lane(words, p.a, m.width, m.a_first_input, l);
-      load_bus_lane(words, p.b, m.width, m.b_first_input, l);
-    }
+    load_word(words, m, patterns.subspan(chunk, std::size_t(lanes)));
     sim.step_word(words, lanes);
     for (int l = 0; l < lanes; ++l) {
       checksum ^= sim.output_bits(l) + chunk + static_cast<std::size_t>(l);
@@ -127,11 +122,7 @@ double run_corner_pass(CornerTimingSim& sim, const MultiplierNetlist& m,
   for (std::size_t first = 0; first < patterns.size(); first += kBatchLanes) {
     const int count = static_cast<int>(
         std::min<std::size_t>(kBatchLanes, patterns.size() - first));
-    for (int p = 0; p < count; ++p) {
-      const OperandPattern& pat = patterns[first + static_cast<std::size_t>(p)];
-      load_bus_lane(words, pat.a, m.width, m.a_first_input, p);
-      load_bus_lane(words, pat.b, m.width, m.b_first_input, p);
-    }
+    load_word(words, m, patterns.subspan(first, std::size_t(count)));
     for (const double settle : sim.step_word(words, count)) {
       max_settle = std::max(max_settle, settle);
     }

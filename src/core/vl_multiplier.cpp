@@ -53,20 +53,6 @@ OpTrace make_op(std::size_t index, const OperandPattern& pat,
   return op;
 }
 
-/// Packs `word`'s patterns into lanes [0, word.size()) of one word per
-/// primary input.
-void load_word(std::vector<std::uint64_t>& words,
-               const MultiplierNetlist& mult,
-               std::span<const OperandPattern> word) {
-  std::fill(words.begin(), words.end(), 0);
-  for (std::size_t l = 0; l < word.size(); ++l) {
-    load_bus_lane(words, word[l].a, mult.width, mult.a_first_input,
-                  static_cast<int>(l));
-    load_bus_lane(words, word[l].b, mult.width, mult.b_first_input,
-                  static_cast<int>(l));
-  }
-}
-
 /// compute_op_trace_range on the batch kernel.
 void batch_range(const MultiplierNetlist& mult, const TechLibrary& tech,
                  std::span<const OperandPattern> patterns, std::size_t first,

@@ -280,11 +280,7 @@ std::vector<RunStats> FaultCampaign::score_lanes(
   for (std::size_t first = 0; first < patterns.size(); first += kBatchLanes) {
     const int count = static_cast<int>(
         std::min<std::size_t>(kBatchLanes, patterns.size() - first));
-    for (int p = 0; p < count; ++p) {
-      const OperandPattern& pat = patterns[first + static_cast<std::size_t>(p)];
-      load_bus_lane(words, pat.a, mult.width, mult.a_first_input, p);
-      load_bus_lane(words, pat.b, mult.width, mult.b_first_input, p);
-    }
+    load_word(words, mult, patterns.subspan(first, std::size_t(count)));
     const std::span<const double> settle = sim.step_word(words, count);
     // A delay outlier moves no value, so each lane's op is the fault-free
     // op with the lane's delay; a persistent fault is active on every op

@@ -1,10 +1,12 @@
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/lint/rule.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/netlist/netlist.hpp"
-#include "src/netlist/techlib.hpp"
+#include "src/sim/value_sweep.hpp"
 #include "src/workload/patterns.hpp"
 #include "src/workload/rng.hpp"
 
@@ -15,7 +17,9 @@ namespace {
 // consistency.functional — the generated netlist must compute a*b. Running
 // the functional reference check as a lint rule puts generator bugs in the
 // same report as structural and timing findings, so `aginglint` is a single
-// gate for "this netlist is safe to ship".
+// gate for "this netlist is safe to ship". A product does not depend on
+// delays, so the vectors settle 64 to a word in a values-only ValueSweep,
+// each lane the value a pattern-by-pattern simulation settles to.
 // ---------------------------------------------------------------------------
 void check_functional(const LintContext& ctx, std::string_view id,
                       std::vector<Diagnostic>& out) {
@@ -27,11 +31,6 @@ void check_functional(const LintContext& ctx, std::string_view id,
     return;
   }
   const MultiplierNetlist& mult = *ctx.multiplier;
-  // Functional equivalence does not depend on delays, so any library
-  // works; prefer the caller's to avoid surprises.
-  const TechLibrary& tech = (ctx.timing != nullptr && ctx.timing->tech)
-                                ? *ctx.timing->tech
-                                : default_tech_library();
   const std::uint64_t max_operand =
       mult.width >= 64 ? ~0ULL : ((1ULL << mult.width) - 1);
 
@@ -47,23 +46,30 @@ void check_functional(const LintContext& ctx, std::string_view id,
   vectors.insert(vectors.end(), random_vectors.begin(),
                  random_vectors.end());
 
-  MultiplierSim sim(mult, tech);
+  ValueSweep sweep(mult.netlist);
+  std::vector<std::uint64_t> words(mult.netlist.num_inputs());
   constexpr std::size_t kMaxReported = 5;
   std::size_t mismatches = 0;
-  for (const OperandPattern& v : vectors) {
-    sim.apply(v.a, v.b);
-    const std::uint64_t got = sim.product();
-    const std::uint64_t want = reference_multiply(v.a, v.b, mult.width);
-    if (got == want) continue;
-    ++mismatches;
-    if (mismatches <= kMaxReported) {
-      out.push_back(Diagnostic{
-          Severity::kError, std::string(id),
-          std::string(arch_name(mult.arch)) + std::to_string(mult.width) +
-              " computes " + std::to_string(v.a) + " * " +
-              std::to_string(v.b) + " = " + std::to_string(got) +
-              ", golden reference says " + std::to_string(want),
-          kNoGate, kInvalidNet});
+  for (std::size_t first = 0; first < vectors.size(); first += kBatchLanes) {
+    const auto word = std::span(vectors).subspan(
+        first, std::min<std::size_t>(kBatchLanes, vectors.size() - first));
+    load_word(words, mult, word);
+    sweep.step_word(words, static_cast<int>(word.size()));
+    for (std::size_t l = 0; l < word.size(); ++l) {
+      const OperandPattern& v = word[l];
+      const std::uint64_t got = sweep.output_bits(static_cast<int>(l));
+      const std::uint64_t want = reference_multiply(v.a, v.b, mult.width);
+      if (got == want) continue;
+      ++mismatches;
+      if (mismatches <= kMaxReported) {
+        out.push_back(Diagnostic{
+            Severity::kError, std::string(id),
+            std::string(arch_name(mult.arch)) + std::to_string(mult.width) +
+                " computes " + std::to_string(v.a) + " * " +
+                std::to_string(v.b) + " = " + std::to_string(got) +
+                ", golden reference says " + std::to_string(want),
+            kNoGate, kInvalidNet});
+      }
     }
   }
   if (mismatches > kMaxReported) {

@@ -7,7 +7,7 @@
 
 #include "src/netlist/surgeon.hpp"
 #include "src/obs/trace.hpp"
-#include "src/sim/batch_sim.hpp"
+#include "src/sim/value_sweep.hpp"
 #include "src/workload/rng.hpp"
 
 namespace agingsim::lint {
@@ -74,7 +74,6 @@ void splice_overlays(std::vector<StaCorner>& corners, std::size_t pos,
 }  // namespace
 
 EquivalenceSummary check_logic_equivalence(const Netlist& a, const Netlist& b,
-                                           const TechLibrary& tech,
                                            std::size_t vectors,
                                            std::uint64_t seed) {
   if (a.num_inputs() != b.num_inputs() ||
@@ -86,8 +85,8 @@ EquivalenceSummary check_logic_equivalence(const Netlist& a, const Netlist& b,
   if (vectors == 0) return s;
   s.checked = true;
 
-  BatchTimingSim sim_a(a, tech);
-  BatchTimingSim sim_b(b, tech);
+  ValueSweep sim_a(a);
+  ValueSweep sim_b(b);
   Rng rng(seed);
   std::vector<std::uint64_t> words(a.num_inputs());
   bool first_word = true;
@@ -109,7 +108,7 @@ EquivalenceSummary check_logic_equivalence(const Netlist& a, const Netlist& b,
       const NetId oa = a.output_nets()[i];
       const NetId ob = b.output_nets()[i];
       for (int l = 0; l < lanes; ++l) {
-        if (sim_a.lane_value(oa, l) != sim_b.lane_value(ob, l)) {
+        if (sim_a.value(oa, l) != sim_b.value(ob, l)) {
           ++s.mismatches;
         }
       }
@@ -400,7 +399,7 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
   (void)stuck;  // `stuck` only shortens the loop; verdicts come from the STA
 
   res.equivalence = check_logic_equivalence(
-      original, netlist, tech, config.equiv_vectors, config.equiv_seed);
+      original, netlist, config.equiv_vectors, config.equiv_seed);
   return res;
 }
 

@@ -12,8 +12,8 @@
 namespace agingsim::lint {
 
 /// The logic-equivalence proof `repair_hold` runs after repair (repaired
-/// vs. original netlist, exact per-lane value comparison through the batch
-/// timing kernel); 0 vectors skips it.
+/// vs. original netlist, exact per-lane value comparison through the
+/// values-only ValueSweep); 0 vectors skips it.
 struct HoldRepairConfig {
   std::size_t equiv_vectors = 256;
   std::uint64_t equiv_seed = 0x401DFACEULL;
@@ -100,14 +100,13 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
                              const HoldRepairConfig& config = {});
 
 /// Exact logic-equivalence check between two netlists with identical
-/// input/output interfaces: drives both through the 64-lane batch timing
-/// kernel on `vectors` seeded patterns (the first is all-ones, flushing
-/// power-up X through tri-state keeper structures) and compares every
-/// primary output's settled Logic value lane by lane — X-safe, no
-/// output_bits packing. Throws std::invalid_argument when the interfaces
-/// differ.
+/// input/output interfaces: settles both in a ValueSweep (values only, 64
+/// lanes a word; delays cannot change a value) on `vectors` seeded
+/// patterns (the first is all-ones, flushing power-up X through tri-state
+/// keeper structures) and compares every primary output's settled Logic
+/// value lane by lane — X-safe, no output_bits packing. Throws
+/// std::invalid_argument when the interfaces differ.
 EquivalenceSummary check_logic_equivalence(const Netlist& a, const Netlist& b,
-                                           const TechLibrary& tech,
                                            std::size_t vectors,
                                            std::uint64_t seed);
 

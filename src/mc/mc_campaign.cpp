@@ -227,12 +227,8 @@ std::vector<McTrialRecord> McCampaign::score_corners(
          first += kBatchLanes) {
       const int count = static_cast<int>(
           std::min<std::size_t>(kBatchLanes, patterns_.size() - first));
-      for (int p = 0; p < count; ++p) {
-        const OperandPattern& pat =
-            patterns_[first + static_cast<std::size_t>(p)];
-        load_bus_lane(words, pat.a, mult.width, mult.a_first_input, p);
-        load_bus_lane(words, pat.b, mult.width, mult.b_first_input, p);
-      }
+      load_word(words, mult,
+                std::span(patterns_).subspan(first, std::size_t(count)));
       const std::span<const double> settle = sim.step_word(words, count);
       for (int p = 0; p < count; ++p) {
         const std::size_t i = first + static_cast<std::size_t>(p);

@@ -9,6 +9,7 @@
 #include "src/netlist/netlist.hpp"
 #include "src/netlist/techlib.hpp"
 #include "src/sim/timing_sim.hpp"
+#include "src/workload/patterns.hpp"
 
 namespace agingsim {
 
@@ -71,6 +72,13 @@ MultiplierNetlist build_multiplier(MultiplierArch arch, int width);
 
 /// Golden reference: the product the netlist must compute.
 std::uint64_t reference_multiply(std::uint64_t a, std::uint64_t b, int width);
+
+/// Packs `patterns` (at most kBatchLanes) into lanes [0, patterns.size())
+/// of `words`, one word per primary input, as a word kernel's step_word
+/// takes them; the lanes above are 0. Throws std::invalid_argument, like
+/// load_bus_lane, on more patterns or a bus that does not fit `words`.
+void load_word(std::span<std::uint64_t> words, const MultiplierNetlist& mult,
+               std::span<const OperandPattern> patterns);
 
 /// Convenience harness: a TimingSim bound to a multiplier with an
 /// operand-level API. One `apply()` models one operand transition latched by

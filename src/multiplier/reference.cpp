@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/multiplier/multiplier.hpp"
@@ -47,6 +48,17 @@ std::uint64_t reference_multiply(std::uint64_t a, std::uint64_t b, int width) {
   const std::uint64_t mask =
       width == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
   return (a & mask) * (b & mask);
+}
+
+void load_word(std::span<std::uint64_t> words, const MultiplierNetlist& mult,
+               std::span<const OperandPattern> patterns) {
+  std::fill(words.begin(), words.end(), 0);
+  for (std::size_t l = 0; l < patterns.size(); ++l) {
+    load_bus_lane(words, patterns[l].a, mult.width, mult.a_first_input,
+                  static_cast<int>(l));
+    load_bus_lane(words, patterns[l].b, mult.width, mult.b_first_input,
+                  static_cast<int>(l));
+  }
 }
 
 MultiplierSim::MultiplierSim(const MultiplierNetlist& mult,

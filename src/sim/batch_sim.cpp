@@ -332,21 +332,8 @@ Logic BatchTimingSim::lane_value(NetId net, int lane) const {
 }
 
 std::uint64_t BatchTimingSim::output_bits(int lane) const {
-  const auto outs = netlist_->output_nets();
-  if (outs.size() > 64) {
-    throw std::logic_error(
-        "BatchTimingSim::output_bits: more than 64 outputs");
-  }
-  std::uint64_t bits = 0;
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    const Logic v = lane_value(outs[i], lane);
-    if (!is_known(v)) {
-      throw std::logic_error("BatchTimingSim::output_bits: output " +
-                             netlist_->output_name(i) + " is unknown");
-    }
-    if (logic_to_bool(v)) bits |= (std::uint64_t{1} << i);
-  }
-  return bits;
+  return pack_output_bits(*netlist_, "BatchTimingSim",
+                          [&](NetId net) { return lane_value(net, lane); });
 }
 
 const char* BatchTimingSim::lane_backend() noexcept {

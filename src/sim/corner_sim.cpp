@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
-#include <string>
 
 #include "src/netlist/cell.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/sim/word_eval.hpp"
 
 namespace agingsim {
 namespace {
@@ -98,26 +96,12 @@ void fold_lanes(double* out, const std::array<const double*, 3>& p, int n,
 
 CornerTimingSim::CornerTimingSim(const Netlist& netlist,
                                  const TechLibrary& tech)
-    : netlist_(&netlist) {
+    : netlist_(&netlist), sweep_(netlist) {
   const std::size_t gates = netlist.num_gates();
   const std::size_t nets = netlist.num_nets();
   cell_delay_ps_.resize(gates);
   for (GateId g = 0; g < gates; ++g) {
     cell_delay_ps_[g] = tech.delay(netlist.gate(g).kind);
-  }
-
-  // Value-sweep records. Inputs past a kind's arity read net `nets`, a pad
-  // that stays X: never a controlling value, never changed, no slot.
-  const NetId pad = static_cast<NetId>(nets);
-  sweep_.resize(gates);
-  for (GateId g = 0; g < gates; ++g) {
-    const auto ins = netlist.gate_inputs(g);
-    SweepGate& sg = sweep_[g];
-    for (std::size_t k = 0; k < 3; ++k) {
-      sg.in[k] = k < ins.size() ? ins[k] : pad;
-    }
-    sg.out = netlist.gate(g).out;
-    sg.kind = netlist.gate(g).kind;
   }
 
   // Live ranges in the ascending-id sweep: a gate-driven net is born at its
@@ -135,6 +119,8 @@ CornerTimingSim::CornerTimingSim(const Netlist& netlist,
   }
   for (const NetId out : netlist.output_nets()) last_use[out] = end_of_step;
   first_slot_ = static_cast<std::int64_t>(gates) * kLanes;
+  // Inputs past a kind's arity read the sweep's pad, net `nets`: it stays
+  // X (never a controlling value), never changes and has no row.
   row_.assign(nets + 1, -1);
   std::int64_t slots = 0;
   std::vector<std::int64_t> free_slots;
@@ -166,10 +152,6 @@ CornerTimingSim::CornerTimingSim(const Netlist& netlist,
     std::fill_n(rows_.begin() + std::ptrdiff_t(g) * kLanes, kLanes,
                 cell_delay_ps_[g]);
   }
-  planes_.assign(nets + 1, {0, ~std::uint64_t{0}});  // X until driven
-  value_.assign(nets + 1, Logic::kX);
-  changed_.assign(nets + 1, 0);
-  input_changed_.resize(netlist.num_inputs());
   active_.resize(gates);
   active_changed_.resize(gates);
   block_.resize(gates);
@@ -217,13 +199,15 @@ void CornerTimingSim::power_up(int lanes) {
         "CornerTimingSim::power_up: lanes must be in [1, 32]");
   }
   lanes_ = lanes;
-  patterns_ = 0;
-  std::fill(value_.begin(), value_.end(), Logic::kX);
+  sweep_.power_up();
 }
 
-const double* CornerTimingSim::arrival_lanes(NetId net) const noexcept {
+const double* CornerTimingSim::arrival_lanes(NetId net,
+                                             int pattern) const noexcept {
   const std::int64_t row = row_[net];
-  if (row < 0 || changed_[net] == 0) return kZeroLanes.data();
+  if (row < 0 || ((sweep_.changed(net) >> pattern) & 1u) == 0) {
+    return kZeroLanes.data();
+  }
   return rows_.data() + row;
 }
 
@@ -238,37 +222,16 @@ std::span<const double> CornerTimingSim::step_word(
     throw std::invalid_argument(
         "CornerTimingSim::step_word: patterns must be in [1, 64]");
   }
-  const std::uint64_t mask = patterns == kBatchLanes
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << patterns) - 1;
 
-  // Values of every pattern: one sweep in ascending gate id (a topological
-  // order) from the values the last word left, the dense kernel's sweep
-  // run 64 patterns wide. value_ still holds that state here.
-  const auto input_nets = nl.input_nets();
-  for (std::size_t i = 0; i < input_nets.size(); ++i) {
-    const NetId net = input_nets[i];
-    const std::uint64_t bits = input_bits[i] & mask;
-    planes_[net] = {bits, 0};
-    input_changed_[i] = detail::lane_edges(bits, 0, value_[net], mask).changed;
-  }
-  // Values do not depend on delays, so the gates that changed on some
-  // pattern are only listed here, branch-free, and timed below.
+  // Values of every pattern, and the patterns each net changed on, from
+  // the values the last word left. Values do not depend on delays, so the
+  // gates that changed on some pattern are only listed here, branch-free,
+  // and timed below.
+  sweep_.step_word(input_bits, patterns);
+  const std::span<const ValueSweep::SweepGate> gates = sweep_.gates();
   std::size_t num_active = 0;
-  const GateId gates = static_cast<GateId>(sweep_.size());
-  for (GateId g = 0; g < gates; ++g) {
-    const SweepGate& sg = sweep_[g];
-    const std::uint64_t ip0[3] = {planes_[sg.in[0]].p0, planes_[sg.in[1]].p0,
-                                  planes_[sg.in[2]].p0};
-    const std::uint64_t ip1[3] = {planes_[sg.in[0]].p1, planes_[sg.in[1]].p1,
-                                  planes_[sg.in[2]].p1};
-    const Logic carried = value_[sg.out];
-    const detail::WordPlanes w =
-        detail::eval_word(sg.kind, ip0, ip1, carried, mask);
-    const detail::NetLanes out{w.p0 & mask, w.p1 & mask};
-    planes_[sg.out] = out;
-    const std::uint64_t changed =
-        detail::lane_edges(out.p0, out.p1, carried, mask).changed;
+  for (GateId g = 0; g < gates.size(); ++g) {
+    const std::uint64_t changed = sweep_.changed(gates[g].out);
     active_[num_active] = g;
     active_changed_[num_active] = changed;
     num_active += changed != 0;
@@ -276,13 +239,6 @@ std::span<const double> CornerTimingSim::step_word(
 
   std::size_t num_block = 0;
   for (int p = 0; p < patterns; ++p) {
-    // A changed input arrives at t = 0 in every lane.
-    for (std::size_t i = 0; i < input_nets.size(); ++i) {
-      value_[input_nets[i]] =
-          logic_from_bool(((input_bits[i] >> p) & 1u) != 0);
-      changed_[input_nets[i]] =
-          static_cast<std::uint8_t>((input_changed_[i] >> p) & 1u);
-    }
     // The word's active set narrowed, once per block of patterns, to the
     // gates that change in the block, and that list to this pattern's.
     // Both stay in ascending id.
@@ -308,10 +264,7 @@ std::span<const double> CornerTimingSim::step_word(
     // sensitized arrival, folded over the inputs that can move it.
     for (std::size_t i = 0; i < num_changed; ++i) {
       const GateId g = changed_gates_[i];
-      const SweepGate& sg = sweep_[g];
-      value_[sg.out] =
-          detail::lane_logic(planes_[sg.out].p0, planes_[sg.out].p1, p);
-      changed_[sg.out] = 1;
+      const ValueSweep::SweepGate& sg = gates[g];
       // Nothing reads this arrival, or it is the gate's delay row.
       const std::int64_t row = row_[sg.out];
       if (row < first_slot_) continue;
@@ -320,13 +273,13 @@ std::span<const double> CornerTimingSim::step_word(
       const Controlled ctrl = controlled(sg.kind);
       std::array<const double*, 3> in;
       int n = 0;
-      if (ctrl.has && value_[sg.out] == ctrl.out) {
+      if (ctrl.has && sweep_.value(sg.out, p) == ctrl.out) {
         // First-wins minimum over the inputs holding the controlling value
         // (the scalar -1 sentinel only ever yields the first of them:
         // arrivals are never negative). One that arrived at 0.0 decides it.
         for (std::size_t k = 0; k < 3; ++k) {
-          if (value_[sg.in[k]] != ctrl.in) continue;
-          const double* a = arrival_lanes(sg.in[k]);
+          if (sweep_.value(sg.in[k], p) != ctrl.in) continue;
+          const double* a = arrival_lanes(sg.in[k], p);
           if (a == kZeroLanes.data()) {
             n = 0;
             break;
@@ -340,11 +293,11 @@ std::span<const double> CornerTimingSim::step_word(
       // maximum as it is. A mux skips its unselected data input and counts
       // its select only when it changed; a tbuf that changed was enabled
       // and takes both of its inputs.
-      const int skip = sg.kind != CellKind::kMux2          ? -1
-                       : value_[sg.in[2]] == Logic::kOne ? 0
-                                                         : 1;
+      const int skip = sg.kind != CellKind::kMux2                ? -1
+                       : sweep_.value(sg.in[2], p) == Logic::kOne ? 0
+                                                               : 1;
       for (int k = 0; k < 3; ++k) {
-        const double* a = arrival_lanes(sg.in[k]);
+        const double* a = arrival_lanes(sg.in[k], p);
         if (k != skip && a != kZeroLanes.data()) in[n++] = a;
       }
       fold_lanes<false>(out, in, n, delay);
@@ -353,17 +306,13 @@ std::span<const double> CornerTimingSim::step_word(
     double* settle = settle_.data() + std::size_t(p) * kLanes;
     std::fill_n(settle, kLanes, 0.0);
     for (const NetId out : nl.output_nets()) {
-      if (changed_[out] == 0) continue;
-      const double* a = arrival_lanes(out);
+      if (((sweep_.changed(out) >> p) & 1u) == 0) continue;
+      const double* a = arrival_lanes(out, p);
       for (int l = 0; l < kLanes; ++l) {
         settle[l] = fold<false>(settle[l], a[l]);
       }
     }
-    for (std::size_t i = 0; i < num_changed; ++i) {
-      changed_[sweep_[changed_gates_[i]].out] = 0;
-    }
   }
-  patterns_ = patterns;
   if (obs::metrics_enabled()) {
     const CornerMetrics& m = corner_metrics();
     m.steps.add(static_cast<std::uint64_t>(patterns));
@@ -374,29 +323,17 @@ std::span<const double> CornerTimingSim::step_word(
 }
 
 Logic CornerTimingSim::lane_value(NetId net, int pattern) const {
-  if (pattern < 0 || pattern >= patterns_) {
+  if (pattern < 0 || pattern >= sweep_.lanes()) {
     throw std::out_of_range(
         "CornerTimingSim::lane_value: pattern out of range");
   }
-  return detail::lane_logic(planes_[net].p0, planes_[net].p1, pattern);
+  return sweep_.value(net, pattern);
 }
 
 std::uint64_t CornerTimingSim::output_bits(int pattern) const {
-  const auto outs = netlist_->output_nets();
-  if (outs.size() > 64) {
-    throw std::logic_error(
-        "CornerTimingSim::output_bits: more than 64 outputs");
-  }
-  std::uint64_t bits = 0;
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    const Logic v = lane_value(outs[i], pattern);
-    if (!is_known(v)) {
-      throw std::logic_error("CornerTimingSim::output_bits: output " +
-                             netlist_->output_name(i) + " is unknown");
-    }
-    if (logic_to_bool(v)) bits |= (std::uint64_t{1} << i);
-  }
-  return bits;
+  return pack_output_bits(*netlist_, "CornerTimingSim", [&](NetId net) {
+    return lane_value(net, pattern);
+  });
 }
 
 }  // namespace agingsim

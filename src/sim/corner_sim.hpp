@@ -7,12 +7,14 @@
 // tables*. Process variation, aging and delay-outlier faults change only
 // gate delays, so every corner sees the same values, the same switching
 // and the same products; only arrivals differ. One CornerTimingSim
-// therefore settles up to 64 operand patterns per step_word call. One
-// eval_word sweep (word_eval.hpp, the batch kernel's value model) settles
-// every net on every pattern, from the values the previous word left.
-// The change masks then list, pattern by pattern, the gates whose value
-// changed (narrowed first to each block of 8 patterns' gates), and only
-// those are timed, once per lane, each lane being one delay table.
+// therefore settles up to 64 operand patterns per step_word call. Its
+// ValueSweep (value_sweep.hpp, the one values-only word sweep) settles
+// every net on every pattern, from the values the previous word left, and
+// sets each net's change mask. The change masks then list, pattern by
+// pattern, the gates whose value changed (narrowed first to each block of
+// 8 patterns' gates), and only those are timed, once per lane, each lane
+// being one delay table. Each net's value and changed bit on pattern p
+// are read from the sweep.
 //
 // EXACTNESS: a lane's arrival recurrence is TimingSim::evaluate_gate's,
 // statement for statement — first-wins minimum over controlling inputs,
@@ -39,7 +41,8 @@
 #include "src/netlist/logic.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/netlist/techlib.hpp"
-#include "src/sim/batch_sim.hpp"
+#include "src/sim/timing_sim.hpp"
+#include "src/sim/value_sweep.hpp"
 
 namespace agingsim {
 
@@ -98,22 +101,14 @@ class CornerTimingSim {
   }
 
  private:
-  /// Lane array holding `net`'s arrivals on the current pattern when it
+  /// Lane array holding `net`'s arrivals on pattern `pattern` when it
   /// changed: its slot, or its driver's delay row when only primary inputs
   /// feed that gate. Otherwise all zeros (a stable net, or a primary
   /// input, arrives at t = 0).
-  const double* arrival_lanes(NetId net) const noexcept;
-
-  /// One gate as both sweeps read it: inputs padded to three with a net
-  /// that stays X, the output net and the kind.
-  struct SweepGate {
-    NetId in[3];
-    NetId out;
-    CellKind kind;
-  };
+  const double* arrival_lanes(NetId net, int pattern) const noexcept;
 
   const Netlist* netlist_;
-  std::vector<SweepGate> sweep_;       // per gate
+  ValueSweep sweep_;                   // every net's values and changes
   std::vector<double> cell_delay_ps_;  // per gate: tech.delay(kind)
   /// Rows of kCornerLanes: one delay row per gate, then the arrival slots
   /// from `first_slot_` on.
@@ -122,12 +117,6 @@ class CornerTimingSim {
   /// Per net + pad: the row in rows_ holding its arrivals, -1 when
   /// nobody reads them.
   std::vector<std::int64_t> row_;
-  std::vector<detail::NetLanes> planes_;  // per net + pad: the last word
-  /// Per net + pad: the value on the current pattern. Between words it is
-  /// the value after the last pattern, the state the next word starts from.
-  std::vector<Logic> value_;
-  std::vector<std::uint8_t> changed_;  // per net + pad: changed this pattern
-  std::vector<std::uint64_t> input_changed_;  // per input: patterns it changed
   /// The gates whose value changed on some pattern of the word, ascending,
   /// and the patterns each changed on.
   std::vector<GateId> active_;
@@ -139,7 +128,6 @@ class CornerTimingSim {
   std::vector<GateId> changed_gates_;  // the current pattern's, ascending
   std::vector<double> settle_;         // kBatchLanes x kCornerLanes
   int lanes_ = kCornerLanes;
-  int patterns_ = 0;                   // patterns of the last word
 };
 
 }  // namespace agingsim

@@ -441,20 +441,8 @@ StepResult TimingSim::step(std::span<const Logic> input_values) {
 }
 
 std::uint64_t TimingSim::output_bits() const {
-  const auto outs = netlist_->output_nets();
-  if (outs.size() > 64) {
-    throw std::logic_error("TimingSim::output_bits: more than 64 outputs");
-  }
-  std::uint64_t bits = 0;
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    const Logic v = value_[outs[i]];
-    if (!is_known(v)) {
-      throw std::logic_error("TimingSim::output_bits: output " +
-                             netlist_->output_name(i) + " is unknown");
-    }
-    if (logic_to_bool(v)) bits |= (std::uint64_t{1} << i);
-  }
-  return bits;
+  return pack_output_bits(*netlist_, "TimingSim",
+                          [&](NetId net) { return value_[net]; });
 }
 
 }  // namespace agingsim

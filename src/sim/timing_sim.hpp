@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/fault/fault.hpp"
@@ -47,6 +49,30 @@ inline constexpr int kBatchLanes = 64;
 /// does not fit `input_bits` (bus_fits).
 void load_bus_lane(std::span<std::uint64_t> input_bits, std::uint64_t value,
                    int width, int first_input, int lane);
+
+/// Every kernel's output_bits: packs `netlist`'s primary outputs LSB-first,
+/// output i read as `value_of(output net i)`. Throws std::logic_error,
+/// naming `kernel` ("<kernel>::output_bits: ..."), on more than 64
+/// outputs or an X/Z output.
+template <typename ValueOf>
+std::uint64_t pack_output_bits(const Netlist& netlist, const char* kernel,
+                               ValueOf value_of) {
+  const auto outs = netlist.output_nets();
+  if (outs.size() > 64) {
+    throw std::logic_error(std::string(kernel) +
+                           "::output_bits: more than 64 outputs");
+  }
+  std::uint64_t bits = 0;
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    const Logic v = value_of(outs[i]);
+    if (!is_known(v)) {
+      throw std::logic_error(std::string(kernel) + "::output_bits: output " +
+                             netlist.output_name(i) + " is unknown");
+    }
+    if (logic_to_bool(v)) bits |= std::uint64_t{1} << i;
+  }
+  return bits;
+}
 
 /// Outcome of applying one input pattern.
 struct StepResult {

@@ -2,10 +2,10 @@
 
 // Value-plane evaluation of one gate over the 64 lanes of a word — the
 // single word-parallel statement of the cell semantics in cell.cpp
-// (eval_cell). Three sweeps call it: the batch timing kernel
-// (batch_sweep.inl), the corner-parallel kernel (corner_sim.cpp) and the
-// values-only ValueSweep (value_sweep.cpp), which stress extraction and
-// trace ranges share.
+// (eval_cell). Two sweeps call it: the batch timing kernel
+// (batch_sweep.inl) and the values-only ValueSweep (value_sweep.cpp),
+// which the corner-parallel kernel, stress extraction, trace ranges and
+// lint's value checks share.
 //
 // Bit-plane encoding: lane l of plane0/plane1 carries the two bits of the
 // Logic code (kZero=00, kOne=01, kX=10, kZ=11; plane0 = low bit). So:

@@ -277,7 +277,7 @@ TEST(FuzzTest, BenignBufferInsertionsStayLintCleanAndEquivalent) {
     EXPECT_EQ(lint_errors(nl), 0u) << "benign mutation flagged, trial "
                                    << trial;
     const lint::EquivalenceSummary eq = lint::check_logic_equivalence(
-        original, nl, default_tech_library(), 64, 0xF028u + trial);
+        original, nl, 64, 0xF028u + trial);
     EXPECT_TRUE(eq.ok()) << "logic changed, trial " << trial << " ("
                          << eq.mismatches << " lanes)";
   }

@@ -24,6 +24,7 @@
 #include "src/core/calibration.hpp"
 #include "src/core/vl_multiplier.hpp"
 #include "src/lint/engine.hpp"
+#include "src/lint/repair.hpp"
 #include "src/lint/structural.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/netlist/surgeon.hpp"
@@ -459,6 +460,7 @@ TEST(LintConsistencyTest, StockMultiplierMatchesGolden) {
 
 TEST(LintConsistencyTest, MiswiredGateRaisesFunctionalError) {
   MultiplierNetlist mult = build_column_bypass_multiplier(8);
+  const Netlist original = mult.netlist;
   // p[0] is pp[0][0] = a0 AND b0; turning its driver into an OR flips the
   // product's LSB whenever exactly one operand is odd.
   const NetId p0 = mult.netlist.output_nets()[0];
@@ -474,6 +476,16 @@ TEST(LintConsistencyTest, MiswiredGateRaisesFunctionalError) {
   ctx.consistency.vectors = 64;
   const LintReport report = lint::run(ctx);
   EXPECT_GE(errors_for(report.diagnostics, "consistency.functional"), 1u);
+
+  // The repair's equivalence proof fails on the same edit (its other
+  // callers all expect ok()).
+  const lint::HoldRepairConfig repair;
+  const lint::EquivalenceSummary eq = lint::check_logic_equivalence(
+      original, mult.netlist, repair.equiv_vectors, repair.equiv_seed);
+  EXPECT_TRUE(eq.checked);
+  EXPECT_EQ(eq.vectors, repair.equiv_vectors);
+  EXPECT_GT(eq.mismatches, 0u);
+  EXPECT_FALSE(eq.ok());
 }
 
 // ---------------------------------------------------------------------------

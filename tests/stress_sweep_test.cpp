@@ -3,10 +3,14 @@
 // estimate_stress only counts ones, so its result must be exactly `==`
 // to the scalar simulator's: across the all-X power-up, Tbuf keeper state
 // carried over word boundaries, partial tail words, and every cell kind.
+// ValueSweep's per-lane readers, which the corner kernel and lint read,
+// are held to the same reference net by net and pattern by pattern.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <tuple>
@@ -16,6 +20,8 @@
 #include "src/multiplier/multiplier.hpp"
 #include "src/netlist/builder.hpp"
 #include "src/sim/timing_sim.hpp"
+#include "src/sim/value_sweep.hpp"
+#include "src/workload/patterns.hpp"
 #include "src/workload/rng.hpp"
 
 namespace agingsim {
@@ -155,6 +161,94 @@ TEST(StressSweepTest, EveryCellKindThroughKeeperXMatchesScalar) {
     nl.mark_output(outs[i], std::move(name));
   }
   expect_matches_scalar(nl, "cell kinds");
+}
+
+/// Sweeps the next `lanes` patterns of `stream` as one word and steps
+/// `scalar` through them one by one: every net's value(net, p) and bit p of
+/// changed(net) must match the scalar value after pattern p and whether it
+/// differs from the one before (`before`, updated), and output_bits(p) the
+/// scalar output_bits().
+void expect_word_matches_scalar(const MultiplierNetlist& m, ValueSweep& sweep,
+                                TimingSim& scalar,
+                                std::span<const OperandPattern> stream,
+                                std::vector<Logic>& before) {
+  const Netlist& nl = m.netlist;
+  const int lanes = static_cast<int>(stream.size());
+  std::vector<std::uint64_t> words(nl.num_inputs());
+  load_word(words, m, stream);
+  sweep.step_word(words, lanes);
+  ASSERT_EQ(sweep.lanes(), lanes);
+  std::vector<Logic> pattern(nl.num_inputs(), Logic::kZero);
+  for (int p = 0; p < lanes; ++p) {
+    load_bus(pattern, stream[std::size_t(p)].a, m.width, m.a_first_input);
+    load_bus(pattern, stream[std::size_t(p)].b, m.width, m.b_first_input);
+    scalar.step(pattern);
+    for (NetId n = 0; n < nl.num_nets(); ++n) {
+      const Logic v = scalar.value(n);
+      ASSERT_EQ(sweep.value(n, p), v) << "net " << n << " lane " << p;
+      ASSERT_EQ((sweep.changed(n) >> p) & 1u, v != before[n] ? 1u : 0u)
+          << "net " << n << " lane " << p;
+      before[n] = v;
+    }
+    ASSERT_EQ(sweep.output_bits(p), scalar.output_bits()) << "lane " << p;
+  }
+  for (NetId n = 0; n < nl.num_nets() && lanes < kBatchLanes; ++n) {
+    ASSERT_EQ(sweep.changed(n) >> lanes, 0u) << "net " << n;
+  }
+  EXPECT_THROW(sweep.output_bits(lanes), std::out_of_range);
+  EXPECT_THROW(sweep.output_bits(-1), std::out_of_range);
+}
+
+/// Gates with inputs none of which changed in the sweep's last word: past
+/// a power-up's first word, the ones it skipped.
+std::size_t still_gates(const Netlist& nl, const ValueSweep& sweep) {
+  std::size_t still = 0;
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    if (nl.gate(g).in_count == 0) continue;  // ties: trivially still
+    std::uint64_t changed = 0;
+    for (const NetId in : nl.gate_inputs(g)) changed |= sweep.changed(in);
+    still += changed == 0;
+  }
+  return still;
+}
+
+TEST(ValueSweepTest, ReadersMatchScalarTimingSimOnFirTapWords) {
+  // Each segment starts at power-up: the first on a new sweep, the second
+  // after power_up() mid-stream (and on a new scalar simulator). Full and
+  // partial words alternate.
+  const std::vector<std::vector<std::size_t>> segments = {{64, 17, 64, 1},
+                                                         {63, 64, 27}};
+  for (const MultiplierArch arch :
+       {MultiplierArch::kColumnBypass, MultiplierArch::kRowBypass}) {
+    const MultiplierNetlist m = build_multiplier(arch, 16);
+    Rng rng(20261020);
+    const std::vector<OperandPattern> stream = fir_tap_patterns(rng, 16, 300);
+    ValueSweep sweep(m.netlist);
+    std::size_t next = 0;
+    std::size_t skipped = 0;
+    for (std::size_t s = 0; s < segments.size(); ++s) {
+      SCOPED_TRACE(std::string(arch_name(arch)) + "16 segment " +
+                   std::to_string(s));
+      if (s > 0) {
+        sweep.power_up();
+        EXPECT_EQ(sweep.lanes(), 0);
+        EXPECT_THROW(sweep.output_bits(0), std::out_of_range);
+        for (const Logic v : sweep.values()) ASSERT_EQ(v, Logic::kX);
+      }
+      TimingSim scalar(m.netlist, default_tech_library());
+      std::vector<Logic> before(m.netlist.num_nets(), Logic::kX);
+      for (std::size_t w = 0; w < segments[s].size(); ++w) {
+        const std::size_t lanes = segments[s][w];
+        ASSERT_NO_FATAL_FAILURE(expect_word_matches_scalar(
+            m, sweep, scalar, std::span(stream).subspan(next, lanes), before));
+        if (w > 0) skipped += still_gates(m.netlist, sweep);
+        next += lanes;
+      }
+    }
+    // The FIR tap's fixed coefficient and idle high bits leave whole
+    // stretches of the array still, so the sweep's gate skip ran.
+    EXPECT_GT(skipped, 0u) << arch_name(arch);
+  }
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(SurgeonInsertBufferTest, RenumbersAndStaysStructurallyClean) {
   EXPECT_TRUE(sink_reads_tail);
 
   const lint::EquivalenceSummary eq = lint::check_logic_equivalence(
-      original, fa.netlist(), default_tech_library(), 128, 0xD1FFu);
+      original, fa.netlist(), 128, 0xD1FFu);
   EXPECT_TRUE(eq.ok()) << eq.mismatches << " mismatching lanes";
 }
 
@@ -145,7 +145,7 @@ TEST(SurgeonInsertOutputBufferTest, AppendsWithoutRenumbering) {
       before.max_arrival_ps[fa.sum] + 2.0 * t.delay(CellKind::kBuf));
 
   const lint::EquivalenceSummary eq = lint::check_logic_equivalence(
-      original, fa.netlist(), t, 128, 0xD1FFu);
+      original, fa.netlist(), 128, 0xD1FFu);
   EXPECT_TRUE(eq.ok());
 }
 
@@ -181,7 +181,7 @@ TEST(SurgeonInsertBufferTest, StockMultiplierSurvivesScatteredInsertions) {
     mult.netlist.validate();
     EXPECT_EQ(structural_errors(mult.netlist), 0u) << arch_name(arch);
     const lint::EquivalenceSummary eq = lint::check_logic_equivalence(
-        original, mult.netlist, default_tech_library(), 192, 0xBEEFu);
+        original, mult.netlist, 192, 0xBEEFu);
     EXPECT_TRUE(eq.ok()) << arch_name(arch) << ": " << eq.mismatches
                          << " mismatching lanes";
   }

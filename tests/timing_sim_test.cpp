@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/core/vl_multiplier.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/netlist/builder.hpp"
+#include "src/sim/batch_sim.hpp"
+#include "src/sim/corner_sim.hpp"
+#include "src/sim/value_sweep.hpp"
 #include "src/workload/patterns.hpp"
 
 namespace agingsim {
@@ -133,6 +139,33 @@ TEST(TimingSimTest, OutputBitsRejectsUnknownOutputs) {
   // Disabled from power-up: the keeper net has never been driven.
   sim.step(bits({1, 0}));
   EXPECT_THROW(sim.output_bits(), std::logic_error);
+
+  // Every kernel packs its outputs through one helper that names it.
+  const auto message = [](auto&& output_bits) -> std::string {
+    try {
+      output_bits();
+    } catch (const std::logic_error& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(message([&] { return sim.output_bits(); }),
+            "TimingSim::output_bits: output y is unknown");
+  const Netlist& nl = nb.netlist();
+  const TechLibrary& tech = default_tech_library();
+  const std::vector<std::uint64_t> word = {1, 0};  // the same pattern
+  BatchTimingSim batch(nl, tech);
+  batch.step_word(word, 1);
+  EXPECT_EQ(message([&] { return batch.output_bits(0); }),
+            "BatchTimingSim::output_bits: output y is unknown");
+  CornerTimingSim corner(nl, tech);
+  corner.step_word(word, 1);
+  EXPECT_EQ(message([&] { return corner.output_bits(0); }),
+            "CornerTimingSim::output_bits: output y is unknown");
+  ValueSweep sweep(nl);
+  sweep.step_word(word, 1);
+  EXPECT_EQ(message([&] { return sweep.output_bits(0); }),
+            "ValueSweep::output_bits: output y is unknown");
 }
 
 TEST(TimingSimTest, RejectsWrongInputCount) {

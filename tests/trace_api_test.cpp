@@ -135,11 +135,7 @@ std::vector<GateId> disabled_tbufs(const MultiplierNetlist& m,
   std::vector<std::uint64_t> words(m.netlist.num_inputs());
   for (std::size_t done = 0; done < n; done += kBatchLanes) {
     const std::size_t lanes = std::min<std::size_t>(kBatchLanes, n - done);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const OperandPattern& p = patterns[done + l];
-      load_bus_lane(words, p.a, m.width, m.a_first_input, static_cast<int>(l));
-      load_bus_lane(words, p.b, m.width, m.b_first_input, static_cast<int>(l));
-    }
+    load_word(words, m, patterns.subspan(done, lanes));
     sweep.step_word(words, static_cast<int>(lanes));
   }
   std::vector<GateId> disabled;
